@@ -12,7 +12,7 @@ types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import terms as T
@@ -73,8 +73,10 @@ class FiniteAxiomSet:
     carrier: tuple[str, ...]
     labels: tuple[tuple[str, ...], ...]  # per atom, ordered axiom labels
     covers: tuple[tuple[Subset, ...], ...]  # per atom, per label, C(a, i)
+    positions: dict = field(init=False, repr=False, compare=False)  # atom -> index
 
     def __post_init__(self):
+        object.__setattr__(self, "positions", {a: i for i, a in enumerate(self.carrier)})
         n = len(self.carrier)
         if len(self.labels) != n or len(self.covers) != n:
             raise ValueError("families must align with the carrier")
@@ -84,7 +86,10 @@ class FiniteAxiomSet:
                     raise ValueError("axiom subset over the wrong carrier")
 
     def atom_index(self, atom: str) -> int:
-        return self.carrier.index(atom)
+        try:
+            return self.positions[atom]
+        except KeyError:
+            raise ValueError(f"{atom!r} is not in the carrier") from None
 
     @property
     def size(self) -> int:
@@ -338,15 +343,17 @@ class CoverFile:
 def load_axiom_set(text: str) -> CoverFile:
     """Line format: ``carrier``, ``axiom``, ``subset`` and ``query`` items."""
     carrier: Optional[tuple[str, ...]] = None
+    positions: dict = {}  # atom -> index in the carrier
     labels: list[list[str]] = []
     covers: list[list[Subset]] = []
     subsets: dict = {}
     queries: list = []
 
     def atom_index(atom: str, ln: int) -> int:
-        if carrier is None or atom not in carrier:
+        a = positions.get(atom)
+        if a is None:
             raise FormatError(f"unknown atom {atom!r}", ln)
-        return carrier.index(atom)
+        return a
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -362,6 +369,7 @@ def load_axiom_set(text: str) -> CoverFile:
                 if len(set(atoms)) != len(atoms):
                     raise FormatError("duplicate atom in carrier", ln)
                 carrier = tuple(atoms)
+                positions = {a: i for i, a in enumerate(carrier)}
                 labels = [[] for _ in atoms]
                 covers = [[] for _ in atoms]
             case ["axiom", atom, label, ":", *members]:

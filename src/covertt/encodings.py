@@ -301,16 +301,3 @@ def build_representation_lemma(i: str, n: str, r: str, prefix: str = "i") -> lis
         f"reprBackward {ps}",
     ]
 
-
-# --- regeneration -------------------------------------------------------------------
-
-
-def corpus_files() -> dict[str, str]:
-    """The shipped corpus sources, keyed by file name (manifest included)."""
-    out = {}
-    base = corpus_dir()
-    for fn in sorted(os.listdir(base)):
-        if fn == "manifest" or fn.endswith(".mltt"):
-            with open(os.path.join(base, fn), encoding="utf-8") as fh:
-                out[fn] = fh.read()
-    return out

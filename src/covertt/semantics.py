@@ -1,11 +1,17 @@
-"""Evaluation into a semantic domain and type-directed readback.
+"""Evaluation into a semantic domain, type-directed readback and conversion.
 
-Conversion is checked by evaluating both sides, reading the values back to
-beta-normal terms and comparing structurally.  The uniqueness rules for
-functions, pairs and the unit type are implemented in readback only: values
+Readback turns a value into a beta-normal term.  The uniqueness rules for
+functions, pairs and the unit type live in its type-directed cases: values
 at Pi type are re-expanded to lambdas when ``eta_pi`` is on, values at Sigma
 type become pairs of their projections under ``eta_sigma``, and at the unit
 type every value reads back as ``star`` under ``eta_unit``.
+
+Conversion compares two values directly.  It walks both values at once
+through the same typed cases as readback and stops at the first difference.
+It answers without descending where the two sides are the same object, or
+closures with the same body and the same environment.  It is equal by
+construction to reading both values back and comparing the terms, which the
+test suite keeps as its oracle.
 
 ``eta_unit`` additionally lets the unit eliminator fire on any scrutinee
 (every inhabitant is judgmentally ``star`` under that rule), which is what
@@ -14,6 +20,7 @@ makes unit-type coercions between indexed families compute.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -326,9 +333,9 @@ class GlobalEntry:
 class Evaluator:
     """Shared machinery for evaluation, readback and conversion.
 
-    Values are immutable; an evaluator instance only carries the global
-    environment, the flag set and a step budget, so it is safe to share
-    across threads for read-only use.
+    Values are immutable, but ``steps`` is a mutable counter of eliminator
+    steps checked against the budget, so an evaluator must not be shared
+    across threads.
     """
 
     def __init__(self, globals_env=None, flags: Flags = Flags(), step_limit: int = 2_000_000):
@@ -603,337 +610,158 @@ class Evaluator:
                 )
         raise KernelBug(f"eval: unhandled term {type(t).__name__}")
 
-    # -- readback ------------------------------------------------------------
+    # -- field types -----------------------------------------------------------
+    #
+    # Readback and conversion descend into a value through the same three
+    # tables: the types of a type former's fields, of a canonical value's
+    # fields, and of an eliminator frame's arguments.  A field whose type is a
+    # sort is itself a type.
 
-    def readback(self, v: Value, ty: Value, depth: int) -> Term:
-        """Type-directed readback to a beta-normal term."""
-        flags = self.flags
-        match ty:
-            case VSort():
-                return self.readback_type(v, depth)
-            case VPi(dom, cod):
-                if flags.eta_pi:
-                    var = fresh(depth, dom)
-                    return T.Lam(
-                        self.readback(self.apply(v, var), self.apply_clo(cod, var), depth + 1)
-                    )
-                if isinstance(v, VLam):
-                    var = fresh(depth, dom)
-                    return T.Lam(
-                        self.readback(
-                            self.apply_clo(v.clo, var), self.apply_clo(cod, var), depth + 1
-                        )
-                    )
-                if isinstance(v, VNeutral):
-                    return self.readback_neutral(v, depth)
-                # bare family formers are values of large function type
-                if isinstance(v, (VDW, VWP, VCover)):
-                    return self.readback_type_former(v, depth)
-                raise KernelBug("readback: non-function at Pi type")
-            case VSigma(dom, cod):
-                if flags.eta_sigma:
-                    a = self.proj1(v)
-                    return T.Pair(
-                        self.readback(a, dom, depth),
-                        self.readback(self.proj2(v), self.apply_clo(cod, a), depth),
-                    )
-                if isinstance(v, VPair):
-                    return T.Pair(
-                        self.readback(v.fst, dom, depth),
-                        self.readback(v.snd, self.apply_clo(cod, v.fst), depth),
-                    )
-                if isinstance(v, VNeutral):
-                    return self.readback_neutral(v, depth)
-                raise KernelBug("readback: non-pair at Sigma type")
-            case VUnit():
-                if flags.eta_unit:
-                    return T.Star()
-                if isinstance(v, VStar):
-                    return T.Star()
-                if isinstance(v, VNeutral):
-                    return self.readback_neutral(v, depth)
-                raise KernelBug("readback: bad value at unit type")
-            case VId(ity, _, _):
-                if isinstance(v, VRefl):
-                    return T.Refl(self.readback(v.value, ity, depth))
-                if isinstance(v, VNeutral):
-                    return self.readback_neutral(v, depth)
-                raise KernelBug("readback: bad value at Id type")
-            case VSum(l, r):
-                match v:
-                    case VInl(x):
-                        return T.Inl(self.readback(x, l, depth))
-                    case VInr(x):
-                        return T.Inr(self.readback(x, r, depth))
-                    case VNeutral():
-                        return self.readback_neutral(v, depth)
-                raise KernelBug("readback: bad value at Sum type")
-            case VW(a, b):
-                match v:
-                    case VSup(lab, f):
-                        branch_ty = VPi(self.apply(b, lab), constant_family(ty))
-                        return T.Sup(
-                            self.readback(lab, a, depth), self.readback(f, branch_ty, depth)
-                        )
-                    case VNeutral():
-                        return self.readback_neutral(v, depth)
-                raise KernelBug("readback: bad value at W type")
-            case VDWApp(fam, _):
-                match v:
-                    case VDSup(i, n, f):
-                        ity = fam.index
-                        nty = self.apply(fam.names, i)
-                        brty = self.apply_many(fam.branch, i, n)
-                        f_ty = VPi(
-                            brty,
-                            PyClosure(
-                                lambda b: VDWApp(fam, self.apply_many(fam.arity, i, n, b))
-                            ),
-                        )
-                        return T.DSup(
-                            self.readback(i, ity, depth),
-                            self.readback(n, nty, depth),
-                            self.readback(f, f_ty, depth),
-                        )
-                    case VNeutral():
-                        return self.readback_neutral(v, depth)
-                raise KernelBug("readback: bad value at DW type")
-            case VWPApp(fam, _):
-                match v:
-                    case VInd(i, n, f):
-                        ity = fam.index
-                        nty = self.apply(fam.names, i)
-                        f_ty = VPi(
-                            ity,
-                            PyClosure(
-                                lambda j: VPi(
-                                    self.apply_many(fam.rules, i, n, j),
-                                    constant_family(VWPApp(fam, j)),
-                                )
-                            ),
-                        )
-                        return T.Ind(
-                            self.readback(i, ity, depth),
-                            self.readback(n, nty, depth),
-                            self.readback(f, f_ty, depth),
-                        )
-                    case VNeutral():
-                        return self.readback_neutral(v, depth)
-                raise KernelBug("readback: bad value at WP type")
+    def type_fields(self, v: Value):
+        """Types of the fields of the type value ``v`` (a former without a
+        binder, a family former or an applied family), in order; None when
+        ``v`` is not one of these."""
+        match v:
+            case VEmpty() | VUnit():
+                return ()
+            case VSum():
+                return V_ANY, V_ANY
+            case VId(ty, _, _):
+                return V_ANY, ty, ty
+            case VW(a, _):
+                return V_ANY, VPi(a, constant_family(V_ANY))
+            case VDWApp(fam, _) | VWPApp(fam, _):
+                return V_ANY, fam.index
             case VCoverApp(fam, _):
-                match v:
-                    case VRf(a, r):
-                        return T.Rf(
-                            self.readback(a, fam.carrier, depth),
-                            self.readback(r, self.apply(fam.subset, a), depth),
-                        )
-                    case VTr(a, i, f):
-                        lty = self.apply(fam.labels, a)
-                        f_ty = VPi(
-                            fam.carrier,
-                            PyClosure(
-                                lambda b: VPi(
-                                    self.apply_many(fam.axioms, a, i, b),
-                                    constant_family(VCoverApp(fam, b)),
-                                )
-                            ),
-                        )
-                        return T.Tr(
-                            self.readback(a, fam.carrier, depth),
-                            self.readback(i, lty, depth),
-                            self.readback(f, f_ty, depth),
-                        )
-                    case VNeutral():
-                        return self.readback_neutral(v, depth)
-                raise KernelBug("readback: bad value at cover type")
-            case VEmpty():
-                if isinstance(v, VNeutral):
-                    return self.readback_neutral(v, depth)
-                raise KernelBug("readback: canonical value at empty type")
-            case VNeutral():
-                # stuck type: only neutral inhabitants are possible
-                if isinstance(v, VNeutral):
-                    return self.readback_neutral(v, depth)
-                raise KernelBug("readback: canonical value at stuck type")
-        raise KernelBug(f"readback: unhandled type value {type(ty).__name__}")
-
-    def readback_type_former(self, v: Value, depth: int) -> Term:
-        match v:
-            case VDW(i, n, br, ar):
-                ity = i
-                return T.DW(
-                    self.readback_type(i, depth),
-                    self.readback(n, VPi(ity, constant_family(V_ANY)), depth),
-                    self.readback(
-                        br,
-                        VPi(
-                            ity,
-                            PyClosure(
-                                lambda iv: VPi(self.apply(n, iv), constant_family(V_ANY))
-                            ),
+                return V_ANY, fam.carrier
+            case VDW(i, n, br, _):
+                return (
+                    V_ANY,
+                    VPi(i, constant_family(V_ANY)),
+                    VPi(i, PyClosure(lambda iv: VPi(self.apply(n, iv), constant_family(V_ANY)))),
+                    VPi(
+                        i,
+                        PyClosure(
+                            lambda iv: VPi(
+                                self.apply(n, iv),
+                                PyClosure(
+                                    lambda nv: VPi(
+                                        self.apply_many(br, iv, nv), constant_family(i)
+                                    )
+                                ),
+                            )
                         ),
-                        depth,
-                    ),
-                    self.readback(
-                        ar,
-                        VPi(
-                            ity,
-                            PyClosure(
-                                lambda iv: VPi(
-                                    self.apply(n, iv),
-                                    PyClosure(
-                                        lambda nv: VPi(
-                                            self.apply_many(br, iv, nv),
-                                            constant_family(ity),
-                                        )
-                                    ),
-                                )
-                            ),
-                        ),
-                        depth,
                     ),
                 )
-            case VWP(i, n, r):
-                ity = i
-                return T.WP(
-                    self.readback_type(i, depth),
-                    self.readback(n, VPi(ity, constant_family(V_ANY)), depth),
-                    self.readback(
-                        r,
-                        VPi(
-                            ity,
-                            PyClosure(
-                                lambda iv: VPi(
-                                    self.apply(n, iv),
-                                    constant_family(VPi(ity, constant_family(V_ANY))),
-                                )
-                            ),
+            case VWP(i, n, _):
+                return (
+                    V_ANY,
+                    VPi(i, constant_family(V_ANY)),
+                    VPi(
+                        i,
+                        PyClosure(
+                            lambda iv: VPi(
+                                self.apply(n, iv),
+                                constant_family(VPi(i, constant_family(V_ANY))),
+                            )
                         ),
-                        depth,
                     ),
                 )
-            case VCover(a, i, c, vv):
-                aty = a
-                return T.Cover(
-                    self.readback_type(a, depth),
-                    self.readback(i, VPi(aty, constant_family(V_ANY)), depth),
-                    self.readback(
-                        c,
-                        VPi(
-                            aty,
-                            PyClosure(
-                                lambda av: VPi(
-                                    self.apply(i, av),
-                                    constant_family(VPi(aty, constant_family(V_ANY))),
-                                )
-                            ),
+            case VCover(a, i, _, _):
+                return (
+                    V_ANY,
+                    VPi(a, constant_family(V_ANY)),
+                    VPi(
+                        a,
+                        PyClosure(
+                            lambda av: VPi(
+                                self.apply(i, av),
+                                constant_family(VPi(a, constant_family(V_ANY))),
+                            )
                         ),
-                        depth,
                     ),
-                    self.readback(vv, VPi(aty, constant_family(V_ANY)), depth),
+                    VPi(a, constant_family(V_ANY)),
                 )
-        raise KernelBug("readback_type_former: not a family former")
+        return None
 
-    def readback_type(self, v: Value, depth: int) -> Term:
-        match v:
-            case VSort("u0"):
-                return T.Univ()
-            case VSort("type") | VSort("any"):
-                return T.TypeSort()
-            case VEmpty():
-                return T.Empty()
-            case VUnit():
-                return T.Unit()
-            case VPi(dom, cod):
-                var = fresh(depth, dom)
-                return T.Pi(
-                    self.readback_type(dom, depth),
-                    self.readback_type(self.apply_clo(cod, var), depth + 1),
+    def value_fields(self, v: Value, ty: Value):
+        """Types of the fields of the canonical value ``v`` at type ``ty``, in
+        order; None when ``v`` is not a canonical inhabitant of ``ty``."""
+        match ty, v:
+            case VSigma(dom, cod), VPair(a, _):
+                return dom, self.apply_clo(cod, a)
+            case VUnit(), VStar():
+                return ()
+            case VSum(left, _), VInl():
+                return (left,)
+            case VSum(_, right), VInr():
+                return (right,)
+            case VId(ity, _, _), VRefl():
+                return (ity,)
+            case VW(a, b), VSup(lab, _):
+                return a, VPi(self.apply(b, lab), constant_family(ty))
+            case VDWApp(fam, _), VDSup(i, n, _):
+                return (
+                    fam.index,
+                    self.apply(fam.names, i),
+                    VPi(
+                        self.apply_many(fam.branch, i, n),
+                        PyClosure(lambda b: VDWApp(fam, self.apply_many(fam.arity, i, n, b))),
+                    ),
                 )
-            case VSigma(dom, cod):
-                var = fresh(depth, dom)
-                return T.Sigma(
-                    self.readback_type(dom, depth),
-                    self.readback_type(self.apply_clo(cod, var), depth + 1),
+            case VWPApp(fam, _), VInd(i, n, _):
+                return (
+                    fam.index,
+                    self.apply(fam.names, i),
+                    VPi(
+                        fam.index,
+                        PyClosure(
+                            lambda j: VPi(
+                                self.apply_many(fam.rules, i, n, j),
+                                constant_family(VWPApp(fam, j)),
+                            )
+                        ),
+                    ),
                 )
-            case VSum(l, r):
-                return T.Sum(self.readback_type(l, depth), self.readback_type(r, depth))
-            case VId(ty, a, b):
-                return T.Id(
-                    self.readback_type(ty, depth),
-                    self.readback(a, ty, depth),
-                    self.readback(b, ty, depth),
+            case VCoverApp(fam, _), VRf(a, _):
+                return fam.carrier, self.apply(fam.subset, a)
+            case VCoverApp(fam, _), VTr(a, i, _):
+                return (
+                    fam.carrier,
+                    self.apply(fam.labels, a),
+                    VPi(
+                        fam.carrier,
+                        PyClosure(
+                            lambda b: VPi(
+                                self.apply_many(fam.axioms, a, i, b),
+                                constant_family(VCoverApp(fam, b)),
+                            )
+                        ),
+                    ),
                 )
-            case VW(a, b):
-                return T.W(
-                    self.readback_type(a, depth),
-                    self.readback(b, VPi(a, constant_family(V_ANY)), depth),
-                )
-            case VDWApp(fam, idx):
-                return T.App(
-                    self.readback_type_former(fam, depth),
-                    self.readback(idx, fam.index, depth),
-                )
-            case VWPApp(fam, idx):
-                return T.App(
-                    self.readback_type_former(fam, depth),
-                    self.readback(idx, fam.index, depth),
-                )
-            case VCoverApp(fam, elem):
-                return T.App(
-                    self.readback_type_former(fam, depth),
-                    self.readback(elem, fam.carrier, depth),
-                )
-            case VDW() | VWP() | VCover():
-                return self.readback_type_former(v, depth)
-            case VNeutral():
-                return self.readback_neutral(v, depth)
-        raise KernelBug(f"readback_type: not a type value: {type(v).__name__}")
+        return None
 
-    # -- neutral spines --------------------------------------------------------
-
-    def readback_neutral(self, v: VNeutral, depth: int) -> Term:
-        term, _ = self.readback_spine(v, depth)
-        return term
-
-    def readback_spine(self, v: VNeutral, depth: int):
-        head = v.head
-        if isinstance(head, HVar):
-            if head.level >= depth:
-                raise KernelBug("readback: variable level out of scope")
-            acc: Term = T.Var(depth - 1 - head.level)
-        else:
-            acc = T.Const(head.name)
-        cur = head.type
-        prefix: tuple = ()
-        for frame in v.frames:
-            scrut = VNeutral(head, prefix)
-            acc, cur = self.readback_frame(acc, cur, scrut, frame, depth)
-            prefix = prefix + (frame,)
-        return acc, cur
-
-    def readback_frame(self, acc: Term, cur: Value, scrut: VNeutral, frame, depth: int):
+    def frame_types(self, cur: Value, scrut: VNeutral, frame):
+        """Types of ``frame``'s fields, in order, and of its result, when it
+        eliminates the neutral ``scrut`` of type ``cur``."""
         ev = self
         match frame:
             case FApp(arg):
                 if not isinstance(cur, VPi):
                     raise KernelBug("readback: application at non-function type")
-                term = T.App(acc, self.readback(arg, cur.dom, depth))
-                return term, self.apply_clo(cur.cod, arg)
+                return (cur.dom,), self.apply_clo(cur.cod, arg)
             case FProj1():
                 if not isinstance(cur, VSigma):
                     raise KernelBug("readback: fst at non-Sigma type")
-                return T.Proj1(acc), cur.fst
+                return (), cur.fst
             case FProj2():
                 if not isinstance(cur, VSigma):
                     raise KernelBug("readback: snd at non-Sigma type")
-                fst_val = self.proj1(scrut)
-                return T.Proj2(acc), self.apply_clo(cur.snd, fst_val)
-            case FSigElim(motive, case):
+                return (), self.apply_clo(cur.snd, self.proj1(scrut))
+            case FSigElim(motive, _):
                 if not isinstance(cur, VSigma):
                     raise KernelBug("readback: split at non-Sigma type")
                 sig = cur
-                m_ty = VPi(sig, constant_family(V_ANY))
                 case_ty = VPi(
                     sig.fst,
                     PyClosure(
@@ -943,38 +771,23 @@ class Evaluator:
                         )
                     ),
                 )
-                term = T.SigElim(
-                    self.readback(motive, m_ty, depth),
-                    self.readback(case, case_ty, depth),
-                    acc,
-                )
-                return term, self.apply(motive, scrut)
-            case FSumElim(motive, cl, cr):
+                return (VPi(sig, constant_family(V_ANY)), case_ty), self.apply(motive, scrut)
+            case FSumElim(motive, _, _):
                 if not isinstance(cur, VSum):
                     raise KernelBug("readback: case at non-Sum type")
-                m_ty = VPi(cur, constant_family(V_ANY))
-                cl_ty = VPi(cur.left, PyClosure(lambda x: ev.apply(motive, VInl(x))))
-                cr_ty = VPi(cur.right, PyClosure(lambda x: ev.apply(motive, VInr(x))))
-                term = T.SumElim(
-                    self.readback(motive, m_ty, depth),
-                    self.readback(cl, cl_ty, depth),
-                    self.readback(cr, cr_ty, depth),
-                    acc,
-                )
-                return term, self.apply(motive, scrut)
-            case FUnitElim(motive, case):
-                m_ty = VPi(VUnit(), constant_family(V_ANY))
-                term = T.UnitElim(
-                    self.readback(motive, m_ty, depth),
-                    self.readback(case, self.apply(motive, VStar()), depth),
-                    acc,
-                )
-                return term, self.apply(motive, scrut)
+                return (
+                    VPi(cur, constant_family(V_ANY)),
+                    VPi(cur.left, PyClosure(lambda x: ev.apply(motive, VInl(x)))),
+                    VPi(cur.right, PyClosure(lambda x: ev.apply(motive, VInr(x)))),
+                ), self.apply(motive, scrut)
+            case FUnitElim(motive, _):
+                return (
+                    VPi(VUnit(), constant_family(V_ANY)),
+                    self.apply(motive, VStar()),
+                ), self.apply(motive, scrut)
             case FEmptyElim(motive):
-                m_ty = VPi(VEmpty(), constant_family(V_ANY))
-                term = T.EmptyElim(self.readback(motive, m_ty, depth), acc)
-                return term, self.apply(motive, scrut)
-            case FJ(motive, d, lhs, rhs):
+                return (VPi(VEmpty(), constant_family(V_ANY)),), self.apply(motive, scrut)
+            case FJ(motive, _, lhs, rhs):
                 if not isinstance(cur, VId):
                     raise KernelBug("readback: J at non-Id type")
                 a_ty = cur.type
@@ -995,20 +808,12 @@ class Evaluator:
                     a_ty,
                     PyClosure(lambda x: ev.apply_many(motive, x, x, VRefl(x))),
                 )
-                term = T.J(
-                    self.readback(motive, m_ty, depth),
-                    self.readback(d, d_ty, depth),
-                    self.readback(lhs, a_ty, depth),
-                    self.readback(rhs, a_ty, depth),
-                    acc,
-                )
-                return term, self.apply_many(motive, lhs, rhs, scrut)
-            case FWElim(motive, step):
+                return (m_ty, d_ty, a_ty, a_ty), self.apply_many(motive, lhs, rhs, scrut)
+            case FWElim(motive, _):
                 if not isinstance(cur, VW):
                     raise KernelBug("readback: elimW at non-W type")
                 w_ty = cur
                 a_ty, b_fam = cur.label, cur.branch
-                m_ty = VPi(w_ty, constant_family(V_ANY))
                 step_ty = VPi(
                     a_ty,
                     PyClosure(
@@ -1030,17 +835,11 @@ class Evaluator:
                         )
                     ),
                 )
-                term = T.WElim(
-                    self.readback(motive, m_ty, depth),
-                    self.readback(step, step_ty, depth),
-                    acc,
-                )
-                return term, self.apply(motive, scrut)
-            case FDWElim(motive, step):
+                return (VPi(w_ty, constant_family(V_ANY)), step_ty), self.apply(motive, scrut)
+            case FDWElim(motive, _):
                 if not isinstance(cur, VDWApp):
                     raise KernelBug("readback: elimDW at non-DW type")
                 fam = cur.fam
-                idx = cur.idx
                 ity = fam.index
                 m_ty = VPi(
                     ity,
@@ -1085,18 +884,11 @@ class Evaluator:
                         )
                     ),
                 )
-                term = T.DWElim(
-                    self.readback(motive, m_ty, depth),
-                    self.readback(step, step_ty, depth),
-                    self.readback(idx, ity, depth),
-                    acc,
-                )
-                return term, self.apply_many(motive, idx, scrut)
-            case FWPElim(motive, step):
+                return (m_ty, step_ty), self.apply_many(motive, cur.idx, scrut)
+            case FWPElim(motive, _):
                 if not isinstance(cur, VWPApp):
                     raise KernelBug("readback: elimWP at non-WP type")
                 fam = cur.fam
-                idx = cur.idx
                 ity = fam.index
                 m_ty = VPi(
                     ity,
@@ -1147,18 +939,11 @@ class Evaluator:
                         )
                     ),
                 )
-                term = T.WPElim(
-                    self.readback(motive, m_ty, depth),
-                    self.readback(step, step_ty, depth),
-                    self.readback(idx, ity, depth),
-                    acc,
-                )
-                return term, self.apply_many(motive, idx, scrut)
-            case FCoverElim(motive, q1, q2):
+                return (m_ty, step_ty), self.apply_many(motive, cur.idx, scrut)
+            case FCoverElim(motive, _, _):
                 if not isinstance(cur, VCoverApp):
                     raise KernelBug("readback: elimCover at non-cover type")
                 fam = cur.fam
-                elem = cur.elem
                 aty = fam.carrier
                 m_ty = VPi(
                     aty,
@@ -1220,20 +1005,263 @@ class Evaluator:
                         )
                     ),
                 )
-                term = T.CoverElim(
-                    self.readback(motive, m_ty, depth),
-                    self.readback(q1, q1_ty, depth),
-                    self.readback(q2, q2_ty, depth),
-                    self.readback(elem, aty, depth),
-                    acc,
-                )
-                return term, self.apply_many(motive, elem, scrut)
+                return (m_ty, q1_ty, q2_ty), self.apply_many(motive, cur.elem, scrut)
         raise KernelBug(f"readback: unhandled frame {type(frame).__name__}")
 
+    # -- readback ------------------------------------------------------------
+
+    def readback(self, v: Value, ty: Value, depth: int) -> Term:
+        """Type-directed readback to a beta-normal term."""
+        flags = self.flags
+        match ty:
+            case VSort():
+                return self.readback_type(v, depth)
+            case VPi(dom, cod) if flags.eta_pi or isinstance(v, VLam):
+                var = fresh(depth, dom)
+                body = self.apply(v, var) if flags.eta_pi else self.apply_clo(v.clo, var)
+                return T.Lam(self.readback(body, self.apply_clo(cod, var), depth + 1))
+            case VPi() if isinstance(v, (VDW, VWP, VCover)):
+                # bare family formers are values of large function type
+                return self.readback_type(v, depth)
+            case VSigma(dom, cod) if flags.eta_sigma:
+                a = self.proj1(v)
+                return T.Pair(
+                    self.readback(a, dom, depth),
+                    self.readback(self.proj2(v), self.apply_clo(cod, a), depth),
+                )
+            case VUnit() if flags.eta_unit:
+                return T.Star()
+        if isinstance(v, VNeutral):
+            return self.readback_neutral(v, depth)
+        types = self.value_fields(v, ty)
+        if types is None:
+            raise KernelBug(f"readback: {type(v).__name__} at type {type(ty).__name__}")
+        return self._readback_fields(v, types, depth)
+
+    def readback_type(self, v: Value, depth: int) -> Term:
+        match v:
+            case VSort(kind):
+                return T.Univ() if kind == "u0" else T.TypeSort()
+            case VPi(dom, cod) | VSigma(dom, cod):
+                var = fresh(depth, dom)
+                return _TERM_OF[type(v)](
+                    self.readback_type(dom, depth),
+                    self.readback_type(self.apply_clo(cod, var), depth + 1),
+                )
+            case VNeutral():
+                return self.readback_neutral(v, depth)
+        types = self.type_fields(v)
+        if types is None:
+            raise KernelBug(f"readback_type: not a type value: {type(v).__name__}")
+        return self._readback_fields(v, types, depth)
+
+    def _readback_fields(self, v, types, depth: int) -> Term:
+        args = [self.readback(x, t, depth) for x, t in zip(_fields(v), types)]
+        return _TERM_OF[type(v)](*args)
+
+    def readback_neutral(self, v: VNeutral, depth: int) -> Term:
+        head = v.head
+        if isinstance(head, HVar):
+            if head.level >= depth:
+                raise KernelBug("readback: variable level out of scope")
+            acc: Term = T.Var(depth - 1 - head.level)
+        else:
+            acc = T.Const(head.name)
+        cur = head.type
+        for k, frame in enumerate(v.frames):
+            types, result = self.frame_types(cur, VNeutral(head, v.frames[:k]), frame)
+            args = [self.readback(x, t, depth) for x, t in zip(_fields(frame), types)]
+            # the indexed eliminators also record the scrutinee's index,
+            # which comes from its type, not from the frame
+            match frame:
+                case FDWElim() | FWPElim():
+                    args.append(self.readback(cur.idx, cur.fam.index, depth))
+                case FCoverElim():
+                    args.append(self.readback(cur.elem, cur.fam.carrier, depth))
+            if isinstance(frame, FApp):
+                acc = T.App(acc, *args)
+            else:
+                acc = _TERM_OF[type(frame)](*args, acc)
+            cur = result
+        return acc
+
     # -- conversion -------------------------------------------------------------
+    #
+    # Conversion walks both values at once, through the same typed cases and
+    # field tables as readback, and stops at the first difference.  A pair is
+    # convertible exactly when the two readbacks are equal terms, but where
+    # the two sides are the same object, or closures with the same body and
+    # the same environment, it answers without descending.  Under eta_pi both
+    # sides are applied to one fresh variable, under eta_sigma their
+    # projections are compared, and under eta_unit any two values at the
+    # unit type are equal.  Neutral spines are typed frame by frame as
+    # readback types them, so eta_unit also holds at frame arguments and no
+    # pair has to be read back.
 
     def equal(self, a: Value, b: Value, ty: Value, depth: int) -> bool:
-        return self.readback(a, ty, depth) == self.readback(b, ty, depth)
+        """One conversion problem of the checker (``conv`` recurses)."""
+        return self.conv(a, b, ty, depth)
 
     def equal_types(self, a: Value, b: Value, depth: int) -> bool:
-        return self.readback_type(a, depth) == self.readback_type(b, depth)
+        """One type conversion problem of the checker (``conv_type`` recurses)."""
+        return self.conv_type(a, b, depth)
+
+    def conv(self, a: Value, b: Value, ty: Value, depth: int) -> bool:
+        """Whether ``a`` and ``b`` of type ``ty`` read back to the same term."""
+        if a is b:
+            return True
+        flags = self.flags
+        match ty:
+            case VSort():
+                return self.conv_type(a, b, depth)
+            case VPi(dom, cod):
+                lams = isinstance(a, VLam) and isinstance(b, VLam)
+                if lams and _same(a.clo, b.clo):
+                    return True
+                if flags.eta_pi or lams:
+                    var = fresh(depth, dom)
+                    if flags.eta_pi:
+                        a, b = self.apply(a, var), self.apply(b, var)
+                    else:
+                        a, b = self.apply_clo(a.clo, var), self.apply_clo(b.clo, var)
+                    return self.conv(a, b, self.apply_clo(cod, var), depth + 1)
+                if isinstance(a, (VDW, VWP, VCover)):
+                    return self.conv_type(a, b, depth)
+            case VSigma(dom, cod) if flags.eta_sigma:
+                a1 = self.proj1(a)
+                return self.conv(a1, self.proj1(b), dom, depth) and self.conv(
+                    self.proj2(a), self.proj2(b), self.apply_clo(cod, a1), depth
+                )
+            case VUnit() if flags.eta_unit:
+                return True
+        if isinstance(a, VNeutral) or isinstance(b, VNeutral):
+            both = isinstance(a, VNeutral) and isinstance(b, VNeutral)
+            return both and self.conv_neutral(a, b, depth)
+        if type(a) is not type(b):
+            return False
+        types = self.value_fields(a, ty)
+        if types is None:
+            raise KernelBug(f"conv: {type(a).__name__} at type {type(ty).__name__}")
+        return self._conv_fields(a, b, types, depth)
+
+    def conv_type(self, a: Value, b: Value, depth: int) -> bool:
+        """Whether the types ``a`` and ``b`` read back to the same term."""
+        if a is b:
+            return True
+        match a, b:
+            case VSort(k), VSort(l):
+                return (k == "u0") == (l == "u0")
+            case (VPi(d1, c1), VPi(d2, c2)) | (VSigma(d1, c1), VSigma(d2, c2)):
+                if not self.conv_type(d1, d2, depth):
+                    return False
+                if _same(c1, c2):
+                    return True
+                var = fresh(depth, d1)
+                return self.conv_type(self.apply_clo(c1, var), self.apply_clo(c2, var), depth + 1)
+            case VNeutral(), VNeutral():
+                return self.conv_neutral(a, b, depth)
+        if type(a) is not type(b):
+            return False
+        types = self.type_fields(a)
+        if types is None:
+            raise KernelBug(f"conv_type: not a type value: {type(a).__name__}")
+        return self._conv_fields(a, b, types, depth)
+
+    def conv_neutral(self, a: VNeutral, b: VNeutral, depth: int) -> bool:
+        """Same head, same spine length, then the frames in order.  Frames
+        whose fields are the same objects need no types, so the walk types
+        the spine only up to the last frame that differs.  The index an
+        indexed eliminator's term records follows from the spine before it,
+        so it needs no comparison of its own."""
+        ha, hb = a.head, b.head
+        if isinstance(ha, HVar):
+            if not (isinstance(hb, HVar) and ha.level == hb.level):
+                return False
+        elif not (isinstance(hb, HConst) and ha.name == hb.name):
+            return False
+        fa, fb = a.frames, b.frames
+        if len(fa) != len(fb) or any(type(f) is not type(g) for f, g in zip(fa, fb)):
+            return False
+        last = max((k for k in range(len(fa)) if not _same_frame(fa[k], fb[k])), default=-1)
+        cur = ha.type
+        for k in range(last + 1):
+            types, result = self.frame_types(cur, VNeutral(ha, fa[:k]), fa[k])
+            if not self._conv_fields(fa[k], fb[k], types, depth):
+                return False
+            cur = result
+        return True
+
+    def _conv_fields(self, a, b, types, depth: int) -> bool:
+        for x, y, t in zip(_fields(a), _fields(b), types):
+            if not self.conv(x, y, t, depth):
+                return False
+        return True
+
+
+def _fields(x) -> list:
+    """A value's or frame's fields in declaration order."""
+    return [getattr(x, name) for name in x.__match_args__]
+
+
+def _same(x, y) -> bool:
+    """Structural identity: the same object, or the same class with fields
+    that are recursively the same, closure bodies compared by identity.  It
+    implies equal readback at every type."""
+    if x is y:
+        return True
+    cls = type(x)
+    if cls is not type(y):
+        return False
+    if cls is tuple:
+        return len(x) == len(y) and all(map(_same, x, y))
+    if cls is Closure:
+        return x.body is y.body and _same(x.env, y.env)
+    if cls is PyClosure:
+        return False
+    if cls is int or cls is str:
+        return x == y
+    return all(map(_same, _fields(x), _fields(y)))
+
+
+def _same_frame(f1, f2) -> bool:
+    """Two frames of the same class whose fields are the same objects."""
+    return f1 is f2 or all(map(operator.is_, _fields(f1), _fields(f2)))
+
+
+# value, type former or frame class -> the term class it reads back to
+_TERM_OF = {
+    VPi: T.Pi,
+    VSigma: T.Sigma,
+    VEmpty: T.Empty,
+    VUnit: T.Unit,
+    VSum: T.Sum,
+    VId: T.Id,
+    VW: T.W,
+    VDW: T.DW,
+    VWP: T.WP,
+    VCover: T.Cover,
+    VDWApp: T.App,
+    VWPApp: T.App,
+    VCoverApp: T.App,
+    VPair: T.Pair,
+    VStar: T.Star,
+    VInl: T.Inl,
+    VInr: T.Inr,
+    VRefl: T.Refl,
+    VSup: T.Sup,
+    VDSup: T.DSup,
+    VInd: T.Ind,
+    VRf: T.Rf,
+    VTr: T.Tr,
+    FProj1: T.Proj1,
+    FProj2: T.Proj2,
+    FSigElim: T.SigElim,
+    FSumElim: T.SumElim,
+    FUnitElim: T.UnitElim,
+    FEmptyElim: T.EmptyElim,
+    FJ: T.J,
+    FWElim: T.WElim,
+    FDWElim: T.DWElim,
+    FWPElim: T.WPElim,
+    FCoverElim: T.CoverElim,
+}

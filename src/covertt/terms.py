@@ -357,7 +357,9 @@ def subst(t: Term, j: int, s: Term) -> Term:
 
 
 def structural_eq(t: Term, u: Term) -> bool:
-    """Alpha-equality: with nameless binding this is plain structural identity."""
+    """Alpha-equality: with nameless binding this is plain structural
+    identity, the same as ``t == u``.  Kept as public API; the kernel's own
+    conversion compares values (``Evaluator.conv``), not terms."""
     return t == u
 
 

@@ -1,8 +1,9 @@
 """Bidirectional type checking.
 
 Introduction forms check against their formers, eliminations and variables
-infer, and every equality side-condition goes through conversion (evaluate,
-read back under the active flags, compare).  Eliminator motives are explicit
+infer, and every equality side-condition goes through conversion: both sides
+are evaluated and the values compared directly under the active flags
+(``Evaluator.conv``), with readback used only to print terms.  Eliminator motives are explicit
 arguments and may land either in the universe of small types or in the large
 classification, which is what lets predicates be defined by recursion.
 """

@@ -6,6 +6,7 @@ import itertools
 import os
 
 from covertt import surface, typecheck
+from covertt.semantics import V_ANY, Evaluator, Value
 from covertt.terms import Flags
 from covertt.typecheck import Checker, Context
 
@@ -52,3 +53,10 @@ def check_in(checker: Checker, ctx, scope, term_src: str, ty_src: str):
 
 def load_corpus_file(name: str):
     return surface.load_file(os.path.join(CORPUS, name))
+
+
+def readback_equal(ev: Evaluator, a: Value, b: Value, ty: Value = V_ANY, depth: int = 0) -> bool:
+    """The conversion check the kernel used to run, kept as the oracle of
+    ``Evaluator.conv``: read both values back in full and compare the terms.
+    At a sort (the default) the values are types."""
+    return ev.readback(a, ty, depth) == ev.readback(b, ty, depth)

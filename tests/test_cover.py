@@ -64,6 +64,28 @@ def test_parse_errors():
     assert cover.run_queries(cf) == ["a V covered"]
 
 
+def test_unknown_atoms_are_reported_with_their_line():
+    for text, line in [
+        ("carrier a b\nsubset V : a c\n", 2),
+        ("carrier a b\nsubset V : a\n\nquery z V\n", 4),
+        ("carrier a b\naxiom a i : b\naxiom b j : a q\n", 3),
+    ]:
+        with pytest.raises(FormatError) as e:
+            load_axiom_set(text)
+        assert e.value.line == line
+        assert "unknown atom" in str(e.value)
+
+
+def test_atom_index_on_a_long_carrier():
+    atoms = [f"x{k}" for k in range(5000)]
+    ax = _axiom_set(atoms, [])
+    assert [ax.atom_index(a) for a in ("x0", "x2500", "x4999")] == [0, 2500, 4999]
+    with pytest.raises(ValueError):
+        ax.atom_index("y")
+    text = "carrier " + " ".join(atoms) + "\nsubset V : x4999\nquery x4998 V\n"
+    assert load_axiom_set(text).queries == [(4998, "V")]
+
+
 def test_reflexivity_saturates():
     ax = _axiom_set(["a", "b"], [])
     v = Subset.full(2)
