@@ -14,6 +14,7 @@ import sys
 
 from . import cover as cover_mod
 from . import encodings, surface, typecheck
+from .semantics import EvalBudgetExceeded
 from .terms import Flags
 from .typecheck import Checker, Context, TypeCheckError
 
@@ -104,7 +105,7 @@ def cmd_check(ns) -> int:
         try:
             typecheck.check_declarations([d], flags, checker.globals)
             print(f"ok {d.name}")
-        except TypeCheckError as e:
+        except (TypeCheckError, EvalBudgetExceeded) as e:
             print(f"error {d.name}")
             print(str(e))
             return 1
@@ -118,7 +119,7 @@ def cmd_norm(ns) -> int:
         term = surface.parse_term(ns.expr)
         print(surface.pretty(typecheck.normalize(checker, term)))
         return 0
-    except (surface.ParseError, TypeCheckError, OSError) as e:
+    except (surface.ParseError, TypeCheckError, EvalBudgetExceeded, OSError) as e:
         print(f"error: {e}")
         return 1
 
@@ -136,7 +137,7 @@ def cmd_conv(ns) -> int:
             return 0
         print("not convertible")
         return 1
-    except (surface.ParseError, TypeCheckError, OSError) as e:
+    except (surface.ParseError, TypeCheckError, EvalBudgetExceeded, OSError) as e:
         print(f"error: {e}")
         return 1
 

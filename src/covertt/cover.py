@@ -2,12 +2,15 @@
 
 An axiom set is a finite carrier with, per atom, an ordered family of
 labelled axioms, each covering a subset of the carrier.  The least cover of
-a subset V is computed by Kleene iteration of the monotone operator
-``F(X) = V  union  { a | some axiom of a has all its atoms in X }``; a
-brute-force oracle intersects all rule-closed supersets of V instead.
-Derivations replay the iteration rounds, and can be turned into kernel
-proof terms over an encoding of the carrier as a right-nested sum of unit
-types.
+a subset V is the least fixpoint of the monotone operator
+``F(X) = V  union  { a | some axiom of a has all its atoms in X }``,
+computed by forward chaining in layers (linear-time Horn satisfiability):
+each axiom counts its premises not yet covered, each atom watches the
+axioms it is a premise of, and layer k holds the atoms that enter at round
+k of the iteration from V.  A brute-force oracle intersects all
+rule-closed supersets of V instead.  Derivations are read off the entry
+rounds, and can be turned into kernel proof terms over an encoding of the
+carrier as a right-nested sum of unit types.
 """
 
 from __future__ import annotations
@@ -62,7 +65,13 @@ class Subset:
         return self.mask & ~other.mask == 0
 
     def indices(self):
-        return [i for i in range(self.size) if self.contains(i)]
+        out = []
+        m = self.mask
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return out
 
     def __iter__(self):
         return iter(self.indices())
@@ -111,29 +120,52 @@ class TrNode:
 Derivation = object  # RfNode | TrNode
 
 
-def _step(ax: FiniteAxiomSet, v_mask: int, x_mask: int) -> int:
-    out = x_mask | v_mask
-    for a in range(ax.size):
-        if out >> a & 1:
+def _entry_rounds(ax: FiniteAxiomSet, v: Subset) -> list[Optional[int]]:
+    """The round at which each atom enters the least cover of V, or ``None``.
+
+    Round 0 is V.  An atom outside V enters at round k + 1 when one of its
+    axioms has all its premises entered by round k; an axiom without
+    premises fires at round 1.  These are the rounds of Kleene iteration
+    from V, found with every premise occurrence visited once.
+    """
+    rounds: list[Optional[int]] = [None] * ax.size
+    layer = v.indices()
+    for a in layer:
+        rounds[a] = 0
+    heads: list[int] = []  # per axiom, the atom it covers
+    missing: list[int] = []  # per axiom, its premises not yet entered
+    watch: list[list[int]] = [[] for _ in range(ax.size)]  # per atom, axioms it is a premise of
+    nxt: list[int] = []
+    for a, per_atom in enumerate(ax.covers):
+        if rounds[a] == 0:  # in V: no axiom of it can matter
             continue
-        for cov in ax.covers[a]:
-            if cov.mask & ~x_mask == 0:
-                out |= 1 << a
-                break
-    return out
+        for cov in per_atom:
+            premises = cov.indices()
+            if not premises:
+                if rounds[a] is None:
+                    rounds[a] = 1
+                    nxt.append(a)
+                continue
+            for b in premises:
+                watch[b].append(len(heads))
+            heads.append(a)
+            missing.append(len(premises))
+    k = 0
+    while True:
+        for b in layer:
+            for i in watch[b]:
+                missing[i] -= 1
+                if missing[i] == 0 and rounds[heads[i]] is None:
+                    rounds[heads[i]] = k + 1
+                    nxt.append(heads[i])
+        if not nxt:
+            return rounds
+        layer, nxt, k = nxt, [], k + 1
 
 
 def least_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
-    """Least fixed point by monotone iteration from the empty set.
-
-    Stabilizes within |carrier| rounds.
-    """
-    x = 0
-    while True:
-        nxt = _step(ax, v.mask, x)
-        if nxt == x:
-            return Subset(x, ax.size)
-        x = nxt
+    """Least cover of V: the atoms that enter at some round."""
+    return Subset.of((a for a, r in enumerate(_entry_rounds(ax, v)) if r is not None), ax.size)
 
 
 def brute_force_min_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
@@ -162,29 +194,49 @@ def brute_force_min_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
 
 
 def derivation(ax: FiniteAxiomSet, v: Subset, atom: int) -> Optional[Derivation]:
-    """Some derivation iff the atom is in the least cover; replays rounds."""
-    rounds: list[int] = [v.mask]
-    x = v.mask
-    while True:
-        nxt = _step(ax, v.mask, x)
-        if nxt == x:
-            break
-        rounds.append(nxt)
-        x = nxt
-    if not x >> atom & 1:
+    """Some derivation iff the atom is in the least cover of V."""
+    return _derivation(ax, _entry_rounds(ax, v), atom)
+
+
+def _derivation(ax: FiniteAxiomSet, rounds: list[Optional[int]], atom: int) -> Optional[Derivation]:
+    """The derivation read off the entry rounds of V's least cover.
+
+    An atom of round 0 is an ``rf`` leaf.  An atom of round k > 0 uses its
+    first axiom whose premises all entered before round k, which is the
+    axiom a replay of the Kleene rounds picks.  The tree is built with an
+    explicit stack, one node per atom shared wherever the atom recurs, so
+    its depth is not bounded by the interpreter's stack.
+    """
+    if rounds[atom] is None:
         return None
-
-    def build(a: int) -> Derivation:
-        if v.mask >> a & 1:
-            return RfNode(a)
-        entered = next(k for k in range(len(rounds)) if rounds[k] >> a & 1)
-        prev = rounds[entered - 1]
-        for li, cov in enumerate(ax.covers[a]):
-            if cov.mask & ~prev == 0:
-                return TrNode(a, li, tuple(build(b) for b in cov.indices()))
-        raise AssertionError("round replay lost an axiom")
-
-    return build(atom)
+    nodes: dict[int, Derivation] = {}
+    chosen: dict[int, tuple[int, list[int]]] = {}  # atom -> (label, premises)
+    stack = [atom]
+    while stack:
+        a = stack[-1]
+        if a in nodes:
+            stack.pop()
+            continue
+        r = rounds[a]
+        if r == 0:
+            nodes[a] = RfNode(a)
+            stack.pop()
+            continue
+        if a not in chosen:
+            for li, cov in enumerate(ax.covers[a]):
+                premises = cov.indices()
+                if all(rounds[b] is not None and rounds[b] < r for b in premises):
+                    chosen[a] = li, premises
+                    break
+        li, premises = chosen[a]
+        # premises entered before a, so pushing them cannot cycle
+        todo = [b for b in premises if b not in nodes]
+        if todo:
+            stack.extend(todo)
+        else:
+            nodes[a] = TrNode(a, li, tuple(nodes[b] for b in premises))
+            stack.pop()
+    return nodes[atom]
 
 
 # --- kernel encoding of finite instances ----------------------------------------
@@ -413,23 +465,31 @@ def load_axiom_set(text: str) -> CoverFile:
 
 
 def render_derivation(ax: FiniteAxiomSet, d: Derivation, indent: int = 1) -> list[str]:
-    pad = "  " * indent
-    if isinstance(d, RfNode):
-        return [f"{pad}rf {ax.carrier[d.atom]}"]
-    lines = [f"{pad}tr {ax.carrier[d.atom]} {ax.labels[d.atom][d.label]}"]
-    for child in d.children:
-        lines.extend(render_derivation(ax, child, indent + 1))
+    """One line per node in pre-order, two spaces of indent per level."""
+    lines = []
+    stack = [(d, indent)]
+    while stack:
+        node, depth = stack.pop()
+        pad = "  " * depth
+        if isinstance(node, RfNode):
+            lines.append(f"{pad}rf {ax.carrier[node.atom]}")
+            continue
+        lines.append(f"{pad}tr {ax.carrier[node.atom]} {ax.labels[node.atom][node.label]}")
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return lines
 
 
 def run_queries(cf: CoverFile, with_derivations: bool = False) -> list[str]:
+    ax = cf.axiom_set
+    rounds_of: dict = {}  # subset name -> entry rounds, shared by its queries
     out = []
     for atom, name in cf.queries:
-        v = cf.subsets[name]
-        covered = least_cover(cf.axiom_set, v).contains(atom)
+        rounds = rounds_of.get(name)
+        if rounds is None:
+            rounds = rounds_of[name] = _entry_rounds(ax, cf.subsets[name])
+        covered = rounds[atom] is not None
         word = "covered" if covered else "uncovered"
-        out.append(f"{cf.axiom_set.carrier[atom]} {name} {word}")
+        out.append(f"{ax.carrier[atom]} {name} {word}")
         if with_derivations and covered:
-            d = derivation(cf.axiom_set, v, atom)
-            out.extend(render_derivation(cf.axiom_set, d))
+            out.extend(render_derivation(ax, _derivation(ax, rounds, atom)))
     return out

@@ -6,6 +6,7 @@ import itertools
 import os
 
 from covertt import surface, typecheck
+from covertt.cover import FiniteAxiomSet, RfNode, Subset, TrNode
 from covertt.semantics import V_ANY, Evaluator, Value
 from covertt.terms import Flags
 from covertt.typecheck import Checker, Context
@@ -60,3 +61,54 @@ def readback_equal(ev: Evaluator, a: Value, b: Value, ty: Value = V_ANY, depth: 
     ``Evaluator.conv``: read both values back in full and compare the terms.
     At a sort (the default) the values are types."""
     return ev.readback(a, ty, depth) == ev.readback(b, ty, depth)
+
+
+def kleene_step(ax: FiniteAxiomSet, v_mask: int, x_mask: int) -> int:
+    out = x_mask | v_mask
+    for a in range(ax.size):
+        if out >> a & 1:
+            continue
+        for cov in ax.covers[a]:
+            if cov.mask & ~x_mask == 0:
+                out |= 1 << a
+                break
+    return out
+
+
+def kleene_least_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
+    """The fixpoint algorithm the cover engine used to run, kept as an oracle
+    of ``cover.least_cover``: monotone iteration from the empty set."""
+    x = 0
+    while True:
+        nxt = kleene_step(ax, v.mask, x)
+        if nxt == x:
+            return Subset(x, ax.size)
+        x = nxt
+
+
+def replay_derivation(ax: FiniteAxiomSet, v: Subset, atom: int):
+    """The derivation the cover engine used to build, kept as an oracle of
+    ``cover.derivation``: replay the Kleene rounds from V, and give each atom
+    its first axiom whose premises were all in the round before it entered."""
+    rounds: list[int] = [v.mask]
+    x = v.mask
+    while True:
+        nxt = kleene_step(ax, v.mask, x)
+        if nxt == x:
+            break
+        rounds.append(nxt)
+        x = nxt
+    if not x >> atom & 1:
+        return None
+
+    def build(a: int):
+        if v.mask >> a & 1:
+            return RfNode(a)
+        entered = next(k for k in range(len(rounds)) if rounds[k] >> a & 1)
+        prev = rounds[entered - 1]
+        for li, cov in enumerate(ax.covers[a]):
+            if cov.mask & ~prev == 0:
+                return TrNode(a, li, tuple(build(b) for b in cov.indices()))
+        raise AssertionError("round replay lost an axiom")
+
+    return build(atom)

@@ -1,10 +1,18 @@
 """The command-line interface: golden outputs and exit codes."""
 
 import os
+import subprocess
+import sys
+import threading
+
+import pytest
 
 from covertt.cli import main
+from covertt.semantics import Evaluator
+from covertt.terms import Flags
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "covertt", "corpus")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def run(capsys, *argv):
@@ -103,3 +111,69 @@ def test_norm_expression_with_eta(capsys, tmp_path):
     code, out = run(capsys, "norm", str(f), "--expr", "g", "--eta-pi")
     assert code == 0
     assert out.startswith("fun ")
+
+
+def nested_identity(depth: int) -> str:
+    """Checking and normalizing this takes about depth**2 / 2 steps."""
+    return "(fun x => x : N1 -> N1) (" * depth + "star" + ")" * depth
+
+
+@pytest.fixture
+def small_budget(monkeypatch):
+    """Every evaluator the CLI builds gets a budget of 100 steps, so a
+    20-deep nested identity exhausts it."""
+    init = Evaluator.__init__
+
+    def limited(self, globals_env=None, flags=Flags(), step_limit=None):
+        init(self, globals_env, flags, 100)
+
+    monkeypatch.setattr(Evaluator, "__init__", limited)
+
+
+def test_check_reports_an_exhausted_budget(capsys, tmp_path, small_budget):
+    f = tmp_path / "deep.mltt"
+    f.write_text(f"def small : N1 := star\ndef deep : N1 := {nested_identity(20)}\n")
+    code, out = run(capsys, "check", str(f))
+    assert code == 1
+    assert out == "ok small\nerror deep\nevaluation exceeded 100 eliminator steps\n"
+
+
+def test_norm_reports_an_exhausted_budget(capsys, small_budget):
+    code, out = run(capsys, "norm", "--expr", nested_identity(20))
+    assert code == 1
+    assert out == "error: evaluation exceeded 100 eliminator steps\n"
+
+
+def test_conv_reports_an_exhausted_budget(capsys, small_budget):
+    code, out = run(capsys, "conv", nested_identity(20), "star", "--type", "N1")
+    assert code == 1
+    assert out == "error: evaluation exceeded 100 eliminator steps\n"
+
+
+def test_cover_derivations_on_a_20000_atom_chain(tmp_path):
+    n = 20_000
+    lines = ["carrier " + " ".join(f"c{i}" for i in range(n))]
+    lines += [f"axiom c{i} k : c{i + 1}" for i in range(n - 1)]
+    lines += [f"subset top : c{n - 1}", "query c0 top"]
+    f = tmp_path / "chain.cov"
+    f.write_text("\n".join(lines) + "\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    # the report is about 400 MB (line k is indented 2k spaces): read it
+    # from the pipe line by line instead of holding it; a run that takes
+    # over two minutes is killed, which ends the stream early
+    with subprocess.Popen(
+        [sys.executable, "-m", "covertt.cli", "cover", str(f), "--derivations"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    ) as proc:
+        watchdog = threading.Timer(120, proc.kill)
+        watchdog.start()
+        try:
+            out = iter(proc.stdout)
+            assert next(out, None) == "c0 top covered\n"
+            for i in range(n - 1):
+                assert next(out, None) == "  " * (i + 1) + f"tr c{i} k\n"
+            assert next(out, None) == "  " * n + f"rf c{n - 1}\n"
+            assert next(out, None) is None
+            assert proc.wait() == 0, proc.stderr.read()
+        finally:
+            watchdog.cancel()

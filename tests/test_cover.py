@@ -23,6 +23,8 @@ from covertt.cover import (
 from covertt.terms import Flags
 from covertt.typecheck import Checker, Context
 
+from helpers import kleene_least_cover, replay_derivation
+
 
 def _axiom_set(carrier, axioms):
     """axioms: list of (atom, label, member-list)."""
@@ -137,7 +139,7 @@ def test_oracle_equivalence_exhaustive_on_two_atoms():
     for ax in _all_two_atom_axiom_sets():
         for vm in range(4):
             v = Subset(vm, 2)
-            assert least_cover(ax, v) == brute_force_min_cover(ax, v)
+            assert least_cover(ax, v) == kleene_least_cover(ax, v) == brute_force_min_cover(ax, v)
             count += 1
     assert count == 16 * 16 * 4
 
@@ -157,24 +159,31 @@ def test_closure_operator_laws_on_two_atoms():
                     assert results[vm].issubset(results[wm])  # monotone
 
 
-def _random_instance(rng, n):
+def _random_instance(rng, n, sparse=False):
+    """Up to three axioms per atom over random subsets; ``sparse`` halves
+    the expected number of premises, which gives longer chains of rounds."""
     names = tuple(chr(ord("a") + i) for i in range(n))
     labels, covers = [], []
+
+    def mask():
+        m = rng.randrange(1 << n)
+        return m & rng.randrange(1 << n) if sparse else m
+
     for _ in range(n):
         m = rng.randint(0, 3)
         labels.append(tuple(f"i{j}" for j in range(m)))
-        covers.append(tuple(Subset(rng.randrange(1 << n), n) for _ in range(m)))
+        covers.append(tuple(Subset(mask(), n) for _ in range(m)))
     return FiniteAxiomSet(names, tuple(labels), tuple(covers))
 
 
 def test_oracle_equivalence_seeded_random():
     rng = random.Random(20240817)
-    for _ in range(200):
-        n = rng.choice([3, 4])
-        ax = _random_instance(rng, n)
+    for k in range(300):
+        n = rng.randint(1, 8)
+        ax = _random_instance(rng, n, sparse=k % 2 == 1)
         v = Subset(rng.randrange(1 << n), n)
         lc = least_cover(ax, v)
-        assert lc == brute_force_min_cover(ax, v)
+        assert lc == kleene_least_cover(ax, v) == brute_force_min_cover(ax, v)
         assert v.issubset(lc)
         assert least_cover(ax, lc) == lc
 
@@ -239,3 +248,57 @@ def test_query_rendering_deterministic():
         "b V covered",
         "  rf b",
     ]
+
+
+def _rendered(ax, d):
+    return None if d is None else "\n".join(cover.render_derivation(ax, d))
+
+
+def test_derivations_match_the_round_replay_oracle():
+    instances = [(ax, Subset(vm, 2)) for ax in _all_two_atom_axiom_sets() for vm in range(4)]
+    rng = random.Random(4242)
+    for k in range(400):
+        n = rng.randint(1, 8)
+        instances.append(
+            (_random_instance(rng, n, sparse=k % 2 == 0), Subset(rng.randrange(1 << n), n))
+        )
+    for ax, v in instances:
+        for atom in range(ax.size):
+            oracle = replay_derivation(ax, v, atom)
+            assert _rendered(ax, derivation(ax, v, atom)) == _rendered(ax, oracle)
+
+
+def test_run_queries_computes_one_fixpoint_per_subset(monkeypatch):
+    text = (
+        "carrier a b c d\n"
+        "axiom a i : b\naxiom b j : c\naxiom c k :\n"
+        "subset V : d\nsubset W : b\n"
+        "query a V\nquery b W\nquery d V\nquery a W\nquery c V\nquery d W\n"
+    )
+    calls = []
+    entry_rounds = cover._entry_rounds
+
+    def counting(ax, v):
+        calls.append(v)
+        return entry_rounds(ax, v)
+
+    monkeypatch.setattr(cover, "_entry_rounds", counting)
+    lines = cover.run_queries(load_axiom_set(text), with_derivations=True)
+    assert len(calls) == 2
+    assert lines == [
+        "a V covered", "  tr a i", "    tr b j", "      tr c k",
+        "b W covered", "  rf b",
+        "d V covered", "  rf d",
+        "a W covered", "  tr a i", "    rf b",
+        "c V covered", "  tr c k",
+        "d W uncovered",
+    ]
+
+
+def test_indices_walk_the_set_bits_in_order():
+    rng = random.Random(11)
+    for size in (1, 5, 64, 65, 300):
+        for mask in (0, (1 << size) - 1, 1 << (size - 1), rng.randrange(1 << size)):
+            s = Subset(mask, size)
+            assert s.indices() == [i for i in range(size) if s.contains(i)]
+            assert Subset.of(s.indices(), size) == s
