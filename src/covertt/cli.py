@@ -14,9 +14,20 @@ import sys
 
 from . import cover as cover_mod
 from . import encodings, surface, typecheck
-from .semantics import EvalBudgetExceeded
+from .semantics import EvalBudgetExceeded, KernelBug
 from .terms import Flags
 from .typecheck import Checker, Context, TypeCheckError
+
+
+# Failures that no input should cause but that a deep or unforeseen input
+# can: each is reported as one error line instead of a traceback.
+INTERNAL_ERRORS = (RecursionError, KernelBug)
+
+
+def _internal_message(e: BaseException) -> str:
+    if isinstance(e, RecursionError):
+        return f"input nested too deeply ({e})"
+    return f"internal kernel error ({e})"
 
 
 def _add_flag_args(p: argparse.ArgumentParser):
@@ -109,6 +120,9 @@ def cmd_check(ns) -> int:
             print(f"error {d.name}")
             print(str(e))
             return 1
+        except INTERNAL_ERRORS as e:
+            print(f"error: {d.location}: {d.name}: {_internal_message(e)}")
+            return 1
     return 0
 
 
@@ -164,7 +178,7 @@ def cmd_cover(ns) -> int:
     except (cover_mod.FormatError, OSError) as e:
         print(f"error: {e}")
         return 1
-    for line in cover_mod.run_queries(cf, with_derivations=ns.derivations):
+    for line in cover_mod.iter_queries(cf, with_derivations=ns.derivations):
         print(line)
     return 0
 
@@ -179,7 +193,11 @@ def main(argv=None) -> int:
         "corpus": cmd_corpus,
         "cover": cmd_cover,
     }[ns.command]
-    return handler(ns)
+    try:
+        return handler(ns)
+    except INTERNAL_ERRORS as e:
+        print(f"error: {_internal_message(e)}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -466,30 +466,37 @@ def load_axiom_set(text: str) -> CoverFile:
 
 def render_derivation(ax: FiniteAxiomSet, d: Derivation, indent: int = 1) -> list[str]:
     """One line per node in pre-order, two spaces of indent per level."""
-    lines = []
+    return list(_derivation_lines(ax, d, indent))
+
+
+def _derivation_lines(ax: FiniteAxiomSet, d: Derivation, indent: int):
     stack = [(d, indent)]
     while stack:
         node, depth = stack.pop()
         pad = "  " * depth
         if isinstance(node, RfNode):
-            lines.append(f"{pad}rf {ax.carrier[node.atom]}")
+            yield f"{pad}rf {ax.carrier[node.atom]}"
             continue
-        lines.append(f"{pad}tr {ax.carrier[node.atom]} {ax.labels[node.atom][node.label]}")
+        yield f"{pad}tr {ax.carrier[node.atom]} {ax.labels[node.atom][node.label]}"
         stack.extend((child, depth + 1) for child in reversed(node.children))
-    return lines
 
 
-def run_queries(cf: CoverFile, with_derivations: bool = False) -> list[str]:
+def iter_queries(cf: CoverFile, with_derivations: bool = False):
+    """The report lines of ``run_queries``, one at a time.  A derivation's
+    lines are made as they are consumed, so a caller that prints them holds
+    one line at a time, not a report that grows with the square of the depth."""
     ax = cf.axiom_set
     rounds_of: dict = {}  # subset name -> entry rounds, shared by its queries
-    out = []
     for atom, name in cf.queries:
         rounds = rounds_of.get(name)
         if rounds is None:
             rounds = rounds_of[name] = _entry_rounds(ax, cf.subsets[name])
         covered = rounds[atom] is not None
         word = "covered" if covered else "uncovered"
-        out.append(f"{ax.carrier[atom]} {name} {word}")
+        yield f"{ax.carrier[atom]} {name} {word}"
         if with_derivations and covered:
-            out.extend(render_derivation(ax, _derivation(ax, rounds, atom)))
-    return out
+            yield from _derivation_lines(ax, _derivation(ax, rounds, atom), 1)
+
+
+def run_queries(cf: CoverFile, with_derivations: bool = False) -> list[str]:
+    return list(iter_queries(cf, with_derivations))

@@ -7,15 +7,23 @@ includes ``import "file"``.  Binders are ``(x : T) -> B`` and
 application is juxtaposition; lambdas are ``fun x => t``.  Eliminators take
 the motive as their first argument.
 
+The lexer is one regular expression.  The parser works on the tokens'
+kinds and texts; positions are only computed, by ``tokenize``, to report an
+error.  The right side of a non-dependent ``->`` or ``*`` is parsed under an
+anonymous scope entry that no name resolves to, so its de Bruijn indices
+already count the binder the arrow introduces; shifting it afterwards would
+rebuild every right side once per arrow that encloses it.
+
 The pretty-printer emits text that re-parses to a structurally equal term,
-with deterministic fresh names ``x0, x1, ...`` indexed by binder depth.
+with deterministic fresh names ``x0, x1, ...`` indexed by binder depth.  It
+prints a non-dependent body under the same kind of anonymous binder, which
+takes no name, instead of strengthening the body first.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
-from dataclasses import dataclass
+import re
 from typing import Optional
 
 from . import terms as T
@@ -75,134 +83,173 @@ RESERVED = (
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # ident, keyword, punct, string, eof
-    text: str
-    line: int
-    col: int
+    """One lexeme with its position: ``kind`` is ident, keyword, punct,
+    string or eof; ``line`` and ``col`` count from 1, in characters."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.text!r}, {self.line}, {self.col})"
 
 
-PUNCT = (":=", "=>", "->", "(", ")", ":", "*", ",")
+# One lexeme after optional blanks.  The alternatives are tried in order: a
+# newline, a comment, a string (an unterminated one falls through to the
+# last alternative as a lone quote), punctuation, a word, any other
+# character but a blank (blanks that end the input match nothing).  ``\w``
+# is ``str.isalnum`` or ``_``; a word must start with a letter
+# (``str.isalpha``) or ``_``, which ``_kind`` checks.
+_LEXEME = re.compile(r"[ \t\r]*(\n|--[^\n]*|\"[^\"\n]*\"|:=|=>|->|[():*,]|\w[\w']*|[^ \t\r])")
+
+_FIXED_KINDS = {"\n": "newline"}
+_FIXED_KINDS.update((p, "punct") for p in (":=", "=>", "->", "(", ")", ":", "*", ","))
+_FIXED_KINDS.update((w, "keyword") for w in RESERVED)
 
 
-def tokenize(src: str):
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
+def _kind(lexeme: str) -> Optional[str]:
+    """Kind of a lexeme outside ``_FIXED_KINDS``; None if it is no token."""
+    c = lexeme[0]
+    if c.isalpha() or c == "_":
+        return "ident"
+    if c == '"':
+        return "string" if len(lexeme) > 1 else None
+    if lexeme.startswith("--"):
+        return "comment"
+    return None
+
+
+def tokenize(src: str) -> list[Token]:
+    """The tokens of ``src`` with their positions, ending with an eof token."""
+    toks: list[Token] = []
+    line, line_start = 1, 0
+    eof_col = None
+    for m in _LEXEME.finditer(src):
+        text = m.group(1)
+        kind = _FIXED_KINDS.get(text) or _kind(text)
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
+            eof_col = None
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and src[j] != '"':
-                if src[j] == "\n":
-                    raise ParseError("unterminated string", line, col)
-                j += 1
-            if j >= n:
+        col = m.start(1) - line_start + 1
+        if kind == "comment":
+            # a comment that ends the input leaves the end position at its start
+            eof_col = col
+        elif kind is None:
+            if text == '"':
                 raise ParseError("unterminated string", line, col)
-            toks.append(Token("string", src[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        matched = None
-        for p in PUNCT:
-            if src.startswith(p, i):
-                matched = p
-                break
-        if matched:
-            toks.append(Token("punct", matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            word = src[i:j]
-            kind = "keyword" if word in RESERVED else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"stray character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            raise ParseError(f"stray character {text[0]!r}", line, col)
+        else:
+            toks.append(Token(kind, text[1:-1] if kind == "string" else text, line, col))
+    if eof_col is None:
+        eof_col = len(src) - line_start + 1
+    toks.append(Token("eof", "", line, eof_col))
     return toks
+
+
+def _lex(src: str):
+    """The tokens of ``tokenize(src)`` as parallel lists of kinds, texts and
+    line numbers, without the eof token.  Columns are left out: the parser
+    asks ``tokenize`` for them only to report an error."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    line = 1
+    for text in _LEXEME.findall(src):
+        kind = _FIXED_KINDS.get(text) or _kind(text)
+        if kind == "newline":
+            line += 1
+        elif kind == "comment":
+            pass
+        elif kind is None:
+            tokenize(src)  # raises the error at its position
+            raise AssertionError(f"tokenize accepted {text!r}")
+        else:
+            kinds.append(kind)
+            texts.append(text[1:-1] if kind == "string" else text)
+            lines.append(line)
+    return kinds, texts, lines
+
+
+# keywords that start an atom
+_ATOM_START = set(KEYWORD_FORMS) | set(ATOM_KEYWORDS) | BINDER_KEYWORDS
 
 
 class Parser:
     def __init__(self, src: str, filename: str = "<input>"):
-        self.toks = tokenize(src)
+        self.src = src
+        kinds, texts, lines = _lex(src)
+        self.closer = _matching_parens(kinds, texts)
+        # lookahead reads at most two tokens past the end
+        self.kinds = kinds + ["eof"] * 3
+        self.texts = texts + [""] * 3
+        self.lines = lines
         self.pos = 0
         self.filename = filename
-        self.scope: list[str] = []
+        # binder names, innermost last; None stands for the anonymous binder
+        # of a non-dependent ``->`` or ``*``, which no name refers to
+        self.scope: list[Optional[str]] = []
+        self._tokens: Optional[list[Token]] = None
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self) -> Token:
-        t = self.peek()
-        self.pos += 1
-        return t
+    def token(self, k: int) -> Token:
+        """Token ``k`` with its position (the eof token past the end)."""
+        if self._tokens is None:
+            self._tokens = tokenize(self.src)
+        return self._tokens[min(k, len(self._tokens) - 1)]
 
     def error(self, message: str, expected=()):
-        t = self.peek()
+        t = self.token(self.pos)
         raise ParseError(message, t.line, t.col, expected)
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            self.error(f"unexpected {t.kind} {t.text!r}", expected=[text or kind])
-        return self.next()
+    def expect(self, kind: str, text: Optional[str] = None) -> str:
+        k = self.pos
+        if self.kinds[k] != kind or (text is not None and self.texts[k] != text):
+            self.error(
+                f"unexpected {self.kinds[k]} {self.texts[k]!r}", expected=[text or kind]
+            )
+        self.pos = k + 1
+        return self.texts[k]
 
     def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
+        k = self.pos
+        return self.kinds[k] == "punct" and self.texts[k] == text
 
     def at_keyword(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "keyword" and t.text == text
+        k = self.pos
+        return self.kinds[k] == "keyword" and self.texts[k] == text
 
     # -- files
 
     def parse_file(self) -> tuple[list[Declaration], list[str]]:
         decls: list[Declaration] = []
         imports: list[str] = []
-        while self.peek().kind != "eof":
-            t = self.peek()
+        while self.kinds[self.pos] != "eof":
+            location = f"{self.filename}:{self.lines[self.pos]}"
             if self.at_keyword("import"):
-                self.next()
-                imports.append(self.expect("string").text)
+                self.pos += 1
+                imports.append(self.expect("string"))
             elif self.at_keyword("def"):
-                self.next()
-                name = self.expect("ident").text
+                self.pos += 1
+                name = self.expect("ident")
                 self.expect("punct", ":")
                 ty = self.parse_term()
                 self.expect("punct", ":=")
                 body = self.parse_term()
-                decls.append(
-                    Declaration(name, ty, body, f"{self.filename}:{t.line}")
-                )
+                decls.append(Declaration(name, ty, body, location))
             elif self.at_keyword("postulate"):
-                self.next()
-                name = self.expect("ident").text
+                self.pos += 1
+                name = self.expect("ident")
                 self.expect("punct", ":")
                 ty = self.parse_term()
-                decls.append(Declaration(name, ty, None, f"{self.filename}:{t.line}"))
+                decls.append(Declaration(name, ty, None, location))
             else:
                 self.error("expected a declaration", expected=["def", "postulate", "import"])
         return decls, imports
@@ -211,8 +258,8 @@ class Parser:
 
     def parse_term(self) -> Term:
         if self.at_keyword("fun"):
-            self.next()
-            name = self.expect("ident").text
+            self.pos += 1
+            name = self.expect("ident")
             self.expect("punct", "=>")
             self.scope.append(name)
             try:
@@ -223,29 +270,35 @@ class Parser:
         return self.parse_arrow()
 
     def parse_arrow(self) -> Term:
-        if self._is_binder()[0]:
-            node = self._parse_binder()
-            if self.at_punct("->"):
-                self.next()
-                return T.Pi(node, T.weaken(self.parse_arrow()))
-            return node
-        left = self.parse_star_level()
+        if self._is_binder():
+            left = self._parse_binder()
+        else:
+            left = self.parse_star_level()
         if self.at_punct("->"):
-            self.next()
-            right = self.parse_arrow()
-            return T.Pi(left, T.weaken(right))
+            self.pos += 1
+            return T.Pi(left, self._anonymous(self.parse_arrow))
         return left
 
+    def _anonymous(self, parse) -> Term:
+        """Parse the right side of a non-dependent ``->`` or ``*`` under an
+        anonymous binder, so that its indices already count the binder."""
+        self.scope.append(None)
+        try:
+            return parse()
+        finally:
+            self.scope.pop()
+
     def _parse_binder(self) -> Term:
-        self.next()  # (
-        name = self.next().text
+        name = self.texts[self.pos + 1]  # after "(", checked by _is_binder
+        self.pos += 2
         self.expect("punct", ":")
         dom = self.parse_term()
         self.expect("punct", ")")
-        op = self.next()  # -> or *
+        op = self.texts[self.pos]  # -> or *
+        self.pos += 1
         self.scope.append(name)
         try:
-            if op.text == "->":
+            if op == "->":
                 return T.Pi(dom, self.parse_arrow())
             return T.Sigma(dom, self.parse_sigma_rhs())
         finally:
@@ -253,39 +306,27 @@ class Parser:
 
     def parse_sigma_rhs(self) -> Term:
         # right-hand side of '*': binds tighter than '->'
-        if self._is_binder()[0]:
+        if self._is_binder():
             return self._parse_binder()
         return self.parse_star_level()
 
-    def _is_binder(self):
+    def _is_binder(self) -> bool:
         # lookahead: "(" ident ":" ... ")" followed by -> or *
-        if not (self.at_punct("(") and self.peek(1).kind == "ident"):
-            return False, None
-        if not (self.peek(2).kind == "punct" and self.peek(2).text == ":"):
-            return False, None
-        depth = 0
         k = self.pos
-        while True:
-            t = self.toks[k]
-            if t.kind == "eof":
-                return False, None
-            if t.kind == "punct" and t.text == "(":
-                depth += 1
-            elif t.kind == "punct" and t.text == ")":
-                depth -= 1
-                if depth == 0:
-                    nxt = self.toks[k + 1]
-                    if nxt.kind == "punct" and nxt.text in ("->", "*"):
-                        return True, nxt.text
-                    return False, None
-            k += 1
+        if not (self.at_punct("(") and self.kinds[k + 1] == "ident"):
+            return False
+        if not (self.kinds[k + 2] == "punct" and self.texts[k + 2] == ":"):
+            return False
+        close = self.closer.get(k)
+        if close is None:
+            return False
+        return self.kinds[close + 1] == "punct" and self.texts[close + 1] in ("->", "*")
 
     def parse_star_level(self) -> Term:
         left = self.parse_app()
         if self.at_punct("*"):
-            self.next()
-            right = self.parse_sigma_rhs()
-            return T.Sigma(left, T.weaken(right))
+            self.pos += 1
+            return T.Sigma(left, self._anonymous(self.parse_sigma_rhs))
         return left
 
     def parse_app(self) -> Term:
@@ -296,70 +337,79 @@ class Parser:
         return head
 
     def _atom_starts(self) -> bool:
-        t = self.peek()
-        if t.kind == "ident":
+        k = self.pos
+        kind = self.kinds[k]
+        if kind == "ident":
             return True
-        if t.kind == "keyword" and (
-            t.text in KEYWORD_FORMS or t.text in ATOM_KEYWORDS or t.text in BINDER_KEYWORDS
-        ):
-            return True
-        if t.kind == "punct" and t.text == "(":
-            return True
-        return False
+        if kind == "keyword":
+            return self.texts[k] in _ATOM_START
+        return kind == "punct" and self.texts[k] == "("
 
     def parse_atom(self) -> Term:
-        t = self.peek()
-        if t.kind == "ident":
-            self.next()
-            name = t.text
+        k = self.pos
+        kind, text = self.kinds[k], self.texts[k]
+        if kind == "ident":
+            self.pos = k + 1
             for i, bound in enumerate(reversed(self.scope)):
-                if bound == name:
+                if bound == text:
                     return T.Var(i)
-            return T.Const(name)
-        if t.kind == "keyword":
-            if t.text in ATOM_KEYWORDS:
-                self.next()
-                return ATOM_KEYWORDS[t.text]()
-            if t.text in KEYWORD_FORMS:
-                self.next()
-                ctor, arity = KEYWORD_FORMS[t.text]
+            return T.Const(text)
+        if kind == "keyword":
+            if text in ATOM_KEYWORDS:
+                self.pos = k + 1
+                return ATOM_KEYWORDS[text]()
+            if text in KEYWORD_FORMS:
+                self.pos = k + 1
+                ctor, arity = KEYWORD_FORMS[text]
                 args = []
-                for k in range(arity):
+                for j in range(arity):
                     if not self._atom_starts():
                         self.error(
-                            f"{t.text} expects {arity} arguments, got {k}",
+                            f"{text} expects {arity} arguments, got {j}",
                             expected=["term"],
                         )
                     args.append(self.parse_atom())
                 return ctor(*args)
-            if t.text in BINDER_KEYWORDS:
-                self.next()
+            if text in BINDER_KEYWORDS:
+                self.pos = k + 1
                 dom = self.parse_atom()
                 fam = self.parse_atom()
                 if isinstance(fam, T.Lam):
                     body = fam.body
                 else:
                     body = T.App(T.weaken(fam), T.Var(0))
-                return T.Pi(dom, body) if t.text == "Pi" else T.Sigma(dom, body)
-            if t.text == "fun":
+                return T.Pi(dom, body) if text == "Pi" else T.Sigma(dom, body)
+            if text == "fun":
                 return self.parse_term()
-            self.error(f"keyword {t.text!r} cannot start an atom")
+            self.error(f"keyword {text!r} cannot start an atom")
         if self.at_punct("("):
-            self.next()
+            self.pos = k + 1
             inner = self.parse_term()
             if self.at_punct(","):
-                self.next()
+                self.pos += 1
                 second = self.parse_term()
                 self.expect("punct", ")")
                 return T.Pair(inner, second)
             if self.at_punct(":"):
-                self.next()
+                self.pos += 1
                 ty = self.parse_term()
                 self.expect("punct", ")")
                 return T.Ann(inner, ty)
             self.expect("punct", ")")
             return inner
-        self.error(f"unexpected {t.kind} {t.text!r}", expected=["term"])
+        self.error(f"unexpected {kind} {text!r}", expected=["term"])
+
+
+def _matching_parens(kinds: list[str], texts: list[str]) -> dict[int, int]:
+    """Position of each ``(`` token -> position of the ``)`` that closes it."""
+    closer: dict[int, int] = {}
+    opens: list[int] = []
+    for k, text in enumerate(texts):
+        if text == "(" and kinds[k] == "punct":
+            opens.append(k)
+        elif text == ")" and kinds[k] == "punct" and opens:
+            closer[opens.pop()] = k
+    return closer
 
 
 def parse_term(src: str, scope: Optional[list[str]] = None) -> Term:
@@ -367,7 +417,7 @@ def parse_term(src: str, scope: Optional[list[str]] = None) -> Term:
     if scope:
         p.scope = list(scope)
     t = p.parse_term()
-    if p.peek().kind != "eof":
+    if p.kinds[p.pos] != "eof":
         p.error("trailing input after term")
     return t
 
@@ -402,67 +452,102 @@ def load_file(path: str, _seen: Optional[dict] = None) -> list[Declaration]:
 
 # precedence levels: 0 = term (fun/arrows), 1 = star, 2 = application, 3 = atom
 
+_KEYWORD_OF = {ctor: kw for kw, (ctor, _arity) in KEYWORD_FORMS.items()}
+
+_ATOM_TEXT = {T.Univ: "U0", T.TypeSort: "Type", T.Empty: "N0", T.Unit: "N1", T.Star: "star"}
+
 
 def pretty(t: Term) -> str:
-    return _pp(t, 0, 0)
+    out: list[str] = []
+    _emit(t, [], 0, 0, out)
+    return "".join(out)
 
 
-def _name(depth: int) -> str:
-    return f"x{depth}"
+def _emit(t: Term, scope: list, named: int, prec: int, out: list) -> None:
+    """Append the text of ``t`` to ``out``.
 
-
-def _pp(t: Term, depth: int, prec: int) -> str:
-    def wrap(s: str, level: int) -> str:
-        return f"({s})" if prec > level else s
-
-    match t:
-        case T.Var(i):
-            return _name(depth - 1 - i) if i < depth else f"?{i - depth}"
-        case T.Const(name):
-            return name
-        case T.Univ():
-            return "U0"
-        case T.TypeSort():
-            return "Type"
-        case T.Empty():
-            return "N0"
-        case T.Unit():
-            return "N1"
-        case T.Star():
-            return "star"
-        case T.Lam(body):
-            return wrap(f"fun {_name(depth)} => {_pp(body, depth + 1, 0)}", 0)
-        case T.Pi(dom, cod):
-            if not T.free_in(cod, 0):
-                lhs = _pp(dom, depth, 1)
-                rhs = _pp(T.strengthen(cod), depth, 0)
-                return wrap(f"{lhs} -> {rhs}", 0)
-            return wrap(
-                f"({_name(depth)} : {_pp(dom, depth, 0)}) -> {_pp(cod, depth + 1, 0)}",
-                0,
-            )
-        case T.Sigma(fst, snd):
-            if not T.free_in(snd, 0):
-                lhs = _pp(fst, depth, 2)
-                rhs = _pp(T.strengthen(snd), depth, 1)
-                return wrap(f"{lhs} * {rhs}", 1)
-            return wrap(
-                f"({_name(depth)} : {_pp(fst, depth, 0)}) * {_pp(snd, depth + 1, 1)}",
-                1,
-            )
-        case T.App(f, a):
-            return wrap(f"{_pp(f, depth, 2)} {_pp(a, depth, 3)}", 2)
-        case T.Pair(a, b):
-            return f"( {_pp(a, depth, 0)} , {_pp(b, depth, 0)} )"
-        case T.Ann(tm, ty):
-            return f"( {_pp(tm, depth, 0)} : {_pp(ty, depth, 0)} )"
+    ``scope`` holds the names of the enclosing binders, innermost last, with
+    None for the anonymous binder of a non-dependent ``->`` or ``*`` (its
+    body never mentions it, so no variable resolves to it).  Named binders
+    are called ``x0, x1, ...``; ``named`` counts them.
+    """
+    cls = type(t)
+    if cls is T.Var:
+        i = t.index
+        out.append(scope[-1 - i] if i < len(scope) else f"?{i - len(scope)}")
+        return
+    if cls is T.Const:
+        out.append(t.name)
+        return
+    text = _ATOM_TEXT.get(cls)
+    if text is not None:
+        out.append(text)
+        return
+    if cls is T.App:
+        if prec > 2:
+            out.append("(")
+        _emit(t.fn, scope, named, 2, out)
+        out.append(" ")
+        _emit(t.arg, scope, named, 3, out)
+        if prec > 2:
+            out.append(")")
+        return
+    if cls is T.Lam:
+        name = f"x{named}"
+        if prec > 0:
+            out.append("(")
+        out.append(f"fun {name} => ")
+        scope.append(name)
+        _emit(t.body, scope, named + 1, 0, out)
+        scope.pop()
+        if prec > 0:
+            out.append(")")
+        return
+    if cls is T.Pi or cls is T.Sigma:
+        # Pi sits at level 0 and Sigma at level 1; each body is printed at
+        # its own level, a non-dependent left side one level tighter
+        if cls is T.Pi:
+            level, op, head, body = 0, " -> ", t.dom, t.cod
+        else:
+            level, op, head, body = 1, " * ", t.fst, t.snd
+        if prec > level:
+            out.append("(")
+        if T.free_in(body, 0):
+            name = f"x{named}"
+            out.append(f"({name} : ")
+            _emit(head, scope, named, 0, out)
+            out.append(")" + op)
+            scope.append(name)
+            _emit(body, scope, named + 1, level, out)
+        else:
+            _emit(head, scope, named, level + 1, out)
+            out.append(op)
+            scope.append(None)
+            _emit(body, scope, named, level, out)
+        scope.pop()
+        if prec > level:
+            out.append(")")
+        return
+    if cls is T.Pair or cls is T.Ann:
+        first, sep, second = (t.fst, " , ", t.snd) if cls is T.Pair else (t.term, " : ", t.type)
+        out.append("( ")
+        _emit(first, scope, named, 0, out)
+        out.append(sep)
+        _emit(second, scope, named, 0, out)
+        out.append(" )")
+        return
     # fixed-arity keyword forms
-    for kw, (ctor, _arity) in KEYWORD_FORMS.items():
-        if type(t) is ctor:
-            args = [getattr(t, f.name) for f in dataclasses.fields(t)]
-            parts = [kw] + [_pp(a, depth, 3) for a in args]
-            return "(" + " ".join(parts) + ")" if prec > 2 else " ".join(parts)
-    raise ValueError(f"pretty: unhandled term {type(t).__name__}")
+    kw = _KEYWORD_OF.get(cls)
+    if kw is None:
+        raise ValueError(f"pretty: unhandled term {cls.__name__}")
+    if prec > 2:
+        out.append("(")
+    out.append(kw)
+    for name, _binds in T.CHILDREN[cls]:
+        out.append(" ")
+        _emit(getattr(t, name), scope, named, 3, out)
+    if prec > 2:
+        out.append(")")
 
 
 def pretty_declaration(d: Declaration) -> str:

@@ -317,23 +317,40 @@ _BINDING_FIELDS = {
 }
 
 
+def _term_classes(cls=Term):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _term_classes(sub)
+
+
+# Term class -> its sub-term fields in declaration order, each with the number
+# of variables it binds.  Only ``Var`` and ``Const`` have fields that are not
+# terms, and they have no sub-terms; every other class is rebuilt from its
+# children positionally.
+CHILDREN = {
+    cls: tuple(
+        (f.name, _BINDING_FIELDS.get((cls, f.name), 0))
+        for f in fields(cls)
+        if f.type == "Term"
+    )
+    for cls in _term_classes()
+}
+
+
 def map_subterms(t: Term, fn, depth: int = 0) -> Term:
     """Rebuild ``t`` with ``fn(child, depth_under_binders)`` applied to each child."""
-    cls = type(t)
-    if cls is Var or not fields(t):
+    children = CHILDREN[type(t)]
+    if not children:
         return t
     changed = False
-    updates = {}
-    for f in fields(t):
-        child = getattr(t, f.name)
-        if isinstance(child, Term):
-            new = fn(child, depth + _BINDING_FIELDS.get((cls, f.name), 0))
-            if new is not child:
-                changed = True
-            updates[f.name] = new
-        else:
-            updates[f.name] = child
-    return cls(**updates) if changed else t
+    args = []
+    for name, binds in children:
+        child = getattr(t, name)
+        new = fn(child, depth + binds)
+        if new is not child:
+            changed = True
+        args.append(new)
+    return type(t)(*args) if changed else t
 
 
 def weaken(t: Term, cutoff: int = 0, amount: int = 1) -> Term:
@@ -365,14 +382,28 @@ def structural_eq(t: Term, u: Term) -> bool:
 
 def free_in(t: Term, index: int) -> bool:
     """Whether variable ``index`` occurs free in ``t``."""
-    if isinstance(t, Var):
+    cls = type(t)
+    if cls is Var:
         return t.index == index
-    for f in fields(t):
-        child = getattr(t, f.name)
-        if isinstance(child, Term):
-            if free_in(child, index + _BINDING_FIELDS.get((type(t), f.name), 0)):
-                return True
+    for name, binds in CHILDREN[cls]:
+        if free_in(getattr(t, name), index + binds):
+            return True
     return False
+
+
+def closed(t: Term, depth: int = 0) -> bool:
+    """Whether ``t`` mentions no constant and no variable bound outside it
+    (or outside ``depth`` enclosing binders).  Such a term means the same
+    thing in every context and under every global environment."""
+    cls = type(t)
+    if cls is Var:
+        return t.index < depth
+    if cls is Const:
+        return False
+    for name, binds in CHILDREN[cls]:
+        if not closed(getattr(t, name), depth + binds):
+            return False
+    return True
 
 
 def strengthen(t: Term, index: int = 0) -> Term:

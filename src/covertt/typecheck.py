@@ -6,6 +6,18 @@ are evaluated and the values compared directly under the active flags
 (``Evaluator.conv``), with readback used only to print terms.  Eliminator motives are explicit
 arguments and may land either in the universe of small types or in the large
 classification, which is what lets predicates be defined by recursion.
+
+Each ``Checker`` remembers, in ``family_types``, the type it inferred for
+every closed formation of ``W``, ``DW``, ``WP`` or ``Cover``: one with no
+free variable and no constant (``terms.closed``), keyed by the term.  On
+the first occurrence the formation is inferred in the empty context, so the
+remembered value captures no context; only a successful inference is
+remembered, so an ill-typed formation fails wherever it occurs.  The memo is
+sound because such a term means the same thing in every context and under
+every global environment, and the one thing inference reads besides the
+term, the checker's flags, is fixed for the checker's life.  Certificates
+from the cover engine repeat their instance's ``Cover`` formation inside
+every motive and premise; with the memo it is checked once per proof.
 """
 
 from __future__ import annotations
@@ -154,6 +166,8 @@ class Checker:
                 tyv, VNeutral(S.HConst(FUNEXT_NAME, tyv)), ty, None
             )
         self.location = "?"
+        # inferred types of closed family formations, keyed by the term
+        self.family_types: dict[Term, Value] = {}
 
     # -- helpers --------------------------------------------------------------
 
@@ -246,72 +260,13 @@ class Checker:
                 self.check(ctx, a, tyv)
                 self.check(ctx, b, tyv)
                 return V_U0
-            case T.W(a, b):
-                self.check(ctx, a, V_U0)
-                av = self.eval_in(ctx, a)
-                self.check(ctx, b, VPi(av, constant_family(V_U0)))
-                return V_U0
-            case T.DW(i, n, br, ar):
-                self.check(ctx, i, V_U0)
-                iv = self.eval_in(ctx, i)
-                self.check(ctx, n, VPi(iv, constant_family(V_U0)))
-                nv = self.eval_in(ctx, n)
-                br_ty = VPi(
-                    iv,
-                    PyClosure(
-                        lambda x: VPi(self.ev.apply(nv, x), constant_family(V_U0))
-                    ),
-                )
-                self.check(ctx, br, br_ty)
-                brv = self.eval_in(ctx, br)
-                ar_ty = VPi(
-                    iv,
-                    PyClosure(
-                        lambda x: VPi(
-                            self.ev.apply(nv, x),
-                            PyClosure(
-                                lambda y: VPi(
-                                    self.ev.apply_many(brv, x, y), constant_family(iv)
-                                )
-                            ),
-                        )
-                    ),
-                )
-                self.check(ctx, ar, ar_ty)
-                return VPi(iv, constant_family(V_U0))
-            case T.WP(i, n, r):
-                self.check(ctx, i, V_U0)
-                iv = self.eval_in(ctx, i)
-                self.check(ctx, n, VPi(iv, constant_family(V_U0)))
-                nv = self.eval_in(ctx, n)
-                r_ty = VPi(
-                    iv,
-                    PyClosure(
-                        lambda x: VPi(
-                            self.ev.apply(nv, x),
-                            constant_family(VPi(iv, constant_family(V_U0))),
-                        )
-                    ),
-                )
-                self.check(ctx, r, r_ty)
-                return VPi(iv, constant_family(V_U0))
-            case T.Cover(a, ifam, cfam, v):
-                self.check(ctx, a, V_U0)
-                av = self.eval_in(ctx, a)
-                self.check(ctx, ifam, VPi(av, constant_family(V_U0)))
-                ifv = self.eval_in(ctx, ifam)
-                c_ty = VPi(
-                    av,
-                    PyClosure(
-                        lambda x: VPi(
-                            self.ev.apply(ifv, x),
-                            constant_family(VPi(av, constant_family(V_U0))),
-                        )
-                    ),
-                )
-                self.check(ctx, cfam, c_ty)
-                self.check(ctx, v, VPi(av, constant_family(V_U0)))
-                return VPi(av, constant_family(V_U0))
+            case T.W() | T.DW() | T.WP() | T.Cover():
+                if not T.closed(t):
+                    return self.infer_family(ctx, t)
+                ty = self.family_types.get(t)
+                if ty is None:
+                    ty = self.family_types[t] = self.infer_family(Context(), t)
+                return ty
             case T.App(f, a):
                 fty = self.infer(ctx, f)
                 pi = self.whnf_pi(ctx, fty, "application head")
@@ -563,9 +518,81 @@ class Checker:
                 self.fail("mismatch", "cover introductions are not inferable")
         raise S.KernelBug(f"infer: unhandled term {type(t).__name__}")
 
+    def infer_family(self, ctx: Context, t: Term) -> Value:
+        """Formation of a W type or of a DW, WP or Cover family."""
+        match t:
+            case T.W(a, b):
+                self.check(ctx, a, V_U0)
+                av = self.eval_in(ctx, a)
+                self.check(ctx, b, VPi(av, constant_family(V_U0)))
+                return V_U0
+            case T.DW(i, n, br, ar):
+                self.check(ctx, i, V_U0)
+                iv = self.eval_in(ctx, i)
+                self.check(ctx, n, VPi(iv, constant_family(V_U0)))
+                nv = self.eval_in(ctx, n)
+                br_ty = VPi(
+                    iv,
+                    PyClosure(
+                        lambda x: VPi(self.ev.apply(nv, x), constant_family(V_U0))
+                    ),
+                )
+                self.check(ctx, br, br_ty)
+                brv = self.eval_in(ctx, br)
+                ar_ty = VPi(
+                    iv,
+                    PyClosure(
+                        lambda x: VPi(
+                            self.ev.apply(nv, x),
+                            PyClosure(
+                                lambda y: VPi(
+                                    self.ev.apply_many(brv, x, y), constant_family(iv)
+                                )
+                            ),
+                        )
+                    ),
+                )
+                self.check(ctx, ar, ar_ty)
+                return VPi(iv, constant_family(V_U0))
+            case T.WP(i, n, r):
+                self.check(ctx, i, V_U0)
+                iv = self.eval_in(ctx, i)
+                self.check(ctx, n, VPi(iv, constant_family(V_U0)))
+                nv = self.eval_in(ctx, n)
+                r_ty = VPi(
+                    iv,
+                    PyClosure(
+                        lambda x: VPi(
+                            self.ev.apply(nv, x),
+                            constant_family(VPi(iv, constant_family(V_U0))),
+                        )
+                    ),
+                )
+                self.check(ctx, r, r_ty)
+                return VPi(iv, constant_family(V_U0))
+            case T.Cover(a, ifam, cfam, v):
+                self.check(ctx, a, V_U0)
+                av = self.eval_in(ctx, a)
+                self.check(ctx, ifam, VPi(av, constant_family(V_U0)))
+                ifv = self.eval_in(ctx, ifam)
+                c_ty = VPi(
+                    av,
+                    PyClosure(
+                        lambda x: VPi(
+                            self.ev.apply(ifv, x),
+                            constant_family(VPi(av, constant_family(V_U0))),
+                        )
+                    ),
+                )
+                self.check(ctx, cfam, c_ty)
+                self.check(ctx, v, VPi(av, constant_family(V_U0)))
+                return VPi(av, constant_family(V_U0))
+        raise S.KernelBug(f"infer_family: not a family former: {type(t).__name__}")
+
     def _nondependent_codomain(self, ctx: Context, f: Term, arity: int):
         """Codomain of ``f``'s type after ``arity`` arguments, provided it does
-        not depend on them; None-ish failures surface as non-inferable."""
+        not depend on them; None when ``f`` is not inferable, its type has
+        fewer than ``arity`` arrows, or the codomain mentions an argument."""
         try:
             fty = self.infer(ctx, f)
         except TypeCheckError:
@@ -576,11 +603,13 @@ class Checker:
             if not isinstance(cod, VPi):
                 return None
             cod = self.ev.apply_clo(cod.cod, fresh(depth + k, cod.dom))
-        try:
-            # reject codomains that capture the fresh arguments
-            probe = self.ev.readback_type(cod, depth)
-        except S.KernelBug:
+        # read back with the arguments in scope: they are the innermost
+        # ``arity`` variables, which the codomain must not mention
+        probe = self.ev.readback_type(cod, depth + arity)
+        if any(T.free_in(probe, k) for k in range(arity)):
             return None
+        for _ in range(arity):
+            probe = T.strengthen(probe)
         return self.eval_in(ctx, probe)
 
     def infer_id_type(self, ctx: Context, a: Term, b: Term, p: Term) -> Value:

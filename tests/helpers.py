@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
+import random
 
 from covertt import surface, typecheck
-from covertt.cover import FiniteAxiomSet, RfNode, Subset, TrNode
+from covertt import terms as T
+from covertt.cover import FiniteAxiomSet, RfNode, Subset, TrNode, derivation
+from covertt.surface import RESERVED, ParseError
 from covertt.semantics import V_ANY, Evaluator, Value
 from covertt.terms import Flags
 from covertt.typecheck import Checker, Context
@@ -112,3 +116,146 @@ def replay_derivation(ax: FiniteAxiomSet, v: Subset, atom: int):
         raise AssertionError("round replay lost an axiom")
 
     return build(atom)
+
+
+def random_instance(rng, n):
+    """A random axiom set over n atoms, as criterion 6 draws them."""
+    names = tuple(chr(ord("a") + i) for i in range(n))
+    labels, covers = [], []
+    for _ in range(n):
+        m = rng.randint(0, 3)
+        labels.append(tuple(f"i{j}" for j in range(m)))
+        covers.append(tuple(Subset(rng.randrange(1 << n), n) for _ in range(m)))
+    return FiniteAxiomSet(names, tuple(labels), tuple(covers))
+
+
+def criterion6_derivations(seed: int = 98765):
+    """(axiom set, V, atom, derivation) for every covered atom of the
+    criterion-6 stream: 100 random instances over 2-4 atoms."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        n = rng.choice([2, 3, 4])
+        ax = random_instance(rng, n)
+        v = Subset(rng.randrange(1 << n), n)
+        for atom in range(n):
+            d = derivation(ax, v, atom)
+            if d is not None:
+                yield ax, v, atom, d
+
+
+ORACLE_PUNCT = (":=", "=>", "->", "(", ")", ":", "*", ",")
+
+
+def tokenize_oracle(src: str) -> list[tuple[str, str, int, int]]:
+    """The tokenizer the parser used to run, kept as the oracle of
+    ``surface.tokenize``: one character at a time, giving (kind, text, line,
+    col) per token and raising the same ``ParseError`` positions."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("--", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if c == '"':
+            j = i + 1
+            while j < n and src[j] != '"':
+                if src[j] == "\n":
+                    raise ParseError("unterminated string", line, col)
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated string", line, col)
+            toks.append(("string", src[i + 1 : j], line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        matched = None
+        for p in ORACLE_PUNCT:
+            if src.startswith(p, i):
+                matched = p
+                break
+        if matched:
+            toks.append(("punct", matched, line, col))
+            i += len(matched)
+            col += len(matched)
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] in "_'"):
+                j += 1
+            word = src[i:j]
+            kind = "keyword" if word in RESERVED else "ident"
+            toks.append((kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"stray character {c!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def pretty_oracle(t, depth: int = 0, prec: int = 0) -> str:
+    """The printer ``surface.pretty`` replaced, kept as its oracle: it
+    builds strings bottom-up and strengthens every non-dependent body."""
+
+    def wrap(s: str, level: int) -> str:
+        return f"({s})" if prec > level else s
+
+    match t:
+        case T.Var(i):
+            return f"x{depth - 1 - i}" if i < depth else f"?{i - depth}"
+        case T.Const(name):
+            return name
+        case T.Univ():
+            return "U0"
+        case T.TypeSort():
+            return "Type"
+        case T.Empty():
+            return "N0"
+        case T.Unit():
+            return "N1"
+        case T.Star():
+            return "star"
+        case T.Lam(body):
+            return wrap(f"fun x{depth} => {pretty_oracle(body, depth + 1, 0)}", 0)
+        case T.Pi(dom, cod):
+            if not T.free_in(cod, 0):
+                lhs = pretty_oracle(dom, depth, 1)
+                rhs = pretty_oracle(T.strengthen(cod), depth, 0)
+                return wrap(f"{lhs} -> {rhs}", 0)
+            return wrap(
+                f"(x{depth} : {pretty_oracle(dom, depth, 0)}) -> {pretty_oracle(cod, depth + 1, 0)}",
+                0,
+            )
+        case T.Sigma(fst, snd):
+            if not T.free_in(snd, 0):
+                lhs = pretty_oracle(fst, depth, 2)
+                rhs = pretty_oracle(T.strengthen(snd), depth, 1)
+                return wrap(f"{lhs} * {rhs}", 1)
+            return wrap(
+                f"(x{depth} : {pretty_oracle(fst, depth, 0)}) * {pretty_oracle(snd, depth + 1, 1)}",
+                1,
+            )
+        case T.App(f, a):
+            return wrap(f"{pretty_oracle(f, depth, 2)} {pretty_oracle(a, depth, 3)}", 2)
+        case T.Pair(a, b):
+            return f"( {pretty_oracle(a, depth, 0)} , {pretty_oracle(b, depth, 0)} )"
+        case T.Ann(tm, ty):
+            return f"( {pretty_oracle(tm, depth, 0)} : {pretty_oracle(ty, depth, 0)} )"
+    for kw, (ctor, _arity) in surface.KEYWORD_FORMS.items():
+        if type(t) is ctor:
+            args = [getattr(t, f.name) for f in dataclasses.fields(t)]
+            parts = [kw] + [pretty_oracle(a, depth, 3) for a in args]
+            return "(" + " ".join(parts) + ")" if prec > 2 else " ".join(parts)
+    raise ValueError(f"pretty: unhandled term {type(t).__name__}")

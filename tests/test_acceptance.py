@@ -29,7 +29,7 @@ from covertt.encodings import check_corpus
 from covertt.terms import Flags
 from covertt.typecheck import Checker, Context
 
-from helpers import CORPUS, conv
+from helpers import CORPUS, conv, random_instance as _random_instance
 from test_encodings import DW_INSTANCES, W_INSTANCES, _check_fragment
 from test_typechecker import (
     BAD_MOTIVES,
@@ -179,16 +179,6 @@ def test_criterion_4_rule_coverage():
     assert _report(
         4, neg_ok and conv_ok, "every rule has golden accepts, rejects and computations"
     )
-
-
-def _random_instance(rng, n):
-    names = tuple(chr(ord("a") + i) for i in range(n))
-    labels, covers = [], []
-    for _ in range(n):
-        m = rng.randint(0, 3)
-        labels.append(tuple(f"i{j}" for j in range(m)))
-        covers.append(tuple(Subset(rng.randrange(1 << n), n) for _ in range(m)))
-    return FiniteAxiomSet(names, tuple(labels), tuple(covers))
 
 
 def test_criterion_5_oracle_equivalence():

@@ -1,14 +1,16 @@
 """The command-line interface: golden outputs and exit codes."""
 
 import os
+import resource
 import subprocess
 import sys
 import threading
 
 import pytest
 
+from covertt import cover, typecheck
 from covertt.cli import main
-from covertt.semantics import Evaluator
+from covertt.semantics import Evaluator, KernelBug
 from covertt.terms import Flags
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "covertt", "corpus")
@@ -177,3 +179,49 @@ def test_cover_derivations_on_a_20000_atom_chain(tmp_path):
             assert proc.wait() == 0, proc.stderr.read()
         finally:
             watchdog.cancel()
+    # the report is printed as it is made: the child never holds it (the
+    # figure is the largest child this test process has waited for)
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert peak_mb < 200
+
+
+INTERNAL = [
+    (RecursionError("maximum recursion depth exceeded"), "input nested too deeply"),
+    (KernelBug("eval: unhandled term"), "internal kernel error"),
+]
+
+
+def raiser(exc):
+    def raise_(*args, **kwargs):
+        raise exc
+
+    return raise_
+
+
+@pytest.mark.parametrize("exc, what", INTERNAL)
+def test_check_reports_an_internal_failure_naming_the_declaration(capsys, tmp_path, monkeypatch, exc, what):
+    f = tmp_path / "deep.mltt"
+    f.write_text("def small : N1 := star\ndef deep : N1 := star\n")
+    check = typecheck.check_declarations
+
+    def check_declarations(decls, *args):
+        if decls[0].name == "deep":
+            raise exc
+        return check(decls, *args)
+
+    monkeypatch.setattr(typecheck, "check_declarations", check_declarations)
+    code, out = run(capsys, "check", str(f))
+    assert code == 1
+    assert out == f"ok small\nerror: deep.mltt:2: deep: {what} ({exc})\n"
+
+
+@pytest.mark.parametrize("exc, what", INTERNAL)
+def test_norm_conv_cover_report_an_internal_failure(capsys, tmp_path, monkeypatch, exc, what):
+    monkeypatch.setattr(typecheck, "normalize", raiser(exc))
+    monkeypatch.setattr(typecheck, "convertible", raiser(exc))
+    monkeypatch.setattr(cover, "iter_queries", raiser(exc))
+    f = tmp_path / "two.cov"
+    f.write_text("carrier a b\nsubset V : b\nquery a V\n")
+    for argv in (["norm", "--expr", "star"], ["conv", "star", "star", "--type", "N1"], ["cover", str(f)]):
+        code, out = run(capsys, *argv)
+        assert (code, out) == (1, f"error: {what} ({exc})\n"), argv

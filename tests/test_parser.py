@@ -1,14 +1,18 @@
 """Surface syntax: parsing, pretty-printing, round trips, includes."""
 
+import hashlib
 import os
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from covertt import surface
+from covertt.cover import extract_proof_term
 from covertt.surface import ParseError, parse_file, parse_term, pretty
 from covertt import terms as T
 
-from helpers import CORPUS
+from helpers import CORPUS, criterion6_derivations, pretty_oracle, tokenize_oracle
 
 
 def test_identity_roundtrip():
@@ -127,3 +131,137 @@ def test_import_deduplication(tmp_path):
     top.write_text('import "base.mltt"\nimport "mid.mltt"\ndef three : N1 := two\n')
     decls = surface.load_file(str(top))
     assert [d.name for d in decls] == ["one", "two", "three"]
+
+
+# --- the regex tokenizer and the printer against the code they replaced -----
+
+# sha256 of the printed criterion-6 certificates (seed 98765, joined by
+# newlines) and of every corpus declaration printed by pretty_declaration,
+# as the bottom-up printer that strengthened every non-dependent body
+# printed them
+CERTIFICATES_SHA256 = "cc4c60780f4576a5f02b32ca9a6bdad91b5b0ab3d3ca856d9b25bba6af102926"
+CORPUS_PRINTED_SHA256 = "5739e76c4ac5772d7f248d51c60f4dc03e9a85200adc1ad7217db4bbc7808ef6"
+
+
+@pytest.fixture(scope="module")
+def certificates():
+    terms = [extract_proof_term(ax, v, d) for ax, v, _atom, d in criterion6_derivations()]
+    return terms, [pretty(t) for t in terms]
+
+
+def _corpus_sources():
+    for fn in sorted(os.listdir(CORPUS)):
+        if fn.endswith(".mltt"):
+            with open(os.path.join(CORPUS, fn), encoding="utf-8") as fh:
+                yield fn, fh.read()
+
+
+def _tokens(tokenize, src):
+    """(kind, text, line, col) of every token, or the lexing error's position."""
+    try:
+        return tokenize(src)
+    except ParseError as e:
+        return ("error", e.message, e.line, e.col)
+
+
+def _tokenize(src):
+    return [(t.kind, t.text, t.line, t.col) for t in surface.tokenize(src)]
+
+
+def _assert_lexes_like_oracle(src):
+    expected = _tokens(tokenize_oracle, src)
+    assert _tokens(_tokenize, src) == expected
+    # the parser's position-free token lists line up with tokenize's tokens
+    try:
+        kinds, texts, lines = surface._lex(src)
+    except ParseError as e:
+        assert expected == ("error", e.message, e.line, e.col)
+        return
+    assert list(zip(kinds, texts, lines)) == [(k, x, ln) for k, x, ln, _col in expected[:-1]]
+
+
+def test_tokenizer_agrees_with_oracle_on_corpus():
+    for _fn, src in _corpus_sources():
+        _assert_lexes_like_oracle(src)
+
+
+def test_tokenizer_agrees_with_oracle_on_certificates(certificates):
+    for text in certificates[1]:
+        _assert_lexes_like_oracle(text)
+
+
+LEXEME_PIECES = [
+    "def", "fun", "x", "x'", "_y", "U0", "N1", "-- note", "--", "-", "->", ":=", "=>",
+    "=", ":", "(", ")", "*", ",", '"f.mltt"', '"', "1", "1a", "é", "½", "²", "λx", "#",
+    " ", "  ", "\t", "\r", "\n", "\r\n", "\f", "\u00a0",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(LEXEME_PIECES) | st.characters(), max_size=30).map("".join))
+def test_tokenizer_agrees_with_oracle_on_random_text(src):
+    _assert_lexes_like_oracle(src)
+
+
+def test_parse_error_positions_follow_the_tokens():
+    cases = [
+        ("def x : N1 :=", 1, 14),
+        ("def x : N1\n  := @", 2, 6),
+        ('import "a.mltt\ndef x : N1 := star', 1, 8),
+        ("def x : (y : N1) -> N1 := fun y => (y", 1, 38),
+        ("def 1x : N1 := star", 1, 5),
+        ("def x : N1 := (fun y => y : N1 -> N1) star )", 1, 44),
+        # a comment that ends the input leaves the end position at its start
+        ("postulate f : N1 -> -- c", 1, 21),
+    ]
+    for src, line, col in cases:
+        with pytest.raises(ParseError) as e:
+            parse_file(src)
+        assert (e.value.line, e.value.col) == (line, col), src
+
+
+def test_certificates_round_trip_and_print_as_before(certificates):
+    terms, texts = certificates
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == CERTIFICATES_SHA256
+    for tm, text in zip(terms, texts):
+        assert parse_term(text) == tm
+
+
+def test_corpus_prints_as_before():
+    printed = []
+    for fn, src in _corpus_sources():
+        printed += [surface.pretty_declaration(d) for d in parse_file(src, fn)[0]]
+    assert hashlib.sha256("\n".join(printed).encode()).hexdigest() == CORPUS_PRINTED_SHA256
+
+
+def _open_terms():
+    """Random terms with free variables, constants and every printing form."""
+    leaves = st.one_of(
+        st.builds(T.Var, st.integers(0, 4)),
+        st.just(T.Const("c")),
+        st.just(T.Star()),
+        st.just(T.Unit()),
+        st.just(T.Univ()),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(T.Lam, children),
+            st.builds(T.Pi, children, children),
+            st.builds(T.Sigma, children, children),
+            st.builds(T.App, children, children),
+            st.builds(T.Pair, children, children),
+            st.builds(T.Ann, children, children),
+            st.builds(T.Inl, children),
+            st.builds(T.Tr, children, children, children),
+            st.builds(T.Cover, children, children, children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_open_terms())
+def test_pretty_agrees_with_oracle(t):
+    assert pretty(t) == pretty_oracle(t)

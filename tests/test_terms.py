@@ -1,3 +1,5 @@
+import dataclasses
+
 import hypothesis.strategies as st
 from hypothesis import given
 
@@ -90,3 +92,28 @@ def test_flags_rejects_unknown_names():
 
     with pytest.raises(ValueError):
         Flags.from_names(["eta_pie"])
+
+
+@given(_terms())
+def test_closed_means_no_free_variable(t):
+    # the generated indices are below 6, so no free index can be 6 or more
+    assert T.closed(t) == (not any(T.free_in(t, k) for k in range(6)))
+
+
+def test_closed_rejects_constants_and_counts_binders():
+    assert T.closed(T.Lam(T.Pi(T.Var(0), T.Var(1))))
+    assert not T.closed(T.Lam(T.Pi(T.Var(0), T.Var(2))))
+    assert not T.closed(T.Lam(T.Const("c")))
+    assert T.closed(T.Var(0), depth=1)
+
+
+def test_child_table_lists_every_subterm_field_in_order():
+    for cls, children in T.CHILDREN.items():
+        names = [f.name for f in dataclasses.fields(cls)]
+        if cls in (T.Var, T.Const):
+            assert children == ()
+        else:
+            assert [name for name, _ in children] == names
+    assert dict(T.CHILDREN[T.Pi]) == {"dom": 0, "cod": 1}
+    assert dict(T.CHILDREN[T.Sigma]) == {"fst": 0, "snd": 1}
+    assert dict(T.CHILDREN[T.Lam]) == {"body": 1}

@@ -5,10 +5,19 @@ eliminator, and judgmental computation checks under every flag setting."""
 import pytest
 
 from covertt import surface, typecheck
+from covertt import terms as T
+from covertt.cover import TrNode, cover_type, extract_proof_term
 from covertt.terms import Flags
 from covertt.typecheck import Checker, Context, TypeCheckError
 
-from helpers import ALL_FLAG_SETS, checker_for, check_in, context_of, conv
+from helpers import (
+    ALL_FLAG_SETS,
+    check_in,
+    checker_for,
+    context_of,
+    conv,
+    criterion6_derivations,
+)
 
 # parameter contexts mirroring the formation-rule premises
 W_CTX = [
@@ -292,3 +301,106 @@ def test_subject_reduction_on_prelude():
     for name, entry in list(chk.globals.items()):
         nf = chk.norm(ctx, entry.value, entry.type_value)
         chk.check(ctx, nf, entry.type_value)
+
+
+# --- sup, dsup and ind infer only through a non-dependent codomain -------------
+
+
+@pytest.mark.parametrize(
+    "items, src, former",
+    [
+        (W_CTX[:3] + [("F", "A -> U0"), ("g", "(b : A) -> F b")], "sup a g", "sup"),
+        (DW_CTX[:6] + [("G", "Br i n -> U0"), ("g", "(b : Br i n) -> G b")], "dsup i n g", "dsup"),
+        (
+            WP_CTX[:5] + [("G", "(j : I) -> R i n j -> U0"), ("g", "(j : I) -> (r : R i n j) -> G j r")],
+            "ind i n g",
+            "ind",
+        ),
+        (WP_CTX[:5] + [("G", "I -> U0"), ("g", "(j : I) -> R i n j -> G j")], "ind i n g", "ind"),
+    ],
+)
+def test_introduction_with_a_dependent_codomain_is_not_inferable(items, src, former):
+    chk, ctx, scope = _ctx(items)
+    with pytest.raises(TypeCheckError) as e:
+        chk.infer(ctx, surface.parse_term(src, scope=scope))
+    assert e.value.message == f"{former} is not inferable here; add an annotation"
+
+
+# --- the memo of closed family formations ----------------------------------------
+
+COVER_OVER = "Cover {} (fun a => N1) (fun a => fun i => fun b => N1) (fun a => {})"
+
+
+@pytest.fixture
+def family_inferences(monkeypatch):
+    """Every formation ``Checker.infer_family`` is asked to infer, in order."""
+    calls = []
+    infer_family = Checker.infer_family
+
+    def counted(self, ctx, t):
+        calls.append(t)
+        return infer_family(self, ctx, t)
+
+    monkeypatch.setattr(Checker, "infer_family", counted)
+    return calls
+
+
+def test_closed_formation_is_inferred_once_per_checker(family_inferences):
+    chk, ctx, scope = _ctx([("A", "U0")])
+    src = COVER_OVER.format("N1", "N1")
+    first = chk.infer(Context(), surface.parse_term(src))
+    # a separately parsed copy, under a binder
+    again = chk.infer(ctx, surface.parse_term(src, scope=scope))
+    assert again is first
+    assert family_inferences == [surface.parse_term(src)]
+    Checker().infer(Context(), surface.parse_term(src))
+    assert len(family_inferences) == 2
+
+
+def test_ill_typed_closed_formation_fails_at_every_occurrence():
+    chk = Checker()
+    bad = COVER_OVER.format("N1", "star")  # the subset is not a predicate
+    for term in (surface.parse_term(bad), surface.parse_term(bad)):
+        with pytest.raises(TypeCheckError):
+            chk.infer(Context(), term)
+    with pytest.raises(TypeCheckError):
+        check_in(chk, Context(), [], f"({bad}) star -> ({bad}) star", "U0")
+    assert chk.family_types == {}
+
+
+def test_formations_with_free_variables_or_constants_are_not_memoized(family_inferences):
+    chk, ctx, scope = _ctx([("A", "U0"), ("P", "N1 -> U0")])
+    for src in (COVER_OVER.format("A", "N1"), COVER_OVER.format("N1", "P a"), "W A (fun a => N1)"):
+        term = surface.parse_term(src, scope=scope)
+        chk.infer(ctx, term)
+        chk.infer(ctx, term)
+    assert chk.family_types == {}
+    chk = checker_for("def C : U0 := N1\n")
+    term = surface.parse_term(COVER_OVER.format("C", "N1"))
+    chk.infer(Context(), term)
+    chk.infer(Context(), term)
+    assert chk.family_types == {}
+    assert len(family_inferences) == 8
+
+
+def _formations(t):
+    stack, found = [t], []
+    while stack:
+        u = stack.pop()
+        if isinstance(u, (T.W, T.DW, T.WP, T.Cover)):
+            found.append(u)
+        stack.extend(getattr(u, name) for name, _ in T.CHILDREN[type(u)])
+    return found
+
+
+def test_certificate_check_infers_each_distinct_formation_once(family_inferences):
+    ax, v, atom, d = next(x for x in criterion6_derivations() if isinstance(x[3], TrNode))
+    proof = surface.parse_term(surface.pretty(extract_proof_term(ax, v, d)))
+    ty = surface.parse_term(surface.pretty(cover_type(ax, v, atom)))
+    chk, ctx = Checker(Flags()), Context()
+    chk.ensure_type(ctx, ty)
+    chk.check(ctx, proof, chk.eval_in(ctx, ty))
+    occurrences = _formations(ty) + _formations(proof)
+    assert all(T.closed(f) for f in occurrences)
+    assert len(family_inferences) == len(set(family_inferences)) == len(set(occurrences))
+    assert len(occurrences) > len(set(occurrences))
