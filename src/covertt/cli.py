@@ -114,7 +114,7 @@ def cmd_check(ns) -> int:
     checker = Checker(flags)
     for d in decls:
         try:
-            typecheck.check_declarations([d], flags, checker.globals)
+            typecheck.check_declarations([d], flags, checker)
             print(f"ok {d.name}")
         except (TypeCheckError, EvalBudgetExceeded) as e:
             print(f"error {d.name}")
@@ -158,7 +158,11 @@ def cmd_conv(ns) -> int:
 
 def cmd_corpus(ns) -> int:
     flags = _flags(ns)
-    results = encodings.check_corpus(flags, ns.corpus_dir)
+    try:
+        results = encodings.check_corpus(flags, ns.corpus_dir)
+    except (OSError, ValueError) as e:  # the manifest
+        print(f"error: {e}")
+        return 1
     status = 0
     for r in results:
         if r.status == "pass":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .semantics import EvalBudgetExceeded
 from .terms import Flags
 from . import surface, typecheck
 
@@ -32,16 +33,23 @@ class CorpusEntry:
 
 
 def load_manifest(base: str | None = None) -> list[CorpusEntry]:
+    """The manifest's entries; ``OSError`` when it cannot be read and
+    ``ValueError`` for a line that is not ``TAG FILE FLAG...``."""
     path = os.path.join(base or corpus_dir(), "manifest")
     entries = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            tag, file = parts[0], parts[1]
-            entries.append(CorpusEntry(tag, file, Flags.from_names(parts[2:])))
+            if len(parts) < 2:
+                raise ValueError(f"{path}:{lineno}: expected a tag and a file name")
+            try:
+                required = Flags.from_names(parts[2:])
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+            entries.append(CorpusEntry(parts[0], parts[1], required))
     return entries
 
 
@@ -53,11 +61,14 @@ class CorpusResult:
     detail: str = ""
 
 
-def check_corpus(flags: Flags, base: str | None = None, step_limit: int = 4_000_000):
+def check_corpus(flags: Flags, base: str | None = None):
     """Check every manifest entry whose required flags are covered by ``flags``.
 
     Entries needing more flags are reported skipped.  Each eligible entry is
-    checked under the invocation flags (flag monotonicity makes this sound).
+    checked under the invocation flags (flag monotonicity makes this sound),
+    each of its declarations with the evaluator's full step budget.  An
+    entry that cannot be read, parsed or checked, or that exhausts a
+    budget, is reported failed; a manifest that cannot be read raises.
     """
     base = base or corpus_dir()
     results: list[CorpusResult] = []
@@ -73,9 +84,9 @@ def check_corpus(flags: Flags, base: str | None = None, step_limit: int = 4_000_
             continue
         try:
             decls = surface.load_file(entry.path(base))
-            typecheck.check_declarations(decls, flags, step_limit=step_limit)
+            typecheck.check_declarations(decls, flags)
             results.append(CorpusResult(entry.tag, entry.file, "pass"))
-        except (typecheck.TypeCheckError, surface.ParseError) as e:
+        except (typecheck.TypeCheckError, surface.ParseError, EvalBudgetExceeded, OSError) as e:
             results.append(
                 CorpusResult(entry.tag, entry.file, "fail", str(e).splitlines()[0])
             )

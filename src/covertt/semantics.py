@@ -16,12 +16,25 @@ test suite keeps as its oracle.
 ``eta_unit`` additionally lets the unit eliminator fire on any scrutinee
 (every inhabitant is judgmentally ``star`` under that rule), which is what
 makes unit-type coercions between indexed families compute.
+
+Each typing rule's field types are defined once, as ``Evaluator`` methods:
+formation (``type_field``), introduction (``value_field``) and elimination
+(``motive_type``, ``case_types``).  The checker checks a term's fields
+against them, and readback and conversion read them to type a value's
+fields and an eliminator frame's arguments.  An eliminator's case types
+are built from the introductions of the type it eliminates: one case per
+introduction, over its fields and, for a tree, the induction hypothesis.
+
+``Evaluator.steps`` counts every eliminator step the evaluator takes;
+``restart_budget`` gives the next piece of work, one declaration or one
+top-level call, the whole ``step_limit``.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Union
 
 from . import terms as T
@@ -202,11 +215,16 @@ class VCover(Value):
     axioms: Value
     subset: Value
 
+    @property
+    def index(self) -> Value:
+        """A cover family is indexed by its carrier."""
+        return self.carrier
+
 
 @dataclass(frozen=True)
 class VCoverApp(Value):
     fam: VCover
-    elem: Value
+    idx: Value
 
 
 @dataclass(frozen=True)
@@ -342,11 +360,17 @@ class Evaluator:
         self.globals = globals_env if globals_env is not None else {}
         self.flags = flags
         self.step_limit = step_limit
-        self.steps = 0
+        self.steps = 0  # every step this evaluator has taken
+        self.budget_start = 0  # ``steps`` when the current budget began
+
+    def restart_budget(self):
+        """Give the next piece of work (a declaration, a normalization) the
+        full ``step_limit``."""
+        self.budget_start = self.steps
 
     def _tick(self):
         self.steps += 1
-        if self.steps > self.step_limit:
+        if self.steps - self.budget_start > self.step_limit:
             raise EvalBudgetExceeded(
                 f"evaluation exceeded {self.step_limit} eliminator steps"
             )
@@ -610,403 +634,182 @@ class Evaluator:
                 )
         raise KernelBug(f"eval: unhandled term {type(t).__name__}")
 
-    # -- field types -----------------------------------------------------------
+    # -- the typing rules --------------------------------------------------------
     #
-    # Readback and conversion descend into a value through the same three
-    # tables: the types of a type former's fields, of a canonical value's
-    # fields, and of an eliminator frame's arguments.  A field whose type is a
-    # sort is itself a type.
+    # Forms are named by their term class.  A rule's fields form a telescope:
+    # the type of field k is computed from ``vals[0..k-1]``, the values of the
+    # fields before it, and reads no other field.  So the checker, which
+    # evaluates a field only once it has checked it, reads the same rules as
+    # readback and conversion, which hold every field.  A field whose type is
+    # a sort is itself a type.
 
-    def type_fields(self, v: Value):
-        """Types of the fields of the type value ``v`` (a former without a
-        binder, a family former or an applied family), in order; None when
-        ``v`` is not one of these."""
-        match v:
-            case VEmpty() | VUnit():
-                return ()
-            case VSum():
-                return V_ANY, V_ANY
-            case VId(ty, _, _):
-                return V_ANY, ty, ty
-            case VW(a, _):
-                return V_ANY, VPi(a, constant_family(V_ANY))
-            case VDWApp(fam, _) | VWPApp(fam, _):
-                return V_ANY, fam.index
-            case VCoverApp(fam, _):
-                return V_ANY, fam.carrier
-            case VDW(i, n, br, _):
-                return (
-                    V_ANY,
-                    VPi(i, constant_family(V_ANY)),
-                    VPi(i, PyClosure(lambda iv: VPi(self.apply(n, iv), constant_family(V_ANY)))),
-                    VPi(
-                        i,
-                        PyClosure(
-                            lambda iv: VPi(
-                                self.apply(n, iv),
-                                PyClosure(
-                                    lambda nv: VPi(
-                                        self.apply_many(br, iv, nv), constant_family(i)
-                                    )
-                                ),
-                            )
-                        ),
-                    ),
-                )
-            case VWP(i, n, _):
-                return (
-                    V_ANY,
-                    VPi(i, constant_family(V_ANY)),
-                    VPi(
-                        i,
-                        PyClosure(
-                            lambda iv: VPi(
-                                self.apply(n, iv),
-                                constant_family(VPi(i, constant_family(V_ANY))),
-                            )
-                        ),
-                    ),
-                )
-            case VCover(a, i, _, _):
-                return (
-                    V_ANY,
-                    VPi(a, constant_family(V_ANY)),
-                    VPi(
-                        a,
-                        PyClosure(
-                            lambda av: VPi(
-                                self.apply(i, av),
-                                constant_family(VPi(a, constant_family(V_ANY))),
-                            )
-                        ),
-                    ),
-                    VPi(a, constant_family(V_ANY)),
-                )
-        return None
+    def type_field(self, former, vals, k: int) -> Value:
+        """The type of field ``k`` of a type built by ``former`` (``App`` for
+        an applied family)."""
+        match former:
+            case T.Sum:
+                return V_U0
+            case T.Id:
+                return V_U0 if k == 0 else vals[0]
+            case T.App:
+                return V_ANY if k == 0 else vals[0].index
+        # W, DW, WP and Cover: a small type, then predicates and relations on it
+        if k == 0:
+            return V_U0
+        i = vals[0]
+        if k == 1 or (former is T.Cover and k == 3):
+            # W's branches, the names of DW and WP, a cover's labels and subset
+            return _predicates(i)
+        n = vals[1]
+        if former is T.DW and k == 3:
+            # DW's arity: (x : I) -> (y : N x) -> Br x y -> I
+            br = vals[2]
+            return VPi(
+                i,
+                PyClosure(
+                    lambda x: VPi(
+                        self.apply(n, x),
+                        PyClosure(lambda y: VPi(self.apply_many(br, x, y), constant_family(i))),
+                    )
+                ),
+            )
+        # DW's branches, WP's rules and a cover's axioms: (x : I) -> N x -> [I ->] U0
+        cod = V_U0 if former is T.DW else _predicates(i)
+        return VPi(i, PyClosure(lambda x: VPi(self.apply(n, x), constant_family(cod))))
 
-    def value_fields(self, v: Value, ty: Value):
-        """Types of the fields of the canonical value ``v`` at type ``ty``, in
-        order; None when ``v`` is not a canonical inhabitant of ``ty``."""
-        match ty, v:
-            case VSigma(dom, cod), VPair(a, _):
-                return dom, self.apply_clo(cod, a)
-            case VUnit(), VStar():
-                return ()
-            case VSum(left, _), VInl():
-                return (left,)
-            case VSum(_, right), VInr():
-                return (right,)
-            case VId(ity, _, _), VRefl():
-                return (ity,)
-            case VW(a, b), VSup(lab, _):
-                return a, VPi(self.apply(b, lab), constant_family(ty))
-            case VDWApp(fam, _), VDSup(i, n, _):
-                return (
-                    fam.index,
-                    self.apply(fam.names, i),
-                    VPi(
-                        self.apply_many(fam.branch, i, n),
-                        PyClosure(lambda b: VDWApp(fam, self.apply_many(fam.arity, i, n, b))),
-                    ),
+    def formation_type(self, former, vals) -> Value:
+        """The type of a type built by ``former``: a family is a predicate on
+        its index type, any other type is small."""
+        return _predicates(vals[0]) if former in (T.DW, T.WP, T.Cover) else V_U0
+
+    def value_field(self, intro, ty: Value, vals, k: int) -> Value:
+        """The type of field ``k`` of an ``intro`` value of type ``ty``, one
+        that ``inhabits`` accepts."""
+        # isinstance chains, not class patterns: these tables are on the hot
+        # path of conversion, and a class pattern costs several times an
+        # isinstance check
+        if isinstance(ty, _APPLIED):
+            # an index, then rf's membership proof, or the name or label of
+            # dsup, ind and tr followed by their subtrees
+            fam = ty.fam
+            if k == 0:
+                return fam.index
+            if intro is T.Rf:
+                return self.apply(fam.subset, vals[0])
+            if k == 1:
+                return self.apply(fam.labels if intro is T.Tr else fam.names, vals[0])
+            return self.subtrees(ty, vals, lambda idx, *_: type(ty)(fam, *idx))
+        if isinstance(ty, VSigma):
+            return ty.fst if k == 0 else self.apply_clo(ty.snd, vals[0])
+        if isinstance(ty, VSum):
+            return ty.left if intro is T.Inl else ty.right
+        if isinstance(ty, VId):
+            return ty.type
+        if isinstance(ty, VW):
+            return ty.label if k == 0 else self.subtrees(ty, vals, lambda *_: ty)
+        raise KernelBug(f"value_field: no {intro.__name__} at {type(ty).__name__}")
+
+    def subtrees(self, ty: Value, vals, cod) -> Value:
+        """The type of the subtree function of a tree of type ``ty`` whose
+        earlier fields are ``vals``: a function over the positions of its
+        subtrees into ``cod(index, *position)``, where ``index`` is the
+        tuple of indices of the subtree at that position.  ``cod`` gives the
+        subtree's type in the introduction rule and the induction hypothesis
+        in the elimination rule."""
+        if isinstance(ty, VW):
+            return VPi(self.apply(ty.branch, vals[0]), PyClosure(lambda x: cod((), x)))
+        fam = ty.fam
+        x, y = vals[0], vals[1]
+        if isinstance(ty, VDWApp):
+            return VPi(
+                self.apply_many(fam.branch, x, y),
+                PyClosure(lambda b: cod((self.apply_many(fam.arity, x, y, b),), b)),
+            )
+        # WP rules and cover axioms: (j : I) -> R x y j -> <subtree at j>
+        rel = fam.rules if isinstance(ty, VWPApp) else fam.axioms
+        return VPi(
+            fam.index,
+            PyClosure(
+                lambda j: VPi(
+                    self.apply_many(rel, x, y, j), PyClosure(lambda r: cod((j,), j, r))
                 )
-            case VWPApp(fam, _), VInd(i, n, _):
-                return (
-                    fam.index,
-                    self.apply(fam.names, i),
-                    VPi(
-                        fam.index,
-                        PyClosure(
-                            lambda j: VPi(
-                                self.apply_many(fam.rules, i, n, j),
-                                constant_family(VWPApp(fam, j)),
-                            )
-                        ),
-                    ),
-                )
-            case VCoverApp(fam, _), VRf(a, _):
-                return fam.carrier, self.apply(fam.subset, a)
-            case VCoverApp(fam, _), VTr(a, i, _):
-                return (
-                    fam.carrier,
-                    self.apply(fam.labels, a),
-                    VPi(
-                        fam.carrier,
-                        PyClosure(
-                            lambda b: VPi(
-                                self.apply_many(fam.axioms, a, i, b),
-                                constant_family(VCoverApp(fam, b)),
-                            )
-                        ),
-                    ),
-                )
-        return None
+            ),
+        )
+
+    def motive_type(self, elim, ty: Value) -> Optional[Value]:
+        """The type of the motive of the eliminator ``elim`` on a scrutinee
+        of type ``ty``; None when ``elim`` does not eliminate ``ty``."""
+        if _ELIMINATOR.get(type(ty)) is not elim:
+            return None
+        if isinstance(ty, VId):
+            a = ty.type
+            return VPi(
+                a,
+                PyClosure(
+                    lambda x: VPi(
+                        a, PyClosure(lambda y: VPi(VId(a, x, y), constant_family(V_ANY)))
+                    )
+                ),
+            )
+        if isinstance(ty, _APPLIED):
+            fam, applied = ty.fam, type(ty)
+            return VPi(
+                fam.index, PyClosure(lambda i: VPi(applied(fam, i), constant_family(V_ANY)))
+            )
+        return VPi(ty, constant_family(V_ANY))
+
+    def case_types(self, ty: Value, motive: Value) -> tuple:
+        """The types of the cases of the eliminator with ``motive`` on a
+        scrutinee of type ``ty``, one per introduction of ``ty``: a function
+        over the introduction's fields, and for a tree over the induction
+        hypothesis, into the motive at the value introduced."""
+        return tuple([self._case_type(i, ty, motive, ()) for i in _INTROS[type(ty)]])
+
+    def _case_type(self, intro, ty: Value, motive: Value, vals: tuple) -> Value:
+        k = len(vals)
+        if k < _ARITY[intro]:
+            return VPi(
+                self.value_field(intro, ty, vals, k),
+                PyClosure(lambda x: self._case_type(intro, ty, motive, vals + (x,))),
+            )
+        # a canonical value's indices are all its first field
+        # (refl x : Id A x x, dsup i n f : DW I N Br ar i)
+        args = vals[:1] * len(type_index(ty)) + (_VALUE_OF[intro](*vals),)
+        if intro not in _TREES:
+            return self.apply_many(motive, *args)
+        f = vals[-1]
+        hyp = self.subtrees(
+            ty, vals, lambda idx, *pos: self.apply_many(motive, *idx, self.apply_many(f, *pos))
+        )
+        return VPi(hyp, PyClosure(lambda _h: self.apply_many(motive, *args)))
 
     def frame_types(self, cur: Value, scrut: VNeutral, frame):
         """Types of ``frame``'s fields, in order, and of its result, when it
         eliminates the neutral ``scrut`` of type ``cur``."""
-        ev = self
         match frame:
             case FApp(arg):
                 if not isinstance(cur, VPi):
                     raise KernelBug("readback: application at non-function type")
                 return (cur.dom,), self.apply_clo(cur.cod, arg)
-            case FProj1():
+            case FProj1() | FProj2():
                 if not isinstance(cur, VSigma):
-                    raise KernelBug("readback: fst at non-Sigma type")
-                return (), cur.fst
-            case FProj2():
-                if not isinstance(cur, VSigma):
-                    raise KernelBug("readback: snd at non-Sigma type")
+                    raise KernelBug("readback: projection at non-Sigma type")
+                if isinstance(frame, FProj1):
+                    return (), cur.fst
                 return (), self.apply_clo(cur.snd, self.proj1(scrut))
-            case FSigElim(motive, _):
-                if not isinstance(cur, VSigma):
-                    raise KernelBug("readback: split at non-Sigma type")
-                sig = cur
-                case_ty = VPi(
-                    sig.fst,
-                    PyClosure(
-                        lambda a: VPi(
-                            ev.apply_clo(sig.snd, a),
-                            PyClosure(lambda b: ev.apply(motive, VPair(a, b))),
-                        )
-                    ),
-                )
-                return (VPi(sig, constant_family(V_ANY)), case_ty), self.apply(motive, scrut)
-            case FSumElim(motive, _, _):
-                if not isinstance(cur, VSum):
-                    raise KernelBug("readback: case at non-Sum type")
-                return (
-                    VPi(cur, constant_family(V_ANY)),
-                    VPi(cur.left, PyClosure(lambda x: ev.apply(motive, VInl(x)))),
-                    VPi(cur.right, PyClosure(lambda x: ev.apply(motive, VInr(x)))),
-                ), self.apply(motive, scrut)
-            case FUnitElim(motive, _):
-                return (
-                    VPi(VUnit(), constant_family(V_ANY)),
-                    self.apply(motive, VStar()),
-                ), self.apply(motive, scrut)
-            case FEmptyElim(motive):
-                return (VPi(VEmpty(), constant_family(V_ANY)),), self.apply(motive, scrut)
-            case FJ(motive, _, lhs, rhs):
-                if not isinstance(cur, VId):
-                    raise KernelBug("readback: J at non-Id type")
-                a_ty = cur.type
-                m_ty = VPi(
-                    a_ty,
-                    PyClosure(
-                        lambda x: VPi(
-                            a_ty,
-                            PyClosure(
-                                lambda y: VPi(
-                                    VId(a_ty, x, y), constant_family(V_ANY)
-                                )
-                            ),
-                        )
-                    ),
-                )
-                d_ty = VPi(
-                    a_ty,
-                    PyClosure(lambda x: ev.apply_many(motive, x, x, VRefl(x))),
-                )
-                return (m_ty, d_ty, a_ty, a_ty), self.apply_many(motive, lhs, rhs, scrut)
-            case FWElim(motive, _):
-                if not isinstance(cur, VW):
-                    raise KernelBug("readback: elimW at non-W type")
-                w_ty = cur
-                a_ty, b_fam = cur.label, cur.branch
-                step_ty = VPi(
-                    a_ty,
-                    PyClosure(
-                        lambda a: VPi(
-                            VPi(ev.apply(b_fam, a), constant_family(w_ty)),
-                            PyClosure(
-                                lambda f: VPi(
-                                    VPi(
-                                        ev.apply(b_fam, a),
-                                        PyClosure(
-                                            lambda b: ev.apply(motive, ev.apply(f, b))
-                                        ),
-                                    ),
-                                    PyClosure(
-                                        lambda h: ev.apply(motive, VSup(a, f))
-                                    ),
-                                )
-                            ),
-                        )
-                    ),
-                )
-                return (VPi(w_ty, constant_family(V_ANY)), step_ty), self.apply(motive, scrut)
-            case FDWElim(motive, _):
-                if not isinstance(cur, VDWApp):
-                    raise KernelBug("readback: elimDW at non-DW type")
-                fam = cur.fam
-                ity = fam.index
-                m_ty = VPi(
-                    ity,
-                    PyClosure(lambda i: VPi(VDWApp(fam, i), constant_family(V_ANY))),
-                )
-                step_ty = VPi(
-                    ity,
-                    PyClosure(
-                        lambda i: VPi(
-                            ev.apply(fam.names, i),
-                            PyClosure(
-                                lambda n: VPi(
-                                    VPi(
-                                        ev.apply_many(fam.branch, i, n),
-                                        PyClosure(
-                                            lambda b: VDWApp(
-                                                fam, ev.apply_many(fam.arity, i, n, b)
-                                            )
-                                        ),
-                                    ),
-                                    PyClosure(
-                                        lambda f: VPi(
-                                            VPi(
-                                                ev.apply_many(fam.branch, i, n),
-                                                PyClosure(
-                                                    lambda b: ev.apply_many(
-                                                        motive,
-                                                        ev.apply_many(fam.arity, i, n, b),
-                                                        ev.apply(f, b),
-                                                    )
-                                                ),
-                                            ),
-                                            PyClosure(
-                                                lambda h: ev.apply_many(
-                                                    motive, i, VDSup(i, n, f)
-                                                )
-                                            ),
-                                        )
-                                    ),
-                                )
-                            ),
-                        )
-                    ),
-                )
-                return (m_ty, step_ty), self.apply_many(motive, cur.idx, scrut)
-            case FWPElim(motive, _):
-                if not isinstance(cur, VWPApp):
-                    raise KernelBug("readback: elimWP at non-WP type")
-                fam = cur.fam
-                ity = fam.index
-                m_ty = VPi(
-                    ity,
-                    PyClosure(lambda i: VPi(VWPApp(fam, i), constant_family(V_ANY))),
-                )
-                step_ty = VPi(
-                    ity,
-                    PyClosure(
-                        lambda i: VPi(
-                            ev.apply(fam.names, i),
-                            PyClosure(
-                                lambda n: VPi(
-                                    VPi(
-                                        ity,
-                                        PyClosure(
-                                            lambda j: VPi(
-                                                ev.apply_many(fam.rules, i, n, j),
-                                                constant_family(VWPApp(fam, j)),
-                                            )
-                                        ),
-                                    ),
-                                    PyClosure(
-                                        lambda f: VPi(
-                                            VPi(
-                                                ity,
-                                                PyClosure(
-                                                    lambda j: VPi(
-                                                        ev.apply_many(fam.rules, i, n, j),
-                                                        PyClosure(
-                                                            lambda r: ev.apply_many(
-                                                                motive,
-                                                                j,
-                                                                ev.apply_many(f, j, r),
-                                                            )
-                                                        ),
-                                                    )
-                                                ),
-                                            ),
-                                            PyClosure(
-                                                lambda h: ev.apply_many(
-                                                    motive, i, VInd(i, n, f)
-                                                )
-                                            ),
-                                        )
-                                    ),
-                                )
-                            ),
-                        )
-                    ),
-                )
-                return (m_ty, step_ty), self.apply_many(motive, cur.idx, scrut)
-            case FCoverElim(motive, _, _):
-                if not isinstance(cur, VCoverApp):
-                    raise KernelBug("readback: elimCover at non-cover type")
-                fam = cur.fam
-                aty = fam.carrier
-                m_ty = VPi(
-                    aty,
-                    PyClosure(lambda a: VPi(VCoverApp(fam, a), constant_family(V_ANY))),
-                )
-                q1_ty = VPi(
-                    aty,
-                    PyClosure(
-                        lambda a: VPi(
-                            ev.apply(fam.subset, a),
-                            PyClosure(
-                                lambda r: ev.apply_many(motive, a, VRf(a, r))
-                            ),
-                        )
-                    ),
-                )
-                q2_ty = VPi(
-                    aty,
-                    PyClosure(
-                        lambda a: VPi(
-                            ev.apply(fam.labels, a),
-                            PyClosure(
-                                lambda i: VPi(
-                                    VPi(
-                                        aty,
-                                        PyClosure(
-                                            lambda b: VPi(
-                                                ev.apply_many(fam.axioms, a, i, b),
-                                                constant_family(VCoverApp(fam, b)),
-                                            )
-                                        ),
-                                    ),
-                                    PyClosure(
-                                        lambda r: VPi(
-                                            VPi(
-                                                aty,
-                                                PyClosure(
-                                                    lambda b: VPi(
-                                                        ev.apply_many(fam.axioms, a, i, b),
-                                                        PyClosure(
-                                                            lambda s: ev.apply_many(
-                                                                motive,
-                                                                b,
-                                                                ev.apply_many(r, b, s),
-                                                            )
-                                                        ),
-                                                    )
-                                                ),
-                                            ),
-                                            PyClosure(
-                                                lambda h: ev.apply_many(
-                                                    motive, a, VTr(a, i, r)
-                                                )
-                                            ),
-                                        )
-                                    ),
-                                )
-                            ),
-                        )
-                    ),
-                )
-                return (m_ty, q1_ty, q2_ty), self.apply_many(motive, cur.elem, scrut)
-        raise KernelBug(f"readback: unhandled frame {type(frame).__name__}")
+        elim = _TERM_OF[type(frame)]
+        m_ty = self.motive_type(elim, cur)
+        if m_ty is None:
+            raise KernelBug(f"readback: {elim.__name__} at {type(cur).__name__}")
+        motive = frame.motive
+        types = (m_ty, *self.case_types(cur, motive))
+        if isinstance(frame, FJ):
+            # J records its endpoints
+            result = self.apply_many(motive, frame.lhs, frame.rhs, scrut)
+            return types + (cur.type, cur.type), result
+        if isinstance(cur, _APPLIED):
+            return types, self.apply_many(motive, cur.idx, scrut)
+        return types, self.apply(motive, scrut)
 
     # -- readback ------------------------------------------------------------
 
@@ -1033,10 +836,12 @@ class Evaluator:
                 return T.Star()
         if isinstance(v, VNeutral):
             return self.readback_neutral(v, depth)
-        types = self.value_fields(v, ty)
-        if types is None:
+        intro = _INTRO_OF.get(type(v))
+        if not inhabits(intro, ty):
             raise KernelBug(f"readback: {type(v).__name__} at type {type(ty).__name__}")
-        return self._readback_fields(v, types, depth)
+        vals = _fields(v)
+        types = (self.value_field(intro, ty, vals, k) for k in range(len(vals)))
+        return intro(*map(self.readback, vals, types, repeat(depth)))
 
     def readback_type(self, v: Value, depth: int) -> Term:
         match v:
@@ -1050,14 +855,12 @@ class Evaluator:
                 )
             case VNeutral():
                 return self.readback_neutral(v, depth)
-        types = self.type_fields(v)
-        if types is None:
+        former = _FORMER_OF.get(type(v))
+        if former is None:
             raise KernelBug(f"readback_type: not a type value: {type(v).__name__}")
-        return self._readback_fields(v, types, depth)
-
-    def _readback_fields(self, v, types, depth: int) -> Term:
-        args = [self.readback(x, t, depth) for x, t in zip(_fields(v), types)]
-        return _TERM_OF[type(v)](*args)
+        vals = _fields(v)
+        types = (self.type_field(former, vals, k) for k in range(len(vals)))
+        return former(*map(self.readback, vals, types, repeat(depth)))
 
     def readback_neutral(self, v: VNeutral, depth: int) -> Term:
         head = v.head
@@ -1073,11 +876,8 @@ class Evaluator:
             args = [self.readback(x, t, depth) for x, t in zip(_fields(frame), types)]
             # the indexed eliminators also record the scrutinee's index,
             # which comes from its type, not from the frame
-            match frame:
-                case FDWElim() | FWPElim():
-                    args.append(self.readback(cur.idx, cur.fam.index, depth))
-                case FCoverElim():
-                    args.append(self.readback(cur.elem, cur.fam.carrier, depth))
+            if isinstance(frame, (FDWElim, FWPElim, FCoverElim)):
+                args += [self.readback(x, t, depth) for x, t in type_index(cur)]
             if isinstance(frame, FApp):
                 acc = T.App(acc, *args)
             else:
@@ -1139,10 +939,15 @@ class Evaluator:
             return both and self.conv_neutral(a, b, depth)
         if type(a) is not type(b):
             return False
-        types = self.value_fields(a, ty)
-        if types is None:
+        intro = _INTRO_OF.get(type(a))
+        if not inhabits(intro, ty):
             raise KernelBug(f"conv: {type(a).__name__} at type {type(ty).__name__}")
-        return self._conv_fields(a, b, types, depth)
+        fa, fb = _fields(a), _fields(b)
+        for k, x in enumerate(fa):
+            # field k's type is computed only once fields 0..k-1 are equal
+            if not self.conv(x, fb[k], self.value_field(intro, ty, fa, k), depth):
+                return False
+        return True
 
     def conv_type(self, a: Value, b: Value, depth: int) -> bool:
         """Whether the types ``a`` and ``b`` read back to the same term."""
@@ -1162,10 +967,14 @@ class Evaluator:
                 return self.conv_neutral(a, b, depth)
         if type(a) is not type(b):
             return False
-        types = self.type_fields(a)
-        if types is None:
+        former = _FORMER_OF.get(type(a))
+        if former is None:
             raise KernelBug(f"conv_type: not a type value: {type(a).__name__}")
-        return self._conv_fields(a, b, types, depth)
+        fa, fb = _fields(a), _fields(b)
+        for k, x in enumerate(fa):
+            if not self.conv(x, fb[k], self.type_field(former, fa, k), depth):
+                return False
+        return True
 
     def conv_neutral(self, a: VNeutral, b: VNeutral, depth: int) -> bool:
         """Same head, same spine length, then the frames in order.  Frames
@@ -1186,16 +995,11 @@ class Evaluator:
         cur = ha.type
         for k in range(last + 1):
             types, result = self.frame_types(cur, VNeutral(ha, fa[:k]), fa[k])
-            if not self._conv_fields(fa[k], fb[k], types, depth):
+            if not all(map(self.conv, _fields(fa[k]), _fields(fb[k]), types, repeat(depth))):
                 return False
             cur = result
         return True
 
-    def _conv_fields(self, a, b, types, depth: int) -> bool:
-        for x, y, t in zip(_fields(a), _fields(b), types):
-            if not self.conv(x, y, t, depth):
-                return False
-        return True
 
 
 def _fields(x) -> list:
@@ -1228,10 +1032,9 @@ def _same_frame(f1, f2) -> bool:
     return f1 is f2 or all(map(operator.is_, _fields(f1), _fields(f2)))
 
 
-# value, type former or frame class -> the term class it reads back to
-_TERM_OF = {
-    VPi: T.Pi,
-    VSigma: T.Sigma,
+# type former, applied family and canonical value classes -> the term
+# class they read back to
+_FORMER_OF = {
     VEmpty: T.Empty,
     VUnit: T.Unit,
     VSum: T.Sum,
@@ -1243,6 +1046,8 @@ _TERM_OF = {
     VDWApp: T.App,
     VWPApp: T.App,
     VCoverApp: T.App,
+}
+_INTRO_OF = {
     VPair: T.Pair,
     VStar: T.Star,
     VInl: T.Inl,
@@ -1253,6 +1058,16 @@ _TERM_OF = {
     VInd: T.Ind,
     VRf: T.Rf,
     VTr: T.Tr,
+}
+_VALUE_OF = {term: value for value, term in _INTRO_OF.items()}
+_ARITY = {term: len(T.CHILDREN[term]) for term in _VALUE_OF}
+
+# value, type former or frame class -> the term class it reads back to
+_TERM_OF = {
+    VPi: T.Pi,
+    VSigma: T.Sigma,
+    **_FORMER_OF,
+    **_INTRO_OF,
     FProj1: T.Proj1,
     FProj2: T.Proj2,
     FSigElim: T.SigElim,
@@ -1265,3 +1080,51 @@ _TERM_OF = {
     FWPElim: T.WPElim,
     FCoverElim: T.CoverElim,
 }
+
+
+# type class -> its eliminator and its introductions, as term classes
+_ELIMINATOR = {
+    VSigma: T.SigElim,
+    VSum: T.SumElim,
+    VUnit: T.UnitElim,
+    VEmpty: T.EmptyElim,
+    VId: T.J,
+    VW: T.WElim,
+    VDWApp: T.DWElim,
+    VWPApp: T.WPElim,
+    VCoverApp: T.CoverElim,
+}
+_INTROS = {
+    VSigma: (T.Pair,),
+    VSum: (T.Inl, T.Inr),
+    VUnit: (T.Star,),
+    VEmpty: (),
+    VId: (T.Refl,),
+    VW: (T.Sup,),
+    VDWApp: (T.DSup,),
+    VWPApp: (T.Ind,),
+    VCoverApp: (T.Rf, T.Tr),
+}
+# introductions whose last field is a function to subtrees
+_TREES = (T.Sup, T.DSup, T.Ind, T.Tr)
+_APPLIED = (VDWApp, VWPApp, VCoverApp)
+
+
+def inhabits(intro, ty: Value) -> bool:
+    """Whether a value introduced by ``intro`` can have type ``ty``."""
+    return intro in _INTROS.get(type(ty), ())
+
+
+def type_index(ty: Value) -> tuple:
+    """The indices of ``ty``, each with its type: the endpoints of an
+    identity type, the index of an applied family, none for other types."""
+    if isinstance(ty, _APPLIED):
+        return ((ty.idx, ty.fam.index),)
+    if isinstance(ty, VId):
+        return (ty.lhs, ty.type), (ty.rhs, ty.type)
+    return ()
+
+
+def _predicates(ty: Value) -> Value:
+    """The type ``ty -> U0``."""
+    return VPi(ty, constant_family(V_U0))

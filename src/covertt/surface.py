@@ -17,7 +17,9 @@ rebuild every right side once per arrow that encloses it.
 The pretty-printer emits text that re-parses to a structurally equal term,
 with deterministic fresh names ``x0, x1, ...`` indexed by binder depth.  It
 prints a non-dependent body under the same kind of anonymous binder, which
-takes no name, instead of strengthening the body first.
+takes no name, instead of strengthening the body first.  An annotation on
+the left of a non-dependent ``->`` or ``*``, or on the right of a ``*``,
+gets a second pair of parentheses, since ``( x : T ) -> B`` is a binder.
 """
 
 from __future__ import annotations
@@ -512,18 +514,21 @@ def _emit(t: Term, scope: list, named: int, prec: int, out: list) -> None:
             level, op, head, body = 1, " * ", t.fst, t.snd
         if prec > level:
             out.append("(")
+        # the right side of a product is followed by ``->`` when the product
+        # is the left side of a non-dependent arrow
+        emit_body = _emit_operand if cls is T.Sigma else _emit
         if T.free_in(body, 0):
             name = f"x{named}"
             out.append(f"({name} : ")
             _emit(head, scope, named, 0, out)
             out.append(")" + op)
             scope.append(name)
-            _emit(body, scope, named + 1, level, out)
+            emit_body(body, scope, named + 1, level, out)
         else:
-            _emit(head, scope, named, level + 1, out)
+            _emit_operand(head, scope, named, level + 1, out)
             out.append(op)
             scope.append(None)
-            _emit(body, scope, named, level, out)
+            emit_body(body, scope, named, level, out)
         scope.pop()
         if prec > level:
             out.append(")")
@@ -548,6 +553,17 @@ def _emit(t: Term, scope: list, named: int, prec: int, out: list) -> None:
         _emit(getattr(t, name), scope, named, 3, out)
     if prec > 2:
         out.append(")")
+
+
+def _emit_operand(t: Term, scope: list, named: int, prec: int, out: list) -> None:
+    """An operand that ``->`` or ``*`` may follow: an annotation gets a
+    second pair of parentheses, since ``( x : T ) ->`` is a binder."""
+    if type(t) is T.Ann:
+        out.append("(")
+        _emit(t, scope, named, prec, out)
+        out.append(")")
+    else:
+        _emit(t, scope, named, prec, out)
 
 
 def pretty_declaration(d: Declaration) -> str:

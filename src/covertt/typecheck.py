@@ -1,11 +1,25 @@
 """Bidirectional type checking.
 
 Introduction forms check against their formers, eliminations and variables
-infer, and every equality side-condition goes through conversion: both sides
-are evaluated and the values compared directly under the active flags
-(``Evaluator.conv``), with readback used only to print terms.  Eliminator motives are explicit
-arguments and may land either in the universe of small types or in the large
-classification, which is what lets predicates be defined by recursion.
+infer, and every equality side-condition goes through conversion: both
+sides are evaluated and the values compared directly under the active
+flags (``Evaluator.conv``), with readback used only to print terms.
+Eliminator motives are explicit arguments and may land either in the
+universe of small types or in the large classification, which is what lets
+predicates be defined by recursion.
+
+The checker builds no types of its own.  The field types of every
+formation, introduction and elimination come from the rules of
+``semantics.Evaluator``, which readback and conversion read too.  A
+formation or introduction checks its fields in order, each against the
+type the rule computes from the fields before it, and evaluates a field
+only when a later field's type reads it.  What only the checker needs stays
+here: the rejection messages, the index checks, and the order in which an
+eliminator's scrutinee, index, motive and cases are checked.
+
+Each declaration (``check_declarations``) and each ``normalize``,
+``convertible`` or ``infer_type`` call gets the evaluator's whole step
+budget.
 
 Each ``Checker`` remembers, in ``family_types``, the type it inferred for
 every closed formation of ``W``, ``DW``, ``WP`` or ``Cover``: one with no
@@ -31,13 +45,8 @@ from . import semantics as S
 from .semantics import (
     Evaluator,
     GlobalEntry,
-    PyClosure,
-    V_ANY,
     V_TYPE,
     V_U0,
-    VCover,
-    VCoverApp,
-    VDW,
     VDWApp,
     VEmpty,
     VId,
@@ -45,15 +54,45 @@ from .semantics import (
     VPi,
     VSigma,
     VSort,
-    VSum,
     VUnit,
     VW,
-    VWP,
     VWPApp,
     Value,
-    constant_family,
     fresh,
 )
+
+# term class -> the rejection of an eliminator's scrutinee type, of an
+# introduction's target type, and of either's index
+WRONG_SCRUTINEE = {
+    T.SigElim: "split scrutinee is not a pair",
+    T.SumElim: "case scrutinee is not a sum",
+    T.WElim: "elimW scrutinee is not a W-type element",
+    T.DWElim: "elimDW scrutinee is not a dependent tree",
+    T.WPElim: "elimWP scrutinee is not a derivation",
+    T.CoverElim: "elimCover scrutinee is not a cover proof",
+}
+WRONG_TARGET = {
+    T.Lam: "lambda checked against a non-function type",
+    T.Pair: "pair checked against a non-pair type",
+    T.Inl: "injection checked against a non-sum type",
+    T.Inr: "injection checked against a non-sum type",
+    T.Refl: "refl checked against a non-identity type",
+    T.Sup: "sup checked against a non-W type",
+    T.DSup: "dsup checked against a non-DW type",
+    T.Ind: "ind checked against a non-WP type",
+    T.Rf: "rf checked against a non-cover type",
+    T.Tr: "tr checked against a non-cover type",
+}
+WRONG_INDEX = {
+    T.DWElim: "elimDW index does not match the scrutinee's index",
+    T.WPElim: "elimWP index does not match the scrutinee's index",
+    T.CoverElim: "elimCover element does not match the scrutinee's element",
+    T.Refl: "refl endpoint differs from the identity type's endpoints",
+    T.DSup: "dsup index differs from the family index",
+    T.Ind: "ind index differs from the family index",
+    T.Rf: "rf element differs from the cover's element",
+    T.Tr: "tr element differs from the cover's element",
+}
 
 
 @dataclass
@@ -154,11 +193,29 @@ class Context:
         return len(self.env)
 
 
+def _term_fields(t: Term) -> list:
+    return [getattr(t, name) for name, _ in T.CHILDREN[type(t)]]
+
+
+class _Values(dict):
+    """The values of a term's fields, ``vals[k]``, each evaluated when it
+    is first read.  A rule reads only fields that are already checked, so
+    a field no later field's type depends on is never evaluated."""
+
+    def __init__(self, checker: "Checker", ctx: "Context", t: Term):
+        super().__init__()
+        self.checker, self.ctx, self.terms = checker, ctx, _term_fields(t)
+
+    def __missing__(self, k: int) -> Value:
+        v = self[k] = self.checker.eval_in(self.ctx, self.terms[k])
+        return v
+
+
 class Checker:
-    def __init__(self, flags: Flags = Flags(), globals_env=None, step_limit: int = 2_000_000):
+    def __init__(self, flags: Flags = Flags(), globals_env=None):
         self.flags = flags
         self.globals = {} if globals_env is None else globals_env
-        self.ev = Evaluator(self.globals, flags, step_limit)
+        self.ev = Evaluator(self.globals, flags)
         if flags.funext and FUNEXT_NAME not in self.globals:
             ty = funext_type()
             tyv = self.ev.eval((), ty)
@@ -240,26 +297,13 @@ class Checker:
                 return V_U0
             case T.Star():
                 return VUnit()
-            case T.Pi(dom, cod):
+            case T.Pi(dom, cod) | T.Sigma(dom, cod):
                 s1 = self.ensure_type(ctx, dom)
                 ctx2 = ctx.extend("_", self.eval_in(ctx, dom))
                 s2 = self.ensure_type(ctx2, cod)
                 return V_U0 if (s1 == V_U0 and s2 == V_U0) else V_TYPE
-            case T.Sigma(fst, snd):
-                s1 = self.ensure_type(ctx, fst)
-                ctx2 = ctx.extend("_", self.eval_in(ctx, fst))
-                s2 = self.ensure_type(ctx2, snd)
-                return V_U0 if (s1 == V_U0 and s2 == V_U0) else V_TYPE
-            case T.Sum(l, r):
-                self.check(ctx, l, V_U0)
-                self.check(ctx, r, V_U0)
-                return V_U0
-            case T.Id(ty, a, b):
-                self.check(ctx, ty, V_U0)
-                tyv = self.eval_in(ctx, ty)
-                self.check(ctx, a, tyv)
-                self.check(ctx, b, tyv)
-                return V_U0
+            case T.Sum() | T.Id():
+                return self.infer_formation(ctx, t)
             case T.W() | T.DW() | T.WP() | T.Cover():
                 if not T.closed(t):
                     return self.infer_family(ctx, t)
@@ -290,201 +334,11 @@ class Checker:
                         found=self.norm_type(ctx, pty),
                     )
                 return self.ev.apply_clo(pty.snd, self.ev.proj1(self.eval_in(ctx, p)))
-            case T.SigElim(m, c, s):
-                sty = self.infer(ctx, s)
-                if not isinstance(sty, VSigma):
-                    self.fail(
-                        "mismatch",
-                        "split scrutinee is not a pair",
-                        found=self.norm_type(ctx, sty),
-                    )
-                mv = self.check_motive(ctx, m, VPi(sty, constant_family(V_ANY)))
-                case_ty = VPi(
-                    sty.fst,
-                    PyClosure(
-                        lambda a: VPi(
-                            self.ev.apply_clo(sty.snd, a),
-                            PyClosure(lambda b: self.ev.apply(mv, S.VPair(a, b))),
-                        )
-                    ),
-                )
-                self.check(ctx, c, case_ty)
-                return self.ev.apply(mv, self.eval_in(ctx, s))
-            case T.SumElim(m, cl, cr, s):
-                sty = self.infer(ctx, s)
-                if not isinstance(sty, VSum):
-                    self.fail(
-                        "mismatch",
-                        "case scrutinee is not a sum",
-                        found=self.norm_type(ctx, sty),
-                    )
-                mv = self.check_motive(ctx, m, VPi(sty, constant_family(V_ANY)))
-                self.check(
-                    ctx,
-                    cl,
-                    VPi(sty.left, PyClosure(lambda x: self.ev.apply(mv, S.VInl(x)))),
-                )
-                self.check(
-                    ctx,
-                    cr,
-                    VPi(sty.right, PyClosure(lambda x: self.ev.apply(mv, S.VInr(x)))),
-                )
-                return self.ev.apply(mv, self.eval_in(ctx, s))
-            case T.UnitElim(m, c, s):
-                self.check(ctx, s, VUnit())
-                mv = self.check_motive(ctx, m, VPi(VUnit(), constant_family(V_ANY)))
-                self.check(ctx, c, self.ev.apply(mv, S.VStar()))
-                return self.ev.apply(mv, self.eval_in(ctx, s))
-            case T.EmptyElim(m, s):
-                self.check(ctx, s, VEmpty())
-                mv = self.check_motive(ctx, m, VPi(VEmpty(), constant_family(V_ANY)))
-                return self.ev.apply(mv, self.eval_in(ctx, s))
-            case T.J(m, d, a, b, p):
-                aty = self.infer_id_type(ctx, a, b, p)
-                av = self.eval_in(ctx, a)
-                bv = self.eval_in(ctx, b)
-                m_ty = VPi(
-                    aty,
-                    PyClosure(
-                        lambda x: VPi(
-                            aty,
-                            PyClosure(
-                                lambda y: VPi(VId(aty, x, y), constant_family(V_ANY))
-                            ),
-                        )
-                    ),
-                )
-                mv = self.check_motive(ctx, m, m_ty)
-                d_ty = VPi(
-                    aty,
-                    PyClosure(lambda x: self.ev.apply_many(mv, x, x, S.VRefl(x))),
-                )
-                self.check(ctx, d, d_ty)
-                return self.ev.apply_many(mv, av, bv, self.eval_in(ctx, p))
-            case T.WElim(m, d, s):
-                sty = self.infer(ctx, s)
-                if not isinstance(sty, VW):
-                    self.fail(
-                        "mismatch",
-                        "elimW scrutinee is not a W-type element",
-                        found=self.norm_type(ctx, sty),
-                    )
-                mv = self.check_motive(ctx, m, VPi(sty, constant_family(V_ANY)))
-                ev = self.ev
-                a_ty, b_fam, w_ty = sty.label, sty.branch, sty
-                step_ty = VPi(
-                    a_ty,
-                    PyClosure(
-                        lambda a: VPi(
-                            VPi(ev.apply(b_fam, a), constant_family(w_ty)),
-                            PyClosure(
-                                lambda f: VPi(
-                                    VPi(
-                                        ev.apply(b_fam, a),
-                                        PyClosure(
-                                            lambda b: ev.apply(mv, ev.apply(f, b))
-                                        ),
-                                    ),
-                                    PyClosure(lambda h: ev.apply(mv, S.VSup(a, f))),
-                                )
-                            ),
-                        )
-                    ),
-                )
-                self.check(ctx, d, step_ty)
-                return self.ev.apply(mv, self.eval_in(ctx, s))
-            case T.DWElim(m, d, i, s):
-                sty = self.infer(ctx, s)
-                if not isinstance(sty, VDWApp):
-                    self.fail(
-                        "mismatch",
-                        "elimDW scrutinee is not a dependent tree",
-                        found=self.norm_type(ctx, sty),
-                    )
-                fam = sty.fam
-                self.check(ctx, i, fam.index)
-                iv = self.eval_in(ctx, i)
-                if not self.values_equal(ctx, iv, sty.idx, fam.index):
-                    self.fail(
-                        "mismatch",
-                        "elimDW index does not match the scrutinee's index",
-                        expected=self.norm(ctx, sty.idx, fam.index),
-                        found=self.norm(ctx, iv, fam.index),
-                    )
-                mv = self.check_motive(
-                    ctx,
-                    m,
-                    VPi(
-                        fam.index,
-                        PyClosure(
-                            lambda x: VPi(VDWApp(fam, x), constant_family(V_ANY))
-                        ),
-                    ),
-                )
-                self.check(ctx, d, self.dw_step_type(fam, mv))
-                return self.ev.apply_many(mv, iv, self.eval_in(ctx, s))
-            case T.WPElim(m, c, i, s):
-                sty = self.infer(ctx, s)
-                if not isinstance(sty, VWPApp):
-                    self.fail(
-                        "mismatch",
-                        "elimWP scrutinee is not a derivation",
-                        found=self.norm_type(ctx, sty),
-                    )
-                fam = sty.fam
-                self.check(ctx, i, fam.index)
-                iv = self.eval_in(ctx, i)
-                if not self.values_equal(ctx, iv, sty.idx, fam.index):
-                    self.fail(
-                        "mismatch",
-                        "elimWP index does not match the scrutinee's index",
-                        expected=self.norm(ctx, sty.idx, fam.index),
-                        found=self.norm(ctx, iv, fam.index),
-                    )
-                mv = self.check_motive(
-                    ctx,
-                    m,
-                    VPi(
-                        fam.index,
-                        PyClosure(
-                            lambda x: VPi(VWPApp(fam, x), constant_family(V_ANY))
-                        ),
-                    ),
-                )
-                self.check(ctx, c, self.wp_step_type(fam, mv))
-                return self.ev.apply_many(mv, iv, self.eval_in(ctx, s))
-            case T.CoverElim(m, q1, q2, a, s):
-                sty = self.infer(ctx, s)
-                if not isinstance(sty, VCoverApp):
-                    self.fail(
-                        "mismatch",
-                        "elimCover scrutinee is not a cover proof",
-                        found=self.norm_type(ctx, sty),
-                    )
-                fam = sty.fam
-                self.check(ctx, a, fam.carrier)
-                av = self.eval_in(ctx, a)
-                if not self.values_equal(ctx, av, sty.elem, fam.carrier):
-                    self.fail(
-                        "mismatch",
-                        "elimCover element does not match the scrutinee's element",
-                        expected=self.norm(ctx, sty.elem, fam.carrier),
-                        found=self.norm(ctx, av, fam.carrier),
-                    )
-                mv = self.check_motive(
-                    ctx,
-                    m,
-                    VPi(
-                        fam.carrier,
-                        PyClosure(
-                            lambda x: VPi(VCoverApp(fam, x), constant_family(V_ANY))
-                        ),
-                    ),
-                )
-                q1_ty, q2_ty = self.cover_case_types(fam, mv)
-                self.check(ctx, q1, q1_ty)
-                self.check(ctx, q2, q2_ty)
-                return self.ev.apply_many(mv, av, self.eval_in(ctx, s))
+            case (
+                T.SigElim() | T.SumElim() | T.UnitElim() | T.EmptyElim() | T.J()
+                | T.WElim() | T.DWElim() | T.WPElim() | T.CoverElim()
+            ):
+                return self.infer_elim(ctx, t)
             case T.Sup(a, f):
                 # best-effort inference through the branch function
                 cod = self._nondependent_codomain(ctx, f, 1)
@@ -518,76 +372,61 @@ class Checker:
                 self.fail("mismatch", "cover introductions are not inferable")
         raise S.KernelBug(f"infer: unhandled term {type(t).__name__}")
 
+    def infer_formation(self, ctx: Context, t: Term) -> Value:
+        """Formation of ``Sum``, ``Id``, a W type or a DW, WP or Cover family:
+        each field is checked against the formation rule."""
+        former = type(t)
+        vals = _Values(self, ctx, t)
+        for k, field in enumerate(vals.terms):
+            self.check(ctx, field, self.ev.type_field(former, vals, k))
+        return self.ev.formation_type(former, vals)
+
     def infer_family(self, ctx: Context, t: Term) -> Value:
         """Formation of a W type or of a DW, WP or Cover family."""
-        match t:
-            case T.W(a, b):
-                self.check(ctx, a, V_U0)
-                av = self.eval_in(ctx, a)
-                self.check(ctx, b, VPi(av, constant_family(V_U0)))
-                return V_U0
-            case T.DW(i, n, br, ar):
-                self.check(ctx, i, V_U0)
-                iv = self.eval_in(ctx, i)
-                self.check(ctx, n, VPi(iv, constant_family(V_U0)))
-                nv = self.eval_in(ctx, n)
-                br_ty = VPi(
-                    iv,
-                    PyClosure(
-                        lambda x: VPi(self.ev.apply(nv, x), constant_family(V_U0))
-                    ),
-                )
-                self.check(ctx, br, br_ty)
-                brv = self.eval_in(ctx, br)
-                ar_ty = VPi(
-                    iv,
-                    PyClosure(
-                        lambda x: VPi(
-                            self.ev.apply(nv, x),
-                            PyClosure(
-                                lambda y: VPi(
-                                    self.ev.apply_many(brv, x, y), constant_family(iv)
-                                )
-                            ),
-                        )
-                    ),
-                )
-                self.check(ctx, ar, ar_ty)
-                return VPi(iv, constant_family(V_U0))
-            case T.WP(i, n, r):
-                self.check(ctx, i, V_U0)
-                iv = self.eval_in(ctx, i)
-                self.check(ctx, n, VPi(iv, constant_family(V_U0)))
-                nv = self.eval_in(ctx, n)
-                r_ty = VPi(
-                    iv,
-                    PyClosure(
-                        lambda x: VPi(
-                            self.ev.apply(nv, x),
-                            constant_family(VPi(iv, constant_family(V_U0))),
-                        )
-                    ),
-                )
-                self.check(ctx, r, r_ty)
-                return VPi(iv, constant_family(V_U0))
-            case T.Cover(a, ifam, cfam, v):
-                self.check(ctx, a, V_U0)
-                av = self.eval_in(ctx, a)
-                self.check(ctx, ifam, VPi(av, constant_family(V_U0)))
-                ifv = self.eval_in(ctx, ifam)
-                c_ty = VPi(
-                    av,
-                    PyClosure(
-                        lambda x: VPi(
-                            self.ev.apply(ifv, x),
-                            constant_family(VPi(av, constant_family(V_U0))),
-                        )
-                    ),
-                )
-                self.check(ctx, cfam, c_ty)
-                self.check(ctx, v, VPi(av, constant_family(V_U0)))
-                return VPi(av, constant_family(V_U0))
-        raise S.KernelBug(f"infer_family: not a family former: {type(t).__name__}")
+        return self.infer_formation(ctx, t)
+
+    def infer_elim(self, ctx: Context, t: Term) -> Value:
+        """Elimination with an explicit motive: the scrutinee's type gives the
+        motive's type, the motive the cases' types, and the result is the
+        motive at the scrutinee's indices and the scrutinee."""
+        elim = type(t)
+        m, *cases, s = _term_fields(t)
+        index = []
+        if elim is T.J:
+            *cases, a, b = cases
+            aty = self.infer_id_type(ctx, a, b, s)
+            index = [self.eval_in(ctx, a), self.eval_in(ctx, b)]
+            sty = VId(aty, *index)
+        elif elim in (T.UnitElim, T.EmptyElim):
+            sty = VUnit() if elim is T.UnitElim else VEmpty()
+            self.check(ctx, s, sty)
+        else:
+            sty = self.infer(ctx, s)
+        m_ty = self.ev.motive_type(elim, sty)
+        if m_ty is None:
+            self.fail("mismatch", WRONG_SCRUTINEE[elim], found=self.norm_type(ctx, sty))
+        if elim in (T.DWElim, T.WPElim, T.CoverElim):
+            *cases, i = cases
+            self.check(ctx, i, sty.fam.index)
+            index = [self.eval_in(ctx, i)]
+            self.check_index(ctx, index[0], elim, sty)
+        mv = self.check_motive(ctx, m, m_ty)
+        for c, c_ty in zip(cases, self.ev.case_types(sty, mv)):
+            self.check(ctx, c, c_ty)
+        return self.ev.apply_many(mv, *index, self.eval_in(ctx, s))
+
+    def check_index(self, ctx: Context, iv: Value, form, ty: Value):
+        """Check that the value ``iv`` is each of ``ty``'s indices (the index
+        of an applied family, both endpoints of an identity type)."""
+        index = S.type_index(ty)
+        if not all(self.values_equal(ctx, iv, x, ity) for x, ity in index):
+            want, ity = index[0]
+            self.fail(
+                "mismatch",
+                WRONG_INDEX[form],
+                expected=self.norm(ctx, want, ity),
+                found=self.norm(ctx, iv, ity),
+            )
 
     def _nondependent_codomain(self, ctx: Context, f: Term, arity: int):
         """Codomain of ``f``'s type after ``arity`` arguments, provided it does
@@ -621,144 +460,6 @@ class Checker:
         )
         return aty
 
-    def dw_step_type(self, fam: VDW, mv: Value) -> Value:
-        ev = self.ev
-        return VPi(
-            fam.index,
-            PyClosure(
-                lambda i: VPi(
-                    ev.apply(fam.names, i),
-                    PyClosure(
-                        lambda n: VPi(
-                            VPi(
-                                ev.apply_many(fam.branch, i, n),
-                                PyClosure(
-                                    lambda b: VDWApp(
-                                        fam, ev.apply_many(fam.arity, i, n, b)
-                                    )
-                                ),
-                            ),
-                            PyClosure(
-                                lambda f: VPi(
-                                    VPi(
-                                        ev.apply_many(fam.branch, i, n),
-                                        PyClosure(
-                                            lambda b: ev.apply_many(
-                                                mv,
-                                                ev.apply_many(fam.arity, i, n, b),
-                                                ev.apply(f, b),
-                                            )
-                                        ),
-                                    ),
-                                    PyClosure(
-                                        lambda h: ev.apply_many(mv, i, S.VDSup(i, n, f))
-                                    ),
-                                )
-                            ),
-                        )
-                    ),
-                )
-            ),
-        )
-
-    def wp_step_type(self, fam: VWP, mv: Value) -> Value:
-        ev = self.ev
-        return VPi(
-            fam.index,
-            PyClosure(
-                lambda i: VPi(
-                    ev.apply(fam.names, i),
-                    PyClosure(
-                        lambda n: VPi(
-                            VPi(
-                                fam.index,
-                                PyClosure(
-                                    lambda j: VPi(
-                                        ev.apply_many(fam.rules, i, n, j),
-                                        constant_family(VWPApp(fam, j)),
-                                    )
-                                ),
-                            ),
-                            PyClosure(
-                                lambda f: VPi(
-                                    VPi(
-                                        fam.index,
-                                        PyClosure(
-                                            lambda j: VPi(
-                                                ev.apply_many(fam.rules, i, n, j),
-                                                PyClosure(
-                                                    lambda r: ev.apply_many(
-                                                        mv, j, ev.apply_many(f, j, r)
-                                                    )
-                                                ),
-                                            )
-                                        ),
-                                    ),
-                                    PyClosure(
-                                        lambda h: ev.apply_many(mv, i, S.VInd(i, n, f))
-                                    ),
-                                )
-                            ),
-                        )
-                    ),
-                )
-            ),
-        )
-
-    def cover_case_types(self, fam: VCover, mv: Value):
-        ev = self.ev
-        q1_ty = VPi(
-            fam.carrier,
-            PyClosure(
-                lambda a: VPi(
-                    ev.apply(fam.subset, a),
-                    PyClosure(lambda r: ev.apply_many(mv, a, S.VRf(a, r))),
-                )
-            ),
-        )
-        q2_ty = VPi(
-            fam.carrier,
-            PyClosure(
-                lambda a: VPi(
-                    ev.apply(fam.labels, a),
-                    PyClosure(
-                        lambda i: VPi(
-                            VPi(
-                                fam.carrier,
-                                PyClosure(
-                                    lambda b: VPi(
-                                        ev.apply_many(fam.axioms, a, i, b),
-                                        constant_family(VCoverApp(fam, b)),
-                                    )
-                                ),
-                            ),
-                            PyClosure(
-                                lambda r: VPi(
-                                    VPi(
-                                        fam.carrier,
-                                        PyClosure(
-                                            lambda b: VPi(
-                                                ev.apply_many(fam.axioms, a, i, b),
-                                                PyClosure(
-                                                    lambda s: ev.apply_many(
-                                                        mv, b, ev.apply_many(r, b, s)
-                                                    )
-                                                ),
-                                            )
-                                        ),
-                                    ),
-                                    PyClosure(
-                                        lambda h: ev.apply_many(mv, a, S.VTr(a, i, r))
-                                    ),
-                                )
-                            ),
-                        )
-                    ),
-                )
-            ),
-        )
-        return q1_ty, q2_ty
-
     def check_motive(self, ctx: Context, m: Term, m_ty: Value) -> Value:
         try:
             self.check(ctx, m, m_ty)
@@ -778,10 +479,7 @@ class Checker:
 
     def check(self, ctx: Context, t: Term, ty: Value):
         match (t, ty):
-            case (_, VSort("any")):
-                self.ensure_type(ctx, t)
-                return
-            case (_, VSort("type")):
+            case (_, VSort("any")) | (_, VSort("type")):
                 self.ensure_type(ctx, t)
                 return
             case (_, VSort("u0")):
@@ -799,169 +497,11 @@ class Checker:
                     ctx.extend("x", dom), body, self.ev.apply_clo(cod, var)
                 )
                 return
-            case (T.Lam(_), _):
-                self.fail(
-                    "mismatch",
-                    "lambda checked against a non-function type",
-                    expected=self.norm_type(ctx, ty),
-                )
-            case (T.Pair(a, b), VSigma(dom, cod)):
-                self.check(ctx, a, dom)
-                self.check(ctx, b, self.ev.apply_clo(cod, self.eval_in(ctx, a)))
-                return
-            case (T.Pair(_, _), _):
-                self.fail(
-                    "mismatch",
-                    "pair checked against a non-pair type",
-                    expected=self.norm_type(ctx, ty),
-                )
-            case (T.Inl(x), VSum(l, _)):
-                self.check(ctx, x, l)
-                return
-            case (T.Inr(x), VSum(_, r)):
-                self.check(ctx, x, r)
-                return
-            case ((T.Inl(_) | T.Inr(_)), _):
-                self.fail(
-                    "mismatch",
-                    "injection checked against a non-sum type",
-                    expected=self.norm_type(ctx, ty),
-                )
             case (T.Star(), VUnit()):
                 return
-            case (T.Refl(x), VId(ity, lhs, rhs)):
-                self.check(ctx, x, ity)
-                xv = self.eval_in(ctx, x)
-                if not (
-                    self.values_equal(ctx, xv, lhs, ity)
-                    and self.values_equal(ctx, xv, rhs, ity)
-                ):
-                    self.fail(
-                        "mismatch",
-                        "refl endpoint differs from the identity type's endpoints",
-                        expected=self.norm(ctx, lhs, ity),
-                        found=self.norm(ctx, xv, ity),
-                    )
-                return
-            case (T.Refl(_), _):
-                self.fail(
-                    "mismatch",
-                    "refl checked against a non-identity type",
-                    expected=self.norm_type(ctx, ty),
-                )
-            case (T.Sup(a, f), VW(aty, bfam)):
-                self.check(ctx, a, aty)
-                av = self.eval_in(ctx, a)
-                self.check(ctx, f, VPi(self.ev.apply(bfam, av), constant_family(ty)))
-                return
-            case (T.Sup(_, _), _):
-                self.fail(
-                    "mismatch",
-                    "sup checked against a non-W type",
-                    expected=self.norm_type(ctx, ty),
-                )
-            case (T.DSup(i, n, f), VDWApp(fam, idx)):
-                self.check(ctx, i, fam.index)
-                iv = self.eval_in(ctx, i)
-                if not self.values_equal(ctx, iv, idx, fam.index):
-                    self.fail(
-                        "mismatch",
-                        "dsup index differs from the family index",
-                        expected=self.norm(ctx, idx, fam.index),
-                        found=self.norm(ctx, iv, fam.index),
-                    )
-                self.check(ctx, n, self.ev.apply(fam.names, iv))
-                nv = self.eval_in(ctx, n)
-                f_ty = VPi(
-                    self.ev.apply_many(fam.branch, iv, nv),
-                    PyClosure(
-                        lambda b: VDWApp(fam, self.ev.apply_many(fam.arity, iv, nv, b))
-                    ),
-                )
-                self.check(ctx, f, f_ty)
-                return
-            case (T.DSup(_, _, _), _):
-                self.fail(
-                    "mismatch",
-                    "dsup checked against a non-DW type",
-                    expected=self.norm_type(ctx, ty),
-                )
-            case (T.Ind(i, n, f), VWPApp(fam, idx)):
-                self.check(ctx, i, fam.index)
-                iv = self.eval_in(ctx, i)
-                if not self.values_equal(ctx, iv, idx, fam.index):
-                    self.fail(
-                        "mismatch",
-                        "ind index differs from the family index",
-                        expected=self.norm(ctx, idx, fam.index),
-                        found=self.norm(ctx, iv, fam.index),
-                    )
-                self.check(ctx, n, self.ev.apply(fam.names, iv))
-                nv = self.eval_in(ctx, n)
-                f_ty = VPi(
-                    fam.index,
-                    PyClosure(
-                        lambda j: VPi(
-                            self.ev.apply_many(fam.rules, iv, nv, j),
-                            constant_family(VWPApp(fam, j)),
-                        )
-                    ),
-                )
-                self.check(ctx, f, f_ty)
-                return
-            case (T.Ind(_, _, _), _):
-                self.fail(
-                    "mismatch",
-                    "ind checked against a non-WP type",
-                    expected=self.norm_type(ctx, ty),
-                )
-            case (T.Rf(a, r), VCoverApp(fam, elem)):
-                self.check(ctx, a, fam.carrier)
-                av = self.eval_in(ctx, a)
-                if not self.values_equal(ctx, av, elem, fam.carrier):
-                    self.fail(
-                        "mismatch",
-                        "rf element differs from the cover's element",
-                        expected=self.norm(ctx, elem, fam.carrier),
-                        found=self.norm(ctx, av, fam.carrier),
-                    )
-                self.check(ctx, r, self.ev.apply(fam.subset, av))
-                return
-            case (T.Rf(_, _), _):
-                self.fail(
-                    "mismatch",
-                    "rf checked against a non-cover type",
-                    expected=self.norm_type(ctx, ty),
-                )
-            case (T.Tr(a, i, f), VCoverApp(fam, elem)):
-                self.check(ctx, a, fam.carrier)
-                av = self.eval_in(ctx, a)
-                if not self.values_equal(ctx, av, elem, fam.carrier):
-                    self.fail(
-                        "mismatch",
-                        "tr element differs from the cover's element",
-                        expected=self.norm(ctx, elem, fam.carrier),
-                        found=self.norm(ctx, av, fam.carrier),
-                    )
-                self.check(ctx, i, self.ev.apply(fam.labels, av))
-                iv = self.eval_in(ctx, i)
-                f_ty = VPi(
-                    fam.carrier,
-                    PyClosure(
-                        lambda b: VPi(
-                            self.ev.apply_many(fam.axioms, av, iv, b),
-                            constant_family(VCoverApp(fam, b)),
-                        )
-                    ),
-                )
-                self.check(ctx, f, f_ty)
-                return
-            case (T.Tr(_, _, _), _):
-                self.fail(
-                    "mismatch",
-                    "tr checked against a non-cover type",
-                    expected=self.norm_type(ctx, ty),
-                )
+        if type(t) in WRONG_TARGET:
+            self.check_intro(ctx, t, ty)
+            return
         # fall through: infer and convert (sort-codomains subsume cumulatively)
         inferred = self.infer(ctx, t)
         if not self.subsumes(inferred, ty, ctx.depth):
@@ -971,6 +511,18 @@ class Checker:
                 expected=self.norm_type(ctx, ty),
                 found=self.norm_type(ctx, inferred),
             )
+
+    def check_intro(self, ctx: Context, t: Term, ty: Value):
+        """An introduction: the target type gives each field's type, and the
+        first field must be the target's index, if it has one."""
+        intro = type(t)
+        if not S.inhabits(intro, ty):
+            self.fail("mismatch", WRONG_TARGET[intro], expected=self.norm_type(ctx, ty))
+        vals = _Values(self, ctx, t)
+        for k, field in enumerate(vals.terms):
+            self.check(ctx, field, self.ev.value_field(intro, ty, vals, k))
+            if k == 0 and S.type_index(ty):
+                self.check_index(ctx, vals[0], intro, ty)
 
     def subsumes(self, got: Value, want: Value, depth: int) -> bool:
         """Type inclusion: exact conversion, except that a sort-valued codomain
@@ -997,16 +549,22 @@ class Checker:
 # --- declaration checking -----------------------------------------------------------
 
 
-def check_declarations(decls, flags: Flags = Flags(), globals_env=None, step_limit: int = 2_000_000):
+def check_declarations(decls, flags: Flags = Flags(), checker: Optional[Checker] = None) -> Checker:
     """Check a declaration sequence in order, extending the global environment.
 
-    Postulates are rejected except for the funext constant (requires the
-    funext flag and the canonical type).  Returns the final global env.
+    Each declaration gets the evaluator's full step budget.  The sequence
+    extends ``checker`` when one is given (``flags`` then goes unused),
+    else a new checker under ``flags``.  Postulates are rejected except for
+    the funext constant (requires the funext flag and the canonical type).
+    Returns the checker.
     """
-    checker = Checker(flags, globals_env, step_limit)
+    if checker is None:
+        checker = Checker(flags)
+    flags = checker.flags
     ctx = Context()
     for d in decls:
         checker.location = d.location
+        checker.ev.restart_budget()
         if d.name in checker.globals and not (
             d.name == FUNEXT_NAME and d.body is None
         ):
@@ -1044,6 +602,7 @@ def check_declarations(decls, flags: Flags = Flags(), globals_env=None, step_lim
 
 def infer_type(checker: Checker, t: Term) -> Term:
     """Infer ``t``'s type in the empty context over the checker's globals."""
+    checker.ev.restart_budget()
     ctx = Context()
     tyv = checker.infer(ctx, t)
     if isinstance(tyv, VSort):
@@ -1053,6 +612,7 @@ def infer_type(checker: Checker, t: Term) -> Term:
 
 def normalize(checker: Checker, t: Term) -> Term:
     """Normal form of a closed, well-typed term (flag-aware)."""
+    checker.ev.restart_budget()
     ctx = Context()
     tyv = checker.infer(ctx, t)
     if isinstance(tyv, VSort):
@@ -1062,6 +622,7 @@ def normalize(checker: Checker, t: Term) -> Term:
 
 def convertible(checker: Checker, ty: Term, t: Term, u: Term, ctx: Optional[Context] = None) -> bool:
     """Whether ``t`` and ``u`` are judgmentally equal at type ``ty``."""
+    checker.ev.restart_budget()
     if ctx is None:
         ctx = Context()
     checker.ensure_type(ctx, ty)

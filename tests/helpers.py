@@ -205,6 +205,12 @@ def tokenize_oracle(src: str) -> list[tuple[str, str, int, int]]:
     return toks
 
 
+def _paren_ann(t, text: str) -> str:
+    """An operand that an arrow or a product may follow, parenthesised if it
+    is an annotation so that it does not read back as a binder."""
+    return f"({text})" if isinstance(t, T.Ann) else text
+
+
 def pretty_oracle(t, depth: int = 0, prec: int = 0) -> str:
     """The printer ``surface.pretty`` replaced, kept as its oracle: it
     builds strings bottom-up and strengthens every non-dependent body."""
@@ -231,7 +237,7 @@ def pretty_oracle(t, depth: int = 0, prec: int = 0) -> str:
             return wrap(f"fun x{depth} => {pretty_oracle(body, depth + 1, 0)}", 0)
         case T.Pi(dom, cod):
             if not T.free_in(cod, 0):
-                lhs = pretty_oracle(dom, depth, 1)
+                lhs = _paren_ann(dom, pretty_oracle(dom, depth, 1))
                 rhs = pretty_oracle(T.strengthen(cod), depth, 0)
                 return wrap(f"{lhs} -> {rhs}", 0)
             return wrap(
@@ -240,13 +246,11 @@ def pretty_oracle(t, depth: int = 0, prec: int = 0) -> str:
             )
         case T.Sigma(fst, snd):
             if not T.free_in(snd, 0):
-                lhs = pretty_oracle(fst, depth, 2)
-                rhs = pretty_oracle(T.strengthen(snd), depth, 1)
+                lhs = _paren_ann(fst, pretty_oracle(fst, depth, 2))
+                rhs = _paren_ann(snd, pretty_oracle(T.strengthen(snd), depth, 1))
                 return wrap(f"{lhs} * {rhs}", 1)
-            return wrap(
-                f"(x{depth} : {pretty_oracle(fst, depth, 0)}) * {pretty_oracle(snd, depth + 1, 1)}",
-                1,
-            )
+            rhs = _paren_ann(snd, pretty_oracle(snd, depth + 1, 1))
+            return wrap(f"(x{depth} : {pretty_oracle(fst, depth, 0)}) * {rhs}", 1)
         case T.App(f, a):
             return wrap(f"{pretty_oracle(f, depth, 2)} {pretty_oracle(a, depth, 3)}", 2)
         case T.Pair(a, b):

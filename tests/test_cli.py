@@ -11,6 +11,7 @@ import pytest
 from covertt import cover, typecheck
 from covertt.cli import main
 from covertt.semantics import Evaluator, KernelBug
+from covertt.surface import parse_file
 from covertt.terms import Flags
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "covertt", "corpus")
@@ -150,6 +151,58 @@ def test_conv_reports_an_exhausted_budget(capsys, small_budget):
     code, out = run(capsys, "conv", nested_identity(20), "star", "--type", "N1")
     assert code == 1
     assert out == "error: evaluation exceeded 100 eliminator steps\n"
+
+
+def test_each_declaration_gets_the_whole_budget(capsys, tmp_path, small_budget):
+    """Two declarations of 55 steps each pass under a 100-step budget, in
+    ``check_declarations`` and in ``covertt check``."""
+    src = f"def a : N1 := {nested_identity(10)}\ndef b : N1 := {nested_identity(10)}\n"
+    decls, _ = parse_file(src)
+    assert typecheck.check_declarations(decls).ev.steps == 110
+    f = tmp_path / "two.mltt"
+    f.write_text(src)
+    assert run(capsys, "check", str(f)) == (0, "ok a\nok b\n")
+
+
+def corpus_dir(tmp_path, manifest: str, files: dict) -> str:
+    (tmp_path / "manifest").write_text(manifest)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return str(tmp_path)
+
+
+def test_corpus_reports_a_missing_manifest(capsys, tmp_path):
+    code, out = run(capsys, "corpus", "--corpus-dir", str(tmp_path / "nowhere"))
+    assert code == 1
+    assert out.startswith("error: [Errno 2] No such file or directory: ")
+    assert out.count("\n") == 1
+
+
+def test_corpus_reports_a_malformed_manifest(capsys, tmp_path):
+    base = corpus_dir(tmp_path, "ok ok.mltt\nlonely\n", {"ok.mltt": "def x : N1 := star\n"})
+    code, out = run(capsys, "corpus", "--corpus-dir", base)
+    assert (code, out) == (1, f"error: {base}/manifest:2: expected a tag and a file name\n")
+
+
+def test_corpus_reports_a_missing_entry_as_failed(capsys, tmp_path):
+    base = corpus_dir(tmp_path, "ok ok.mltt\ngone gone.mltt\n", {"ok.mltt": "def x : N1 := star\n"})
+    code, out = run(capsys, "corpus", "--corpus-dir", base)
+    assert code == 1
+    ok, gone = out.splitlines()
+    assert ok == "PASS ok ok.mltt"
+    assert gone.startswith("FAIL gone gone.mltt: [Errno 2] No such file or directory: ")
+
+
+def test_corpus_reports_an_exhausted_budget_as_failed(capsys, tmp_path, small_budget):
+    base = corpus_dir(
+        tmp_path,
+        "deep deep.mltt\nok ok.mltt\n",
+        {"deep.mltt": f"def deep : N1 := {nested_identity(20)}\n", "ok.mltt": "def x : N1 := star\n"},
+    )
+    code, out = run(capsys, "corpus", "--corpus-dir", base)
+    assert (code, out) == (
+        1, "FAIL deep deep.mltt: evaluation exceeded 100 eliminator steps\nPASS ok ok.mltt\n"
+    )
 
 
 def test_cover_derivations_on_a_20000_atom_chain(tmp_path):

@@ -265,3 +265,52 @@ def _open_terms():
 @given(_open_terms())
 def test_pretty_agrees_with_oracle(t):
     assert pretty(t) == pretty_oracle(t)
+
+
+@st.composite
+def _scoped_terms(draw, depth=0, fuel=5):
+    """Random terms whose variables are all bound, built mostly from
+    annotations, arrows and products, where printing needs parentheses."""
+    forms = ["leaf", "Lam", "App", "Pair", "Inl", "Tr"] + ["Pi", "Sigma", "Ann"] * 3
+    if fuel == 0:
+        forms = ["leaf"]
+    form = draw(st.sampled_from(forms))
+
+    def sub(binds=0):
+        return draw(_scoped_terms(depth + binds, fuel - 1))
+
+    if form == "leaf":
+        leaves = [T.Const("c"), T.Star(), T.Unit(), T.Univ()] + [T.Var(i) for i in range(depth)]
+        return draw(st.sampled_from(leaves))
+    if form == "Lam":
+        return T.Lam(sub(1))
+    if form in ("Pi", "Sigma"):
+        return getattr(T, form)(sub(), sub(1))
+    if form == "Inl":
+        return T.Inl(sub())
+    if form == "Tr":
+        return T.Tr(sub(), sub(), sub())
+    return getattr(T, form)(sub(), sub())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scoped_terms())
+def test_pretty_round_trips(t):
+    assert parse_term(pretty(t)) == t
+
+
+C, ANN = T.Const("c"), T.Ann(T.Const("c"), T.Const("c"))
+
+
+@pytest.mark.parametrize(
+    "t, text",
+    [
+        (T.Pi(ANN, C), "(( c : c )) -> c"),
+        (T.Sigma(ANN, C), "(( c : c )) * c"),
+        (T.Pi(T.Sigma(C, ANN), C), "c * (( c : c )) -> c"),
+        (T.Pi(T.Sigma(C, T.Ann(T.Var(0), C)), C), "(x0 : c) * (( x0 : c )) -> c"),
+    ],
+)
+def test_annotation_next_to_an_arrow_round_trips(t, text):
+    assert pretty(t) == text
+    assert parse_term(text) == t

@@ -164,6 +164,224 @@ def test_eliminators_reject_ill_shaped_motives(src, items):
     assert e.value.kind in ("motive-shape", "mismatch")
 
 
+# --- rejections: one table over every rule --------------------------------------
+
+GEN_CTX = [
+    ("A", "U0"),
+    ("x", "A"),
+    ("y", "A"),
+    ("p", "A * A"),
+    ("s", "Sum A A"),
+    ("u", "N1"),
+    ("z", "N0"),
+    ("e", "Id A x x"),
+]
+W_REJ = W_CTX + [("w", "W A B")]
+DW_REJ = DW_CTX + [("j", "I"), ("w", "DW I N Br ar i")]
+WP_REJ = WP_CTX + [("j", "I"), ("w", "WP I N R i")]
+COVER_REJ = COVER_CTX + [("b", "A"), ("w", "Cover A If Cf V a")]
+
+# (id, context, term, type to check against or None to infer, kind, message,
+#  printed expected type or None, printed found type or None).  Eliminators
+# get a wrong scrutinee, motive, case and index; introductions a wrong field,
+# target type and target index; formations a wrong field.  ``?k`` prints the
+# context variable with de Bruijn index k.
+REJECTIONS = [
+    ("split-scrutinee", GEN_CTX, "split (fun q => A) (fun a => fun b => a) x", None,
+     "mismatch", "split scrutinee is not a pair", None, "?7"),
+    ("split-motive", GEN_CTX, "split (fun q => star) (fun a => fun b => a) p", None,
+     "motive-shape", "ill-shaped eliminator motive or case: expected a type", None, "N1"),
+    ("split-case", GEN_CTX, "split (fun q => A) (fun a => fun b => star) p", None,
+     "mismatch", "type mismatch", "?9", "N1"),
+    ("case-scrutinee", GEN_CTX, "case (fun q => A) (fun a => a) (fun a => a) x", None,
+     "mismatch", "case scrutinee is not a sum", None, "?7"),
+    ("case-motive", GEN_CTX, "case (fun q => star) (fun a => a) (fun a => a) s", None,
+     "motive-shape", "ill-shaped eliminator motive or case: expected a type", None, "N1"),
+    ("case-left", GEN_CTX, "case (fun q => A) (fun a => star) (fun a => a) s", None,
+     "mismatch", "type mismatch", "?8", "N1"),
+    ("case-right", GEN_CTX, "case (fun q => A) (fun a => a) (fun a => star) s", None,
+     "mismatch", "type mismatch", "?8", "N1"),
+    ("unitElim-scrutinee", GEN_CTX, "unitElim (fun q => A) x x", None,
+     "mismatch", "type mismatch", "N1", "?7"),
+    ("unitElim-motive", GEN_CTX, "unitElim (fun q => star) x u", None,
+     "motive-shape", "ill-shaped eliminator motive or case: expected a type", None, "N1"),
+    ("unitElim-case", GEN_CTX, "unitElim (fun q => A) star u", None,
+     "mismatch", "type mismatch", "?7", "N1"),
+    ("absurd-scrutinee", GEN_CTX, "absurd (fun q => A) u", None,
+     "mismatch", "type mismatch", "N0", "N1"),
+    ("absurd-motive", GEN_CTX, "absurd (fun q => star) z", None,
+     "motive-shape", "ill-shaped eliminator motive or case: expected a type", None, "N1"),
+    ("J-scrutinee", GEN_CTX, "J (fun a => fun b => fun q => A) (fun a => a) x x u", None,
+     "mismatch", "type mismatch", "Id ?7 ?6 ?6", "N1"),
+    ("J-motive", GEN_CTX, "J (fun a => fun b => fun q => star) (fun a => a) x x e", None,
+     "motive-shape", "ill-shaped eliminator motive or case: expected a type", None, "N1"),
+    ("J-case", GEN_CTX, "J (fun a => fun b => fun q => A) (fun a => star) x x e", None,
+     "mismatch", "type mismatch", "?8", "N1"),
+    ("elimW-scrutinee", W_REJ, "elimW M d a", None,
+     "mismatch", "elimW scrutinee is not a W-type element", None, "?6"),
+    ("elimW-motive", W_REJ, "elimW (fun w2 => star) d w", None,
+     "motive-shape", "ill-shaped eliminator motive or case: expected a type", None, "N1"),
+    ("elimW-case", W_REJ, "elimW M M w", None,
+     "mismatch", "type mismatch",
+     "(x0 : ?6) -> (x1 : ?5 x0 -> W ?6 ?5) -> ((x2 : ?5 x0) -> ?2 (x1 x2)) -> ?2 (sup x0 x1)",
+     "W ?6 ?5 -> U0"),
+    ("elimDW-scrutinee", DW_REJ, "elimDW M d i n", None,
+     "mismatch", "elimDW scrutinee is not a dependent tree", None, "?9 ?6"),
+    ("elimDW-motive", DW_REJ, "elimDW (fun i2 => star) d i w", None,
+     "motive-shape", "ill-shaped eliminator motive or case: type mismatch",
+     "DW ?11 ?10 ?9 ?8 ?0 -> Type",
+     "N1"),
+    ("elimDW-case", DW_REJ, "elimDW M M i w", None,
+     "mismatch", "type mismatch",
+     "(x0 : ?10) -> (x1 : ?9 x0) -> (x2 : (x2 : ?8 x0 x1) -> DW ?10 ?9 ?8 ?7 (?7 x0 x1 x2)) -> "
+     "((x3 : ?8 x0 x1) -> ?3 (?7 x0 x1 x3) (x2 x3)) -> ?3 x0 (dsup x0 x1 x2)",
+     "(x0 : ?10) -> DW ?10 ?9 ?8 ?7 x0 -> U0"),
+    ("elimDW-index", DW_REJ, "elimDW M d j w", None,
+     "mismatch", "elimDW index does not match the scrutinee's index", "?6", "?1"),
+    ("elimWP-scrutinee", WP_REJ, "elimWP M c i n", None,
+     "mismatch", "elimWP scrutinee is not a derivation", None, "?8 ?6"),
+    ("elimWP-motive", WP_REJ, "elimWP (fun i2 => star) c i w", None,
+     "motive-shape", "ill-shaped eliminator motive or case: type mismatch",
+     "WP ?10 ?9 ?8 ?0 -> Type",
+     "N1"),
+    ("elimWP-case", WP_REJ, "elimWP M M i w", None,
+     "mismatch", "type mismatch",
+     "(x0 : ?9) -> (x1 : ?8 x0) -> (x2 : (x2 : ?9) -> ?7 x0 x1 x2 -> WP ?9 ?8 ?7 x2) -> "
+     "((x3 : ?9) -> (x4 : ?7 x0 x1 x3) -> ?3 x3 (x2 x3 x4)) -> ?3 x0 (ind x0 x1 x2)",
+     "(x0 : ?9) -> WP ?9 ?8 ?7 x0 -> U0"),
+    ("elimWP-index", WP_REJ, "elimWP M c j w", None,
+     "mismatch", "elimWP index does not match the scrutinee's index", "?6", "?1"),
+    ("elimCover-scrutinee", COVER_REJ, "elimCover M q1 q2 a rv", None,
+     "mismatch", "elimCover scrutinee is not a cover proof", None, "?9 ?8"),
+    ("elimCover-motive", COVER_REJ, "elimCover (fun a2 => star) q1 q2 a w", None,
+     "motive-shape", "ill-shaped eliminator motive or case: type mismatch",
+     "Cover ?13 ?12 ?11 ?10 ?0 -> Type",
+     "N1"),
+    ("elimCover-rf-case", COVER_REJ, "elimCover M q2 q2 a w", None,
+     "mismatch", "type mismatch",
+     "(x0 : ?12) -> (x1 : ?9 x0) -> ?4 x0 (rf x0 x1)",
+     "(x0 : ?12) -> (x1 : ?11 x0) -> (x2 : (x2 : ?12) -> ?10 x0 x1 x2 -> "
+     "Cover ?12 ?11 ?10 ?9 x2) -> ((x3 : ?12) -> (x4 : ?10 x0 x1 x3) -> ?4 x3 (x2 x3 x4)) -> ?4 x0 (tr x0 x1 x2)"),
+    ("elimCover-tr-case", COVER_REJ, "elimCover M q1 q1 a w", None,
+     "mismatch", "type mismatch",
+     "(x0 : ?12) -> (x1 : ?11 x0) -> (x2 : (x2 : ?12) -> ?10 x0 x1 x2 -> "
+     "Cover ?12 ?11 ?10 ?9 x2) -> ((x3 : ?12) -> (x4 : ?10 x0 x1 x3) -> ?4 x3 (x2 x3 x4)) -> ?4 x0 (tr x0 x1 x2)",
+     "(x0 : ?12) -> (x1 : ?9 x0) -> ?4 x0 (rf x0 x1)"),
+    ("elimCover-index", COVER_REJ, "elimCover M q1 q2 b w", None,
+     "mismatch", "elimCover element does not match the scrutinee's element", "?8", "?1"),
+    ("fun-target", GEN_CTX, "fun q => q", "A",
+     "mismatch", "lambda checked against a non-function type", "?7", None),
+    ("pair-field", GEN_CTX, "(x , star)", "A * A",
+     "mismatch", "type mismatch", "?7", "N1"),
+    ("pair-target", GEN_CTX, "(x , x)", "A",
+     "mismatch", "pair checked against a non-pair type", "?7", None),
+    ("inl-field", GEN_CTX, "inl star", "Sum A A",
+     "mismatch", "type mismatch", "?7", "N1"),
+    ("inl-target", GEN_CTX, "inl x", "A",
+     "mismatch", "injection checked against a non-sum type", "?7", None),
+    ("inr-field", GEN_CTX, "inr star", "Sum A A",
+     "mismatch", "type mismatch", "?7", "N1"),
+    ("inr-target", GEN_CTX, "inr x", "A",
+     "mismatch", "injection checked against a non-sum type", "?7", None),
+    ("refl-field", GEN_CTX, "refl star", "Id A x x",
+     "mismatch", "type mismatch", "?7", "N1"),
+    ("refl-endpoint", GEN_CTX, "refl y", "Id A x x",
+     "mismatch", "refl endpoint differs from the identity type's endpoints", "?6", "?5"),
+    ("refl-target", GEN_CTX, "refl x", "A",
+     "mismatch", "refl checked against a non-identity type", "?7", None),
+    ("sup-label", W_REJ, "sup f f", "W A B",
+     "mismatch", "type mismatch", "?6", "?5 ?4 -> W ?6 ?5"),
+    ("sup-branch", W_REJ, "sup a a", "W A B",
+     "mismatch", "type mismatch", "?5 ?4 -> W ?6 ?5", "?6"),
+    ("sup-target", W_REJ, "sup a f", "A",
+     "mismatch", "sup checked against a non-W type", "?6", None),
+    ("dsup-name", DW_REJ, "dsup i i f", "DW I N Br ar i",
+     "mismatch", "type mismatch", "?9 ?6", "?10"),
+    ("dsup-branch", DW_REJ, "dsup i n n", "DW I N Br ar i",
+     "mismatch", "type mismatch", "(x0 : ?8 ?6 ?5) -> DW ?10 ?9 ?8 ?7 (?7 ?6 ?5 x0)", "?9 ?6"),
+    ("dsup-index", DW_REJ, "dsup j n f", "DW I N Br ar i",
+     "mismatch", "dsup index differs from the family index", "?6", "?1"),
+    ("dsup-target", DW_REJ, "dsup i n f", "I",
+     "mismatch", "dsup checked against a non-DW type", "?10", None),
+    ("ind-name", WP_REJ, "ind i i f", "WP I N R i",
+     "mismatch", "type mismatch", "?8 ?6", "?9"),
+    ("ind-premises", WP_REJ, "ind i n n", "WP I N R i",
+     "mismatch", "type mismatch", "(x0 : ?9) -> ?7 ?6 ?5 x0 -> WP ?9 ?8 ?7 x0", "?8 ?6"),
+    ("ind-index", WP_REJ, "ind j n f", "WP I N R i",
+     "mismatch", "ind index differs from the family index", "?6", "?1"),
+    ("ind-target", WP_REJ, "ind i n f", "I",
+     "mismatch", "ind checked against a non-WP type", "?9", None),
+    ("rf-membership", COVER_REJ, "rf a a", "Cover A If Cf V a",
+     "mismatch", "type mismatch", "?9 ?8", "?12"),
+    ("rf-element", COVER_REJ, "rf b rv", "Cover A If Cf V a",
+     "mismatch", "rf element differs from the cover's element", "?8", "?1"),
+    ("rf-target", COVER_REJ, "rf a rv", "A",
+     "mismatch", "rf checked against a non-cover type", "?12", None),
+    ("tr-label", COVER_REJ, "tr a a r", "Cover A If Cf V a",
+     "mismatch", "type mismatch", "?11 ?8", "?12"),
+    ("tr-premises", COVER_REJ, "tr a i i", "Cover A If Cf V a",
+     "mismatch", "type mismatch",
+     "(x0 : ?12) -> ?10 ?8 ?6 x0 -> Cover ?12 ?11 ?10 ?9 x0",
+     "?11 ?8"),
+    ("tr-element", COVER_REJ, "tr b i r", "Cover A If Cf V a",
+     "mismatch", "tr element differs from the cover's element", "?8", "?1"),
+    ("tr-target", COVER_REJ, "tr a i r", "A",
+     "mismatch", "tr checked against a non-cover type", "?12", None),
+    ("W-label", W_REJ, "W a B", None,
+     "not-a-universe", "expected a type", None, "?6"),
+    ("W-branch", W_REJ, "W A A", None,
+     "mismatch", "type mismatch", "?6 -> U0", "U0"),
+    ("DW-index", DW_REJ, "DW i N Br ar", None,
+     "not-a-universe", "expected a type", None, "?10"),
+    ("DW-names", DW_REJ, "DW I I Br ar", None,
+     "mismatch", "type mismatch", "?10 -> U0", "U0"),
+    ("DW-branch", DW_REJ, "DW I N N ar", None,
+     "mismatch", "type mismatch", "(x0 : ?10) -> ?9 x0 -> U0", "?10 -> U0"),
+    ("DW-arity", DW_REJ, "DW I N Br Br", None,
+     "mismatch", "type mismatch",
+     "(x0 : ?10) -> (x1 : ?9 x0) -> ?8 x0 x1 -> ?10",
+     "(x0 : ?10) -> ?9 x0 -> U0"),
+    ("WP-names", WP_REJ, "WP I I R", None,
+     "mismatch", "type mismatch", "?9 -> U0", "U0"),
+    ("WP-rules", WP_REJ, "WP I N N", None,
+     "mismatch", "type mismatch", "(x0 : ?9) -> ?8 x0 -> ?9 -> U0", "?9 -> U0"),
+    ("Cover-carrier", COVER_REJ, "Cover a If Cf V", None,
+     "not-a-universe", "expected a type", None, "?12"),
+    ("Cover-labels", COVER_REJ, "Cover A A Cf V", None,
+     "mismatch", "type mismatch", "?12 -> U0", "U0"),
+    ("Cover-axioms", COVER_REJ, "Cover A If If V", None,
+     "mismatch", "type mismatch", "(x0 : ?12) -> ?11 x0 -> ?12 -> U0", "?12 -> U0"),
+    ("Cover-subset", COVER_REJ, "Cover A If Cf Cf", None,
+     "mismatch", "type mismatch", "?12 -> U0", "(x0 : ?12) -> ?11 x0 -> ?12 -> U0"),
+    ("Sum-left", GEN_CTX, "Sum x A", None,
+     "not-a-universe", "expected a type", None, "?7"),
+    ("Sum-right", GEN_CTX, "Sum A x", None,
+     "not-a-universe", "expected a type", None, "?7"),
+    ("Id-type", GEN_CTX, "Id x x x", None,
+     "not-a-universe", "expected a type", None, "?7"),
+    ("Id-lhs", GEN_CTX, "Id A star x", None,
+     "mismatch", "type mismatch", "?7", "N1"),
+    ("Id-rhs", GEN_CTX, "Id A x star", None,
+     "mismatch", "type mismatch", "?7", "N1"),
+
+]
+
+
+@pytest.mark.parametrize(
+    "items, src, target, kind, message, expected, found",
+    [pytest.param(*row[1:], id=row[0]) for row in REJECTIONS],
+)
+def test_rejections(items, src, target, kind, message, expected, found):
+    chk, ctx, scope = _ctx(items)
+    with pytest.raises(TypeCheckError) as e:
+        if target is None:
+            chk.infer(ctx, surface.parse_term(src, scope=scope))
+        else:
+            check_in(chk, ctx, scope, src, target)
+    printed = [t if t is None else surface.pretty(t) for t in (e.value.expected, e.value.found)]
+    assert (e.value.kind, e.value.message, *printed) == (kind, message, expected, found)
+
+
 # --- computation, under every flag setting --------------------------------------
 
 
