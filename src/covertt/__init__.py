@@ -14,7 +14,7 @@ from .typecheck import (
     infer_type,
     normalize,
 )
-from .surface import ParseError, load_file, parse_file, parse_term, pretty
+from .surface import ParseError, load_file, load_modules, parse_file, parse_term, pretty
 from .encodings import CorpusEntry, check_corpus, corpus_dir, load_manifest
 from .cover import (
     FiniteAxiomSet,
@@ -43,6 +43,7 @@ __all__ = [
     "normalize",
     "ParseError",
     "load_file",
+    "load_modules",
     "parse_file",
     "parse_term",
     "pretty",

@@ -65,12 +65,26 @@ def check_corpus(flags: Flags, base: str | None = None):
     """Check every manifest entry whose required flags are covered by ``flags``.
 
     Entries needing more flags are reported skipped.  Each eligible entry is
-    checked under the invocation flags (flag monotonicity makes this sound),
-    each of its declarations with the evaluator's full step budget.  An
-    entry that cannot be read, parsed or checked, or that exhausts a
-    budget, is reported failed; a manifest that cannot be read raises.
+    checked under the invocation flags (flag monotonicity makes this sound).
+    Its whole import graph is read and parsed first, so a file that cannot
+    be read or parsed fails the entry before anything is checked.  Then
+    every module the entry reaches is checked once per call, in import
+    order, against the globals of its own transitive imports only, as
+    ``covertt check`` of that file would check it; a later entry reuses the
+    result, failure included.  An entry fails at the first failure in the
+    order in which ``surface.load_file`` would list its declarations,
+    including a name that two of its modules both define.  Each declaration
+    gets the evaluator's full step budget; an exhausted budget is reported
+    as ``FILE:LINE: NAME: evaluation exceeded ...``.  A manifest that cannot
+    be read raises.
     """
     base = base or corpus_dir()
+    parsed: dict = {}  # file path -> its module or its error, for every entry
+    checked: dict[str, _Checked] = {}  # module path -> its check
+    # one evaluator for the call: a recursor closure in an imported global
+    # charges its steps to the declaration that forces it
+    checker = typecheck.Checker(flags)
+    builtin = dict(checker.globals)  # the funext constant, under that flag
     results: list[CorpusResult] = []
     for entry in load_manifest(base):
         if not flags.includes(entry.required):
@@ -83,14 +97,70 @@ def check_corpus(flags: Flags, base: str | None = None):
             )
             continue
         try:
-            decls = surface.load_file(entry.path(base))
-            typecheck.check_declarations(decls, flags)
+            modules = surface.load_modules(entry.path(base), parsed)
+        except (surface.ParseError, OSError) as e:
+            results.append(CorpusResult(entry.tag, entry.file, "fail", _first_line(e)))
+            continue
+        failure = _first_failure(modules, checker, builtin, checked)
+        if failure is None:
             results.append(CorpusResult(entry.tag, entry.file, "pass"))
-        except (typecheck.TypeCheckError, surface.ParseError, EvalBudgetExceeded, OSError) as e:
-            results.append(
-                CorpusResult(entry.tag, entry.file, "fail", str(e).splitlines()[0])
-            )
+        else:
+            results.append(CorpusResult(entry.tag, entry.file, "fail", failure))
     return results
+
+
+@dataclass(frozen=True)
+class _Checked:
+    """A module's check: the declarations before ``failed`` passed, and
+    ``globals`` holds them and its imports' globals; when ``failed`` is a
+    declaration's index, ``detail`` says why that one failed."""
+
+    globals: dict
+    failed: int
+    detail: str = ""
+
+
+def _first_line(e: Exception) -> str:
+    return str(e).splitlines()[0]
+
+
+def _first_failure(modules, checker, builtin: dict, checked: dict) -> str | None:
+    """The first failure among the declarations of ``modules``, taken in
+    order (``load_modules`` order, as ``load_file`` flattens it), or None.
+    A declaration fails if it redefines a name of an earlier module, which
+    may be one its own module does not import, or if it fails in its own
+    module's check."""
+    names = set(builtin)
+    for module in modules:
+        result = checked.get(module.path)
+        if result is None:
+            result = checked[module.path] = _check_module(module, checker, builtin, checked)
+        try:
+            for d in module.decls[: result.failed + 1]:
+                typecheck.check_new_name(d, names)
+        except typecheck.TypeCheckError as e:
+            return _first_line(e)
+        if result.failed < len(module.decls):
+            return result.detail
+        names.update(d.name for d in module.decls)
+    return None
+
+
+def _check_module(module, checker, builtin: dict, checked: dict) -> _Checked:
+    """Check ``module`` against the globals of its imports, which have all
+    passed their checks."""
+    env = dict(builtin)
+    for imp in module.imports:
+        env.update(checked[os.path.abspath(imp)].globals)
+    checker.use_globals(env)
+    for i, d in enumerate(module.decls):
+        try:
+            typecheck.check_declarations([d], checker=checker)
+        except typecheck.TypeCheckError as e:
+            return _Checked(env, i, _first_line(e))
+        except EvalBudgetExceeded as e:
+            return _Checked(env, i, f"{d.location}: {d.name}: {e}")
+    return _Checked(env, len(module.decls))
 
 
 # --- instance builders -------------------------------------------------------------

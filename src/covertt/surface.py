@@ -1,8 +1,9 @@
 """Surface syntax: parser and pretty-printer.
 
 Declaration files consist of ``def name : TYPE := TERM`` and
-``postulate name : TYPE`` items, with ``--`` line comments and textual
-includes ``import "file"``.  Binders are ``(x : T) -> B`` and
+``postulate name : TYPE`` items, with ``--`` line comments and
+``import "file"`` items that name other files relative to this one
+(``load_modules``).  Binders are ``(x : T) -> B`` and
 ``(x : T) * B``; ``->`` and ``*`` are sugar for their non-dependent forms;
 application is juxtaposition; lambdas are ``fun x => t``.  Eliminators take
 the motive as their first argument.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import os
 import re
+from dataclasses import dataclass
 from typing import Optional
 
 from . import terms as T
@@ -428,26 +430,68 @@ def parse_file(src: str, filename: str = "<input>") -> tuple[list[Declaration], 
     return Parser(src, filename).parse_file()
 
 
-def load_file(path: str, _seen: Optional[dict] = None) -> list[Declaration]:
-    """Parse ``path`` and its imports (relative, cycle-rejected, deduplicated)."""
-    if _seen is None:
-        _seen = {}
-    ap = os.path.abspath(path)
-    state = _seen.get(ap)
-    if state == "loading":
-        raise ParseError(f"import cycle through {path}", 0, 0)
-    if state == "done":
-        return []
-    _seen[ap] = "loading"
+@dataclass(frozen=True)
+class Module:
+    """One parsed file: its absolute path, its declarations, and the files
+    it imports, in the order written, as paths joined to its directory."""
+
+    path: str
+    decls: list[Declaration]
+    imports: list[str]
+
+
+def _parse_module(ap: str) -> Module:
     with open(ap, encoding="utf-8") as fh:
         src = fh.read()
     decls, imports = parse_file(src, os.path.basename(ap))
-    out: list[Declaration] = []
-    for imp in imports:
-        out.extend(load_file(os.path.join(os.path.dirname(ap), imp), _seen))
-    out.extend(decls)
-    _seen[ap] = "done"
-    return out
+    return Module(ap, decls, [os.path.join(os.path.dirname(ap), imp) for imp in imports])
+
+
+def load_modules(path: str, parsed: Optional[dict] = None) -> list[Module]:
+    """``path`` and every file it imports, directly or not, each once.
+
+    A module comes after the modules it imports, and imports are followed
+    depth first in the order they are written; an import cycle is a
+    ``ParseError``.  Every reachable file is read and parsed before the
+    result is returned, so a caller sees a file's errors before checking
+    anything.  ``parsed`` maps an absolute path to its ``Module``, or to the
+    ``ParseError`` or ``OSError`` that reading it raised; a caller that
+    loads several files passes one dict to read and parse each file once.
+    """
+    parsed = {} if parsed is None else parsed
+    order: list[Module] = []
+    finished: dict[str, bool] = {}  # absolute path -> all of its imports loaded
+
+    def visit(p: str):
+        ap = os.path.abspath(p)
+        if ap in finished:
+            if not finished[ap]:
+                raise ParseError(f"import cycle through {p}", 0, 0)
+            return
+        finished[ap] = False
+        module = parsed.get(ap)
+        if module is None:
+            try:
+                module = _parse_module(ap)
+            except (ParseError, OSError) as e:
+                module = e
+            parsed[ap] = module
+        if not isinstance(module, Module):
+            raise module
+        for imp in module.imports:
+            visit(imp)
+        finished[ap] = True
+        order.append(module)
+
+    visit(path)
+    return order
+
+
+def load_file(path: str) -> list[Declaration]:
+    """The declarations of ``path`` and of every file it imports, each file
+    once, in the order of ``load_modules``: the flat sequence that
+    ``covertt check``, ``norm`` and ``conv`` check."""
+    return [d for module in load_modules(path) for d in module.decls]
 
 
 # --- pretty-printing ----------------------------------------------------------

@@ -226,6 +226,12 @@ class Checker:
         # inferred types of closed family formations, keyed by the term
         self.family_types: dict[Term, Value] = {}
 
+    def use_globals(self, globals_env: dict):
+        """Check against ``globals_env`` from now on.  The evaluator stays,
+        so a recursor closure in a global built earlier charges its steps
+        to the declaration being checked now."""
+        self.globals = self.ev.globals = globals_env
+
     # -- helpers --------------------------------------------------------------
 
     def fail(self, kind: str, message: str, expected=None, found=None):
@@ -549,6 +555,13 @@ class Checker:
 # --- declaration checking -----------------------------------------------------------
 
 
+def check_new_name(d: Declaration, names) -> None:
+    """Reject ``d`` if it defines a name already in ``names``.  Postulating
+    funext is not a definition: that constant is the checker's own."""
+    if d.name in names and not (d.name == FUNEXT_NAME and d.body is None):
+        raise TypeCheckError("mismatch", f"duplicate name {d.name!r}", location=d.location)
+
+
 def check_declarations(decls, flags: Flags = Flags(), checker: Optional[Checker] = None) -> Checker:
     """Check a declaration sequence in order, extending the global environment.
 
@@ -565,10 +578,7 @@ def check_declarations(decls, flags: Flags = Flags(), checker: Optional[Checker]
     for d in decls:
         checker.location = d.location
         checker.ev.restart_budget()
-        if d.name in checker.globals and not (
-            d.name == FUNEXT_NAME and d.body is None
-        ):
-            checker.fail("mismatch", f"duplicate name {d.name!r}")
+        check_new_name(d, checker.globals)
         checker.ensure_type(ctx, d.type)
         tyv = checker.eval_in(ctx, d.type)
         if d.body is None:

@@ -10,9 +10,10 @@ import pytest
 
 from covertt import cover, typecheck
 from covertt.cli import main
-from covertt.semantics import Evaluator, KernelBug
+from covertt.semantics import KernelBug
 from covertt.surface import parse_file
-from covertt.terms import Flags
+
+from helpers import nested_identity, write_corpus
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "covertt", "corpus")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -116,23 +117,6 @@ def test_norm_expression_with_eta(capsys, tmp_path):
     assert out.startswith("fun ")
 
 
-def nested_identity(depth: int) -> str:
-    """Checking and normalizing this takes about depth**2 / 2 steps."""
-    return "(fun x => x : N1 -> N1) (" * depth + "star" + ")" * depth
-
-
-@pytest.fixture
-def small_budget(monkeypatch):
-    """Every evaluator the CLI builds gets a budget of 100 steps, so a
-    20-deep nested identity exhausts it."""
-    init = Evaluator.__init__
-
-    def limited(self, globals_env=None, flags=Flags(), step_limit=None):
-        init(self, globals_env, flags, 100)
-
-    monkeypatch.setattr(Evaluator, "__init__", limited)
-
-
 def test_check_reports_an_exhausted_budget(capsys, tmp_path, small_budget):
     f = tmp_path / "deep.mltt"
     f.write_text(f"def small : N1 := star\ndef deep : N1 := {nested_identity(20)}\n")
@@ -164,13 +148,6 @@ def test_each_declaration_gets_the_whole_budget(capsys, tmp_path, small_budget):
     assert run(capsys, "check", str(f)) == (0, "ok a\nok b\n")
 
 
-def corpus_dir(tmp_path, manifest: str, files: dict) -> str:
-    (tmp_path / "manifest").write_text(manifest)
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    return str(tmp_path)
-
-
 def test_corpus_reports_a_missing_manifest(capsys, tmp_path):
     code, out = run(capsys, "corpus", "--corpus-dir", str(tmp_path / "nowhere"))
     assert code == 1
@@ -179,13 +156,13 @@ def test_corpus_reports_a_missing_manifest(capsys, tmp_path):
 
 
 def test_corpus_reports_a_malformed_manifest(capsys, tmp_path):
-    base = corpus_dir(tmp_path, "ok ok.mltt\nlonely\n", {"ok.mltt": "def x : N1 := star\n"})
+    base = write_corpus(tmp_path, "ok ok.mltt\nlonely\n", {"ok.mltt": "def x : N1 := star\n"})
     code, out = run(capsys, "corpus", "--corpus-dir", base)
     assert (code, out) == (1, f"error: {base}/manifest:2: expected a tag and a file name\n")
 
 
 def test_corpus_reports_a_missing_entry_as_failed(capsys, tmp_path):
-    base = corpus_dir(tmp_path, "ok ok.mltt\ngone gone.mltt\n", {"ok.mltt": "def x : N1 := star\n"})
+    base = write_corpus(tmp_path, "ok ok.mltt\ngone gone.mltt\n", {"ok.mltt": "def x : N1 := star\n"})
     code, out = run(capsys, "corpus", "--corpus-dir", base)
     assert code == 1
     ok, gone = out.splitlines()
@@ -194,14 +171,52 @@ def test_corpus_reports_a_missing_entry_as_failed(capsys, tmp_path):
 
 
 def test_corpus_reports_an_exhausted_budget_as_failed(capsys, tmp_path, small_budget):
-    base = corpus_dir(
+    base = write_corpus(
         tmp_path,
         "deep deep.mltt\nok ok.mltt\n",
         {"deep.mltt": f"def deep : N1 := {nested_identity(20)}\n", "ok.mltt": "def x : N1 := star\n"},
     )
     code, out = run(capsys, "corpus", "--corpus-dir", base)
     assert (code, out) == (
-        1, "FAIL deep deep.mltt: evaluation exceeded 100 eliminator steps\nPASS ok ok.mltt\n"
+        1, "FAIL deep deep.mltt: deep.mltt:1: deep: evaluation exceeded 100 eliminator steps\n"
+        "PASS ok ok.mltt\n"
+    )
+
+
+# ``r``'s value holds the recursor closure that ``elimW`` builds on a
+# two-node tree.  Applying ``r`` forces it, which evaluates the lower node,
+# a numeral built by iterating ``succ`` four times: ``r star`` takes 73 steps.
+RECURSOR_BASE = """\
+def B : Sum N1 N1 -> U0 := fun x => case (fun y => U0) (fun u => N0) (fun u => N1) x
+def Nat : U0 := W (Sum N1 N1) B
+def zero : Nat := sup (inl star) (fun e => absurd (fun z => Nat) e)
+def succ : Nat -> Nat := fun n => sup (inr star) (fun u => n)
+def twice : (A : U0) -> (A -> A) -> A -> A := fun A => fun f => fun x => f (f x)
+def r : N1 -> N1 :=
+  elimW (fun w => N1 -> N1)
+    (fun a => fun f => fun h => fun u =>
+      case (fun a2 => (B a2 -> N1 -> N1) -> N1 -> N1)
+        (fun v => fun g => fun u2 => u2) (fun v => fun g => fun u2 => g star u2) a h u)
+    (sup (inr star) (fun u => twice (Nat -> Nat) (twice Nat) succ zero) : Nat)
+def last : N1 := star
+"""
+
+
+def test_corpus_charges_a_forced_imported_recursor_to_the_importing_declaration(
+    capsys, tmp_path, small_budget
+):
+    """Forcing ``r``'s recursor closure takes under 100 steps, and so does
+    ``use`` without it; together they exhaust ``use``'s budget, so the
+    closure's steps are charged to ``use`` and not to whatever evaluator
+    built ``r``."""
+    base = write_corpus(tmp_path, "base base.mltt\nuse use.mltt\n", {
+        "base.mltt": RECURSOR_BASE,
+        "use.mltt": f'import "base.mltt"\ndef use : N1 := r ({nested_identity(10)})\n',
+    })
+    code, out = run(capsys, "corpus", "--corpus-dir", base)
+    assert (code, out) == (
+        1, "PASS base base.mltt\n"
+        "FAIL use use.mltt: use.mltt:2: use: evaluation exceeded 100 eliminator steps\n"
     )
 
 

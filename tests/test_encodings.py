@@ -15,7 +15,15 @@ from covertt.encodings import check_corpus, load_manifest
 from covertt.terms import Flags
 from covertt.typecheck import Context, TypeCheckError
 
-from helpers import CORPUS, context_of, conv
+from helpers import (
+    ALL_FLAG_SETS,
+    CORPUS,
+    check_corpus_flat,
+    context_of,
+    conv,
+    nested_identity,
+    write_corpus,
+)
 
 
 def test_manifest_tags_and_files():
@@ -52,6 +60,148 @@ def test_corpus_passes_under_all_flags():
     assert all(r.status == "pass" for r in results), [
         (r.tag, r.detail) for r in results if r.status != "pass"
     ]
+
+
+# --- each module checked once ------------------------------------------------------
+
+ALL_FLAGS = Flags(eta_pi=True, eta_sigma=True, eta_unit=True, funext=True)
+
+
+@pytest.mark.parametrize("flags", ALL_FLAG_SETS, ids=str)
+def test_shipped_corpus_agrees_with_the_flat_check(flags):
+    assert check_corpus(flags) == check_corpus_flat(flags)
+
+
+# name -> (manifest, files, the expected report with the directory as <dir>)
+SYNTHETIC_CORPORA = {
+    "ill-typed base imported by two entries": (
+        "a a.mltt\nb b.mltt\n",
+        {
+            "base.mltt": "def one : N1 := star\ndef bad : N0 := one\n",
+            "a.mltt": 'import "base.mltt"\ndef a : N1 := one\n',
+            "b.mltt": 'import "base.mltt"\ndef b : N1 := star\n',
+        },
+        [
+            ("a", "fail", "base.mltt:2: mismatch: type mismatch"),
+            ("b", "fail", "base.mltt:2: mismatch: type mismatch"),
+        ],
+    ),
+    "one name defined in two sibling imports": (
+        "l l.mltt\nr r.mltt\ntop top.mltt\n",
+        {
+            "l.mltt": "def x : N1 := star\n",
+            "r.mltt": "def y : N1 := star\ndef x : N1 := y\n",
+            "top.mltt": 'import "l.mltt"\nimport "r.mltt"\ndef z : N1 := x\n',
+        },
+        [
+            ("l", "pass", ""),
+            ("r", "pass", ""),
+            ("top", "fail", "r.mltt:2: mismatch: duplicate name 'x'"),
+        ],
+    ),
+    "a missing import": (
+        "top top.mltt\nok ok.mltt\n",
+        {
+            "ok.mltt": "def x : N1 := star\n",
+            "top.mltt": 'import "ok.mltt"\nimport "gone.mltt"\ndef y : N1 := x\n',
+        },
+        [
+            ("top", "fail", "[Errno 2] No such file or directory: '<dir>/gone.mltt'"),
+            ("ok", "pass", ""),
+        ],
+    ),
+    "an import cycle": (
+        "a a.mltt\nb b.mltt\n",
+        {
+            "a.mltt": 'import "b.mltt"\ndef x : N1 := star\n',
+            "b.mltt": 'import "a.mltt"\ndef y : N1 := star\n',
+        },
+        [
+            ("a", "fail", "0:0: import cycle through <dir>/a.mltt"),
+            ("b", "fail", "0:0: import cycle through <dir>/b.mltt"),
+        ],
+    ),
+    "a parse error in a later import behind a type error in an earlier one": (
+        "top top.mltt\nill ill.mltt\n",
+        {
+            "ill.mltt": "def bad : N0 := star\n",
+            "broken.mltt": "def x : N1 :=\n",
+            "top.mltt": 'import "ill.mltt"\nimport "broken.mltt"\ndef y : N1 := star\n',
+        },
+        [
+            ("top", "fail", "2:1: unexpected eof '' (expected one of: term)"),
+            ("ill", "fail", "ill.mltt:1: mismatch: type mismatch"),
+        ],
+    ),
+}
+
+
+def report(results, base):
+    return [(r.tag, r.status, r.detail.replace(base, "<dir>")) for r in results]
+
+
+@pytest.mark.parametrize("case", SYNTHETIC_CORPORA)
+def test_synthetic_corpus_agrees_with_the_flat_check(case, tmp_path):
+    manifest, files, expected = SYNTHETIC_CORPORA[case]
+    base = write_corpus(tmp_path, manifest, files)
+    results = check_corpus(Flags(), base)
+    assert results == check_corpus_flat(Flags(), base)
+    assert report(results, base) == expected
+
+
+def test_budget_exhausted_in_a_shared_base_names_it_in_every_entry(tmp_path, small_budget):
+    base = write_corpus(tmp_path, "a a.mltt\nb b.mltt\n", {
+        "base.mltt": f"def small : N1 := star\ndef deep : N1 := {nested_identity(20)}\n",
+        "a.mltt": 'import "base.mltt"\ndef a : N1 := small\n',
+        "b.mltt": 'import "base.mltt"\ndef b : N1 := small\n',
+    })
+    results = check_corpus(Flags(), base)
+    assert results == check_corpus_flat(Flags(), base)
+    detail = "base.mltt:2: deep: evaluation exceeded 100 eliminator steps"
+    assert report(results, base) == [("a", "fail", detail), ("b", "fail", detail)]
+
+
+def test_a_name_supplied_only_by_a_sibling_import_is_rejected(tmp_path):
+    """The one verdict that differs from the flat check: ``b.mltt`` uses
+    ``one`` without importing ``a.mltt``, as ``covertt check b.mltt`` already
+    rejects.  Flattening ``top.mltt`` put ``a.mltt`` first and let it pass."""
+    base = write_corpus(tmp_path, "top top.mltt\n", {
+        "a.mltt": "def one : N1 := star\n",
+        "b.mltt": "def two : N1 := one\n",
+        "top.mltt": 'import "a.mltt"\nimport "b.mltt"\ndef three : N1 := two\n',
+    })
+    assert report(check_corpus(Flags(), base), base) == [
+        ("top", "fail", "b.mltt:1: unbound: unknown name 'one'"),
+    ]
+    assert report(check_corpus_flat(Flags(), base), base) == [("top", "pass", "")]
+
+
+def test_each_reachable_file_is_parsed_and_each_declaration_checked_once(monkeypatch):
+    """Under all four flags every manifest entry is checked; the 17 files
+    they reach are each parsed once and each declaration is checked once
+    (flattening every entry made 44 parses and checked 276 declarations)."""
+    files = sorted(f for f in os.listdir(CORPUS) if f.endswith(".mltt"))
+    decls = [
+        (d.location, d.name)
+        for f in files
+        for d in surface.parse_file(open(os.path.join(CORPUS, f)).read(), f)[0]
+    ]
+    parsed, checked = [], []
+    parse_file, check_declarations = surface.parse_file, typecheck.check_declarations
+
+    def counting_parse(src, filename="<input>"):
+        parsed.append(filename)
+        return parse_file(src, filename)
+
+    def counting_check(ds, *args, **kwargs):
+        checked.extend((d.location, d.name) for d in ds)
+        return check_declarations(ds, *args, **kwargs)
+
+    monkeypatch.setattr(surface, "parse_file", counting_parse)
+    monkeypatch.setattr(typecheck, "check_declarations", counting_check)
+    assert {r.status for r in check_corpus(ALL_FLAGS)} == {"pass"}
+    assert sorted(parsed) == files and len(files) == 17
+    assert sorted(checked) == sorted(decls)
 
 
 # --- instance builders ----------------------------------------------------------

@@ -131,6 +131,11 @@ def test_import_deduplication(tmp_path):
     top.write_text('import "base.mltt"\nimport "mid.mltt"\ndef three : N1 := two\n')
     decls = surface.load_file(str(top))
     assert [d.name for d in decls] == ["one", "two", "three"]
+    modules = surface.load_modules(str(top))
+    assert [os.path.basename(m.path) for m in modules] == ["base.mltt", "mid.mltt", "top.mltt"]
+    assert [[os.path.basename(p) for p in m.imports] for m in modules] == [
+        [], ["base.mltt"], ["base.mltt", "mid.mltt"]
+    ]
 
 
 # --- the regex tokenizer and the printer against the code they replaced -----
