@@ -25,6 +25,19 @@ fields and an eliminator frame's arguments.  An eliminator's case types
 are built from the introductions of the type it eliminates: one case per
 introduction, over its fields and, for a tree, the induction hypothesis.
 
+Every eliminator computes by one rule, ``Evaluator.elim``, read from the
+same tables.  On an introduction it fires the case at that introduction's
+place among the type's introductions (``_CASES``) on the introduction's
+fields and, for a tree, on the induction hypothesis: a curried function
+over the position of a subtree (one component for ``sup`` and ``dsup``,
+two for ``ind`` and ``tr``) that eliminates the subtree there.  On a
+neutral the eliminator becomes a ``Frame`` of its spine, which records the
+term class to read back and the values of the term's other fields.  The
+unit eliminator under ``eta_unit`` is the one exception, as above.
+``eval`` builds every type former and introduction from its
+evaluated fields, and evaluates every eliminator's fields before handing
+them to ``elim``.
+
 ``Evaluator.steps`` counts every eliminator step the evaluator takes;
 ``restart_budget`` gives the next piece of work, one declaration or one
 top-level call, the whole ``step_limit``.
@@ -256,75 +269,15 @@ class HConst:
 
 
 @dataclass(frozen=True)
-class FApp:
-    arg: Value
+class Frame:
+    """One elimination on a neutral's spine.  ``form`` is the term class
+    that reads it back (``App``, ``Proj1``, ``Proj2`` or an eliminator) and
+    ``args`` the values of that term's fields other than the neutral, in
+    order.  An indexed eliminator's index is not among them: it is read from
+    the type of the neutral."""
 
-
-@dataclass(frozen=True)
-class FProj1:
-    pass
-
-
-@dataclass(frozen=True)
-class FProj2:
-    pass
-
-
-@dataclass(frozen=True)
-class FSigElim:
-    motive: Value
-    case: Value
-
-
-@dataclass(frozen=True)
-class FSumElim:
-    motive: Value
-    case_left: Value
-    case_right: Value
-
-
-@dataclass(frozen=True)
-class FUnitElim:
-    motive: Value
-    case: Value
-
-
-@dataclass(frozen=True)
-class FEmptyElim:
-    motive: Value
-
-
-@dataclass(frozen=True)
-class FJ:
-    motive: Value
-    refl_case: Value
-    lhs: Value
-    rhs: Value
-
-
-@dataclass(frozen=True)
-class FWElim:
-    motive: Value
-    step: Value
-
-
-@dataclass(frozen=True)
-class FDWElim:
-    motive: Value
-    step: Value
-
-
-@dataclass(frozen=True)
-class FWPElim:
-    motive: Value
-    step: Value
-
-
-@dataclass(frozen=True)
-class FCoverElim:
-    motive: Value
-    rf_case: Value
-    tr_case: Value
+    form: type
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -385,19 +338,15 @@ class Evaluator:
     # -- application and projections
 
     def apply(self, f: Value, arg: Value) -> Value:
-        match f:
-            case VLam(clo):
-                self._tick()
-                return self.apply_clo(clo, arg)
-            case VDW():
-                return VDWApp(f, arg)
-            case VWP():
-                return VWPApp(f, arg)
-            case VCover():
-                return VCoverApp(f, arg)
-            case VNeutral(head, frames):
-                return VNeutral(head, frames + (FApp(arg),))
-        raise KernelBug(f"application of non-function value {type(f).__name__}")
+        if isinstance(f, VLam):
+            self._tick()
+            return self.apply_clo(f.clo, arg)
+        if isinstance(f, VNeutral):
+            return VNeutral(f.head, f.frames + (Frame(T.App, (arg,)),))
+        applied = _APPLIED_OF.get(type(f))
+        if applied is None:
+            raise KernelBug(f"application of non-function value {type(f).__name__}")
+        return applied(f, arg)
 
     def apply_many(self, f: Value, *args: Value) -> Value:
         for a in args:
@@ -405,234 +354,92 @@ class Evaluator:
         return f
 
     def proj1(self, v: Value) -> Value:
-        match v:
-            case VPair(a, _):
-                return a
-            case VNeutral(head, frames):
-                return VNeutral(head, frames + (FProj1(),))
+        if isinstance(v, VPair):
+            return v.fst
+        if isinstance(v, VNeutral):
+            return VNeutral(v.head, v.frames + (Frame(T.Proj1, ()),))
         raise KernelBug("fst of non-pair")
 
     def proj2(self, v: Value) -> Value:
-        match v:
-            case VPair(_, b):
-                return b
-            case VNeutral(head, frames):
-                return VNeutral(head, frames + (FProj2(),))
+        if isinstance(v, VPair):
+            return v.snd
+        if isinstance(v, VNeutral):
+            return VNeutral(v.head, v.frames + (Frame(T.Proj2, ()),))
         raise KernelBug("snd of non-pair")
 
-    # -- eliminators
+    # -- the computation rule
 
-    def sig_elim(self, motive: Value, case: Value, s: Value) -> Value:
-        match s:
-            case VPair(a, b):
-                self._tick()
-                return self.apply_many(case, a, b)
-            case VNeutral(head, frames):
-                return VNeutral(head, frames + (FSigElim(motive, case),))
-        raise KernelBug("split on non-pair")
-
-    def sum_elim(self, motive: Value, cl: Value, cr: Value, s: Value) -> Value:
-        match s:
-            case VInl(x):
-                self._tick()
-                return self.apply(cl, x)
-            case VInr(x):
-                self._tick()
-                return self.apply(cr, x)
-            case VNeutral(head, frames):
-                return VNeutral(head, frames + (FSumElim(motive, cl, cr),))
-        raise KernelBug("case on non-injection")
-
-    def unit_elim(self, motive: Value, case: Value, s: Value) -> Value:
-        # Under eta_unit every element of N1 equals star, so the eliminator
-        # may fire regardless of the scrutinee.
-        if isinstance(s, VStar) or self.flags.eta_unit:
+    def elim(self, elim, args: tuple, s: Value) -> Value:
+        """The eliminator ``elim`` on the scrutinee ``s``.  ``args`` are the
+        values of the term's other fields, less an indexed eliminator's
+        index: the motive, one case per introduction, and J's endpoints."""
+        if elim is T.UnitElim and self.flags.eta_unit:
+            # under eta_unit every element of N1 is star, so the case fires
+            # whatever the scrutinee
             self._tick()
-            return case
-        match s:
-            case VNeutral(head, frames):
-                return VNeutral(head, frames + (FUnitElim(motive, case),))
-        raise KernelBug("unitElim on non-unit value")
+            return args[1]
+        if isinstance(s, VNeutral):
+            return VNeutral(s.head, s.frames + (Frame(elim, args),))
+        intro = _INTRO_OF.get(type(s))
+        cases = _CASES[elim]
+        if intro not in cases:
+            raise KernelBug(f"{elim.__name__} on {type(s).__name__}")
+        self._tick()
+        vals = _fields(s)
+        positions = _TREES.get(intro)
+        if positions is not None:
+            vals.append(self._hypothesis(elim, args, vals[-1], positions, ()))
+        return self.apply_many(args[1 + cases.index(intro)], *vals)
 
-    def empty_elim(self, motive: Value, s: Value) -> Value:
-        match s:
-            case VNeutral(head, frames):
-                return VNeutral(head, frames + (FEmptyElim(motive),))
-        raise KernelBug("absurd applied to a canonical value")
-
-    def j_elim(self, motive: Value, d: Value, lhs: Value, rhs: Value, p: Value) -> Value:
-        match p:
-            case VRefl(x):
-                self._tick()
-                return self.apply(d, x)
-            case VNeutral(head, frames):
-                return VNeutral(head, frames + (FJ(motive, d, lhs, rhs),))
-        raise KernelBug("J on non-identity value")
-
-    def w_elim(self, motive: Value, step: Value, s: Value) -> Value:
-        match s:
-            case VSup(a, f):
-                self._tick()
-                rec = PyClosure(
-                    lambda b: self.w_elim(motive, step, self.apply(f, b))
-                )
-                return self.apply_many(step, a, f, VLam(rec))
-            case VNeutral(head, frames):
-                return VNeutral(head, frames + (FWElim(motive, step),))
-        raise KernelBug("elimW on non-sup value")
-
-    def dw_elim(self, motive: Value, step: Value, s: Value) -> Value:
-        match s:
-            case VDSup(i, n, f):
-                self._tick()
-                rec = PyClosure(
-                    lambda b: self.dw_elim(motive, step, self.apply(f, b))
-                )
-                return self.apply_many(step, i, n, f, VLam(rec))
-            case VNeutral(head, frames):
-                return VNeutral(head, frames + (FDWElim(motive, step),))
-        raise KernelBug("elimDW on non-dsup value")
-
-    def wp_elim(self, motive: Value, step: Value, s: Value) -> Value:
-        match s:
-            case VInd(i, n, f):
-                self._tick()
-                rec = PyClosure(
-                    lambda j: VLam(
-                        PyClosure(
-                            lambda r: self.wp_elim(
-                                motive, step, self.apply_many(f, j, r)
-                            )
-                        )
-                    )
-                )
-                return self.apply_many(step, i, n, f, VLam(rec))
-            case VNeutral(head, frames):
-                return VNeutral(head, frames + (FWPElim(motive, step),))
-        raise KernelBug("elimWP on non-ind value")
-
-    def cover_elim(self, motive: Value, q1: Value, q2: Value, s: Value) -> Value:
-        match s:
-            case VRf(a, r):
-                self._tick()
-                return self.apply_many(q1, a, r)
-            case VTr(a, i, f):
-                self._tick()
-                rec = PyClosure(
-                    lambda b: VLam(
-                        PyClosure(
-                            lambda t: self.cover_elim(
-                                motive, q1, q2, self.apply_many(f, b, t)
-                            )
-                        )
-                    )
-                )
-                return self.apply_many(q2, a, i, f, VLam(rec))
-            case VNeutral(head, frames):
-                return VNeutral(head, frames + (FCoverElim(motive, q1, q2),))
-        raise KernelBug("elimCover on non-canonical cover proof")
+    def _hypothesis(self, elim, args: tuple, f: Value, positions: int, pos: tuple) -> Value:
+        """The induction hypothesis of a tree whose subtrees are ``f``: a
+        curried function over the ``positions`` components of a subtree's
+        position, eliminating the subtree there.  ``pos`` holds the
+        components given so far."""
+        if len(pos) == positions:
+            return self.elim(elim, args, self.apply_many(f, *pos))
+        return VLam(
+            PyClosure(lambda x: self._hypothesis(elim, args, f, positions, pos + (x,)))
+        )
 
     # -- evaluation
 
     def eval(self, env: tuple, t: Term) -> Value:
-        match t:
-            case T.Var(i):
-                return env[-1 - i]
-            case T.Const(name):
-                entry = self.globals.get(name)
-                if entry is None:
-                    raise KernelBug(f"unbound constant {name!r} during evaluation")
-                return entry.value
-            case T.Ann(tm, _):
-                return self.eval(env, tm)
-            case T.Univ():
-                return V_U0
-            case T.TypeSort():
-                return V_TYPE
-            case T.Empty():
-                return VEmpty()
-            case T.Unit():
-                return VUnit()
-            case T.Star():
-                return VStar()
-            case T.Pi(dom, cod):
-                return VPi(self.eval(env, dom), Closure(env, cod))
-            case T.Lam(body):
-                return VLam(Closure(env, body))
-            case T.App(f, a):
-                return self.apply(self.eval(env, f), self.eval(env, a))
-            case T.Sigma(fst, snd):
-                return VSigma(self.eval(env, fst), Closure(env, snd))
-            case T.Pair(a, b):
-                return VPair(self.eval(env, a), self.eval(env, b))
-            case T.Proj1(p):
-                return self.proj1(self.eval(env, p))
-            case T.Proj2(p):
-                return self.proj2(self.eval(env, p))
-            case T.SigElim(m, c, s):
-                return self.sig_elim(self.eval(env, m), self.eval(env, c), self.eval(env, s))
-            case T.Sum(l, r):
-                return VSum(self.eval(env, l), self.eval(env, r))
-            case T.Inl(x):
-                return VInl(self.eval(env, x))
-            case T.Inr(x):
-                return VInr(self.eval(env, x))
-            case T.SumElim(m, cl, cr, s):
-                return self.sum_elim(
-                    self.eval(env, m), self.eval(env, cl), self.eval(env, cr), self.eval(env, s)
-                )
-            case T.Id(ty, a, b):
-                return VId(self.eval(env, ty), self.eval(env, a), self.eval(env, b))
-            case T.Refl(x):
-                return VRefl(self.eval(env, x))
-            case T.J(m, d, a, b, p):
-                return self.j_elim(
-                    self.eval(env, m),
-                    self.eval(env, d),
-                    self.eval(env, a),
-                    self.eval(env, b),
-                    self.eval(env, p),
-                )
-            case T.UnitElim(m, c, s):
-                return self.unit_elim(self.eval(env, m), self.eval(env, c), self.eval(env, s))
-            case T.EmptyElim(m, s):
-                return self.empty_elim(self.eval(env, m), self.eval(env, s))
-            case T.W(a, b):
-                return VW(self.eval(env, a), self.eval(env, b))
-            case T.Sup(a, f):
-                return VSup(self.eval(env, a), self.eval(env, f))
-            case T.WElim(m, d, s):
-                return self.w_elim(self.eval(env, m), self.eval(env, d), self.eval(env, s))
-            case T.DW(i, n, br, ar):
-                return VDW(
-                    self.eval(env, i), self.eval(env, n), self.eval(env, br), self.eval(env, ar)
-                )
-            case T.DSup(i, n, f):
-                return VDSup(self.eval(env, i), self.eval(env, n), self.eval(env, f))
-            case T.DWElim(m, d, _i, s):
-                return self.dw_elim(self.eval(env, m), self.eval(env, d), self.eval(env, s))
-            case T.WP(i, n, r):
-                return VWP(self.eval(env, i), self.eval(env, n), self.eval(env, r))
-            case T.Ind(i, n, f):
-                return VInd(self.eval(env, i), self.eval(env, n), self.eval(env, f))
-            case T.WPElim(m, c, _i, s):
-                return self.wp_elim(self.eval(env, m), self.eval(env, c), self.eval(env, s))
-            case T.Cover(a, i, c, v):
-                return VCover(
-                    self.eval(env, a), self.eval(env, i), self.eval(env, c), self.eval(env, v)
-                )
-            case T.Rf(a, r):
-                return VRf(self.eval(env, a), self.eval(env, r))
-            case T.Tr(a, i, f):
-                return VTr(self.eval(env, a), self.eval(env, i), self.eval(env, f))
-            case T.CoverElim(m, q1, q2, _a, s):
-                return self.cover_elim(
-                    self.eval(env, m),
-                    self.eval(env, q1),
-                    self.eval(env, q2),
-                    self.eval(env, s),
-                )
-        raise KernelBug(f"eval: unhandled term {type(t).__name__}")
+        cls = type(t)
+        if cls is T.Var:
+            return env[-1 - t.index]
+        if cls is T.App:
+            return self.apply(self.eval(env, t.fn), self.eval(env, t.arg))
+        if cls is T.Lam:
+            return VLam(Closure(env, t.body))
+        if cls is T.Const:
+            entry = self.globals.get(t.name)
+            if entry is None:
+                raise KernelBug(f"unbound constant {t.name!r} during evaluation")
+            return entry.value
+        value = _VALUE_OF.get(cls)
+        if value is not None:
+            # a type former or an introduction
+            return value(*[self.eval(env, getattr(t, name)) for name in _FIELD_NAMES[cls]])
+        names = _ELIM_FIELDS.get(cls)
+        if names is not None:
+            *args, s = [self.eval(env, getattr(t, name)) for name in names]
+            return self.elim(cls, tuple(args), s)
+        if cls is T.Pi:
+            return VPi(self.eval(env, t.dom), Closure(env, t.cod))
+        if cls is T.Sigma:
+            return VSigma(self.eval(env, t.fst), Closure(env, t.snd))
+        if cls is T.Proj1:
+            return self.proj1(self.eval(env, t.pair))
+        if cls is T.Proj2:
+            return self.proj2(self.eval(env, t.pair))
+        if cls is T.Ann:
+            return self.eval(env, t.term)
+        if cls is T.Univ:
+            return V_U0
+        if cls is T.TypeSort:
+            return V_TYPE
+        raise KernelBug(f"eval: unhandled term {cls.__name__}")
 
     # -- the typing rules --------------------------------------------------------
     #
@@ -767,7 +574,7 @@ class Evaluator:
 
     def _case_type(self, intro, ty: Value, motive: Value, vals: tuple) -> Value:
         k = len(vals)
-        if k < _ARITY[intro]:
+        if k < len(_FIELD_NAMES[intro]):
             return VPi(
                 self.value_field(intro, ty, vals, k),
                 PyClosure(lambda x: self._case_type(intro, ty, motive, vals + (x,))),
@@ -786,27 +593,26 @@ class Evaluator:
     def frame_types(self, cur: Value, scrut: VNeutral, frame):
         """Types of ``frame``'s fields, in order, and of its result, when it
         eliminates the neutral ``scrut`` of type ``cur``."""
-        match frame:
-            case FApp(arg):
-                if not isinstance(cur, VPi):
-                    raise KernelBug("readback: application at non-function type")
-                return (cur.dom,), self.apply_clo(cur.cod, arg)
-            case FProj1() | FProj2():
-                if not isinstance(cur, VSigma):
-                    raise KernelBug("readback: projection at non-Sigma type")
-                if isinstance(frame, FProj1):
-                    return (), cur.fst
-                return (), self.apply_clo(cur.snd, self.proj1(scrut))
-        elim = _TERM_OF[type(frame)]
-        m_ty = self.motive_type(elim, cur)
+        form = frame.form
+        if form is T.App:
+            if not isinstance(cur, VPi):
+                raise KernelBug("readback: application at non-function type")
+            return (cur.dom,), self.apply_clo(cur.cod, frame.args[0])
+        if form is T.Proj1 or form is T.Proj2:
+            if not isinstance(cur, VSigma):
+                raise KernelBug("readback: projection at non-Sigma type")
+            if form is T.Proj1:
+                return (), cur.fst
+            return (), self.apply_clo(cur.snd, self.proj1(scrut))
+        m_ty = self.motive_type(form, cur)
         if m_ty is None:
-            raise KernelBug(f"readback: {elim.__name__} at {type(cur).__name__}")
-        motive = frame.motive
+            raise KernelBug(f"readback: {form.__name__} at {type(cur).__name__}")
+        motive = frame.args[0]
         types = (m_ty, *self.case_types(cur, motive))
-        if isinstance(frame, FJ):
+        if form is T.J:
             # J records its endpoints
-            result = self.apply_many(motive, frame.lhs, frame.rhs, scrut)
-            return types + (cur.type, cur.type), result
+            lhs, rhs = frame.args[2:]
+            return types + (cur.type, cur.type), self.apply_many(motive, lhs, rhs, scrut)
         if isinstance(cur, _APPLIED):
             return types, self.apply_many(motive, cur.idx, scrut)
         return types, self.apply(motive, scrut)
@@ -849,7 +655,7 @@ class Evaluator:
                 return T.Univ() if kind == "u0" else T.TypeSort()
             case VPi(dom, cod) | VSigma(dom, cod):
                 var = fresh(depth, dom)
-                return _TERM_OF[type(v)](
+                return (T.Pi if isinstance(v, VPi) else T.Sigma)(
                     self.readback_type(dom, depth),
                     self.readback_type(self.apply_clo(cod, var), depth + 1),
                 )
@@ -873,15 +679,13 @@ class Evaluator:
         cur = head.type
         for k, frame in enumerate(v.frames):
             types, result = self.frame_types(cur, VNeutral(head, v.frames[:k]), frame)
-            args = [self.readback(x, t, depth) for x, t in zip(_fields(frame), types)]
+            args = [self.readback(x, t, depth) for x, t in zip(frame.args, types)]
+            form = frame.form
             # the indexed eliminators also record the scrutinee's index,
             # which comes from its type, not from the frame
-            if isinstance(frame, (FDWElim, FWPElim, FCoverElim)):
+            if form in _INDEXED:
                 args += [self.readback(x, t, depth) for x, t in type_index(cur)]
-            if isinstance(frame, FApp):
-                acc = T.App(acc, *args)
-            else:
-                acc = _TERM_OF[type(frame)](*args, acc)
+            acc = T.App(acc, *args) if form is T.App else form(*args, acc)
             cur = result
         return acc
 
@@ -989,13 +793,13 @@ class Evaluator:
         elif not (isinstance(hb, HConst) and ha.name == hb.name):
             return False
         fa, fb = a.frames, b.frames
-        if len(fa) != len(fb) or any(type(f) is not type(g) for f, g in zip(fa, fb)):
+        if len(fa) != len(fb) or any(f.form is not g.form for f, g in zip(fa, fb)):
             return False
         last = max((k for k in range(len(fa)) if not _same_frame(fa[k], fb[k])), default=-1)
         cur = ha.type
         for k in range(last + 1):
             types, result = self.frame_types(cur, VNeutral(ha, fa[:k]), fa[k])
-            if not all(map(self.conv, _fields(fa[k]), _fields(fb[k]), types, repeat(depth))):
+            if not all(map(self.conv, fa[k].args, fb[k].args, types, repeat(depth))):
                 return False
             cur = result
         return True
@@ -1003,7 +807,7 @@ class Evaluator:
 
 
 def _fields(x) -> list:
-    """A value's or frame's fields in declaration order."""
+    """A value's fields in declaration order."""
     return [getattr(x, name) for name in x.__match_args__]
 
 
@@ -1022,14 +826,16 @@ def _same(x, y) -> bool:
         return x.body is y.body and _same(x.env, y.env)
     if cls is PyClosure:
         return False
+    if cls is Frame:
+        return x.form is y.form and _same(x.args, y.args)
     if cls is int or cls is str:
         return x == y
     return all(map(_same, _fields(x), _fields(y)))
 
 
-def _same_frame(f1, f2) -> bool:
-    """Two frames of the same class whose fields are the same objects."""
-    return f1 is f2 or all(map(operator.is_, _fields(f1), _fields(f2)))
+def _same_frame(f1: Frame, f2: Frame) -> bool:
+    """Two frames of the same form whose arguments are the same objects."""
+    return f1 is f2 or all(map(operator.is_, f1.args, f2.args))
 
 
 # type former, applied family and canonical value classes -> the term
@@ -1059,27 +865,15 @@ _INTRO_OF = {
     VRf: T.Rf,
     VTr: T.Tr,
 }
-_VALUE_OF = {term: value for value, term in _INTRO_OF.items()}
-_ARITY = {term: len(T.CHILDREN[term]) for term in _VALUE_OF}
-
-# value, type former or frame class -> the term class it reads back to
-_TERM_OF = {
-    VPi: T.Pi,
-    VSigma: T.Sigma,
-    **_FORMER_OF,
-    **_INTRO_OF,
-    FProj1: T.Proj1,
-    FProj2: T.Proj2,
-    FSigElim: T.SigElim,
-    FSumElim: T.SumElim,
-    FUnitElim: T.UnitElim,
-    FEmptyElim: T.EmptyElim,
-    FJ: T.J,
-    FWElim: T.WElim,
-    FDWElim: T.DWElim,
-    FWPElim: T.WPElim,
-    FCoverElim: T.CoverElim,
+# term class -> the value class it evaluates to, for type formers and
+# introductions
+_VALUE_OF = {
+    term: value
+    for value, term in (*_FORMER_OF.items(), *_INTRO_OF.items())
+    if term is not T.App
 }
+_FIELD_NAMES = {cls: tuple(name for name, _ in children) for cls, children in T.CHILDREN.items()}
+_APPLIED_OF = {VDW: VDWApp, VWP: VWPApp, VCover: VCoverApp}
 
 
 # type class -> its eliminator and its introductions, as term classes
@@ -1105,9 +899,23 @@ _INTROS = {
     VWPApp: (T.Ind,),
     VCoverApp: (T.Rf, T.Tr),
 }
-# introductions whose last field is a function to subtrees
-_TREES = (T.Sup, T.DSup, T.Ind, T.Tr)
+# introductions whose last field is a function to subtrees -> the number of
+# components of a subtree's position
+_TREES = {T.Sup: 1, T.DSup: 1, T.Ind: 2, T.Tr: 2}
 _APPLIED = (VDWApp, VWPApp, VCoverApp)
+
+# eliminator -> the introductions of the type it eliminates, whose cases
+# follow its motive in that order
+_CASES = {elim: _INTROS[ty] for ty, elim in _ELIMINATOR.items()}
+# eliminators whose term records the scrutinee's index, second to last
+_INDEXED = frozenset(_ELIMINATOR[ty] for ty in _APPLIED)
+# eliminator -> the fields eval reads: all but the recorded index
+_ELIM_FIELDS = {
+    elim: _FIELD_NAMES[elim][:-2] + _FIELD_NAMES[elim][-1:]
+    if elim in _INDEXED
+    else _FIELD_NAMES[elim]
+    for elim in _CASES
+}
 
 
 def inhabits(intro, ty: Value) -> bool:

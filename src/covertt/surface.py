@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import terms as T
@@ -36,12 +36,16 @@ from .typecheck import Declaration
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int, expected=()):
+    """A syntax error at ``line``:``col`` of ``filename``, or of the text
+    given to ``parse_term`` when ``filename`` is None."""
+
+    def __init__(self, message: str, line: int, col: int, expected=(), filename=None):
         self.message = message
         self.line = line
         self.col = col
         self.expected = tuple(expected)
-        loc = f"{line}:{col}"
+        self.filename = filename
+        loc = f"{line}:{col}" if filename is None else f"{filename}:{line}:{col}"
         exp = f" (expected one of: {', '.join(self.expected)})" if self.expected else ""
         super().__init__(f"{loc}: {message}{exp}")
 
@@ -186,9 +190,12 @@ _ATOM_START = set(KEYWORD_FORMS) | set(ATOM_KEYWORDS) | BINDER_KEYWORDS
 
 
 class Parser:
-    def __init__(self, src: str, filename: str = "<input>"):
+    def __init__(self, src: str, filename: Optional[str] = None):
         self.src = src
-        kinds, texts, lines = _lex(src)
+        try:
+            kinds, texts, lines = _lex(src)
+        except ParseError as e:
+            raise ParseError(e.message, e.line, e.col, filename=filename) from None
         self.closer = _matching_parens(kinds, texts)
         # lookahead reads at most two tokens past the end
         self.kinds = kinds + ["eof"] * 3
@@ -211,7 +218,7 @@ class Parser:
 
     def error(self, message: str, expected=()):
         t = self.token(self.pos)
-        raise ParseError(message, t.line, t.col, expected)
+        raise ParseError(message, t.line, t.col, expected, self.filename)
 
     def expect(self, kind: str, text: Optional[str] = None) -> str:
         k = self.pos
@@ -427,24 +434,35 @@ def parse_term(src: str, scope: Optional[list[str]] = None) -> Term:
 
 
 def parse_file(src: str, filename: str = "<input>") -> tuple[list[Declaration], list[str]]:
+    """The declarations and imports of ``src``; a ``ParseError`` names
+    ``filename``, as the declarations' locations do."""
     return Parser(src, filename).parse_file()
 
 
 @dataclass(frozen=True)
 class Module:
     """One parsed file: its absolute path, its declarations, and the files
-    it imports, in the order written, as paths joined to its directory."""
+    it imports, in the order written, as paths joined to its directory.
+    ``src`` is its text, read again only to locate an error."""
 
     path: str
     decls: list[Declaration]
     imports: list[str]
+    src: str = field(repr=False, compare=False)
+
+    def import_error(self, k: int, message: str) -> ParseError:
+        """``message`` at the ``import`` item that names ``imports[k]``."""
+        # ``import`` is reserved, so its tokens are the import items
+        items = [t for t in tokenize(self.src) if t.kind == "keyword" and t.text == "import"]
+        name = os.path.basename(self.path)
+        return ParseError(message, items[k].line, items[k].col, filename=name)
 
 
 def _parse_module(ap: str) -> Module:
     with open(ap, encoding="utf-8") as fh:
         src = fh.read()
     decls, imports = parse_file(src, os.path.basename(ap))
-    return Module(ap, decls, [os.path.join(os.path.dirname(ap), imp) for imp in imports])
+    return Module(ap, decls, [os.path.join(os.path.dirname(ap), imp) for imp in imports], src)
 
 
 def load_modules(path: str, parsed: Optional[dict] = None) -> list[Module]:
@@ -452,11 +470,12 @@ def load_modules(path: str, parsed: Optional[dict] = None) -> list[Module]:
 
     A module comes after the modules it imports, and imports are followed
     depth first in the order they are written; an import cycle is a
-    ``ParseError``.  Every reachable file is read and parsed before the
-    result is returned, so a caller sees a file's errors before checking
-    anything.  ``parsed`` maps an absolute path to its ``Module``, or to the
-    ``ParseError`` or ``OSError`` that reading it raised; a caller that
-    loads several files passes one dict to read and parse each file once.
+    ``ParseError`` at the ``import`` item that closes it.  Every reachable
+    file is read and parsed before the result is returned, so a caller sees
+    a file's errors before checking anything.  ``parsed`` maps an absolute
+    path to its ``Module``, or to the ``ParseError`` or ``OSError`` that
+    reading it raised; a caller that loads several files passes one dict to
+    read and parse each file once.
     """
     parsed = {} if parsed is None else parsed
     order: list[Module] = []
@@ -465,8 +484,6 @@ def load_modules(path: str, parsed: Optional[dict] = None) -> list[Module]:
     def visit(p: str):
         ap = os.path.abspath(p)
         if ap in finished:
-            if not finished[ap]:
-                raise ParseError(f"import cycle through {p}", 0, 0)
             return
         finished[ap] = False
         module = parsed.get(ap)
@@ -478,7 +495,9 @@ def load_modules(path: str, parsed: Optional[dict] = None) -> list[Module]:
             parsed[ap] = module
         if not isinstance(module, Module):
             raise module
-        for imp in module.imports:
+        for k, imp in enumerate(module.imports):
+            if finished.get(os.path.abspath(imp)) is False:
+                raise module.import_error(k, f"import cycle through {imp}")
             visit(imp)
         finished[ap] = True
         order.append(module)

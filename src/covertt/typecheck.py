@@ -178,13 +178,6 @@ class Context:
         child.env = self.env + (fresh(len(self.env), ty),)
         return child
 
-    def extend_with(self, name: str, ty: Value, value: Value) -> "Context":
-        child = Context()
-        child.names = self.names + [name]
-        child.types = self.types + [ty]
-        child.env = self.env + (value,)
-        return child
-
     def lookup(self, index: int) -> Value:
         return self.types[-1 - index]
 
@@ -312,10 +305,10 @@ class Checker:
                 return self.infer_formation(ctx, t)
             case T.W() | T.DW() | T.WP() | T.Cover():
                 if not T.closed(t):
-                    return self.infer_family(ctx, t)
+                    return self.infer_formation(ctx, t)
                 ty = self.family_types.get(t)
                 if ty is None:
-                    ty = self.family_types[t] = self.infer_family(Context(), t)
+                    ty = self.family_types[t] = self.infer_formation(Context(), t)
                 return ty
             case T.App(f, a):
                 fty = self.infer(ctx, f)
@@ -386,10 +379,6 @@ class Checker:
         for k, field in enumerate(vals.terms):
             self.check(ctx, field, self.ev.type_field(former, vals, k))
         return self.ev.formation_type(former, vals)
-
-    def infer_family(self, ctx: Context, t: Term) -> Value:
-        """Formation of a W type or of a DW, WP or Cover family."""
-        return self.infer_formation(ctx, t)
 
     def infer_elim(self, ctx: Context, t: Term) -> Value:
         """Elimination with an explicit motive: the scrutinee's type gives the

@@ -10,9 +10,42 @@ import random
 from covertt import surface, typecheck
 from covertt import terms as T
 from covertt.cover import FiniteAxiomSet, RfNode, Subset, TrNode, derivation
-from covertt.encodings import CorpusResult, corpus_dir, load_manifest
+from covertt.encodings import CorpusResult, _check_module, corpus_dir, load_manifest
 from covertt.surface import RESERVED, ParseError
-from covertt.semantics import V_ANY, EvalBudgetExceeded, Evaluator, Value
+from covertt.semantics import (
+    V_ANY,
+    V_TYPE,
+    V_U0,
+    Closure,
+    EvalBudgetExceeded,
+    Evaluator,
+    Frame,
+    KernelBug,
+    PyClosure,
+    Value,
+    VCover,
+    VDSup,
+    VDW,
+    VEmpty,
+    VId,
+    VInd,
+    VInl,
+    VInr,
+    VLam,
+    VNeutral,
+    VPair,
+    VPi,
+    VRefl,
+    VRf,
+    VSigma,
+    VStar,
+    VSum,
+    VSup,
+    VTr,
+    VUnit,
+    VW,
+    VWP,
+)
 from covertt.terms import Flags
 from covertt.typecheck import Checker, Context
 
@@ -25,9 +58,16 @@ ALL_FLAG_SETS = [
 ]
 
 
-def checker_for(src: str, flags: Flags = Flags()) -> Checker:
+def checker_with(evaluator, flags: Flags = Flags()) -> Checker:
+    """A checker under ``flags`` whose evaluator is of class ``evaluator``."""
+    checker = Checker(flags)
+    checker.ev = evaluator(checker.globals, flags)
+    return checker
+
+
+def checker_for(src: str, flags: Flags = Flags(), evaluator=Evaluator) -> Checker:
     decls, _ = surface.parse_file(src)
-    return typecheck.check_declarations(decls, flags)
+    return typecheck.check_declarations(decls, checker=checker_with(evaluator, flags))
 
 
 def context_of(checker: Checker, items: list[tuple[str, str]]):
@@ -105,11 +145,267 @@ def check_corpus_flat(flags: Flags, base: str | None = None) -> list[CorpusResul
     return results
 
 
+def corpus_normal_forms(flags: Flags, evaluator=Evaluator):
+    """Check every module that the manifest's entries under ``flags`` reach,
+    each once and against the globals of its own imports, as
+    ``check_corpus`` does, with an evaluator of class ``evaluator``; then
+    read back every definition that passed at its type.  Returns each
+    module's verdict as (file, index of the first failing declaration,
+    detail), the evaluator's steps after checking, and one
+    ``NAME := NORMAL FORM`` line per definition, in order."""
+    checker = checker_with(evaluator, flags)
+    builtin = dict(checker.globals)
+    parsed: dict = {}
+    checked: dict = {}
+    modules = []
+    for entry in load_manifest():
+        if not flags.includes(entry.required):
+            continue
+        for module in surface.load_modules(entry.path(), parsed):
+            if module.path not in checked:
+                checked[module.path] = _check_module(module, checker, builtin, checked)
+                modules.append(module)
+    verdicts = [
+        (os.path.basename(m.path), checked[m.path].failed, checked[m.path].detail)
+        for m in modules
+    ]
+    ev = checker.ev
+    steps = ev.steps
+    forms = []
+    for module in modules:
+        result = checked[module.path]
+        checker.use_globals(result.globals)
+        for d in module.decls[: result.failed]:
+            entry = result.globals[d.name]
+            ev.restart_budget()
+            nf = ev.readback(entry.value, entry.type_value, 0)
+            forms.append(f"{d.name} := {surface.pretty(nf)}")
+    return verdicts, steps, forms
+
+
 def readback_equal(ev: Evaluator, a: Value, b: Value, ty: Value = V_ANY, depth: int = 0) -> bool:
     """The conversion check the kernel used to run, kept as the oracle of
     ``Evaluator.conv``: read both values back in full and compare the terms.
     At a sort (the default) the values are types."""
     return ev.readback(a, ty, depth) == ev.readback(b, ty, depth)
+
+
+class HandWrittenEvaluator(Evaluator):
+    """The evaluator ``Evaluator.elim`` replaced, kept as its oracle: one
+    class pattern per term in ``eval`` and one method per eliminator, each
+    ticking where its computation rule fires.  Neutrals are built from the
+    same ``Frame``s, so the two evaluators' values can be read back and
+    compared by one readback."""
+
+    def sig_elim(self, motive: Value, case: Value, s: Value) -> Value:
+        match s:
+            case VPair(a, b):
+                self._tick()
+                return self.apply_many(case, a, b)
+            case VNeutral(head, frames):
+                return VNeutral(head, frames + (Frame(T.SigElim, (motive, case)),))
+        raise KernelBug("split on non-pair")
+
+    def sum_elim(self, motive: Value, cl: Value, cr: Value, s: Value) -> Value:
+        match s:
+            case VInl(x):
+                self._tick()
+                return self.apply(cl, x)
+            case VInr(x):
+                self._tick()
+                return self.apply(cr, x)
+            case VNeutral(head, frames):
+                return VNeutral(head, frames + (Frame(T.SumElim, (motive, cl, cr)),))
+        raise KernelBug("case on non-injection")
+
+    def unit_elim(self, motive: Value, case: Value, s: Value) -> Value:
+        # Under eta_unit every element of N1 equals star, so the eliminator
+        # may fire regardless of the scrutinee.
+        if isinstance(s, VStar) or self.flags.eta_unit:
+            self._tick()
+            return case
+        match s:
+            case VNeutral(head, frames):
+                return VNeutral(head, frames + (Frame(T.UnitElim, (motive, case)),))
+        raise KernelBug("unitElim on non-unit value")
+
+    def empty_elim(self, motive: Value, s: Value) -> Value:
+        match s:
+            case VNeutral(head, frames):
+                return VNeutral(head, frames + (Frame(T.EmptyElim, (motive,)),))
+        raise KernelBug("absurd applied to a canonical value")
+
+    def j_elim(self, motive: Value, d: Value, lhs: Value, rhs: Value, p: Value) -> Value:
+        match p:
+            case VRefl(x):
+                self._tick()
+                return self.apply(d, x)
+            case VNeutral(head, frames):
+                return VNeutral(head, frames + (Frame(T.J, (motive, d, lhs, rhs)),))
+        raise KernelBug("J on non-identity value")
+
+    def w_elim(self, motive: Value, step: Value, s: Value) -> Value:
+        match s:
+            case VSup(a, f):
+                self._tick()
+                rec = PyClosure(
+                    lambda b: self.w_elim(motive, step, self.apply(f, b))
+                )
+                return self.apply_many(step, a, f, VLam(rec))
+            case VNeutral(head, frames):
+                return VNeutral(head, frames + (Frame(T.WElim, (motive, step)),))
+        raise KernelBug("elimW on non-sup value")
+
+    def dw_elim(self, motive: Value, step: Value, s: Value) -> Value:
+        match s:
+            case VDSup(i, n, f):
+                self._tick()
+                rec = PyClosure(
+                    lambda b: self.dw_elim(motive, step, self.apply(f, b))
+                )
+                return self.apply_many(step, i, n, f, VLam(rec))
+            case VNeutral(head, frames):
+                return VNeutral(head, frames + (Frame(T.DWElim, (motive, step)),))
+        raise KernelBug("elimDW on non-dsup value")
+
+    def wp_elim(self, motive: Value, step: Value, s: Value) -> Value:
+        match s:
+            case VInd(i, n, f):
+                self._tick()
+                rec = PyClosure(
+                    lambda j: VLam(
+                        PyClosure(
+                            lambda r: self.wp_elim(
+                                motive, step, self.apply_many(f, j, r)
+                            )
+                        )
+                    )
+                )
+                return self.apply_many(step, i, n, f, VLam(rec))
+            case VNeutral(head, frames):
+                return VNeutral(head, frames + (Frame(T.WPElim, (motive, step)),))
+        raise KernelBug("elimWP on non-ind value")
+
+    def cover_elim(self, motive: Value, q1: Value, q2: Value, s: Value) -> Value:
+        match s:
+            case VRf(a, r):
+                self._tick()
+                return self.apply_many(q1, a, r)
+            case VTr(a, i, f):
+                self._tick()
+                rec = PyClosure(
+                    lambda b: VLam(
+                        PyClosure(
+                            lambda t: self.cover_elim(
+                                motive, q1, q2, self.apply_many(f, b, t)
+                            )
+                        )
+                    )
+                )
+                return self.apply_many(q2, a, i, f, VLam(rec))
+            case VNeutral(head, frames):
+                return VNeutral(head, frames + (Frame(T.CoverElim, (motive, q1, q2)),))
+        raise KernelBug("elimCover on non-canonical cover proof")
+
+    def eval(self, env: tuple, t: Term) -> Value:
+        match t:
+            case T.Var(i):
+                return env[-1 - i]
+            case T.Const(name):
+                entry = self.globals.get(name)
+                if entry is None:
+                    raise KernelBug(f"unbound constant {name!r} during evaluation")
+                return entry.value
+            case T.Ann(tm, _):
+                return self.eval(env, tm)
+            case T.Univ():
+                return V_U0
+            case T.TypeSort():
+                return V_TYPE
+            case T.Empty():
+                return VEmpty()
+            case T.Unit():
+                return VUnit()
+            case T.Star():
+                return VStar()
+            case T.Pi(dom, cod):
+                return VPi(self.eval(env, dom), Closure(env, cod))
+            case T.Lam(body):
+                return VLam(Closure(env, body))
+            case T.App(f, a):
+                return self.apply(self.eval(env, f), self.eval(env, a))
+            case T.Sigma(fst, snd):
+                return VSigma(self.eval(env, fst), Closure(env, snd))
+            case T.Pair(a, b):
+                return VPair(self.eval(env, a), self.eval(env, b))
+            case T.Proj1(p):
+                return self.proj1(self.eval(env, p))
+            case T.Proj2(p):
+                return self.proj2(self.eval(env, p))
+            case T.SigElim(m, c, s):
+                return self.sig_elim(self.eval(env, m), self.eval(env, c), self.eval(env, s))
+            case T.Sum(l, r):
+                return VSum(self.eval(env, l), self.eval(env, r))
+            case T.Inl(x):
+                return VInl(self.eval(env, x))
+            case T.Inr(x):
+                return VInr(self.eval(env, x))
+            case T.SumElim(m, cl, cr, s):
+                return self.sum_elim(
+                    self.eval(env, m), self.eval(env, cl), self.eval(env, cr), self.eval(env, s)
+                )
+            case T.Id(ty, a, b):
+                return VId(self.eval(env, ty), self.eval(env, a), self.eval(env, b))
+            case T.Refl(x):
+                return VRefl(self.eval(env, x))
+            case T.J(m, d, a, b, p):
+                return self.j_elim(
+                    self.eval(env, m),
+                    self.eval(env, d),
+                    self.eval(env, a),
+                    self.eval(env, b),
+                    self.eval(env, p),
+                )
+            case T.UnitElim(m, c, s):
+                return self.unit_elim(self.eval(env, m), self.eval(env, c), self.eval(env, s))
+            case T.EmptyElim(m, s):
+                return self.empty_elim(self.eval(env, m), self.eval(env, s))
+            case T.W(a, b):
+                return VW(self.eval(env, a), self.eval(env, b))
+            case T.Sup(a, f):
+                return VSup(self.eval(env, a), self.eval(env, f))
+            case T.WElim(m, d, s):
+                return self.w_elim(self.eval(env, m), self.eval(env, d), self.eval(env, s))
+            case T.DW(i, n, br, ar):
+                return VDW(
+                    self.eval(env, i), self.eval(env, n), self.eval(env, br), self.eval(env, ar)
+                )
+            case T.DSup(i, n, f):
+                return VDSup(self.eval(env, i), self.eval(env, n), self.eval(env, f))
+            case T.DWElim(m, d, _i, s):
+                return self.dw_elim(self.eval(env, m), self.eval(env, d), self.eval(env, s))
+            case T.WP(i, n, r):
+                return VWP(self.eval(env, i), self.eval(env, n), self.eval(env, r))
+            case T.Ind(i, n, f):
+                return VInd(self.eval(env, i), self.eval(env, n), self.eval(env, f))
+            case T.WPElim(m, c, _i, s):
+                return self.wp_elim(self.eval(env, m), self.eval(env, c), self.eval(env, s))
+            case T.Cover(a, i, c, v):
+                return VCover(
+                    self.eval(env, a), self.eval(env, i), self.eval(env, c), self.eval(env, v)
+                )
+            case T.Rf(a, r):
+                return VRf(self.eval(env, a), self.eval(env, r))
+            case T.Tr(a, i, f):
+                return VTr(self.eval(env, a), self.eval(env, i), self.eval(env, f))
+            case T.CoverElim(m, q1, q2, _a, s):
+                return self.cover_elim(
+                    self.eval(env, m),
+                    self.eval(env, q1),
+                    self.eval(env, q2),
+                    self.eval(env, s),
+                )
+        raise KernelBug(f"eval: unhandled term {type(t).__name__}")
 
 
 def kleene_step(ax: FiniteAxiomSet, v_mask: int, x_mask: int) -> int:

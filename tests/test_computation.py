@@ -1,0 +1,79 @@
+"""The computation rules: ``Evaluator.elim`` against the hand-written rule
+per eliminator that it replaced (``helpers.HandWrittenEvaluator``), and the
+step counts and normal forms it keeps."""
+
+import functools
+import hashlib
+
+import pytest
+
+from covertt import surface, typecheck
+from covertt.encodings import check_corpus
+from covertt.semantics import Evaluator
+from covertt.terms import Flags
+from covertt.typecheck import Checker
+
+from helpers import HandWrittenEvaluator, corpus_normal_forms, nested_identity
+
+FLAG_SETS = {
+    "none": Flags(),
+    "funext": Flags(funext=True),
+    "eta3": Flags(eta_pi=True, eta_sigma=True, eta_unit=True),
+    "all": Flags(eta_pi=True, eta_sigma=True, eta_unit=True, funext=True),
+}
+
+# Measured with the hand-written rules: the steps of one ``check_corpus``
+# call, and the sha256 of the normal forms ``corpus_normal_forms`` lists.
+CORPUS_STEPS = {"none": 919, "funext": 3_880, "eta3": 11_453, "all": 28_708}
+NORMAL_FORMS_SHA256 = {
+    "none": "e5ab308e42b45b9b34701753232df7778c07db7ce6211ea8b3de52eec4d9b4e9",
+    "funext": "8bbd163000a381f5fb241df6254a7c555858600355c174ab345bd99ae0c1acd2",
+    "eta3": "5f544127643735d9aa3d90ad3758d92bb52cf7d944caa8fb69e8b46a9ccad1a3",
+    "all": "b45cb0b26b60a664a1dd4961b23351cce31878d33d0c98500410b0d746bcb76f",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def normal_forms(flag_set: str, evaluator):
+    return corpus_normal_forms(FLAG_SETS[flag_set], evaluator)
+
+
+@pytest.mark.parametrize("flag_set", FLAG_SETS)
+def test_corpus_agrees_with_the_hand_written_rules(flag_set):
+    """The same verdicts, the same steps and the same normal form of every
+    definition, with every module checked once."""
+    elim = normal_forms(flag_set, Evaluator)
+    assert elim == normal_forms(flag_set, HandWrittenEvaluator)
+    verdicts, _steps, forms = elim
+    assert forms and all(detail == "" for _file, _failed, detail in verdicts)
+
+
+@pytest.mark.parametrize("flag_set", FLAG_SETS)
+def test_corpus_steps_and_normal_forms_are_pinned(flag_set, monkeypatch):
+    evaluators = []
+    init = Evaluator.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        evaluators.append(self)
+
+    monkeypatch.setattr(Evaluator, "__init__", recorded)
+    check_corpus(FLAG_SETS[flag_set])
+    assert [ev.steps for ev in evaluators] == [CORPUS_STEPS[flag_set]]
+    monkeypatch.undo()
+    _verdicts, steps, forms = normal_forms(flag_set, Evaluator)
+    assert steps == CORPUS_STEPS[flag_set]
+    digest = hashlib.sha256("\n".join(forms).encode()).hexdigest()
+    assert digest == NORMAL_FORMS_SHA256[flag_set]
+
+
+def test_nested_identity_steps_are_pinned():
+    """100 nested applications of the identity take n(n-1)/2 steps to
+    infer and n more to normalize."""
+    term = surface.parse_term(nested_identity(100))
+    chk = Checker()
+    assert typecheck.infer_type(chk, term) == surface.parse_term("N1")
+    assert chk.ev.steps == 4_950
+    chk = Checker()
+    assert typecheck.normalize(chk, term) == surface.parse_term("star")
+    assert chk.ev.steps == 5_050

@@ -14,6 +14,7 @@ from covertt.terms import Flags
 from helpers import (
     ALL_FLAG_SETS,
     CORPUS,
+    HandWrittenEvaluator,
     checker_for,
     context_of,
     load_corpus_file,
@@ -180,9 +181,9 @@ def term_pairs(draw):
 
 
 @functools.lru_cache(maxsize=None)
-def _prelude_checker(flags: Flags):
+def _prelude_checker(flags: Flags, evaluator=Evaluator):
     with open(f"{CORPUS}/prelude.mltt", encoding="utf-8") as fh:
-        chk = checker_for(fh.read(), flags)
+        chk = checker_for(fh.read(), flags, evaluator)
     ctx, scope = context_of(chk, PRELUDE_CONTEXT)
     return chk, ctx, scope
 
@@ -201,6 +202,28 @@ def test_random_prelude_pairs_agree_with_readback(flags, pair):
     verdict = chk.ev.conv(values[0], values[1], tyv, ctx.depth)
     assert verdict == readback_equal(chk.ev, values[0], values[1], tyv, ctx.depth)
     hypothesis.event(f"convertible: {verdict}")
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(flags=st.sampled_from(ALL_FLAG_SETS), pair=term_pairs())
+def test_random_prelude_pairs_evaluate_as_the_hand_written_rules(flags, pair):
+    """Checking, evaluating, converting and reading back both terms take
+    the same steps and give the same results with either evaluator."""
+    ty_src, *srcs = pair
+    outcomes = []
+    for evaluator in (Evaluator, HandWrittenEvaluator):
+        chk, ctx, scope = _prelude_checker(flags, evaluator)
+        steps = chk.ev.steps
+        tyv = chk.eval_in(ctx, surface.parse_term(ty_src, scope=scope))
+        values = []
+        for src in srcs:
+            t = surface.parse_term(src, scope=scope)
+            chk.check(ctx, t, tyv)
+            values.append(chk.eval_in(ctx, t))
+        verdict = chk.ev.conv(values[0], values[1], tyv, ctx.depth)
+        forms = [chk.ev.readback(v, tyv, ctx.depth) for v in values]
+        outcomes.append((verdict, forms, chk.ev.steps - steps))
+    assert outcomes[0] == outcomes[1]
 
 
 UNEQUAL_WITHOUT_FLAGS = [

@@ -117,8 +117,8 @@ SYNTHETIC_CORPORA = {
             "b.mltt": 'import "a.mltt"\ndef y : N1 := star\n',
         },
         [
-            ("a", "fail", "0:0: import cycle through <dir>/a.mltt"),
-            ("b", "fail", "0:0: import cycle through <dir>/b.mltt"),
+            ("a", "fail", "b.mltt:1:1: import cycle through <dir>/a.mltt"),
+            ("b", "fail", "a.mltt:1:1: import cycle through <dir>/b.mltt"),
         ],
     ),
     "a parse error in a later import behind a type error in an earlier one": (
@@ -129,7 +129,7 @@ SYNTHETIC_CORPORA = {
             "top.mltt": 'import "ill.mltt"\nimport "broken.mltt"\ndef y : N1 := star\n',
         },
         [
-            ("top", "fail", "2:1: unexpected eof '' (expected one of: term)"),
+            ("top", "fail", "broken.mltt:2:1: unexpected eof '' (expected one of: term)"),
             ("ill", "fail", "ill.mltt:1: mismatch: type mismatch"),
         ],
     ),

@@ -119,7 +119,31 @@ def test_import_resolution_and_cycles(tmp_path):
     b.write_text('import "a.mltt"\ndef y : N1 := star\n')
     with pytest.raises(ParseError) as e:
         surface.load_file(str(a))
-    assert "cycle" in str(e.value)
+    assert str(e.value) == f"b.mltt:1:1: import cycle through {tmp_path}/a.mltt"
+
+
+def test_parse_errors_name_the_file(tmp_path):
+    """An error in a file reads FILE:LINE:COL, one in a term LINE:COL, and
+    an import cycle is reported at the import that closes it."""
+    f = tmp_path / "broken.mltt"
+    for text, expected in [
+        ("def x : N1 :=\n", "broken.mltt:2:1: unexpected eof '' (expected one of: term)"),
+        ("def x : N1 := star\ndef y : N1 := $\n", "broken.mltt:2:15: stray character '$'"),
+        ('def x : N1 := "open\n', "broken.mltt:1:15: unterminated string"),
+    ]:
+        f.write_text(text)
+        with pytest.raises(ParseError) as e:
+            surface.load_file(str(f))
+        assert str(e.value) == expected
+    with pytest.raises(ParseError) as e:
+        parse_term("fun x =>")
+    assert str(e.value) == "1:9: unexpected eof '' (expected one of: term)"
+
+    (tmp_path / "a.mltt").write_text('import "b.mltt"\n')
+    (tmp_path / "b.mltt").write_text('def y : N1 := star\n  import "a.mltt"\n')
+    with pytest.raises(ParseError) as e:
+        surface.load_modules(str(tmp_path / "a.mltt"))
+    assert str(e.value) == f"b.mltt:2:3: import cycle through {tmp_path}/a.mltt"
 
 
 def test_import_deduplication(tmp_path):

@@ -551,15 +551,17 @@ COVER_OVER = "Cover {} (fun a => N1) (fun a => fun i => fun b => N1) (fun a => {
 
 @pytest.fixture
 def family_inferences(monkeypatch):
-    """Every formation ``Checker.infer_family`` is asked to infer, in order."""
+    """Every formation of a W type or of a DW, WP or Cover family that
+    ``Checker.infer_formation`` is asked to infer, in order."""
     calls = []
-    infer_family = Checker.infer_family
+    infer_formation = Checker.infer_formation
 
     def counted(self, ctx, t):
-        calls.append(t)
-        return infer_family(self, ctx, t)
+        if isinstance(t, (T.W, T.DW, T.WP, T.Cover)):
+            calls.append(t)
+        return infer_formation(self, ctx, t)
 
-    monkeypatch.setattr(Checker, "infer_family", counted)
+    monkeypatch.setattr(Checker, "infer_formation", counted)
     return calls
 
 
