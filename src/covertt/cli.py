@@ -86,17 +86,23 @@ def _load_checker(path, flags) -> Checker:
     return typecheck.check_declarations(decls, flags)
 
 
+class ContextError(ValueError):
+    """A ``--context`` item that is not ``name : TYPE``."""
+
+
 def _parse_context(checker: Checker, spec: str):
-    """Extend an empty context by 'name : TYPE' items, left to right."""
+    """Extend an empty context by 'name : TYPE' items, left to right.  A
+    type error in an item is located at ``<context>``."""
     ctx = Context()
     scope: list[str] = []
     if not spec.strip():
         return ctx, scope
+    checker.location = "<context>"
     for item in spec.split(","):
         name, _, ty_src = item.partition(":")
         name = name.strip()
         if not name or not ty_src.strip():
-            raise SystemExit(f"error: malformed context item {item.strip()!r}")
+            raise ContextError(f"malformed context item {item.strip()!r}")
         ty = surface.parse_term(ty_src, scope=scope)
         checker.ensure_type(ctx, ty)
         ctx = ctx.extend(name, checker.eval_in(ctx, ty))
@@ -151,7 +157,7 @@ def cmd_conv(ns) -> int:
             return 0
         print("not convertible")
         return 1
-    except (surface.ParseError, TypeCheckError, EvalBudgetExceeded, OSError) as e:
+    except (surface.ParseError, TypeCheckError, EvalBudgetExceeded, OSError, ContextError) as e:
         print(f"error: {e}")
         return 1
 

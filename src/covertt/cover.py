@@ -15,11 +15,10 @@ carrier as a right-nested sum of unit types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import terms as T
-from .terms import Term
+from .terms import Node, Term
 
 
 class FormatError(Exception):
@@ -29,16 +28,15 @@ class FormatError(Exception):
         super().__init__(f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Node):
     """Bit-vector over the carrier's atom order."""
 
-    mask: int
-    size: int
+    __slots__ = ("mask", "size")
 
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.size:
+    def __init__(self, mask: int, size: int):
+        if mask < 0 or mask >> size:
             raise ValueError("subset mask out of range")
+        self._fill(mask, size)
 
     @classmethod
     def empty(cls, size: int) -> "Subset":
@@ -77,22 +75,24 @@ class Subset:
         return iter(self.indices())
 
 
-@dataclass(frozen=True)
-class FiniteAxiomSet:
-    carrier: tuple[str, ...]
-    labels: tuple[tuple[str, ...], ...]  # per atom, ordered axiom labels
-    covers: tuple[tuple[Subset, ...], ...]  # per atom, per label, C(a, i)
-    positions: dict = field(init=False, repr=False, compare=False)  # atom -> index
+class FiniteAxiomSet(Node):
+    """``carrier`` is a tuple of atom names; per atom, ``labels`` is a tuple
+    of its axioms' labels in order and ``covers`` a tuple of the Subsets
+    they cover, C(a, i).  ``positions`` maps an atom to its index; it takes
+    no part in equality or ``repr``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", {a: i for i, a in enumerate(self.carrier)})
-        n = len(self.carrier)
-        if len(self.labels) != n or len(self.covers) != n:
+    __slots__ = ("carrier", "labels", "covers", "positions")
+    __match_args__ = ("carrier", "labels", "covers")
+
+    def __init__(self, carrier: tuple, labels: tuple, covers: tuple):
+        n = len(carrier)
+        if len(labels) != n or len(covers) != n:
             raise ValueError("families must align with the carrier")
-        for per_atom in self.covers:
+        for per_atom in covers:
             for s in per_atom:
                 if s.size != n:
                     raise ValueError("axiom subset over the wrong carrier")
+        self._fill(carrier, labels, covers, {a: i for i, a in enumerate(carrier)})
 
     def atom_index(self, atom: str) -> int:
         try:
@@ -105,16 +105,19 @@ class FiniteAxiomSet:
         return len(self.carrier)
 
 
-@dataclass(frozen=True)
-class RfNode:
-    atom: int
+class RfNode(Node):
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: int):
+        self._fill(atom)
 
 
-@dataclass(frozen=True)
-class TrNode:
-    atom: int
-    label: int
-    children: tuple  # one derivation per element of C(atom, label), in order
+class TrNode(Node):
+    __slots__ = ("atom", "label", "children")
+
+    def __init__(self, atom: int, label: int, children: tuple):
+        # children: one derivation per element of C(atom, label), in order
+        self._fill(atom, label, children)
 
 
 Derivation = object  # RfNode | TrNode
@@ -385,11 +388,15 @@ def extract_proof_term(ax: FiniteAxiomSet, v: Subset, d: Derivation) -> Term:
 # --- the axiom-set file format ------------------------------------------------------
 
 
-@dataclass
-class CoverFile:
-    axiom_set: FiniteAxiomSet
-    subsets: dict  # name -> Subset
-    queries: list  # (atom index, subset name)
+class CoverFile(Node):
+    __slots__ = ("axiom_set", "subsets", "queries")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # mutable
+
+    def __init__(self, axiom_set: FiniteAxiomSet, subsets: dict, queries: list):
+        # subsets: name -> Subset; queries: (atom index, subset name) pairs
+        self._fill(axiom_set, subsets, queries)
 
 
 def load_axiom_set(text: str) -> CoverFile:

@@ -11,10 +11,9 @@ two-element) and hand the output to the type checker.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .semantics import EvalBudgetExceeded
-from .terms import Flags
+from .terms import Flags, Node
 from . import surface, typecheck
 
 
@@ -22,11 +21,11 @@ def corpus_dir() -> str:
     return os.path.join(os.path.dirname(__file__), "corpus")
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    tag: str
-    file: str
-    required: Flags
+class CorpusEntry(Node):
+    __slots__ = ("tag", "file", "required")
+
+    def __init__(self, tag: str, file: str, required: Flags):
+        self._fill(tag, file, required)
 
     def path(self, base: str | None = None) -> str:
         return os.path.join(base or corpus_dir(), self.file)
@@ -53,12 +52,13 @@ def load_manifest(base: str | None = None) -> list[CorpusEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class CorpusResult:
-    tag: str
-    file: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str = ""
+class CorpusResult(Node):
+    """One entry's verdict: ``status`` is "pass", "fail" or "skip"."""
+
+    __slots__ = ("tag", "file", "status", "detail")
+
+    def __init__(self, tag: str, file: str, status: str, detail: str = ""):
+        self._fill(tag, file, status, detail)
 
 
 def check_corpus(flags: Flags, base: str | None = None):
@@ -109,15 +109,15 @@ def check_corpus(flags: Flags, base: str | None = None):
     return results
 
 
-@dataclass(frozen=True)
-class _Checked:
+class _Checked(Node):
     """A module's check: the declarations before ``failed`` passed, and
     ``globals`` holds them and its imports' globals; when ``failed`` is a
     declaration's index, ``detail`` says why that one failed."""
 
-    globals: dict
-    failed: int
-    detail: str = ""
+    __slots__ = ("globals", "failed", "detail")
+
+    def __init__(self, globals: dict, failed: int, detail: str = ""):
+        self._fill(globals, failed, detail)
 
 
 def _first_line(e: Exception) -> str:

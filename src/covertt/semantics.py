@@ -46,12 +46,11 @@ top-level call, the whole ``step_limit``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from . import terms as T
-from .terms import Flags, Term
+from .terms import Flags, Node, Term
 
 
 class KernelBug(Exception):
@@ -68,15 +67,14 @@ class EvalBudgetExceeded(Exception):
 # --- values -------------------------------------------------------------------
 
 
-class Value:
+class Value(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class VSort(Value):
     """``U0``, the large classification ``Type``, or the any-sort checking target."""
 
-    kind: str  # "u0" | "type" | "any"
+    __slots__ = ("kind",)  # "u0" | "type" | "any"
 
 
 V_U0 = VSort("u0")
@@ -84,15 +82,12 @@ V_TYPE = VSort("type")
 V_ANY = VSort("any")
 
 
-@dataclass(frozen=True)
-class Closure:
-    env: tuple
-    body: Term
+class Closure(Node):
+    __slots__ = ("env", "body")  # a tuple of values, a term under one binder
 
 
-@dataclass(frozen=True)
-class PyClosure:
-    fn: Callable[[Value], Value]
+class PyClosure(Node):
+    __slots__ = ("fn",)  # a Python function from values to values
 
 
 Clo = Union[Closure, PyClosure]
@@ -102,131 +97,88 @@ def constant_family(v: Value) -> PyClosure:
     return PyClosure(lambda _arg: v)
 
 
-@dataclass(frozen=True)
 class VPi(Value):
-    dom: Value
-    cod: Clo
+    __slots__ = ("dom", "cod")  # cod: a closure
 
 
-@dataclass(frozen=True)
 class VLam(Value):
-    clo: Clo
+    __slots__ = ("clo",)  # a closure
 
 
-@dataclass(frozen=True)
 class VSigma(Value):
-    fst: Value
-    snd: Clo
+    __slots__ = ("fst", "snd")  # snd: a closure
 
 
-@dataclass(frozen=True)
 class VPair(Value):
-    fst: Value
-    snd: Value
+    __slots__ = ("fst", "snd")
 
 
-@dataclass(frozen=True)
 class VEmpty(Value):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class VUnit(Value):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class VStar(Value):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class VSum(Value):
-    left: Value
-    right: Value
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class VInl(Value):
-    value: Value
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class VInr(Value):
-    value: Value
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class VId(Value):
-    type: Value
-    lhs: Value
-    rhs: Value
+    __slots__ = ("type", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class VRefl(Value):
-    value: Value
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class VW(Value):
-    label: Value
-    branch: Value
+    __slots__ = ("label", "branch")
 
 
-@dataclass(frozen=True)
 class VSup(Value):
-    label: Value
-    branch: Value
+    __slots__ = ("label", "branch")
 
 
-@dataclass(frozen=True)
 class VDW(Value):
-    index: Value
-    names: Value
-    branch: Value
-    arity: Value
+    __slots__ = ("index", "names", "branch", "arity")
 
 
-@dataclass(frozen=True)
 class VDWApp(Value):
-    fam: VDW
-    idx: Value
+    __slots__ = ("fam", "idx")  # fam: a VDW
 
 
-@dataclass(frozen=True)
 class VDSup(Value):
-    index: Value
-    name: Value
-    branch: Value
+    __slots__ = ("index", "name", "branch")
 
 
-@dataclass(frozen=True)
 class VWP(Value):
-    index: Value
-    names: Value
-    rules: Value
+    __slots__ = ("index", "names", "rules")
 
 
-@dataclass(frozen=True)
 class VWPApp(Value):
-    fam: VWP
-    idx: Value
+    __slots__ = ("fam", "idx")  # fam: a VWP
 
 
-@dataclass(frozen=True)
 class VInd(Value):
-    index: Value
-    name: Value
-    premises: Value
+    __slots__ = ("index", "name", "premises")
 
 
-@dataclass(frozen=True)
 class VCover(Value):
-    carrier: Value
-    labels: Value
-    axioms: Value
-    subset: Value
+    __slots__ = ("carrier", "labels", "axioms", "subset")
 
     @property
     def index(self) -> Value:
@@ -234,71 +186,61 @@ class VCover(Value):
         return self.carrier
 
 
-@dataclass(frozen=True)
 class VCoverApp(Value):
-    fam: VCover
-    idx: Value
+    __slots__ = ("fam", "idx")  # fam: a VCover
 
 
-@dataclass(frozen=True)
 class VRf(Value):
-    element: Value
-    membership: Value
+    __slots__ = ("element", "membership")
 
 
-@dataclass(frozen=True)
 class VTr(Value):
-    element: Value
-    label: Value
-    premises: Value
+    __slots__ = ("element", "label", "premises")
 
 
 # --- neutrals ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HVar:
-    level: int
-    type: Value
+class HVar(Node):
+    __slots__ = ("level", "type")  # a de Bruijn level and its type
 
 
-@dataclass(frozen=True)
-class HConst:
-    name: str
-    type: Value
+class HConst(Node):
+    __slots__ = ("name", "type")
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Node):
     """One elimination on a neutral's spine.  ``form`` is the term class
     that reads it back (``App``, ``Proj1``, ``Proj2`` or an eliminator) and
     ``args`` the values of that term's fields other than the neutral, in
     order.  An indexed eliminator's index is not among them: it is read from
     the type of the neutral."""
 
-    form: type
-    args: tuple
+    __slots__ = ("form", "args")
 
 
-@dataclass(frozen=True)
 class VNeutral(Value):
-    head: Union[HVar, HConst]
-    frames: tuple = ()
+    __slots__ = ("head", "frames")  # an HVar or HConst, a tuple of Frames
 
 
 def fresh(level: int, ty: Value) -> VNeutral:
-    return VNeutral(HVar(level, ty))
+    return VNeutral(HVar(level, ty), ())
 
 
 # --- the evaluator -------------------------------------------------------------------
 
 
-@dataclass
-class GlobalEntry:
-    type_value: Value
-    value: Value
-    type_term: Term
-    body_term: Optional[Term]
+class GlobalEntry(Node):
+    """A checked global: its type and value, and the terms they came from
+    (``body_term`` is None for a postulate)."""
+
+    __slots__ = ("type_value", "value", "type_term", "body_term")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # mutable
+
+    def __init__(self, type_value: Value, value: Value, type_term: Term, body_term: Optional[Term]):
+        self._fill(type_value, value, type_term, body_term)
 
 
 class Evaluator:

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import terms as T
-from .terms import Term
+from .terms import Node, Term
 from .typecheck import Declaration
 
 
@@ -439,16 +438,17 @@ def parse_file(src: str, filename: str = "<input>") -> tuple[list[Declaration], 
     return Parser(src, filename).parse_file()
 
 
-@dataclass(frozen=True)
-class Module:
+class Module(Node):
     """One parsed file: its absolute path, its declarations, and the files
     it imports, in the order written, as paths joined to its directory.
-    ``src`` is its text, read again only to locate an error."""
+    ``src`` is its text, read again only to locate an error; it takes no
+    part in equality or ``repr``."""
 
-    path: str
-    decls: list[Declaration]
-    imports: list[str]
-    src: str = field(repr=False, compare=False)
+    __slots__ = ("path", "decls", "imports", "src")
+    __match_args__ = ("path", "decls", "imports")
+
+    def __init__(self, path: str, decls: list[Declaration], imports: list[str], src: str):
+        self._fill(path, decls, imports, src)
 
     def import_error(self, k: int, message: str) -> ParseError:
         """``message`` at the ``import`` item that names ``imports[k]``."""

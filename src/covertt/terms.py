@@ -8,29 +8,135 @@ motives of eliminators, is an ordinary sub-term of function type.
 
 Type-family formers (``DW``, ``WP``, ``Cover``) are terms of large function
 type and are applied to their index with plain ``App``.
+
+Terms, like the kernel's values, are immutable slotted records (``Node``):
+built positionally, compared and hashed by class and fields, printed as
+``App(fn=Var(index=0), arg=Star())``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Term:
+class Node:
+    """An immutable record, equal to another of the same class with equal
+    fields.
+
+    A subclass lists its fields in ``__slots__``, in order.  They are its
+    ``__match_args__`` unless the class sets those itself: only the fields
+    named there take part in equality, hashing and ``repr``.  A subclass
+    without an ``__init__`` of its own takes its fields positionally; one
+    with its own ``__init__`` stores them with ``self._fill(*fields)``.
+    Nothing here generates code, so defining a node class costs a few
+    closures, not a compilation.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"{cls.__name__} must declare its fields in __slots__")
+        slots = cls.__slots__
+        if "__match_args__" not in cls.__dict__:
+            cls.__match_args__ = slots
+        fields = cls.__match_args__
+        # the key is the tuple of fields for two or more, the field itself
+        # for one, and () (the empty __match_args__) for none
+        cls._key = attrgetter(*fields) if fields else attrgetter("__match_args__")
+        if len(fields) == 1 and "__hash__" not in cls.__dict__:
+            cls.__hash__ = _hash_one
+        cls._fill = _initializer(tuple(cls.__dict__[name].__set__ for name in slots))
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._fill
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # for copy and pickle, which would otherwise restore through __setattr__
+        return _rebuild, (type(self), tuple([getattr(self, name) for name in self.__slots__]))
+
+
+def _hash_one(self):
+    """A one-field node hashes as the 1-tuple of its field, so that it does
+    not hash like the field itself."""
+    return hash((self._key(self),))
+
+
+def _rebuild(cls, values):
+    node = cls.__new__(cls)
+    node._fill(*values)
+    return node
+
+
+def _initializer(setters):
+    """A positional ``__init__`` storing its arguments through the slot
+    descriptors' ``__set__``, past the refusing ``__setattr__``."""
+    match setters:
+        case ():
+            def __init__(self):
+                pass
+        case (s0,):
+            def __init__(self, a):
+                s0(self, a)
+        case (s0, s1):
+            def __init__(self, a, b):
+                s0(self, a)
+                s1(self, b)
+        case (s0, s1, s2):
+            def __init__(self, a, b, c):
+                s0(self, a)
+                s1(self, b)
+                s2(self, c)
+        case (s0, s1, s2, s3):
+            def __init__(self, a, b, c, d):
+                s0(self, a)
+                s1(self, b)
+                s2(self, c)
+                s3(self, d)
+        case (s0, s1, s2, s3, s4):
+            def __init__(self, a, b, c, d, e):
+                s0(self, a)
+                s1(self, b)
+                s2(self, c)
+                s3(self, d)
+                s4(self, e)
+        case _:
+            raise TypeError("a node has at most five fields")
+    return __init__
+
+
+class Term(Node):
     __slots__ = ()
 
 
 # --- sorts ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Univ(Term):
     """The universe of small types (Russell style)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TypeSort(Term):
     """Classification of large types.
 
@@ -43,268 +149,197 @@ class TypeSort(Term):
 # --- variables, constants, annotations -----------------------------------
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    index: int
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Ann(Term):
-    term: Term
-    type: Term
+    __slots__ = ("term", "type")
 
 
 # --- empty and unit -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Empty(Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class EmptyElim(Term):
-    motive: Term
-    scrutinee: Term
+    __slots__ = ("motive", "scrutinee")
 
 
-@dataclass(frozen=True)
 class Unit(Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Star(Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class UnitElim(Term):
-    motive: Term
-    case: Term
-    scrutinee: Term
+    __slots__ = ("motive", "case", "scrutinee")
 
 
 # --- dependent products ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Pi(Term):
-    dom: Term
-    cod: Term  # binds one variable
+    __slots__ = ("dom", "cod")  # cod binds one variable
 
 
-@dataclass(frozen=True)
 class Lam(Term):
-    body: Term  # binds one variable
+    __slots__ = ("body",)  # binds one variable
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = ("fn", "arg")
 
 
 # --- dependent sums --------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Sigma(Term):
-    fst: Term
-    snd: Term  # binds one variable
+    __slots__ = ("fst", "snd")  # snd binds one variable
 
 
-@dataclass(frozen=True)
 class Pair(Term):
-    fst: Term
-    snd: Term
+    __slots__ = ("fst", "snd")
 
 
-@dataclass(frozen=True)
 class Proj1(Term):
-    pair: Term
+    __slots__ = ("pair",)
 
 
-@dataclass(frozen=True)
 class Proj2(Term):
-    pair: Term
+    __slots__ = ("pair",)
 
 
-@dataclass(frozen=True)
 class SigElim(Term):
     """Split: the positive eliminator, with explicit motive."""
 
-    motive: Term
-    case: Term
-    scrutinee: Term
+    __slots__ = ("motive", "case", "scrutinee")
 
 
 # --- disjoint sums ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Sum(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Inl(Term):
-    value: Term
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class Inr(Term):
-    value: Term
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class SumElim(Term):
-    motive: Term
-    case_left: Term
-    case_right: Term
-    scrutinee: Term
+    __slots__ = ("motive", "case_left", "case_right", "scrutinee")
 
 
 # --- identity types ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Id(Term):
-    type: Term
-    lhs: Term
-    rhs: Term
+    __slots__ = ("type", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Refl(Term):
-    value: Term
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class J(Term):
-    motive: Term
-    refl_case: Term
-    lhs: Term
-    rhs: Term
-    proof: Term
+    __slots__ = ("motive", "refl_case", "lhs", "rhs", "proof")
 
 
 # --- well-founded trees ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class W(Term):
-    label: Term
-    branch: Term  # function term: label -> U0
+    __slots__ = ("label", "branch")  # branch: label -> U0
 
 
-@dataclass(frozen=True)
 class Sup(Term):
-    label: Term
-    branch: Term
+    __slots__ = ("label", "branch")
 
 
-@dataclass(frozen=True)
 class WElim(Term):
-    motive: Term
-    step: Term
-    scrutinee: Term
+    __slots__ = ("motive", "step", "scrutinee")
 
 
 # --- dependent well-founded trees --------------------------------------------
 
 
-@dataclass(frozen=True)
 class DW(Term):
     """Family former; ``DW I N Br ar : I -> U0``."""
 
-    index: Term
-    names: Term  # (i : I) -> U0
-    branch: Term  # (i : I) -> N i -> U0
-    arity: Term  # (i : I) -> (n : N i) -> Br i n -> I
+    __slots__ = (
+        "index",
+        "names",  # (i : I) -> U0
+        "branch",  # (i : I) -> N i -> U0
+        "arity",  # (i : I) -> (n : N i) -> Br i n -> I
+    )
 
 
-@dataclass(frozen=True)
 class DSup(Term):
-    index: Term
-    name: Term
-    branch: Term
+    __slots__ = ("index", "name", "branch")
 
 
-@dataclass(frozen=True)
 class DWElim(Term):
-    motive: Term
-    step: Term
-    index: Term
-    scrutinee: Term
+    __slots__ = ("motive", "step", "index", "scrutinee")
 
 
 # --- well-founded predicates ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WP(Term):
     """Family former; ``WP I N R : I -> U0``."""
 
-    index: Term
-    names: Term  # (i : I) -> U0
-    rules: Term  # (i : I) -> N i -> I -> U0
+    __slots__ = (
+        "index",
+        "names",  # (i : I) -> U0
+        "rules",  # (i : I) -> N i -> I -> U0
+    )
 
 
-@dataclass(frozen=True)
 class Ind(Term):
-    index: Term
-    name: Term
-    premises: Term
+    __slots__ = ("index", "name", "premises")
 
 
-@dataclass(frozen=True)
 class WPElim(Term):
-    motive: Term
-    step: Term
-    index: Term
-    scrutinee: Term
+    __slots__ = ("motive", "step", "index", "scrutinee")
 
 
 # --- inductive basic covers -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Cover(Term):
     """Family former; ``Cover A I C V : A -> U0``."""
 
-    carrier: Term
-    labels: Term  # (a : A) -> U0
-    axioms: Term  # (a : A) -> I a -> A -> U0
-    subset: Term  # A -> U0
+    __slots__ = (
+        "carrier",
+        "labels",  # (a : A) -> U0
+        "axioms",  # (a : A) -> I a -> A -> U0
+        "subset",  # A -> U0
+    )
 
 
-@dataclass(frozen=True)
 class Rf(Term):
-    element: Term
-    membership: Term
+    __slots__ = ("element", "membership")
 
 
-@dataclass(frozen=True)
 class Tr(Term):
-    element: Term
-    label: Term
-    premises: Term
+    __slots__ = ("element", "label", "premises")
 
 
-@dataclass(frozen=True)
 class CoverElim(Term):
-    motive: Term
-    rf_case: Term
-    tr_case: Term
-    element: Term
-    scrutinee: Term
+    __slots__ = ("motive", "rf_case", "tr_case", "element", "scrutinee")
 
 
 # --- structural operations -------------------------------------------------------
@@ -328,11 +363,9 @@ def _term_classes(cls=Term):
 # terms, and they have no sub-terms; every other class is rebuilt from its
 # children positionally.
 CHILDREN = {
-    cls: tuple(
-        (f.name, _BINDING_FIELDS.get((cls, f.name), 0))
-        for f in fields(cls)
-        if f.type == "Term"
-    )
+    cls: ()
+    if cls is Var or cls is Const
+    else tuple((name, _BINDING_FIELDS.get((cls, name), 0)) for name in cls.__match_args__)
     for cls in _term_classes()
 }
 
@@ -421,8 +454,7 @@ def strengthen(t: Term, index: int = 0) -> Term:
 # --- judgmental-equality flags ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Flags:
+class Flags(Node):
     """The four independent extensions of the base theory.
 
     ``eta_pi``, ``eta_sigma`` and ``eta_unit`` switch on the judgmental
@@ -431,12 +463,13 @@ class Flags:
     and enabling a flag only ever extends convertibility and typability.
     """
 
-    eta_pi: bool = False
-    eta_sigma: bool = False
-    eta_unit: bool = False
-    funext: bool = False
+    __slots__ = FLAG_NAMES = ("eta_pi", "eta_sigma", "eta_unit", "funext")
 
-    FLAG_NAMES = ("eta_pi", "eta_sigma", "eta_unit", "funext")
+    def __init__(
+        self, eta_pi: bool = False, eta_sigma: bool = False, eta_unit: bool = False,
+        funext: bool = False,
+    ):
+        self._fill(eta_pi, eta_sigma, eta_unit, funext)
 
     @classmethod
     def from_names(cls, names) -> "Flags":

@@ -19,7 +19,8 @@ eliminator's scrutinee, index, motive and cases are checked.
 
 Each declaration (``check_declarations``) and each ``normalize``,
 ``convertible`` or ``infer_type`` call gets the evaluator's whole step
-budget.
+budget.  A type error is located at its declaration, or at ``<expr>`` in
+one of those calls.
 
 Each ``Checker`` remembers, in ``family_types``, the type it inferred for
 every closed formation of ``W``, ``DW``, ``WP`` or ``Cover``: one with no
@@ -36,11 +37,10 @@ every motive and premise; with the memo it is checked once per proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import terms as T
-from .terms import Flags, Term
+from .terms import Flags, Node, Term
 from . import semantics as S
 from .semantics import (
     Evaluator,
@@ -95,19 +95,23 @@ WRONG_INDEX = {
 }
 
 
-@dataclass
-class TypeCheckError(Exception):
+class TypeCheckError(Node, Exception):
     """A rejection: one kind, one location.
 
     Kinds: mismatch, unbound, not-a-function, not-a-universe, motive-shape,
     flag-required.
     """
 
-    kind: str
-    message: str
-    expected: Optional[Term] = None
-    found: Optional[Term] = None
-    location: str = "?"
+    __slots__ = ("kind", "message", "expected", "found", "location")
+    __setattr__ = Exception.__setattr__
+    __delattr__ = Exception.__delattr__
+    __hash__ = None  # mutable
+
+    def __init__(
+        self, kind: str, message: str, expected: Optional[Term] = None,
+        found: Optional[Term] = None, location: str = "?",
+    ):
+        self._fill(kind, message, expected, found, location)
 
     def __str__(self) -> str:
         parts = [f"{self.location}: {self.kind}: {self.message}"]
@@ -120,12 +124,11 @@ class TypeCheckError(Exception):
         return "\n".join(parts)
 
 
-@dataclass(frozen=True)
-class Declaration:
-    name: str
-    type: Term
-    body: Optional[Term] = None
-    location: str = "?"
+class Declaration(Node):
+    __slots__ = ("name", "type", "body", "location")
+
+    def __init__(self, name: str, type: Term, body: Optional[Term] = None, location: str = "?"):
+        self._fill(name, type, body, location)
 
 
 # The function-extensionality axiom, closed over its parameters:
@@ -213,7 +216,7 @@ class Checker:
             ty = funext_type()
             tyv = self.ev.eval((), ty)
             self.globals[FUNEXT_NAME] = GlobalEntry(
-                tyv, VNeutral(S.HConst(FUNEXT_NAME, tyv)), ty, None
+                tyv, VNeutral(S.HConst(FUNEXT_NAME, tyv), ()), ty, None
             )
         self.location = "?"
         # inferred types of closed family formations, keyed by the term
@@ -602,6 +605,7 @@ def check_declarations(decls, flags: Flags = Flags(), checker: Optional[Checker]
 def infer_type(checker: Checker, t: Term) -> Term:
     """Infer ``t``'s type in the empty context over the checker's globals."""
     checker.ev.restart_budget()
+    checker.location = "<expr>"
     ctx = Context()
     tyv = checker.infer(ctx, t)
     if isinstance(tyv, VSort):
@@ -612,6 +616,7 @@ def infer_type(checker: Checker, t: Term) -> Term:
 def normalize(checker: Checker, t: Term) -> Term:
     """Normal form of a closed, well-typed term (flag-aware)."""
     checker.ev.restart_budget()
+    checker.location = "<expr>"
     ctx = Context()
     tyv = checker.infer(ctx, t)
     if isinstance(tyv, VSort):
@@ -622,6 +627,7 @@ def normalize(checker: Checker, t: Term) -> Term:
 def convertible(checker: Checker, ty: Term, t: Term, u: Term, ctx: Optional[Context] = None) -> bool:
     """Whether ``t`` and ``u`` are judgmentally equal at type ``ty``."""
     checker.ev.restart_budget()
+    checker.location = "<expr>"
     if ctx is None:
         ctx = Context()
     checker.ensure_type(ctx, ty)

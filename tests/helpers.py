@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
 import random
@@ -99,6 +98,19 @@ def check_in(checker: Checker, ctx, scope, term_src: str, ty_src: str):
 
 def load_corpus_file(name: str):
     return surface.load_file(os.path.join(CORPUS, name))
+
+
+def term_key(t):
+    """``t`` as nested tuples: its class, then its index or name for a
+    variable or constant, else the keys of its children.  Built from
+    ``terms.CHILDREN`` and field reads alone, as an oracle for the
+    equality and hashing of terms."""
+    cls = type(t)
+    if cls is T.Var:
+        return (cls, t.index)
+    if cls is T.Const:
+        return (cls, t.name)
+    return (cls, *[term_key(getattr(t, name)) for name, _ in T.CHILDREN[cls]])
 
 
 def nested_identity(depth: int) -> str:
@@ -600,7 +612,7 @@ def pretty_oracle(t, depth: int = 0, prec: int = 0) -> str:
             return f"( {pretty_oracle(tm, depth, 0)} : {pretty_oracle(ty, depth, 0)} )"
     for kw, (ctor, _arity) in surface.KEYWORD_FORMS.items():
         if type(t) is ctor:
-            args = [getattr(t, f.name) for f in dataclasses.fields(t)]
+            args = [getattr(t, name) for name in t.__match_args__]
             parts = [kw] + [pretty_oracle(a, depth, 3) for a in args]
             return "(" + " ".join(parts) + ")" if prec > 2 else " ".join(parts)
     raise ValueError(f"pretty: unhandled term {type(t).__name__}")

@@ -293,3 +293,41 @@ def test_norm_conv_cover_report_an_internal_failure(capsys, tmp_path, monkeypatc
     for argv in (["norm", "--expr", "star"], ["conv", "star", "star", "--type", "N1"], ["cover", str(f)]):
         code, out = run(capsys, *argv)
         assert (code, out) == (1, f"error: {what} ({exc})\n"), argv
+
+
+def test_malformed_context_item_is_an_error_line_on_stdout(capsys):
+    code = main(["conv", "x", "x", "--type", "A", "--context", "A U0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "error: malformed context item 'A U0'\n"
+    assert captured.err == ""
+
+
+def test_expression_errors_are_located_at_the_expression(capsys, tmp_path):
+    f = tmp_path / "a.mltt"
+    f.write_text("def x : N1 := star\n")
+    code, out = run(capsys, "norm", str(f), "--expr", "y")
+    assert code == 1 and out == "error: <expr>: unbound: unknown name 'y'\n"
+    code, out = run(capsys, "conv", "x", "y", "--type", "N1", "--file", str(f))
+    assert code == 1 and out == "error: <expr>: unbound: unknown name 'y'\n"
+    code, out = run(capsys, "conv", "x", "x", "--type", "B", "--file", str(f))
+    assert code == 1 and out == "error: <expr>: unbound: unknown name 'B'\n"
+    code, out = run(
+        capsys, "conv", "z", "z", "--type", "A", "--file", str(f), "--context", "A : U0, z : B"
+    )
+    assert code == 1 and out == "error: <context>: unbound: unknown name 'B'\n"
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    # modules that ``site`` loaded before the import do not count
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import covertt.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

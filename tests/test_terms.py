@@ -1,10 +1,18 @@
-import dataclasses
+import copy
+import os
+import pickle
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
+from covertt import semantics as S
+from covertt import surface
 from covertt import terms as T
+from covertt.cover import FiniteAxiomSet, Subset
 from covertt.terms import Flags, structural_eq, subst, weaken
+
+from helpers import load_corpus_file, term_key
 
 
 def test_weaken_free_variable():
@@ -109,7 +117,7 @@ def test_closed_rejects_constants_and_counts_binders():
 
 def test_child_table_lists_every_subterm_field_in_order():
     for cls, children in T.CHILDREN.items():
-        names = [f.name for f in dataclasses.fields(cls)]
+        names = list(cls.__match_args__)
         if cls in (T.Var, T.Const):
             assert children == ()
         else:
@@ -117,3 +125,97 @@ def test_child_table_lists_every_subterm_field_in_order():
     assert dict(T.CHILDREN[T.Pi]) == {"dom": 0, "cod": 1}
     assert dict(T.CHILDREN[T.Sigma]) == {"fst": 0, "snd": 1}
     assert dict(T.CHILDREN[T.Lam]) == {"body": 1}
+
+
+# --- node semantics: terms and values are immutable records compared by
+# class and fields
+
+
+@given(_terms(), _terms())
+def test_equality_and_hash_agree_with_the_key_oracle(t, u):
+    for other in (u, copy.deepcopy(t)):
+        assert (t == other) == (term_key(t) == term_key(other))
+        assert (t != other) == (term_key(t) != term_key(other))
+        if t == other:
+            assert hash(t) == hash(other)
+
+
+def _corpus_terms():
+    for name in sorted(os.listdir(os.path.join(os.path.dirname(T.__file__), "corpus"))):
+        if name.endswith(".mltt"):
+            for d in load_corpus_file(name):
+                yield d.type
+                if d.body is not None:
+                    yield d.body
+
+
+def test_printed_and_parsed_terms_are_equal_with_equal_hashes():
+    for t in _corpus_terms():
+        back = surface.parse_term(surface.pretty(t))
+        assert back is not t
+        assert back == t and hash(back) == hash(t)
+        assert term_key(back) == term_key(t)
+
+
+def test_nodes_refuse_assignment_and_deletion():
+    app = T.App(T.Var(0), T.Star())
+    with pytest.raises(AttributeError):
+        app.fn = T.Var(1)
+    with pytest.raises(AttributeError):
+        del app.arg
+    with pytest.raises(AttributeError):
+        app.extra = 1
+    with pytest.raises(AttributeError):
+        S.VPi(S.V_U0, None).dom = S.V_TYPE
+    with pytest.raises(AttributeError):
+        Flags().eta_pi = True
+    assert app == T.App(T.Var(0), T.Star())
+
+
+def test_equal_fields_in_different_classes_differ():
+    x = T.Var(0)
+    assert T.Inl(x) != T.Inr(x)
+    assert T.Proj1(x) != T.Proj2(x)
+    assert T.Lam(x) != x and hash(T.Lam(x)) != hash(x)
+    assert T.Pair(x, x) != T.Sigma(x, x)
+    assert T.Star() != T.Unit() and T.Star() == T.Star()
+    assert S.VInl(S.VStar()) != S.VInr(S.VStar())
+    assert T.Var(0) != 0 and T.Var(0) != (0,)
+
+
+@pytest.mark.parametrize(
+    "node, text",
+    [
+        (T.App(T.Var(0), T.Lam(T.Star())), "App(fn=Var(index=0), arg=Lam(body=Star()))"),
+        (T.Const("f"), "Const(name='f')"),
+        (T.Univ(), "Univ()"),
+        (
+            S.VPi(S.V_U0, S.Closure((), T.Var(0))),
+            "VPi(dom=VSort(kind='u0'), cod=Closure(env=(), body=Var(index=0)))",
+        ),
+        (Flags(eta_pi=True), "Flags(eta_pi=True, eta_sigma=False, eta_unit=False, funext=False)"),
+        (Subset(5, 3), "Subset(mask=5, size=3)"),
+    ],
+)
+def test_repr_keeps_the_record_format(node, text):
+    assert repr(node) == text
+
+
+def test_records_keep_keywords_defaults_and_validation():
+    assert Flags(funext=True) == Flags(False, False, False, True)
+    with pytest.raises(ValueError):
+        Subset(8, 3)
+    ax = FiniteAxiomSet(carrier=("a", "b"), labels=((), ()), covers=((), ()))
+    assert ax.positions == {"a": 0, "b": 1}
+    assert "positions" not in repr(ax) and ax == FiniteAxiomSet(("a", "b"), ((), ()), ((), ()))
+    with pytest.raises(ValueError):
+        FiniteAxiomSet(("a",), (), ())
+
+
+def test_nodes_survive_copy_and_pickle():
+    t = T.J(T.Var(0), T.Star(), T.Const("c"), T.Unit(), T.Lam(T.Var(0)))
+    ax = FiniteAxiomSet(("a",), (("i",),), ((Subset(1, 1),),))
+    for node in (t, Flags(eta_unit=True), ax):
+        for back in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert back == node and hash(back) == hash(node)
+    assert pickle.loads(pickle.dumps(ax)).positions == {"a": 0}
