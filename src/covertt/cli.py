@@ -38,9 +38,7 @@ def _add_flag_args(p: argparse.ArgumentParser):
 
 
 def _flags(ns) -> Flags:
-    return Flags(
-        eta_pi=ns.eta_pi, eta_sigma=ns.eta_sigma, eta_unit=ns.eta_unit, funext=ns.funext
-    )
+    return Flags(**{name: getattr(ns, name) for name in Flags.FLAG_NAMES})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,7 +164,7 @@ def cmd_corpus(ns) -> int:
     flags = _flags(ns)
     try:
         results = encodings.check_corpus(flags, ns.corpus_dir)
-    except (OSError, ValueError) as e:  # the manifest
+    except (OSError, ValueError, surface.ParseError) as e:  # the manifest
         print(f"error: {e}")
         return 1
     status = 0
@@ -183,9 +181,8 @@ def cmd_corpus(ns) -> int:
 
 def cmd_cover(ns) -> int:
     try:
-        with open(ns.file, encoding="utf-8") as fh:
-            cf = cover_mod.load_axiom_set(fh.read())
-    except (cover_mod.FormatError, OSError) as e:
+        cf = cover_mod.load_axiom_set(surface.read_source(ns.file))
+    except (cover_mod.FormatError, surface.ParseError, OSError) as e:
         print(f"error: {e}")
         return 1
     for line in cover_mod.iter_queries(cf, with_derivations=ns.derivations):

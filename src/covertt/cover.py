@@ -372,13 +372,7 @@ def extract_proof_term(ax: FiniteAxiomSet, v: Subset, d: Derivation) -> Term:
                 return T.Lam(build(children[b]))
             return T.Lam(T.EmptyElim(T.Lam(cover_at(b)), T.Var(0)))
 
-        dom_body = _case_tree(
-            k,
-            lambda b: T.Unit() if cov.contains(b) else T.Empty(),
-            T.Var(0),
-            T.Univ(),
-        )
-        premise_motive = T.Pi(dom_body, T.App(cover_fam, T.Var(1)))
+        premise_motive = T.Pi(_subset_pred(cov).body, T.App(cover_fam, T.Var(1)))
         body = _case_tree(k, leaf, T.Var(0), premise_motive)
         return T.Tr(elem_a, elem_i, T.Lam(body))
 

@@ -32,23 +32,23 @@ class CorpusEntry(Node):
 
 
 def load_manifest(base: str | None = None) -> list[CorpusEntry]:
-    """The manifest's entries; ``OSError`` when it cannot be read and
-    ``ValueError`` for a line that is not ``TAG FILE FLAG...``."""
+    """The manifest's entries; ``OSError`` when it cannot be read, a
+    ``ParseError`` when it is not UTF-8 text, and ``ValueError`` for a line
+    that is not ``TAG FILE FLAG...``."""
     path = os.path.join(base or corpus_dir(), "manifest")
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected a tag and a file name")
-            try:
-                required = Flags.from_names(parts[2:])
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            entries.append(CorpusEntry(parts[0], parts[1], required))
+    for lineno, line in enumerate(surface.read_source(path).split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise ValueError(f"{path}:{lineno}: expected a tag and a file name")
+        try:
+            required = Flags.from_names(parts[2:])
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        entries.append(CorpusEntry(parts[0], parts[1], required))
     return entries
 
 

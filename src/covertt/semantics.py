@@ -25,18 +25,22 @@ fields and an eliminator frame's arguments.  An eliminator's case types
 are built from the introductions of the type it eliminates: one case per
 introduction, over its fields and, for a tree, the induction hypothesis.
 
+An introduction's value is one record, ``VIntro``: its term class and its
+fields' values, as a neutral's ``Frame`` is for an elimination.  A type
+former's value keeps a class of its own, whose fields the rules read by name.
+
 Every eliminator computes by one rule, ``Evaluator.elim``, read from the
 same tables.  On an introduction it fires the case at that introduction's
-place among the type's introductions (``_CASES``) on the introduction's
+place among the type's introductions (``CASES``) on the introduction's
 fields and, for a tree, on the induction hypothesis: a curried function
 over the position of a subtree (one component for ``sup`` and ``dsup``,
 two for ``ind`` and ``tr``) that eliminates the subtree there.  On a
 neutral the eliminator becomes a ``Frame`` of its spine, which records the
 term class to read back and the values of the term's other fields.  The
 unit eliminator under ``eta_unit`` is the one exception, as above.
-``eval`` builds every type former and introduction from its
-evaluated fields, and evaluates every eliminator's fields before handing
-them to ``elim``.
+``eval`` builds every type former and introduction from its evaluated
+fields, and evaluates every eliminator's fields before handing them to
+``elim``.
 
 ``Evaluator.steps`` counts every eliminator step the evaluator takes;
 ``restart_budget`` gives the next piece of work, one declaration or one
@@ -109,10 +113,6 @@ class VSigma(Value):
     __slots__ = ("fst", "snd")  # snd: a closure
 
 
-class VPair(Value):
-    __slots__ = ("fst", "snd")
-
-
 class VEmpty(Value):
     __slots__ = ()
 
@@ -121,35 +121,15 @@ class VUnit(Value):
     __slots__ = ()
 
 
-class VStar(Value):
-    __slots__ = ()
-
-
 class VSum(Value):
     __slots__ = ("left", "right")
-
-
-class VInl(Value):
-    __slots__ = ("value",)
-
-
-class VInr(Value):
-    __slots__ = ("value",)
 
 
 class VId(Value):
     __slots__ = ("type", "lhs", "rhs")
 
 
-class VRefl(Value):
-    __slots__ = ("value",)
-
-
 class VW(Value):
-    __slots__ = ("label", "branch")
-
-
-class VSup(Value):
     __slots__ = ("label", "branch")
 
 
@@ -161,20 +141,12 @@ class VDWApp(Value):
     __slots__ = ("fam", "idx")  # fam: a VDW
 
 
-class VDSup(Value):
-    __slots__ = ("index", "name", "branch")
-
-
 class VWP(Value):
     __slots__ = ("index", "names", "rules")
 
 
 class VWPApp(Value):
     __slots__ = ("fam", "idx")  # fam: a VWP
-
-
-class VInd(Value):
-    __slots__ = ("index", "name", "premises")
 
 
 class VCover(Value):
@@ -190,12 +162,12 @@ class VCoverApp(Value):
     __slots__ = ("fam", "idx")  # fam: a VCover
 
 
-class VRf(Value):
-    __slots__ = ("element", "membership")
+class VIntro(Value):
+    """A canonical value other than a function: ``form`` is the
+    introduction's term class (``Pair``, ``Inl``, ``Sup``, ...) and ``args``
+    the values of its fields, in order."""
 
-
-class VTr(Value):
-    __slots__ = ("element", "label", "premises")
+    __slots__ = ("form", "args")
 
 
 # --- neutrals ----------------------------------------------------------------------
@@ -296,15 +268,15 @@ class Evaluator:
         return f
 
     def proj1(self, v: Value) -> Value:
-        if isinstance(v, VPair):
-            return v.fst
+        if type(v) is VIntro and v.form is T.Pair:
+            return v.args[0]
         if isinstance(v, VNeutral):
             return VNeutral(v.head, v.frames + (Frame(T.Proj1, ()),))
         raise KernelBug("fst of non-pair")
 
     def proj2(self, v: Value) -> Value:
-        if isinstance(v, VPair):
-            return v.snd
+        if type(v) is VIntro and v.form is T.Pair:
+            return v.args[1]
         if isinstance(v, VNeutral):
             return VNeutral(v.head, v.frames + (Frame(T.Proj2, ()),))
         raise KernelBug("snd of non-pair")
@@ -322,16 +294,15 @@ class Evaluator:
             return args[1]
         if isinstance(s, VNeutral):
             return VNeutral(s.head, s.frames + (Frame(elim, args),))
-        intro = _INTRO_OF.get(type(s))
-        cases = _CASES[elim]
-        if intro not in cases:
-            raise KernelBug(f"{elim.__name__} on {type(s).__name__}")
+        cases = CASES[elim]
+        if type(s) is not VIntro or s.form not in cases:
+            raise KernelBug(f"{elim.__name__} on {_describe(s)}")
         self._tick()
-        vals = _fields(s)
-        positions = _TREES.get(intro)
+        vals = s.args
+        positions = TREES.get(s.form)
         if positions is not None:
-            vals.append(self._hypothesis(elim, args, vals[-1], positions, ()))
-        return self.apply_many(args[1 + cases.index(intro)], *vals)
+            vals += (self._hypothesis(elim, args, vals[-1], positions, ()),)
+        return self.apply_many(args[1 + cases.index(s.form)], *vals)
 
     def _hypothesis(self, elim, args: tuple, f: Value, positions: int, pos: tuple) -> Value:
         """The induction hypothesis of a tree whose subtrees are ``f``: a
@@ -429,7 +400,7 @@ class Evaluator:
     def formation_type(self, former, vals) -> Value:
         """The type of a type built by ``former``: a family is a predicate on
         its index type, any other type is small."""
-        return _predicates(vals[0]) if former in (T.DW, T.WP, T.Cover) else V_U0
+        return _predicates(vals[0]) if former in FAMILIES else V_U0
 
     def value_field(self, intro, ty: Value, vals, k: int) -> Value:
         """The type of field ``k`` of an ``intro`` value of type ``ty``, one
@@ -512,7 +483,7 @@ class Evaluator:
         scrutinee of type ``ty``, one per introduction of ``ty``: a function
         over the introduction's fields, and for a tree over the induction
         hypothesis, into the motive at the value introduced."""
-        return tuple([self._case_type(i, ty, motive, ()) for i in _INTROS[type(ty)]])
+        return tuple([self._case_type(i, ty, motive, ()) for i in INTROS[type(ty)]])
 
     def _case_type(self, intro, ty: Value, motive: Value, vals: tuple) -> Value:
         k = len(vals)
@@ -523,8 +494,8 @@ class Evaluator:
             )
         # a canonical value's indices are all its first field
         # (refl x : Id A x x, dsup i n f : DW I N Br ar i)
-        args = vals[:1] * len(type_index(ty)) + (_VALUE_OF[intro](*vals),)
-        if intro not in _TREES:
+        args = vals[:1] * len(type_index(ty)) + (VIntro(intro, vals),)
+        if intro not in TREES:
             return self.apply_many(motive, *args)
         f = vals[-1]
         hyp = self.subtrees(
@@ -571,7 +542,7 @@ class Evaluator:
                 var = fresh(depth, dom)
                 body = self.apply(v, var) if flags.eta_pi else self.apply_clo(v.clo, var)
                 return T.Lam(self.readback(body, self.apply_clo(cod, var), depth + 1))
-            case VPi() if isinstance(v, (VDW, VWP, VCover)):
+            case VPi() if isinstance(v, _FAMILY_VALUES):
                 # bare family formers are values of large function type
                 return self.readback_type(v, depth)
             case VSigma(dom, cod) if flags.eta_sigma:
@@ -584,10 +555,9 @@ class Evaluator:
                 return T.Star()
         if isinstance(v, VNeutral):
             return self.readback_neutral(v, depth)
-        intro = _INTRO_OF.get(type(v))
-        if not inhabits(intro, ty):
-            raise KernelBug(f"readback: {type(v).__name__} at type {type(ty).__name__}")
-        vals = _fields(v)
+        if type(v) is not VIntro or not inhabits(v.form, ty):
+            raise KernelBug(f"readback: {_describe(v)} at type {type(ty).__name__}")
+        intro, vals = v.form, v.args
         types = (self.value_field(intro, ty, vals, k) for k in range(len(vals)))
         return intro(*map(self.readback, vals, types, repeat(depth)))
 
@@ -625,7 +595,7 @@ class Evaluator:
             form = frame.form
             # the indexed eliminators also record the scrutinee's index,
             # which comes from its type, not from the frame
-            if form in _INDEXED:
+            if form in INDEXED:
                 args += [self.readback(x, t, depth) for x, t in type_index(cur)]
             acc = T.App(acc, *args) if form is T.App else form(*args, acc)
             cur = result
@@ -671,7 +641,7 @@ class Evaluator:
                     else:
                         a, b = self.apply_clo(a.clo, var), self.apply_clo(b.clo, var)
                     return self.conv(a, b, self.apply_clo(cod, var), depth + 1)
-                if isinstance(a, (VDW, VWP, VCover)):
+                if isinstance(a, _FAMILY_VALUES):
                     return self.conv_type(a, b, depth)
             case VSigma(dom, cod) if flags.eta_sigma:
                 a1 = self.proj1(a)
@@ -683,15 +653,14 @@ class Evaluator:
         if isinstance(a, VNeutral) or isinstance(b, VNeutral):
             both = isinstance(a, VNeutral) and isinstance(b, VNeutral)
             return both and self.conv_neutral(a, b, depth)
-        if type(a) is not type(b):
+        if type(a) is not VIntro or not inhabits(a.form, ty):
+            raise KernelBug(f"conv: {_describe(a)} at type {type(ty).__name__}")
+        if type(b) is not VIntro or b.form is not a.form:
             return False
-        intro = _INTRO_OF.get(type(a))
-        if not inhabits(intro, ty):
-            raise KernelBug(f"conv: {type(a).__name__} at type {type(ty).__name__}")
-        fa, fb = _fields(a), _fields(b)
+        fa, fb = a.args, b.args
         for k, x in enumerate(fa):
             # field k's type is computed only once fields 0..k-1 are equal
-            if not self.conv(x, fb[k], self.value_field(intro, ty, fa, k), depth):
+            if not self.conv(x, fb[k], self.value_field(a.form, ty, fa, k), depth):
                 return False
         return True
 
@@ -747,10 +716,14 @@ class Evaluator:
         return True
 
 
-
 def _fields(x) -> list:
     """A value's fields in declaration order."""
     return [getattr(x, name) for name in x.__match_args__]
+
+
+def _describe(v) -> str:
+    """A value's class, or an introduction's form, for an error message."""
+    return v.form.__name__ if type(v) is VIntro else type(v).__name__
 
 
 def _same(x, y) -> bool:
@@ -768,7 +741,7 @@ def _same(x, y) -> bool:
         return x.body is y.body and _same(x.env, y.env)
     if cls is PyClosure:
         return False
-    if cls is Frame:
+    if cls is Frame or cls is VIntro:
         return x.form is y.form and _same(x.args, y.args)
     if cls is int or cls is str:
         return x == y
@@ -780,8 +753,7 @@ def _same_frame(f1: Frame, f2: Frame) -> bool:
     return f1 is f2 or all(map(operator.is_, f1.args, f2.args))
 
 
-# type former, applied family and canonical value classes -> the term
-# class they read back to
+# type former and applied family classes -> the term class they read back to
 _FORMER_OF = {
     VEmpty: T.Empty,
     VUnit: T.Unit,
@@ -795,27 +767,13 @@ _FORMER_OF = {
     VWPApp: T.App,
     VCoverApp: T.App,
 }
-_INTRO_OF = {
-    VPair: T.Pair,
-    VStar: T.Star,
-    VInl: T.Inl,
-    VInr: T.Inr,
-    VRefl: T.Refl,
-    VSup: T.Sup,
-    VDSup: T.DSup,
-    VInd: T.Ind,
-    VRf: T.Rf,
-    VTr: T.Tr,
-}
-# term class -> the value class it evaluates to, for type formers and
-# introductions
-_VALUE_OF = {
-    term: value
-    for value, term in (*_FORMER_OF.items(), *_INTRO_OF.items())
-    if term is not T.App
-}
+# type former term class -> the value class it evaluates to
+FORMERS = {term: value for value, term in _FORMER_OF.items() if term is not T.App}
 _FIELD_NAMES = {cls: tuple(name for name, _ in children) for cls, children in T.CHILDREN.items()}
 _APPLIED_OF = {VDW: VDWApp, VWP: VWPApp, VCover: VCoverApp}
+# the family formers DW, WP and Cover: their values, and their term classes
+_FAMILY_VALUES = tuple(_APPLIED_OF)
+FAMILIES = frozenset(_FORMER_OF[fam] for fam in _APPLIED_OF)
 
 
 # type class -> its eliminator and its introductions, as term classes
@@ -830,7 +788,7 @@ _ELIMINATOR = {
     VWPApp: T.WPElim,
     VCoverApp: T.CoverElim,
 }
-_INTROS = {
+INTROS = {
     VSigma: (T.Pair,),
     VSum: (T.Inl, T.Inr),
     VUnit: (T.Star,),
@@ -843,26 +801,35 @@ _INTROS = {
 }
 # introductions whose last field is a function to subtrees -> the number of
 # components of a subtree's position
-_TREES = {T.Sup: 1, T.DSup: 1, T.Ind: 2, T.Tr: 2}
+TREES = {T.Sup: 1, T.DSup: 1, T.Ind: 2, T.Tr: 2}
 _APPLIED = (VDWApp, VWPApp, VCoverApp)
 
 # eliminator -> the introductions of the type it eliminates, whose cases
 # follow its motive in that order
-_CASES = {elim: _INTROS[ty] for ty, elim in _ELIMINATOR.items()}
+CASES = {elim: INTROS[ty] for ty, elim in _ELIMINATOR.items()}
 # eliminators whose term records the scrutinee's index, second to last
-_INDEXED = frozenset(_ELIMINATOR[ty] for ty in _APPLIED)
+INDEXED = frozenset(_ELIMINATOR[ty] for ty in _APPLIED)
 # eliminator -> the fields eval reads: all but the recorded index
 _ELIM_FIELDS = {
     elim: _FIELD_NAMES[elim][:-2] + _FIELD_NAMES[elim][-1:]
-    if elim in _INDEXED
+    if elim in INDEXED
     else _FIELD_NAMES[elim]
-    for elim in _CASES
+    for elim in CASES
 }
+
+
+def _introduce(intro):
+    """The constructor of ``intro``'s values, from its fields' values."""
+    return lambda *args: VIntro(intro, args)
+
+
+# type former or introduction -> the constructor of its values
+_VALUE_OF = {**FORMERS, **{i: _introduce(i) for intros in INTROS.values() for i in intros}}
 
 
 def inhabits(intro, ty: Value) -> bool:
     """Whether a value introduced by ``intro`` can have type ``ty``."""
-    return intro in _INTROS.get(type(ty), ())
+    return intro in INTROS.get(type(ty), ())
 
 
 def type_index(ty: Value) -> tuple:

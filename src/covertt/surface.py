@@ -49,33 +49,33 @@ class ParseError(Exception):
         super().__init__(f"{loc}: {message}{exp}")
 
 
-# keyword -> (constructor, arity); arity counts juxtaposed atom arguments
+# keyword -> constructor, which takes one juxtaposed atom argument per field
 KEYWORD_FORMS = {
-    "refl": (T.Refl, 1),
-    "fst": (T.Proj1, 1),
-    "snd": (T.Proj2, 1),
-    "inl": (T.Inl, 1),
-    "inr": (T.Inr, 1),
-    "sup": (T.Sup, 2),
-    "dsup": (T.DSup, 3),
-    "ind": (T.Ind, 3),
-    "rf": (T.Rf, 2),
-    "tr": (T.Tr, 3),
-    "absurd": (T.EmptyElim, 2),
-    "unitElim": (T.UnitElim, 3),
-    "split": (T.SigElim, 3),
-    "case": (T.SumElim, 4),
-    "J": (T.J, 5),
-    "elimW": (T.WElim, 3),
-    "elimDW": (T.DWElim, 4),
-    "elimWP": (T.WPElim, 4),
-    "elimCover": (T.CoverElim, 5),
-    "W": (T.W, 2),
-    "DW": (T.DW, 4),
-    "WP": (T.WP, 3),
-    "Cover": (T.Cover, 4),
-    "Sum": (T.Sum, 2),
-    "Id": (T.Id, 3),
+    "refl": T.Refl,
+    "fst": T.Proj1,
+    "snd": T.Proj2,
+    "inl": T.Inl,
+    "inr": T.Inr,
+    "sup": T.Sup,
+    "dsup": T.DSup,
+    "ind": T.Ind,
+    "rf": T.Rf,
+    "tr": T.Tr,
+    "absurd": T.EmptyElim,
+    "unitElim": T.UnitElim,
+    "split": T.SigElim,
+    "case": T.SumElim,
+    "J": T.J,
+    "elimW": T.WElim,
+    "elimDW": T.DWElim,
+    "elimWP": T.WPElim,
+    "elimCover": T.CoverElim,
+    "W": T.W,
+    "DW": T.DW,
+    "WP": T.WP,
+    "Cover": T.Cover,
+    "Sum": T.Sum,
+    "Id": T.Id,
 }
 
 ATOM_KEYWORDS = {"U0": T.Univ, "N0": T.Empty, "N1": T.Unit, "star": T.Star}
@@ -370,7 +370,8 @@ class Parser:
                 return ATOM_KEYWORDS[text]()
             if text in KEYWORD_FORMS:
                 self.pos = k + 1
-                ctor, arity = KEYWORD_FORMS[text]
+                ctor = KEYWORD_FORMS[text]
+                arity = len(T.CHILDREN[ctor])
                 args = []
                 for j in range(arity):
                     if not self._atom_starts():
@@ -458,9 +459,29 @@ class Module(Node):
         return ParseError(message, items[k].line, items[k].col, filename=name)
 
 
-def _parse_module(ap: str) -> Module:
-    with open(ap, encoding="utf-8") as fh:
+# a byte that is not UTF-8, as the surrogateescape error handler reads it
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def read_source(path: str) -> str:
+    """The text of ``path``.  A byte that is not UTF-8 is a ``ParseError``
+    at its line and column, naming the file."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         src = fh.read()
+    bad = _UNDECODED.search(src)
+    if bad is not None:
+        k = bad.start()
+        raise ParseError(
+            f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8 text",
+            src.count("\n", 0, k) + 1,
+            k - src.rfind("\n", 0, k),
+            filename=os.path.basename(path),
+        )
+    return src
+
+
+def _parse_module(ap: str) -> Module:
+    src = read_source(ap)
     decls, imports = parse_file(src, os.path.basename(ap))
     return Module(ap, decls, [os.path.join(os.path.dirname(ap), imp) for imp in imports], src)
 
@@ -517,9 +538,9 @@ def load_file(path: str) -> list[Declaration]:
 
 # precedence levels: 0 = term (fun/arrows), 1 = star, 2 = application, 3 = atom
 
-_KEYWORD_OF = {ctor: kw for kw, (ctor, _arity) in KEYWORD_FORMS.items()}
+_KEYWORD_OF = {ctor: kw for kw, ctor in KEYWORD_FORMS.items()}
 
-_ATOM_TEXT = {T.Univ: "U0", T.TypeSort: "Type", T.Empty: "N0", T.Unit: "N1", T.Star: "star"}
+_ATOM_TEXT = {ctor: kw for kw, ctor in ATOM_KEYWORDS.items()} | {T.TypeSort: "Type"}
 
 
 def pretty(t: Term) -> str:

@@ -13,8 +13,10 @@ formation, introduction and elimination come from the rules of
 ``semantics.Evaluator``, which readback and conversion read too.  A
 formation or introduction checks its fields in order, each against the
 type the rule computes from the fields before it, and evaluates a field
-only when a later field's type reads it.  What only the checker needs stays
-here: the rejection messages, the index checks, and the order in which an
+only when a later field's type reads it.  ``infer`` finds a type former, an
+eliminator or a tree in the evaluator's tables, and a term that never
+infers in ``NOT_INFERABLE``.  What only the checker needs stays here: the
+rejection messages, the index checks, and the order in which an
 eliminator's scrutinee, index, motive and cases are checked.
 
 Each declaration (``check_declarations``) and each ``normalize``,
@@ -47,7 +49,6 @@ from .semantics import (
     GlobalEntry,
     V_TYPE,
     V_U0,
-    VDWApp,
     VEmpty,
     VId,
     VNeutral,
@@ -56,14 +57,15 @@ from .semantics import (
     VSort,
     VUnit,
     VW,
-    VWPApp,
     Value,
     fresh,
 )
 
-# term class -> the rejection of an eliminator's scrutinee type, of an
+# term class -> the rejection of an elimination's scrutinee type, of an
 # introduction's target type, and of either's index
 WRONG_SCRUTINEE = {
+    T.Proj1: "fst applied to a non-pair type",
+    T.Proj2: "snd applied to a non-pair type",
     T.SigElim: "split scrutinee is not a pair",
     T.SumElim: "case scrutinee is not a sum",
     T.WElim: "elimW scrutinee is not a W-type element",
@@ -93,6 +95,21 @@ WRONG_INDEX = {
     T.Rf: "rf element differs from the cover's element",
     T.Tr: "tr element differs from the cover's element",
 }
+
+# term class -> the rejection of inferring its type, for every term that
+# never infers (sup, dsup and ind infer where their subtrees say their type)
+NOT_INFERABLE = {
+    T.TypeSort: ("not-a-universe", "the large sort is not a term"),
+    T.Lam: ("mismatch", "an unannotated lambda is not inferable"),
+    T.Pair: ("mismatch", "a bare pair is not inferable"),
+    T.Inl: ("mismatch", "an injection is not inferable"),
+    T.Inr: ("mismatch", "an injection is not inferable"),
+    T.Refl: ("mismatch", "refl is not inferable"),
+    T.Rf: ("mismatch", "cover introductions are not inferable"),
+    T.Tr: ("mismatch", "cover introductions are not inferable"),
+}
+# formers whose closed formations each checker infers once (family_types)
+_MEMOISED = frozenset({T.W, *S.FAMILIES})
 
 
 class TypeCheckError(Node, Exception):
@@ -271,108 +288,57 @@ class Checker:
     # -- inference -------------------------------------------------------------
 
     def infer(self, ctx: Context, t: Term) -> Value:
-        match t:
-            case T.Var(i):
-                if i < 0 or i >= ctx.depth:
-                    self.fail("unbound", f"variable index {i} out of scope")
-                return ctx.lookup(i)
-            case T.Const(name):
-                entry = self.globals.get(name)
-                if entry is None:
-                    if name == FUNEXT_NAME:
-                        self.fail(
-                            "flag-required",
-                            "the funext constant requires the funext flag",
-                        )
-                    self.fail("unbound", f"unknown name {name!r}")
-                return entry.type_value
-            case T.Ann(tm, ty):
-                self.ensure_type(ctx, ty)
-                tyv = self.eval_in(ctx, ty)
-                self.check(ctx, tm, tyv)
-                return tyv
-            case T.Univ():
-                return V_TYPE
-            case T.TypeSort():
-                self.fail("not-a-universe", "the large sort is not a term")
-            case T.Empty() | T.Unit():
-                return V_U0
-            case T.Star():
-                return VUnit()
-            case T.Pi(dom, cod) | T.Sigma(dom, cod):
-                s1 = self.ensure_type(ctx, dom)
-                ctx2 = ctx.extend("_", self.eval_in(ctx, dom))
-                s2 = self.ensure_type(ctx2, cod)
-                return V_U0 if (s1 == V_U0 and s2 == V_U0) else V_TYPE
-            case T.Sum() | T.Id():
+        cls = type(t)
+        if cls is T.Var:
+            if t.index < 0 or t.index >= ctx.depth:
+                self.fail("unbound", f"variable index {t.index} out of scope")
+            return ctx.lookup(t.index)
+        if cls is T.App:
+            pi = self.whnf_pi(ctx, self.infer(ctx, t.fn), "application head")
+            self.check(ctx, t.arg, pi.dom)
+            return self.ev.apply_clo(pi.cod, self.eval_in(ctx, t.arg))
+        if cls is T.Const:
+            entry = self.globals.get(t.name)
+            if entry is None:
+                if t.name == FUNEXT_NAME:
+                    self.fail("flag-required", "the funext constant requires the funext flag")
+                self.fail("unbound", f"unknown name {t.name!r}")
+            return entry.type_value
+        if cls in S.CASES:
+            return self.infer_elim(ctx, t)
+        if cls in S.FORMERS:
+            if cls not in _MEMOISED or not T.closed(t):
                 return self.infer_formation(ctx, t)
-            case T.W() | T.DW() | T.WP() | T.Cover():
-                if not T.closed(t):
-                    return self.infer_formation(ctx, t)
-                ty = self.family_types.get(t)
-                if ty is None:
-                    ty = self.family_types[t] = self.infer_formation(Context(), t)
-                return ty
-            case T.App(f, a):
-                fty = self.infer(ctx, f)
-                pi = self.whnf_pi(ctx, fty, "application head")
-                self.check(ctx, a, pi.dom)
-                return self.ev.apply_clo(pi.cod, self.eval_in(ctx, a))
-            case T.Proj1(p):
-                pty = self.infer(ctx, p)
-                if not isinstance(pty, VSigma):
-                    self.fail(
-                        "mismatch",
-                        "fst applied to a non-pair type",
-                        found=self.norm_type(ctx, pty),
-                    )
+            ty = self.family_types.get(t)
+            if ty is None:
+                ty = self.family_types[t] = self.infer_formation(Context(), t)
+            return ty
+        if cls is T.Pi or cls is T.Sigma:
+            dom, cod = _term_fields(t)
+            s1 = self.ensure_type(ctx, dom)
+            s2 = self.ensure_type(ctx.extend("_", self.eval_in(ctx, dom)), cod)
+            return V_U0 if (s1 == V_U0 and s2 == V_U0) else V_TYPE
+        if cls is T.Proj1 or cls is T.Proj2:
+            pty = self.infer(ctx, t.pair)
+            if not isinstance(pty, VSigma):
+                self.fail("mismatch", WRONG_SCRUTINEE[cls], found=self.norm_type(ctx, pty))
+            if cls is T.Proj1:
                 return pty.fst
-            case T.Proj2(p):
-                pty = self.infer(ctx, p)
-                if not isinstance(pty, VSigma):
-                    self.fail(
-                        "mismatch",
-                        "snd applied to a non-pair type",
-                        found=self.norm_type(ctx, pty),
-                    )
-                return self.ev.apply_clo(pty.snd, self.ev.proj1(self.eval_in(ctx, p)))
-            case (
-                T.SigElim() | T.SumElim() | T.UnitElim() | T.EmptyElim() | T.J()
-                | T.WElim() | T.DWElim() | T.WPElim() | T.CoverElim()
-            ):
-                return self.infer_elim(ctx, t)
-            case T.Sup(a, f):
-                # best-effort inference through the branch function
-                cod = self._nondependent_codomain(ctx, f, 1)
-                if isinstance(cod, VW):
-                    self.check(ctx, t, cod)
-                    return cod
-                self.fail("mismatch", "sup is not inferable here; add an annotation")
-            case T.DSup(_, _, f):
-                cod = self._nondependent_codomain(ctx, f, 1)
-                if isinstance(cod, VDWApp):
-                    ty = VDWApp(cod.fam, self.eval_in(ctx, t.index))
-                    self.check(ctx, t, ty)
-                    return ty
-                self.fail("mismatch", "dsup is not inferable here; add an annotation")
-            case T.Ind(_, _, f):
-                cod = self._nondependent_codomain(ctx, f, 2)
-                if isinstance(cod, VWPApp):
-                    ty = VWPApp(cod.fam, self.eval_in(ctx, t.index))
-                    self.check(ctx, t, ty)
-                    return ty
-                self.fail("mismatch", "ind is not inferable here; add an annotation")
-            case T.Lam(_):
-                self.fail("mismatch", "an unannotated lambda is not inferable")
-            case T.Pair(_, _):
-                self.fail("mismatch", "a bare pair is not inferable")
-            case T.Inl(_) | T.Inr(_):
-                self.fail("mismatch", "an injection is not inferable")
-            case T.Refl(_):
-                self.fail("mismatch", "refl is not inferable")
-            case T.Rf(_, _) | T.Tr(_, _, _):
-                self.fail("mismatch", "cover introductions are not inferable")
-        raise S.KernelBug(f"infer: unhandled term {type(t).__name__}")
+            return self.ev.apply_clo(pty.snd, self.ev.proj1(self.eval_in(ctx, t.pair)))
+        if cls is T.Ann:
+            self.ensure_type(ctx, t.type)
+            tyv = self.eval_in(ctx, t.type)
+            self.check(ctx, t.term, tyv)
+            return tyv
+        if cls is T.Univ:
+            return V_TYPE
+        if cls is T.Star:
+            return VUnit()
+        if cls in NOT_INFERABLE:
+            self.fail(*NOT_INFERABLE[cls])
+        if cls in S.TREES:
+            return self.infer_tree(ctx, t)
+        raise S.KernelBug(f"infer: unhandled term {cls.__name__}")
 
     def infer_formation(self, ctx: Context, t: Term) -> Value:
         """Formation of ``Sum``, ``Id``, a W type or a DW, WP or Cover family:
@@ -403,7 +369,7 @@ class Checker:
         m_ty = self.ev.motive_type(elim, sty)
         if m_ty is None:
             self.fail("mismatch", WRONG_SCRUTINEE[elim], found=self.norm_type(ctx, sty))
-        if elim in (T.DWElim, T.WPElim, T.CoverElim):
+        if elim in S.INDEXED:
             *cases, i = cases
             self.check(ctx, i, sty.fam.index)
             index = [self.eval_in(ctx, i)]
@@ -412,6 +378,20 @@ class Checker:
         for c, c_ty in zip(cases, self.ev.case_types(sty, mv)):
             self.check(ctx, c, c_ty)
         return self.ev.apply_many(mv, *index, self.eval_in(ctx, s))
+
+    def infer_tree(self, ctx: Context, t: Term) -> Value:
+        """Best-effort inference of a tree: its type is the codomain of its
+        subtree function, provided that does not depend on the position."""
+        intro, fields = type(t), _term_fields(t)
+        target = next(ty for ty, intros in S.INTROS.items() if intro in intros)
+        cod = self._nondependent_codomain(ctx, fields[-1], S.TREES[intro])
+        if not isinstance(cod, target):
+            name = intro.__name__.lower()
+            self.fail("mismatch", f"{name} is not inferable here; add an annotation")
+        # an indexed tree's index is its first field
+        ty = cod if target is VW else target(cod.fam, self.eval_in(ctx, fields[0]))
+        self.check(ctx, t, ty)
+        return ty
 
     def check_index(self, ctx: Context, iv: Value, form, ty: Value):
         """Check that the value ``iv`` is each of ``ty``'s indices (the index

@@ -23,24 +23,15 @@ from covertt.semantics import (
     PyClosure,
     Value,
     VCover,
-    VDSup,
     VDW,
     VEmpty,
     VId,
-    VInd,
-    VInl,
-    VInr,
+    VIntro,
     VLam,
     VNeutral,
-    VPair,
     VPi,
-    VRefl,
-    VRf,
     VSigma,
-    VStar,
     VSum,
-    VSup,
-    VTr,
     VUnit,
     VW,
     VWP,
@@ -211,7 +202,7 @@ class HandWrittenEvaluator(Evaluator):
 
     def sig_elim(self, motive: Value, case: Value, s: Value) -> Value:
         match s:
-            case VPair(a, b):
+            case VIntro(T.Pair, (a, b)):
                 self._tick()
                 return self.apply_many(case, a, b)
             case VNeutral(head, frames):
@@ -220,10 +211,10 @@ class HandWrittenEvaluator(Evaluator):
 
     def sum_elim(self, motive: Value, cl: Value, cr: Value, s: Value) -> Value:
         match s:
-            case VInl(x):
+            case VIntro(T.Inl, (x,)):
                 self._tick()
                 return self.apply(cl, x)
-            case VInr(x):
+            case VIntro(T.Inr, (x,)):
                 self._tick()
                 return self.apply(cr, x)
             case VNeutral(head, frames):
@@ -233,7 +224,7 @@ class HandWrittenEvaluator(Evaluator):
     def unit_elim(self, motive: Value, case: Value, s: Value) -> Value:
         # Under eta_unit every element of N1 equals star, so the eliminator
         # may fire regardless of the scrutinee.
-        if isinstance(s, VStar) or self.flags.eta_unit:
+        if s == VIntro(T.Star, ()) or self.flags.eta_unit:
             self._tick()
             return case
         match s:
@@ -249,7 +240,7 @@ class HandWrittenEvaluator(Evaluator):
 
     def j_elim(self, motive: Value, d: Value, lhs: Value, rhs: Value, p: Value) -> Value:
         match p:
-            case VRefl(x):
+            case VIntro(T.Refl, (x,)):
                 self._tick()
                 return self.apply(d, x)
             case VNeutral(head, frames):
@@ -258,7 +249,7 @@ class HandWrittenEvaluator(Evaluator):
 
     def w_elim(self, motive: Value, step: Value, s: Value) -> Value:
         match s:
-            case VSup(a, f):
+            case VIntro(T.Sup, (a, f)):
                 self._tick()
                 rec = PyClosure(
                     lambda b: self.w_elim(motive, step, self.apply(f, b))
@@ -270,7 +261,7 @@ class HandWrittenEvaluator(Evaluator):
 
     def dw_elim(self, motive: Value, step: Value, s: Value) -> Value:
         match s:
-            case VDSup(i, n, f):
+            case VIntro(T.DSup, (i, n, f)):
                 self._tick()
                 rec = PyClosure(
                     lambda b: self.dw_elim(motive, step, self.apply(f, b))
@@ -282,7 +273,7 @@ class HandWrittenEvaluator(Evaluator):
 
     def wp_elim(self, motive: Value, step: Value, s: Value) -> Value:
         match s:
-            case VInd(i, n, f):
+            case VIntro(T.Ind, (i, n, f)):
                 self._tick()
                 rec = PyClosure(
                     lambda j: VLam(
@@ -300,10 +291,10 @@ class HandWrittenEvaluator(Evaluator):
 
     def cover_elim(self, motive: Value, q1: Value, q2: Value, s: Value) -> Value:
         match s:
-            case VRf(a, r):
+            case VIntro(T.Rf, (a, r)):
                 self._tick()
                 return self.apply_many(q1, a, r)
-            case VTr(a, i, f):
+            case VIntro(T.Tr, (a, i, f)):
                 self._tick()
                 rec = PyClosure(
                     lambda b: VLam(
@@ -339,7 +330,7 @@ class HandWrittenEvaluator(Evaluator):
             case T.Unit():
                 return VUnit()
             case T.Star():
-                return VStar()
+                return VIntro(T.Star, ())
             case T.Pi(dom, cod):
                 return VPi(self.eval(env, dom), Closure(env, cod))
             case T.Lam(body):
@@ -349,7 +340,7 @@ class HandWrittenEvaluator(Evaluator):
             case T.Sigma(fst, snd):
                 return VSigma(self.eval(env, fst), Closure(env, snd))
             case T.Pair(a, b):
-                return VPair(self.eval(env, a), self.eval(env, b))
+                return VIntro(T.Pair, (self.eval(env, a), self.eval(env, b)))
             case T.Proj1(p):
                 return self.proj1(self.eval(env, p))
             case T.Proj2(p):
@@ -359,9 +350,9 @@ class HandWrittenEvaluator(Evaluator):
             case T.Sum(l, r):
                 return VSum(self.eval(env, l), self.eval(env, r))
             case T.Inl(x):
-                return VInl(self.eval(env, x))
+                return VIntro(T.Inl, (self.eval(env, x),))
             case T.Inr(x):
-                return VInr(self.eval(env, x))
+                return VIntro(T.Inr, (self.eval(env, x),))
             case T.SumElim(m, cl, cr, s):
                 return self.sum_elim(
                     self.eval(env, m), self.eval(env, cl), self.eval(env, cr), self.eval(env, s)
@@ -369,7 +360,7 @@ class HandWrittenEvaluator(Evaluator):
             case T.Id(ty, a, b):
                 return VId(self.eval(env, ty), self.eval(env, a), self.eval(env, b))
             case T.Refl(x):
-                return VRefl(self.eval(env, x))
+                return VIntro(T.Refl, (self.eval(env, x),))
             case T.J(m, d, a, b, p):
                 return self.j_elim(
                     self.eval(env, m),
@@ -385,7 +376,7 @@ class HandWrittenEvaluator(Evaluator):
             case T.W(a, b):
                 return VW(self.eval(env, a), self.eval(env, b))
             case T.Sup(a, f):
-                return VSup(self.eval(env, a), self.eval(env, f))
+                return VIntro(T.Sup, (self.eval(env, a), self.eval(env, f)))
             case T.WElim(m, d, s):
                 return self.w_elim(self.eval(env, m), self.eval(env, d), self.eval(env, s))
             case T.DW(i, n, br, ar):
@@ -393,13 +384,13 @@ class HandWrittenEvaluator(Evaluator):
                     self.eval(env, i), self.eval(env, n), self.eval(env, br), self.eval(env, ar)
                 )
             case T.DSup(i, n, f):
-                return VDSup(self.eval(env, i), self.eval(env, n), self.eval(env, f))
+                return VIntro(T.DSup, (self.eval(env, i), self.eval(env, n), self.eval(env, f)))
             case T.DWElim(m, d, _i, s):
                 return self.dw_elim(self.eval(env, m), self.eval(env, d), self.eval(env, s))
             case T.WP(i, n, r):
                 return VWP(self.eval(env, i), self.eval(env, n), self.eval(env, r))
             case T.Ind(i, n, f):
-                return VInd(self.eval(env, i), self.eval(env, n), self.eval(env, f))
+                return VIntro(T.Ind, (self.eval(env, i), self.eval(env, n), self.eval(env, f)))
             case T.WPElim(m, c, _i, s):
                 return self.wp_elim(self.eval(env, m), self.eval(env, c), self.eval(env, s))
             case T.Cover(a, i, c, v):
@@ -407,9 +398,9 @@ class HandWrittenEvaluator(Evaluator):
                     self.eval(env, a), self.eval(env, i), self.eval(env, c), self.eval(env, v)
                 )
             case T.Rf(a, r):
-                return VRf(self.eval(env, a), self.eval(env, r))
+                return VIntro(T.Rf, (self.eval(env, a), self.eval(env, r)))
             case T.Tr(a, i, f):
-                return VTr(self.eval(env, a), self.eval(env, i), self.eval(env, f))
+                return VIntro(T.Tr, (self.eval(env, a), self.eval(env, i), self.eval(env, f)))
             case T.CoverElim(m, q1, q2, _a, s):
                 return self.cover_elim(
                     self.eval(env, m),
@@ -610,7 +601,7 @@ def pretty_oracle(t, depth: int = 0, prec: int = 0) -> str:
             return f"( {pretty_oracle(a, depth, 0)} , {pretty_oracle(b, depth, 0)} )"
         case T.Ann(tm, ty):
             return f"( {pretty_oracle(tm, depth, 0)} : {pretty_oracle(ty, depth, 0)} )"
-    for kw, (ctor, _arity) in surface.KEYWORD_FORMS.items():
+    for kw, ctor in surface.KEYWORD_FORMS.items():
         if type(t) is ctor:
             args = [getattr(t, name) for name in t.__match_args__]
             parts = [kw] + [pretty_oracle(a, depth, 3) for a in args]

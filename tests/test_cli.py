@@ -161,6 +161,13 @@ def test_corpus_reports_a_malformed_manifest(capsys, tmp_path):
     assert (code, out) == (1, f"error: {base}/manifest:2: expected a tag and a file name\n")
 
 
+def test_corpus_reports_a_manifest_that_is_not_utf8(capsys, tmp_path):
+    base = write_corpus(tmp_path, "", {"ok.mltt": "def x : N1 := star\n"})
+    (tmp_path / "manifest").write_bytes(b"ok ok.mltt\n# caf\xe9\n")
+    code, out = run(capsys, "corpus", "--corpus-dir", base)
+    assert (code, out) == (1, "error: manifest:2:6: byte 0xe9 is not UTF-8 text\n")
+
+
 def test_corpus_reports_a_missing_entry_as_failed(capsys, tmp_path):
     base = write_corpus(tmp_path, "ok ok.mltt\ngone gone.mltt\n", {"ok.mltt": "def x : N1 := star\n"})
     code, out = run(capsys, "corpus", "--corpus-dir", base)
@@ -168,6 +175,41 @@ def test_corpus_reports_a_missing_entry_as_failed(capsys, tmp_path):
     ok, gone = out.splitlines()
     assert ok == "PASS ok ok.mltt"
     assert gone.startswith("FAIL gone gone.mltt: [Errno 2] No such file or directory: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "{}"),
+        ("norm", "{}", "--expr", "star"),
+        ("conv", "star", "star", "--type", "N1", "--file", "{}"),
+    ],
+)
+def test_a_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path, argv):
+    f = tmp_path / "latin.mltt"
+    f.write_bytes(b"def x : N1 := star\n-- caf\xe9\n")
+    code, out = run(capsys, *[a.format(f) for a in argv])
+    assert (code, out) == (1, "error: latin.mltt:2:7: byte 0xe9 is not UTF-8 text\n")
+
+
+def test_a_cover_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path):
+    f = tmp_path / "bad.cov"
+    f.write_bytes(b"carrier a\n\xff\n")
+    assert run(capsys, "cover", str(f)) == (1, "error: bad.cov:2:1: byte 0xff is not UTF-8 text\n")
+
+
+def test_corpus_fails_only_the_entry_that_is_not_utf8(capsys, tmp_path):
+    base = write_corpus(
+        tmp_path, "ok ok.mltt\nbad bad.mltt\nuse use.mltt\n",
+        {"ok.mltt": "def x : N1 := star\n", "use.mltt": "def y : N1 := star\n"},
+    )
+    (tmp_path / "bad.mltt").write_bytes(b"def z : N1 := star \xff\n")
+    code, out = run(capsys, "corpus", "--corpus-dir", base)
+    assert (code, out) == (
+        1, "PASS ok ok.mltt\n"
+        "FAIL bad bad.mltt: bad.mltt:1:20: byte 0xff is not UTF-8 text\n"
+        "PASS use use.mltt\n"
+    )
 
 
 def test_corpus_reports_an_exhausted_budget_as_failed(capsys, tmp_path, small_budget):

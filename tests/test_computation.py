@@ -7,7 +7,9 @@ import hashlib
 
 import pytest
 
+from covertt import semantics as S
 from covertt import surface, typecheck
+from covertt import terms as T
 from covertt.encodings import check_corpus
 from covertt.semantics import Evaluator
 from covertt.terms import Flags
@@ -77,3 +79,22 @@ def test_nested_identity_steps_are_pinned():
     chk = Checker()
     assert typecheck.normalize(chk, term) == surface.parse_term("star")
     assert chk.ev.steps == 5_050
+
+
+INTRODUCTIONS = [T.Pair, T.Star, T.Inl, T.Inr, T.Refl, T.Sup, T.DSup, T.Ind, T.Rf, T.Tr]
+
+
+def test_the_introductions_are_those_of_the_types():
+    assert {i for intros in S.INTROS.values() for i in intros} == set(INTRODUCTIONS)
+
+
+@pytest.mark.parametrize("intro", INTRODUCTIONS, ids=lambda cls: cls.__name__)
+def test_every_introduction_evaluates_to_one_record(intro):
+    """Its form is its term class and its arguments are its fields' values,
+    in ``__match_args__`` order."""
+    n = len(intro.__match_args__)
+    env = tuple(S.fresh(level, S.V_U0) for level in range(n))
+    # field k is the variable at level k
+    v = Evaluator().eval(env, intro(*[T.Var(n - 1 - k) for k in range(n)]))
+    assert type(v) is S.VIntro and v.form is intro
+    assert v.args == env

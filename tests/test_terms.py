@@ -179,7 +179,8 @@ def test_equal_fields_in_different_classes_differ():
     assert T.Lam(x) != x and hash(T.Lam(x)) != hash(x)
     assert T.Pair(x, x) != T.Sigma(x, x)
     assert T.Star() != T.Unit() and T.Star() == T.Star()
-    assert S.VInl(S.VStar()) != S.VInr(S.VStar())
+    star = S.VIntro(T.Star, ())
+    assert S.VIntro(T.Inl, (star,)) != S.VIntro(T.Inr, (star,))
     assert T.Var(0) != 0 and T.Var(0) != (0,)
 
 

@@ -382,6 +382,79 @@ def test_rejections(items, src, target, kind, message, expected, found):
     assert (e.value.kind, e.value.message, *printed) == (kind, message, expected, found)
 
 
+# --- inference of every term class -----------------------------------------------
+
+# What ``infer`` gives for a term of each class whose fields are all ``Var(0)``
+# (``Var(0)`` itself, and ``Const("c")`` for a constant) in a context of one
+# variable of type N1: the inferred type, or the rejection's kind, message,
+# expected and found.
+INFERENCES = [
+    ("Ann", ("not-a-universe", "expected a type", None, "N1")),
+    ("App", ("not-a-function", "application head does not have a function type", None, "N1")),
+    ("Const", ("unbound", "unknown name 'c'", None, None)),
+    ("Cover", ("not-a-universe", "expected a type", None, "N1")),
+    ("CoverElim", ("mismatch", "elimCover scrutinee is not a cover proof", None, "N1")),
+    ("DSup", ("mismatch", "dsup is not inferable here; add an annotation", None, None)),
+    ("DW", ("not-a-universe", "expected a type", None, "N1")),
+    ("DWElim", ("mismatch", "elimDW scrutinee is not a dependent tree", None, "N1")),
+    ("Empty", "U0"),
+    ("EmptyElim", ("mismatch", "type mismatch", "N0", "N1")),
+    ("Id", ("not-a-universe", "expected a type", None, "N1")),
+    ("Ind", ("mismatch", "ind is not inferable here; add an annotation", None, None)),
+    ("Inl", ("mismatch", "an injection is not inferable", None, None)),
+    ("Inr", ("mismatch", "an injection is not inferable", None, None)),
+    ("J", ("mismatch", "type mismatch", "Id N1 ?0 ?0", "N1")),
+    ("Lam", ("mismatch", "an unannotated lambda is not inferable", None, None)),
+    ("Pair", ("mismatch", "a bare pair is not inferable", None, None)),
+    ("Pi", ("not-a-universe", "expected a type", None, "N1")),
+    ("Proj1", ("mismatch", "fst applied to a non-pair type", None, "N1")),
+    ("Proj2", ("mismatch", "snd applied to a non-pair type", None, "N1")),
+    ("Refl", ("mismatch", "refl is not inferable", None, None)),
+    ("Rf", ("mismatch", "cover introductions are not inferable", None, None)),
+    ("SigElim", ("mismatch", "split scrutinee is not a pair", None, "N1")),
+    ("Sigma", ("not-a-universe", "expected a type", None, "N1")),
+    ("Star", "N1"),
+    ("Sum", ("not-a-universe", "expected a type", None, "N1")),
+    ("SumElim", ("mismatch", "case scrutinee is not a sum", None, "N1")),
+    ("Sup", ("mismatch", "sup is not inferable here; add an annotation", None, None)),
+    ("Tr", ("mismatch", "cover introductions are not inferable", None, None)),
+    ("TypeSort", ("not-a-universe", "the large sort is not a term", None, None)),
+    ("Unit", "U0"),
+    (
+        "UnitElim",
+        ("motive-shape", "ill-shaped eliminator motive or case: type mismatch", "N1 -> Type", "N1"),
+    ),
+    ("Univ", "Type"),
+    ("Var", "N1"),
+    ("W", ("not-a-universe", "expected a type", None, "N1")),
+    ("WElim", ("mismatch", "elimW scrutinee is not a W-type element", None, "N1")),
+    ("WP", ("not-a-universe", "expected a type", None, "N1")),
+    ("WPElim", ("mismatch", "elimWP scrutinee is not a derivation", None, "N1")),
+]
+
+
+def test_the_inference_table_lists_every_term_class():
+    assert sorted(name for name, _ in INFERENCES) == sorted(cls.__name__ for cls in T.CHILDREN)
+
+
+@pytest.mark.parametrize("name, result", INFERENCES, ids=[name for name, _ in INFERENCES])
+def test_inference_of_every_term_class(name, result):
+    cls = getattr(T, name)
+    if cls is T.Var or cls is T.Const:
+        t = T.Var(0) if cls is T.Var else T.Const("c")
+    else:
+        t = cls(*[T.Var(0)] * len(cls.__match_args__))
+    chk = Checker()
+    ctx = Context().extend("x", chk.eval_in(Context(), T.Unit()))
+    if isinstance(result, str):
+        assert surface.pretty(chk.norm_type(ctx, chk.infer(ctx, t))) == result
+        return
+    with pytest.raises(TypeCheckError) as e:
+        chk.infer(ctx, t)
+    printed = [x if x is None else surface.pretty(x) for x in (e.value.expected, e.value.found)]
+    assert (e.value.kind, e.value.message, *printed) == result
+
+
 # --- computation, under every flag setting --------------------------------------
 
 
@@ -542,6 +615,51 @@ def test_introduction_with_a_dependent_codomain_is_not_inferable(items, src, for
     with pytest.raises(TypeCheckError) as e:
         chk.infer(ctx, surface.parse_term(src, scope=scope))
     assert e.value.message == f"{former} is not inferable here; add an annotation"
+
+
+# over N1 under eta_unit an index reads back as star, so no codomain depends on
+# a subtree's position
+UNIT_DW_CTX = [
+    ("N", "N1 -> U0"),
+    ("Br", "(i : N1) -> N i -> U0"),
+    ("ar", "(i : N1) -> (n : N i) -> Br i n -> N1"),
+    ("n", "N star"),
+    ("f", "(b : Br star n) -> DW N1 N Br ar (ar star n b)"),
+]
+UNIT_WP_CTX = [
+    ("N", "N1 -> U0"),
+    ("R", "(i : N1) -> N i -> N1 -> U0"),
+    ("n", "N star"),
+    ("f", "(j : N1) -> R star n j -> WP N1 N R j"),
+]
+UNIT_COVER_CTX = [
+    ("If", "N1 -> U0"),
+    ("Cf", "(a : N1) -> If a -> N1 -> U0"),
+    ("V", "N1 -> U0"),
+    ("i", "If star"),
+    ("r", "(b : N1) -> Cf star i b -> Cover N1 If Cf V b"),
+]
+
+
+@pytest.mark.parametrize(
+    "items, src, expected",
+    [
+        (UNIT_DW_CTX, "dsup star n f", "DW N1 N Br ar star"),
+        (UNIT_WP_CTX, "ind star n f", "WP N1 N R star"),
+        (UNIT_COVER_CTX, "tr star i r", None),
+    ],
+)
+def test_indexed_trees_infer_through_a_non_dependent_codomain(items, src, expected):
+    chk, ctx, scope = _ctx(items, Flags(eta_unit=True))
+    t = surface.parse_term(src, scope=scope)
+    if expected is None:
+        # a cover proof is never inferred
+        with pytest.raises(TypeCheckError) as e:
+            chk.infer(ctx, t)
+        assert e.value.message == "cover introductions are not inferable"
+        return
+    want = chk.eval_in(ctx, surface.parse_term(expected, scope=scope))
+    assert chk.norm_type(ctx, chk.infer(ctx, t)) == chk.norm_type(ctx, want)
 
 
 # --- the memo of closed family formations ----------------------------------------
