@@ -36,8 +36,13 @@ def load_manifest(base: str | None = None) -> list[CorpusEntry]:
     ``ParseError`` when it is not UTF-8 text, and ``ValueError`` for a line
     that is not ``TAG FILE FLAG...``."""
     path = os.path.join(base or corpus_dir(), "manifest")
+    try:
+        src = surface.read_source(path)
+    except surface.ParseError as e:
+        # named by its full path, as the errors below name it
+        raise surface.ParseError(e.message, e.line, e.col, filename=path) from None
     entries = []
-    for lineno, line in enumerate(surface.read_source(path).split("\n"), 1):
+    for lineno, line in enumerate(src.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

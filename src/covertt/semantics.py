@@ -653,10 +653,11 @@ class Evaluator:
         if isinstance(a, VNeutral) or isinstance(b, VNeutral):
             both = isinstance(a, VNeutral) and isinstance(b, VNeutral)
             return both and self.conv_neutral(a, b, depth)
+        # values of different classes or forms differ before ``a`` is typed
+        if type(a) is not type(b) or type(a) is VIntro and b.form is not a.form:
+            return False
         if type(a) is not VIntro or not inhabits(a.form, ty):
             raise KernelBug(f"conv: {_describe(a)} at type {type(ty).__name__}")
-        if type(b) is not VIntro or b.form is not a.form:
-            return False
         fa, fb = a.args, b.args
         for k, x in enumerate(fa):
             # field k's type is computed only once fields 0..k-1 are equal

@@ -165,7 +165,7 @@ def test_corpus_reports_a_manifest_that_is_not_utf8(capsys, tmp_path):
     base = write_corpus(tmp_path, "", {"ok.mltt": "def x : N1 := star\n"})
     (tmp_path / "manifest").write_bytes(b"ok ok.mltt\n# caf\xe9\n")
     code, out = run(capsys, "corpus", "--corpus-dir", base)
-    assert (code, out) == (1, "error: manifest:2:6: byte 0xe9 is not UTF-8 text\n")
+    assert (code, out) == (1, f"error: {base}/manifest:2:6: byte 0xe9 is not UTF-8 text\n")
 
 
 def test_corpus_reports_a_missing_entry_as_failed(capsys, tmp_path):

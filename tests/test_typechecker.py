@@ -382,6 +382,21 @@ def test_rejections(items, src, target, kind, message, expected, found):
     assert (e.value.kind, e.value.message, *printed) == (kind, message, expected, found)
 
 
+@pytest.mark.parametrize("flags", [Flags(), Flags(eta_pi=True)], ids=["base", "eta_pi"])
+def test_a_lambda_and_a_family_formation_are_not_convertible(flags):
+    # the two spines differ in a frame argument at ``N1 -> U0``, which a
+    # lambda and a bare family formation both inhabit: a type error
+    chk, ctx, scope = _ctx([("f", "(N1 -> U0) -> N1")], flags)
+    dw = "DW N1 (fun i => N1) (fun i => fun n => N0) (fun i => fun n => fun b => i)"
+    with pytest.raises(TypeCheckError) as e:
+        check_in(chk, ctx, scope, "refl (f (fun i => N1))", f"Id N1 (f (fun i => N1)) (f ({dw}))")
+    printed = [surface.pretty(t) for t in (e.value.expected, e.value.found)]
+    assert (e.value.kind, e.value.message, *printed) == (
+        "mismatch", "refl endpoint differs from the identity type's endpoints",
+        "?0 (fun x0 => N1)", "?0 (fun x0 => N1)",
+    )
+
+
 # --- inference of every term class -----------------------------------------------
 
 # What ``infer`` gives for a term of each class whose fields are all ``Var(0)``
