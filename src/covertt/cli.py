@@ -10,6 +10,7 @@ text and the exit status is zero exactly when no failure was reported.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import cover as cover_mod
@@ -182,7 +183,11 @@ def cmd_corpus(ns) -> int:
 def cmd_cover(ns) -> int:
     try:
         cf = cover_mod.load_axiom_set(surface.read_source(ns.file))
-    except (cover_mod.FormatError, surface.ParseError, OSError) as e:
+    except cover_mod.FormatError as e:
+        # named as a ParseError names its file
+        print(f"error: {os.path.basename(ns.file)}:{e.line}: {e.message}")
+        return 1
+    except (surface.ParseError, OSError) as e:
         print(f"error: {e}")
         return 1
     for line in cover_mod.iter_queries(cf, with_derivations=ns.derivations):

@@ -9,9 +9,11 @@ type every value reads back as ``star`` under ``eta_unit``.
 Conversion compares two values directly.  It walks both values at once
 through the same typed cases as readback and stops at the first difference.
 It answers without descending where the two sides are the same object, or
-closures with the same body and the same environment.  It is equal by
-construction to reading both values back and comparing the terms, which the
-test suite keeps as its oracle.
+closures with the same body object whose environments agree where the body
+reads them (``Evaluator._same``): the idea of flat closure conversion,
+without rewriting any body.  It is equal by construction to reading both
+values back and comparing the terms, which the test suite keeps as its
+oracle.
 
 ``eta_unit`` additionally lets the unit eliminator fire on any scrutinee
 (every inhabitant is judgmentally ``star`` under that rule), which is what
@@ -229,6 +231,7 @@ class Evaluator:
         self.step_limit = step_limit
         self.steps = 0  # every step this evaluator has taken
         self.budget_start = 0  # ``steps`` when the current budget began
+        self.read_positions = {}  # id(body) -> (body, the positions it reads)
 
     def restart_budget(self):
         """Give the next piece of work (a declaration, a normalization) the
@@ -606,13 +609,13 @@ class Evaluator:
     # Conversion walks both values at once, through the same typed cases and
     # field tables as readback, and stops at the first difference.  A pair is
     # convertible exactly when the two readbacks are equal terms, but where
-    # the two sides are the same object, or closures with the same body and
-    # the same environment, it answers without descending.  Under eta_pi both
-    # sides are applied to one fresh variable, under eta_sigma their
-    # projections are compared, and under eta_unit any two values at the
-    # unit type are equal.  Neutral spines are typed frame by frame as
-    # readback types them, so eta_unit also holds at frame arguments and no
-    # pair has to be read back.
+    # the two sides are the same object, or closures with the same body that
+    # agree where it reads their environments, it answers without descending.
+    # Under eta_pi both sides are applied to one fresh variable, under
+    # eta_sigma their projections are compared, and under eta_unit any two
+    # values at the unit type are equal.  Neutral spines are typed frame by
+    # frame as readback types them, so eta_unit also holds at frame arguments
+    # and no pair has to be read back.
 
     def equal(self, a: Value, b: Value, ty: Value, depth: int) -> bool:
         """One conversion problem of the checker (``conv`` recurses)."""
@@ -632,7 +635,7 @@ class Evaluator:
                 return self.conv_type(a, b, depth)
             case VPi(dom, cod):
                 lams = isinstance(a, VLam) and isinstance(b, VLam)
-                if lams and _same(a.clo, b.clo):
+                if lams and self._same(a.clo, b.clo):
                     return True
                 if flags.eta_pi or lams:
                     var = fresh(depth, dom)
@@ -675,7 +678,7 @@ class Evaluator:
             case (VPi(d1, c1), VPi(d2, c2)) | (VSigma(d1, c1), VSigma(d2, c2)):
                 if not self.conv_type(d1, d2, depth):
                     return False
-                if _same(c1, c2):
+                if self._same(c1, c2):
                     return True
                 var = fresh(depth, d1)
                 return self.conv_type(self.apply_clo(c1, var), self.apply_clo(c2, var), depth + 1)
@@ -716,6 +719,47 @@ class Evaluator:
             cur = result
         return True
 
+    def _same(self, x, y) -> bool:
+        """Structural identity: the same object, or the same class with fields
+        that are recursively the same.  Closures are the same when they have
+        the same body object and the same entries at the positions of their
+        environments that the body reads.  It implies equal readback at every
+        type."""
+        if x is y:
+            return True
+        cls = type(x)
+        if cls is not type(y):
+            return False
+        if cls is tuple:
+            return len(x) == len(y) and all(map(self._same, x, y))
+        if cls is Closure:
+            if x.body is not y.body:
+                return False
+            ex, ey = x.env, y.env
+            return all(self._same(ex[-1 - k], ey[-1 - k]) for k in self._reads(x.body))
+        if cls is PyClosure:
+            return False
+        if cls is Frame or cls is VIntro:
+            return x.form is y.form and self._same(x.args, y.args)
+        if cls is int or cls is str:
+            return x == y
+        return all(map(self._same, _fields(x), _fields(y)))
+
+    def _reads(self, body: Term) -> set:
+        """The positions of a closure's environment, counted from its end,
+        that ``body`` reads; found once per body object."""
+        entry = self.read_positions.get(id(body))
+        if entry is None:
+            found, stack = set(), [(body, 1)]  # subterms, with the binders around them
+            while stack:
+                t, bound = stack.pop()
+                if type(t) is not T.Var:
+                    stack += [(getattr(t, name), bound + n) for name, n in T.CHILDREN[type(t)]]
+                elif t.index >= bound:
+                    found.add(t.index - bound)
+            entry = self.read_positions[id(body)] = (body, found)
+        return entry[1]
+
 
 def _fields(x) -> list:
     """A value's fields in declaration order."""
@@ -725,28 +769,6 @@ def _fields(x) -> list:
 def _describe(v) -> str:
     """A value's class, or an introduction's form, for an error message."""
     return v.form.__name__ if type(v) is VIntro else type(v).__name__
-
-
-def _same(x, y) -> bool:
-    """Structural identity: the same object, or the same class with fields
-    that are recursively the same, closure bodies compared by identity.  It
-    implies equal readback at every type."""
-    if x is y:
-        return True
-    cls = type(x)
-    if cls is not type(y):
-        return False
-    if cls is tuple:
-        return len(x) == len(y) and all(map(_same, x, y))
-    if cls is Closure:
-        return x.body is y.body and _same(x.env, y.env)
-    if cls is PyClosure:
-        return False
-    if cls is Frame or cls is VIntro:
-        return x.form is y.form and _same(x.args, y.args)
-    if cls is int or cls is str:
-        return x == y
-    return all(map(_same, _fields(x), _fields(y)))
 
 
 def _same_frame(f1: Frame, f2: Frame) -> bool:

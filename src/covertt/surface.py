@@ -15,6 +15,14 @@ anonymous scope entry that no name resolves to, so its de Bruijn indices
 already count the binder the arrow introduces; shifting it afterwards would
 rebuild every right side once per arrow that encloses it.
 
+The parser shares equal subterms (hash-consing): it builds every node
+through ``Parser.node``, which returns the node it built before for the
+same class and the same children, told apart by identity, or the same
+index or name.  So equal subterms of one ``parse_term`` call, or of one
+file, are one object, and the closures evaluated from repeated text share
+their body, which lets conversion compare them without applying them.
+Sharing changes neither ``==`` nor ``hash``, which still compare structure.
+
 The pretty-printer emits text that re-parses to a structurally equal term,
 with deterministic fresh names ``x0, x1, ...`` indexed by binder depth.  It
 prints a non-dependent body under the same kind of anonymous binder, which
@@ -206,6 +214,22 @@ class Parser:
         # of a non-dependent ``->`` or ``*``, which no name refers to
         self.scope: list[Optional[str]] = []
         self._tokens: Optional[list[Token]] = None
+        self.nodes: dict = {}  # the key of each node built so far -> the node
+
+    def node(self, cls, *fields) -> Term:
+        """``cls(*fields)``, built once per parse: a node equal to one this
+        parser built before is that node.  Sub-terms are this parse's nodes,
+        so they are keyed by identity; an index or a name by its value."""
+        key = (cls, *fields) if cls is T.Var or cls is T.Const else (cls, *map(id, fields))
+        t = self.nodes.get(key)
+        if t is None:
+            t = self.nodes[key] = cls(*fields)
+        return t
+
+    def _share(self, t: Term) -> Term:
+        """A term built outside the parser, rebuilt from this parse's nodes."""
+        fields = [getattr(t, name) for name in t.__match_args__]
+        return self.node(type(t), *[self._share(f) if isinstance(f, Term) else f for f in fields])
 
     # -- token plumbing
 
@@ -276,7 +300,7 @@ class Parser:
                 body = self.parse_term()
             finally:
                 self.scope.pop()
-            return T.Lam(body)
+            return self.node(T.Lam, body)
         return self.parse_arrow()
 
     def parse_arrow(self) -> Term:
@@ -286,7 +310,7 @@ class Parser:
             left = self.parse_star_level()
         if self.at_punct("->"):
             self.pos += 1
-            return T.Pi(left, self._anonymous(self.parse_arrow))
+            return self.node(T.Pi, left, self._anonymous(self.parse_arrow))
         return left
 
     def _anonymous(self, parse) -> Term:
@@ -309,8 +333,8 @@ class Parser:
         self.scope.append(name)
         try:
             if op == "->":
-                return T.Pi(dom, self.parse_arrow())
-            return T.Sigma(dom, self.parse_sigma_rhs())
+                return self.node(T.Pi, dom, self.parse_arrow())
+            return self.node(T.Sigma, dom, self.parse_sigma_rhs())
         finally:
             self.scope.pop()
 
@@ -336,14 +360,14 @@ class Parser:
         left = self.parse_app()
         if self.at_punct("*"):
             self.pos += 1
-            return T.Sigma(left, self._anonymous(self.parse_sigma_rhs))
+            return self.node(T.Sigma, left, self._anonymous(self.parse_sigma_rhs))
         return left
 
     def parse_app(self) -> Term:
         head = self.parse_atom()
         while self._atom_starts():
             arg = self.parse_atom()
-            head = T.App(head, arg)
+            head = self.node(T.App, head, arg)
         return head
 
     def _atom_starts(self) -> bool:
@@ -362,12 +386,12 @@ class Parser:
             self.pos = k + 1
             for i, bound in enumerate(reversed(self.scope)):
                 if bound == text:
-                    return T.Var(i)
-            return T.Const(text)
+                    return self.node(T.Var, i)
+            return self.node(T.Const, text)
         if kind == "keyword":
             if text in ATOM_KEYWORDS:
                 self.pos = k + 1
-                return ATOM_KEYWORDS[text]()
+                return self.node(ATOM_KEYWORDS[text])
             if text in KEYWORD_FORMS:
                 self.pos = k + 1
                 ctor = KEYWORD_FORMS[text]
@@ -380,7 +404,7 @@ class Parser:
                             expected=["term"],
                         )
                     args.append(self.parse_atom())
-                return ctor(*args)
+                return self.node(ctor, *args)
             if text in BINDER_KEYWORDS:
                 self.pos = k + 1
                 dom = self.parse_atom()
@@ -388,8 +412,8 @@ class Parser:
                 if isinstance(fam, T.Lam):
                     body = fam.body
                 else:
-                    body = T.App(T.weaken(fam), T.Var(0))
-                return T.Pi(dom, body) if text == "Pi" else T.Sigma(dom, body)
+                    body = self.node(T.App, self._share(T.weaken(fam)), self.node(T.Var, 0))
+                return self.node(T.Pi if text == "Pi" else T.Sigma, dom, body)
             if text == "fun":
                 return self.parse_term()
             self.error(f"keyword {text!r} cannot start an atom")
@@ -400,12 +424,12 @@ class Parser:
                 self.pos += 1
                 second = self.parse_term()
                 self.expect("punct", ")")
-                return T.Pair(inner, second)
+                return self.node(T.Pair, inner, second)
             if self.at_punct(":"):
                 self.pos += 1
                 ty = self.parse_term()
                 self.expect("punct", ")")
-                return T.Ann(inner, ty)
+                return self.node(T.Ann, inner, ty)
             self.expect("punct", ")")
             return inner
         self.error(f"unexpected {kind} {text!r}", expected=["term"])

@@ -193,6 +193,29 @@ def readback_equal(ev: Evaluator, a: Value, b: Value, ty: Value = V_ANY, depth: 
     return ev.readback(a, ty, depth) == ev.readback(b, ty, depth)
 
 
+def same_whole_environment(x, y) -> bool:
+    """The structural identity that ``Evaluator._same`` replaced, kept as its
+    oracle: closures are the same only with the same body object and the
+    same whole environment, whatever entries the body reads."""
+    if x is y:
+        return True
+    cls = type(x)
+    if cls is not type(y):
+        return False
+    if cls is tuple:
+        return len(x) == len(y) and all(map(same_whole_environment, x, y))
+    if cls is Closure:
+        return x.body is y.body and same_whole_environment(x.env, y.env)
+    if cls is PyClosure:
+        return False
+    if cls is Frame or cls is VIntro:
+        return x.form is y.form and same_whole_environment(x.args, y.args)
+    if cls is int or cls is str:
+        return x == y
+    fields = x.__match_args__
+    return all(same_whole_environment(getattr(x, n), getattr(y, n)) for n in fields)
+
+
 class HandWrittenEvaluator(Evaluator):
     """The evaluator ``Evaluator.elim`` replaced, kept as its oracle: one
     class pattern per term in ``eval`` and one method per eliminator, each

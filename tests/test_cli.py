@@ -99,7 +99,7 @@ def test_cover_command(capsys, tmp_path):
     # subset declared after use: format error with line number
     code, out = run(capsys, "cover", str(f))
     assert code == 1
-    assert "line 5" in out
+    assert out.startswith("error: two.cov:5: ")
 
     f.write_text("carrier a b\naxiom a i : b\nsubset V : b\nsubset E :\nquery a V\nquery b E\n")
     code, out = run(capsys, "cover", str(f))
@@ -190,6 +190,12 @@ def test_a_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path, argv):
     f.write_bytes(b"def x : N1 := star\n-- caf\xe9\n")
     code, out = run(capsys, *[a.format(f) for a in argv])
     assert (code, out) == (1, "error: latin.mltt:2:7: byte 0xe9 is not UTF-8 text\n")
+
+
+def test_a_cover_format_error_names_the_file_and_line(capsys, tmp_path):
+    f = tmp_path / "bad.cov"
+    f.write_text("carrier a b\naxiom zz i : a\n")
+    assert run(capsys, "cover", str(f)) == (1, "error: bad.cov:2: unknown atom 'zz'\n")
 
 
 def test_a_cover_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path):

@@ -26,7 +26,7 @@ FLAG_SETS = {
 
 # Measured with the hand-written rules: the steps of one ``check_corpus``
 # call, and the sha256 of the normal forms ``corpus_normal_forms`` lists.
-CORPUS_STEPS = {"none": 919, "funext": 3_880, "eta3": 11_453, "all": 28_708}
+CORPUS_STEPS = {"none": 847, "funext": 3_311, "eta3": 9_057, "all": 18_689}
 NORMAL_FORMS_SHA256 = {
     "none": "e5ab308e42b45b9b34701753232df7778c07db7ce6211ea8b3de52eec4d9b4e9",
     "funext": "8bbd163000a381f5fb241df6254a7c555858600355c174ab345bd99ae0c1acd2",

@@ -1,5 +1,7 @@
 """Value-level conversion against its oracle, readback-and-compare."""
 
+import collections
+import contextlib
 import functools
 
 import hypothesis
@@ -7,6 +9,7 @@ import hypothesis.strategies as st
 import pytest
 
 from covertt import surface, typecheck
+from covertt import semantics as S
 from covertt.encodings import check_corpus
 from covertt.semantics import V_ANY, Evaluator
 from covertt.terms import Flags
@@ -19,6 +22,7 @@ from helpers import (
     context_of,
     load_corpus_file,
     readback_equal,
+    same_whole_environment,
 )
 
 
@@ -250,3 +254,110 @@ def test_unequal_pairs_agree_with_readback(flags):
         assert verdict == readback_equal(chk.ev, a, b, tyv, ctx.depth), (lhs, rhs)
         if flags == Flags():
             assert not verdict, (lhs, rhs)
+
+
+# --- closures compared where their bodies read ----------------------------------------
+
+
+@contextlib.contextmanager
+def closure_rule_audit():
+    """Audit every pair of closures that ``conv`` or ``conv_type`` is about
+    to compare: ``Evaluator._same`` must say yes wherever the rule it
+    replaced (``same_whole_environment``) does, and where it says yes the
+    two closures must read back equal.  Yields the failures and a count of
+    the rule's verdicts: ``"both"``, ``"new only"`` and ``"no"``."""
+    failures, verdicts = [], collections.Counter()
+    conv, conv_type = Evaluator.conv, Evaluator.conv_type
+
+    def audit(ev, c1, c2, a, b, ty, depth):
+        new, old = ev._same(c1, c2), same_whole_environment(c1, c2)
+        verdicts["both" if old and new else "new only" if new else "no"] += 1
+        if old and not new:
+            failures.append(("whole environments same, closures not", c1, c2))
+        if new:
+            steps = ev.steps
+            if not readback_equal(ev, a, b, ty, depth):
+                failures.append(("same closures read back unequal", c1, c2))
+            ev.steps = steps  # the oracle's work does not count
+
+    def audited_conv(ev, a, b, ty, depth):
+        if isinstance(ty, S.VPi) and isinstance(a, S.VLam) and isinstance(b, S.VLam):
+            audit(ev, a.clo, b.clo, a, b, ty, depth)
+        return conv(ev, a, b, ty, depth)
+
+    def audited_conv_type(ev, a, b, depth):
+        if type(a) is type(b) and isinstance(a, (S.VPi, S.VSigma)) and a is not b:
+            # a Pi's codomain or a Sigma's second component: a family over
+            # the first side's domain, read back as a lambda into types
+            (dom, c1), (_, c2) = (tuple(getattr(v, n) for n in v.__match_args__) for v in (a, b))
+            family = S.VPi(dom, S.constant_family(V_ANY))
+            audit(ev, c1, c2, S.VLam(c1), S.VLam(c2), family, depth)
+        return conv_type(ev, a, b, depth)
+
+    Evaluator.conv, Evaluator.conv_type = audited_conv, audited_conv_type
+    try:
+        yield failures, verdicts
+    finally:
+        Evaluator.conv, Evaluator.conv_type = conv, conv_type
+
+
+# the flag sets the corpus manifest uses: none, funext, the three eta rules, all
+MANIFEST_FLAG_SETS = [
+    Flags(),
+    Flags(funext=True),
+    Flags(eta_pi=True, eta_sigma=True, eta_unit=True),
+    Flags(eta_pi=True, eta_sigma=True, eta_unit=True, funext=True),
+]
+
+
+@pytest.mark.parametrize("flags", MANIFEST_FLAG_SETS, ids=str)
+def test_corpus_closure_rule_against_whole_environments_and_readback(flags):
+    with closure_rule_audit() as (failures, verdicts):
+        check_corpus(flags)
+    assert failures == []
+    # the rule answers where whole environments differ
+    assert verdicts["new only"] > 0
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(flags=st.sampled_from(ALL_FLAG_SETS), pair=term_pairs())
+def test_prelude_closure_rule_against_whole_environments_and_readback(flags, pair):
+    ty_src, lhs_src, rhs_src = pair
+    chk, ctx, scope = _prelude_checker(flags)
+    # one parse, so that the two sides share their repeated subterms
+    both = surface.parse_term(f"( ({lhs_src}) , ({rhs_src}) )", scope=scope)
+    with closure_rule_audit() as (failures, verdicts):
+        tyv = chk.eval_in(ctx, surface.parse_term(ty_src, scope=scope))
+        values = []
+        for t in (both.fst, both.snd):
+            chk.check(ctx, t, tyv)
+            values.append(chk.eval_in(ctx, t))
+        chk.ev.conv(values[0], values[1], tyv, ctx.depth)
+    assert failures == []
+    hypothesis.event(f"closure rule: {sorted(verdicts.items())}")
+
+
+def _closure_pair(read_differs: bool):
+    """Two lambdas ``fun x => f x`` at ``N1 -> N1`` whose environments
+    ``(f, u)`` differ in ``f``, which the body reads, or only in ``u``."""
+    n1 = S.VUnit()
+    fun_ty = S.VPi(n1, S.constant_family(n1))
+    body = surface.parse_term("f x", scope=["f", "u", "x"])
+    f1, f2 = S.fresh(0, fun_ty), S.fresh(1, fun_ty)
+    u1, u2 = S.fresh(2, n1), S.fresh(3, n1)
+    envs = [(f1, u1), (f2, u1)] if read_differs else [(f1, u1), (f1, u2)]
+    return [S.VLam(S.Closure(env, body)) for env in envs], fun_ty
+
+
+@pytest.mark.parametrize("read_differs", [False, True], ids=["unread entry", "read entry"])
+def test_closures_are_applied_only_where_a_read_entry_differs(read_differs, monkeypatch):
+    (a, b), ty = _closure_pair(read_differs)
+    ev = Evaluator()
+    assert not same_whole_environment(a.clo, b.clo)
+    evals = []
+    eval_ = Evaluator.eval
+    monkeypatch.setattr(Evaluator, "eval", lambda ev, env, t: evals.append(t) or eval_(ev, env, t))
+    assert ev.conv(a, b, ty, 4) is not read_differs
+    # equal closures are not applied; unequal ones are applied and differ
+    assert bool(evals) is read_differs
+    assert ev._same(a.clo, b.clo) is not read_differs

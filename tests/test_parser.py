@@ -12,7 +12,7 @@ from covertt.cover import extract_proof_term
 from covertt.surface import ParseError, parse_file, parse_term, pretty
 from covertt import terms as T
 
-from helpers import CORPUS, criterion6_derivations, pretty_oracle, tokenize_oracle
+from helpers import CORPUS, criterion6_derivations, pretty_oracle, term_key, tokenize_oracle
 
 
 def test_identity_roundtrip():
@@ -255,6 +255,72 @@ def test_certificates_round_trip_and_print_as_before(certificates):
     assert digest == CERTIFICATES_SHA256
     for tm, text in zip(terms, texts):
         assert parse_term(text) == tm
+
+
+# --- sharing -------------------------------------------------------------------
+
+
+def _objects_and_subterms(roots):
+    """The number of distinct node objects reachable from ``roots``, and of
+    distinct subterms among them by structure.  Each node is numbered by its
+    class and its index, name or children's numbers, computed bottom up
+    without recursion; equal numbers are equal terms."""
+    number: dict = {}  # id(node) -> its structure's number
+    structures: dict = {}  # (class, index, name or children's numbers) -> number
+    stack = list(roots)
+    while stack:
+        t = stack[-1]
+        if id(t) in number:
+            stack.pop()
+            continue
+        cls = type(t)
+        if cls is T.Var or cls is T.Const:
+            key = (cls, t.index if cls is T.Var else t.name)
+        else:
+            children = [getattr(t, name) for name, _ in T.CHILDREN[cls]]
+            pending = [c for c in children if id(c) not in number]
+            if pending:
+                stack += pending
+                continue
+            key = (cls, *[number[id(c)] for c in children])
+        stack.pop()
+        number[id(t)] = structures.setdefault(key, len(structures))
+    return len(number), len(structures)
+
+
+def test_a_parsed_certificate_is_one_object_per_distinct_subterm(certificates):
+    terms, texts = certificates
+    unshared = 0
+    for tm, text in zip(terms, texts):
+        back = parse_term(text)
+        objects, subterms = _objects_and_subterms([back])
+        assert objects == subterms
+        # sharing changes neither equality nor hashing
+        assert back == tm and hash(back) == hash(tm) and term_key(back) == term_key(tm)
+        objects, subterms = _objects_and_subterms([tm])
+        unshared += objects - subterms
+    # the engine's own terms repeat subterms as separate objects
+    assert unshared > 0
+
+
+def test_a_parsed_file_is_one_object_per_distinct_subterm():
+    for fn, src in _corpus_sources():
+        decls, _ = parse_file(src, fn)
+        roots = [t for d in decls for t in (d.type, d.body) if t is not None]
+        objects, subterms = _objects_and_subterms(roots)
+        assert objects == subterms, fn
+
+
+def test_sharing_covers_the_family_keywords():
+    """``Pi A F`` with F not a lambda builds its body from a shifted copy
+    of F, which is shared with the rest of the parse too."""
+    t = parse_term("( Pi N1 f , ( f , fun x => f x ) )", scope=["f"])
+    assert t == T.Pair(
+        T.Pi(T.Unit(), T.App(T.Var(1), T.Var(0))),
+        T.Pair(T.Var(0), T.Lam(T.App(T.Var(1), T.Var(0)))),
+    )
+    assert t.fst.cod is t.snd.snd.body
+    assert _objects_and_subterms([t]) == (8, 8)
 
 
 def test_corpus_prints_as_before():
