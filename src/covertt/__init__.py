@@ -3,7 +3,7 @@ dependent trees, well-founded predicates and inductive basic covers,
 plus a finite-instance engine for inductively generated covers.
 """
 
-from .terms import Flags, Term, structural_eq, subst, weaken
+from .terms import Flags, Term, subst, weaken
 from .typecheck import (
     Checker,
     Context,
@@ -30,7 +30,6 @@ from .cover import (
 __all__ = [
     "Flags",
     "Term",
-    "structural_eq",
     "subst",
     "weaken",
     "Checker",

@@ -89,6 +89,21 @@ class ContextError(ValueError):
     """A ``--context`` item that is not ``name : TYPE``."""
 
 
+def _context_items(spec: str) -> list:
+    """``spec`` split at its commas outside parentheses, so that a pair's
+    comma stays in its item."""
+    items, depth, start = [], 0, 0
+    for k, c in enumerate(spec):
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        elif c == "," and depth == 0:
+            items.append(spec[start:k])
+            start = k + 1
+    return items + [spec[start:]]
+
+
 def _parse_context(checker: Checker, spec: str):
     """Extend an empty context by 'name : TYPE' items, left to right.  A
     type error in an item is located at ``<context>``."""
@@ -97,7 +112,7 @@ def _parse_context(checker: Checker, spec: str):
     if not spec.strip():
         return ctx, scope
     checker.location = "<context>"
-    for item in spec.split(","):
+    for item in _context_items(spec):
         name, _, ty_src = item.partition(":")
         name = name.strip()
         if not name or not ty_src.strip():
@@ -121,9 +136,12 @@ def cmd_check(ns) -> int:
         try:
             typecheck.check_declarations([d], flags, checker)
             print(f"ok {d.name}")
-        except (TypeCheckError, EvalBudgetExceeded) as e:
+        except TypeCheckError as e:
             print(f"error {d.name}")
             print(str(e))
+            return 1
+        except EvalBudgetExceeded as e:
+            print(f"error: {d.location}: {d.name}: {e}")
             return 1
         except INTERNAL_ERRORS as e:
             print(f"error: {d.location}: {d.name}: {_internal_message(e)}")

@@ -37,12 +37,12 @@ place among the type's introductions (``CASES``) on the introduction's
 fields and, for a tree, on the induction hypothesis: a curried function
 over the position of a subtree (one component for ``sup`` and ``dsup``,
 two for ``ind`` and ``tr``) that eliminates the subtree there.  On a
-neutral the eliminator becomes a ``Frame`` of its spine, which records the
-term class to read back and the values of the term's other fields.  The
-unit eliminator under ``eta_unit`` is the one exception, as above.
-``eval`` builds every type former and introduction from its evaluated
-fields, and evaluates every eliminator's fields before handing them to
-``elim``.
+neutral it becomes a ``Frame`` of the motive and the cases.  The unit
+eliminator under ``eta_unit`` is the one exception, as above.  Every
+eliminator's term is its motive, its cases, the scrutinee's indices (J's
+endpoints, a family's index, or none) and the scrutinee.  Nothing evaluates
+the indices: readback, conversion and the result type (``elim_type``) read
+them from the scrutinee's type (``type_index``).
 
 ``Evaluator.steps`` counts every eliminator step the evaluator takes;
 ``restart_budget`` gives the next piece of work, one declaration or one
@@ -187,8 +187,8 @@ class Frame(Node):
     """One elimination on a neutral's spine.  ``form`` is the term class
     that reads it back (``App``, ``Proj1``, ``Proj2`` or an eliminator) and
     ``args`` the values of that term's fields other than the neutral, in
-    order.  An indexed eliminator's index is not among them: it is read from
-    the type of the neutral."""
+    order, less an eliminator's indices: those are read from the type of
+    the neutral, so an eliminator's frame holds its motive and cases."""
 
     __slots__ = ("form", "args")
 
@@ -205,16 +205,9 @@ def fresh(level: int, ty: Value) -> VNeutral:
 
 
 class GlobalEntry(Node):
-    """A checked global: its type and value, and the terms they came from
-    (``body_term`` is None for a postulate)."""
+    """A checked global: its type and its value."""
 
-    __slots__ = ("type_value", "value", "type_term", "body_term")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # mutable
-
-    def __init__(self, type_value: Value, value: Value, type_term: Term, body_term: Optional[Term]):
-        self._fill(type_value, value, type_term, body_term)
+    __slots__ = ("type_value", "value")
 
 
 class Evaluator:
@@ -288,8 +281,8 @@ class Evaluator:
 
     def elim(self, elim, args: tuple, s: Value) -> Value:
         """The eliminator ``elim`` on the scrutinee ``s``.  ``args`` are the
-        values of the term's other fields, less an indexed eliminator's
-        index: the motive, one case per introduction, and J's endpoints."""
+        values of the motive and of the cases, one per introduction; the
+        scrutinee's indices are read from its type where they are needed."""
         if elim is T.UnitElim and self.flags.eta_unit:
             # under eta_unit every element of N1 is star, so the case fires
             # whatever the scrutinee
@@ -524,14 +517,14 @@ class Evaluator:
         if m_ty is None:
             raise KernelBug(f"readback: {form.__name__} at {type(cur).__name__}")
         motive = frame.args[0]
-        types = (m_ty, *self.case_types(cur, motive))
-        if form is T.J:
-            # J records its endpoints
-            lhs, rhs = frame.args[2:]
-            return types + (cur.type, cur.type), self.apply_many(motive, lhs, rhs, scrut)
-        if isinstance(cur, _APPLIED):
-            return types, self.apply_many(motive, cur.idx, scrut)
-        return types, self.apply(motive, scrut)
+        return (m_ty, *self.case_types(cur, motive)), self.elim_type(cur, motive, scrut)
+
+    def elim_type(self, ty: Value, motive: Value, s: Value) -> Value:
+        """The type of an elimination with ``motive`` of the scrutinee ``s``
+        of type ``ty``: the motive at ``ty``'s indices, then at ``s``."""
+        for i, _ in type_index(ty):
+            motive = self.apply(motive, i)
+        return self.apply(motive, s)
 
     # -- readback ------------------------------------------------------------
 
@@ -595,12 +588,11 @@ class Evaluator:
         for k, frame in enumerate(v.frames):
             types, result = self.frame_types(cur, VNeutral(head, v.frames[:k]), frame)
             args = [self.readback(x, t, depth) for x, t in zip(frame.args, types)]
-            form = frame.form
-            # the indexed eliminators also record the scrutinee's index,
-            # which comes from its type, not from the frame
-            if form in INDEXED:
-                args += [self.readback(x, t, depth) for x, t in type_index(cur)]
-            acc = T.App(acc, *args) if form is T.App else form(*args, acc)
+            # an eliminator's term also records the scrutinee's indices,
+            # which come from its type, not from the frame
+            for x, t in type_index(cur):
+                args.append(self.readback(x, t, depth))
+            acc = T.App(acc, *args) if frame.form is T.App else frame.form(*args, acc)
             cur = result
         return acc
 
@@ -698,9 +690,9 @@ class Evaluator:
     def conv_neutral(self, a: VNeutral, b: VNeutral, depth: int) -> bool:
         """Same head, same spine length, then the frames in order.  Frames
         whose fields are the same objects need no types, so the walk types
-        the spine only up to the last frame that differs.  The index an
-        indexed eliminator's term records follows from the spine before it,
-        so it needs no comparison of its own."""
+        the spine only up to the last frame that differs.  The indices an
+        eliminator's term records are those of the type the spine before it
+        gives, so they need no comparison of their own."""
         ha, hb = a.head, b.head
         if isinstance(ha, HVar):
             if not (isinstance(hb, HVar) and ha.level == hb.level):
@@ -830,14 +822,11 @@ _APPLIED = (VDWApp, VWPApp, VCoverApp)
 # eliminator -> the introductions of the type it eliminates, whose cases
 # follow its motive in that order
 CASES = {elim: INTROS[ty] for ty, elim in _ELIMINATOR.items()}
-# eliminators whose term records the scrutinee's index, second to last
-INDEXED = frozenset(_ELIMINATOR[ty] for ty in _APPLIED)
-# eliminator -> the fields eval reads: all but the recorded index
+# eliminator -> the fields eval reads: the motive, the cases and the
+# scrutinee, and not the indices between them, which its type gives
 _ELIM_FIELDS = {
-    elim: _FIELD_NAMES[elim][:-2] + _FIELD_NAMES[elim][-1:]
-    if elim in INDEXED
-    else _FIELD_NAMES[elim]
-    for elim in CASES
+    elim: _FIELD_NAMES[elim][: 1 + len(cases)] + _FIELD_NAMES[elim][-1:]
+    for elim, cases in CASES.items()
 }
 
 

@@ -406,13 +406,6 @@ def subst(t: Term, j: int, s: Term) -> Term:
     return map_subterms(t, lambda c, d: subst(c, j + d, s))
 
 
-def structural_eq(t: Term, u: Term) -> bool:
-    """Alpha-equality: with nameless binding this is plain structural
-    identity, the same as ``t == u``.  Kept as public API; the kernel's own
-    conversion compares values (``Evaluator.conv``), not terms."""
-    return t == u
-
-
 def free_in(t: Term, index: int) -> bool:
     """Whether variable ``index`` occurs free in ``t``."""
     cls = type(t)

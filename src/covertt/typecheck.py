@@ -17,7 +17,8 @@ only when a later field's type reads it.  ``infer`` finds a type former, an
 eliminator or a tree in the evaluator's tables, and a term that never
 infers in ``NOT_INFERABLE``.  What only the checker needs stays here: the
 rejection messages, the index checks, and the order in which an
-eliminator's scrutinee, index, motive and cases are checked.
+eliminator's fields are checked: the scrutinee and its indices (J's
+endpoints before its proof, ``CHECKED_SCRUTINEE``), the motive, the cases.
 
 Each declaration (``check_declarations``) and each ``normalize``,
 ``convertible`` or ``infer_type`` call gets the evaluator's whole step
@@ -108,6 +109,10 @@ NOT_INFERABLE = {
     T.Rf: ("mismatch", "cover introductions are not inferable"),
     T.Tr: ("mismatch", "cover introductions are not inferable"),
 }
+# eliminator -> its scrutinee's type former, where the scrutinee is checked
+# against the type its indices form: N1 and N0 have none, and J's endpoints
+# form Id at the first one's type.  Every other scrutinee infers.
+CHECKED_SCRUTINEE = {T.UnitElim: VUnit, T.EmptyElim: VEmpty, T.J: VId}
 # formers whose closed formations each checker infers once (family_types)
 _MEMOISED = frozenset({T.W, *S.FAMILIES})
 
@@ -230,11 +235,8 @@ class Checker:
         self.globals = {} if globals_env is None else globals_env
         self.ev = Evaluator(self.globals, flags)
         if flags.funext and FUNEXT_NAME not in self.globals:
-            ty = funext_type()
-            tyv = self.ev.eval((), ty)
-            self.globals[FUNEXT_NAME] = GlobalEntry(
-                tyv, VNeutral(S.HConst(FUNEXT_NAME, tyv), ()), ty, None
-            )
+            tyv = self.ev.eval((), funext_type())
+            self.globals[FUNEXT_NAME] = GlobalEntry(tyv, VNeutral(S.HConst(FUNEXT_NAME, tyv), ()))
         self.location = "?"
         # inferred types of closed family formations, keyed by the term
         self.family_types: dict[Term, Value] = {}
@@ -350,34 +352,35 @@ class Checker:
         return self.ev.formation_type(former, vals)
 
     def infer_elim(self, ctx: Context, t: Term) -> Value:
-        """Elimination with an explicit motive: the scrutinee's type gives the
-        motive's type, the motive the cases' types, and the result is the
-        motive at the scrutinee's indices and the scrutinee."""
+        """Elimination with an explicit motive.  The term's fields are the
+        motive, one case per introduction, the scrutinee's indices and the
+        scrutinee.  The scrutinee's type gives the motive's type and the
+        indices, the motive gives the cases' types, and the result is
+        ``Evaluator.elim_type``."""
         elim = type(t)
         m, *cases, s = _term_fields(t)
-        index = []
-        if elim is T.J:
-            *cases, a, b = cases
-            aty = self.infer_id_type(ctx, a, b, s)
-            index = [self.eval_in(ctx, a), self.eval_in(ctx, b)]
-            sty = VId(aty, *index)
-        elif elim in (T.UnitElim, T.EmptyElim):
-            sty = VUnit() if elim is T.UnitElim else VEmpty()
-            self.check(ctx, s, sty)
-        else:
+        n = len(S.CASES[elim])
+        cases, index = cases[:n], cases[n:]
+        former = CHECKED_SCRUTINEE.get(elim)
+        if former is None:
             sty = self.infer(ctx, s)
+        else:
+            fields = [self.infer(ctx, i) for i in index[:1]]
+            for i in index[1:]:
+                self.check(ctx, i, fields[0])
+            sty = former(*fields, *[self.eval_in(ctx, i) for i in index])
+            self.check(ctx, s, sty)
         m_ty = self.ev.motive_type(elim, sty)
         if m_ty is None:
             self.fail("mismatch", WRONG_SCRUTINEE[elim], found=self.norm_type(ctx, sty))
-        if elim in S.INDEXED:
-            *cases, i = cases
-            self.check(ctx, i, sty.fam.index)
-            index = [self.eval_in(ctx, i)]
-            self.check_index(ctx, index[0], elim, sty)
+        if former is None:
+            for i, (_, ity) in zip(index, S.type_index(sty)):
+                self.check(ctx, i, ity)
+                self.check_index(ctx, self.eval_in(ctx, i), elim, sty)
         mv = self.check_motive(ctx, m, m_ty)
         for c, c_ty in zip(cases, self.ev.case_types(sty, mv)):
             self.check(ctx, c, c_ty)
-        return self.ev.apply_many(mv, *index, self.eval_in(ctx, s))
+        return self.ev.elim_type(sty, mv, self.eval_in(ctx, s))
 
     def infer_tree(self, ctx: Context, t: Term) -> Value:
         """Best-effort inference of a tree: its type is the codomain of its
@@ -428,15 +431,6 @@ class Checker:
         for _ in range(arity):
             probe = T.strengthen(probe)
         return self.eval_in(ctx, probe)
-
-    def infer_id_type(self, ctx: Context, a: Term, b: Term, p: Term) -> Value:
-        """Identity elimination: recover A from the endpoints, then check p."""
-        aty = self.infer(ctx, a)
-        self.check(ctx, b, aty)
-        self.check(
-            ctx, p, VId(aty, self.eval_in(ctx, a), self.eval_in(ctx, b))
-        )
-        return aty
 
     def check_motive(self, ctx: Context, m: Term, m_ty: Value) -> Value:
         try:
@@ -575,7 +569,7 @@ def check_declarations(decls, flags: Flags = Flags(), checker: Optional[Checker]
             continue  # already injected by the Checker constructor
         checker.check(ctx, d.body, tyv)
         value = checker.ev.eval((), d.body)
-        checker.globals[d.name] = GlobalEntry(tyv, value, d.type, d.body)
+        checker.globals[d.name] = GlobalEntry(tyv, value)
     return checker
 
 

@@ -261,13 +261,13 @@ class HandWrittenEvaluator(Evaluator):
                 return VNeutral(head, frames + (Frame(T.EmptyElim, (motive,)),))
         raise KernelBug("absurd applied to a canonical value")
 
-    def j_elim(self, motive: Value, d: Value, lhs: Value, rhs: Value, p: Value) -> Value:
+    def j_elim(self, motive: Value, d: Value, p: Value) -> Value:
         match p:
             case VIntro(T.Refl, (x,)):
                 self._tick()
                 return self.apply(d, x)
             case VNeutral(head, frames):
-                return VNeutral(head, frames + (Frame(T.J, (motive, d, lhs, rhs)),))
+                return VNeutral(head, frames + (Frame(T.J, (motive, d)),))
         raise KernelBug("J on non-identity value")
 
     def w_elim(self, motive: Value, step: Value, s: Value) -> Value:
@@ -384,14 +384,8 @@ class HandWrittenEvaluator(Evaluator):
                 return VId(self.eval(env, ty), self.eval(env, a), self.eval(env, b))
             case T.Refl(x):
                 return VIntro(T.Refl, (self.eval(env, x),))
-            case T.J(m, d, a, b, p):
-                return self.j_elim(
-                    self.eval(env, m),
-                    self.eval(env, d),
-                    self.eval(env, a),
-                    self.eval(env, b),
-                    self.eval(env, p),
-                )
+            case T.J(m, d, _a, _b, p):
+                return self.j_elim(self.eval(env, m), self.eval(env, d), self.eval(env, p))
             case T.UnitElim(m, c, s):
                 return self.unit_elim(self.eval(env, m), self.eval(env, c), self.eval(env, s))
             case T.EmptyElim(m, s):

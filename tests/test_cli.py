@@ -122,7 +122,7 @@ def test_check_reports_an_exhausted_budget(capsys, tmp_path, small_budget):
     f.write_text(f"def small : N1 := star\ndef deep : N1 := {nested_identity(20)}\n")
     code, out = run(capsys, "check", str(f))
     assert code == 1
-    assert out == "ok small\nerror deep\nevaluation exceeded 100 eliminator steps\n"
+    assert out == "ok small\nerror: deep.mltt:2: deep: evaluation exceeded 100 eliminator steps\n"
 
 
 def test_norm_reports_an_exhausted_budget(capsys, small_budget):
@@ -349,6 +349,17 @@ def test_malformed_context_item_is_an_error_line_on_stdout(capsys):
     assert code == 1
     assert captured.out == "error: malformed context item 'A U0'\n"
     assert captured.err == ""
+
+
+def test_context_items_split_at_commas_outside_parentheses(capsys):
+    ty = "Id (N1 * N1) (star , star) (star , star)"
+    code, out = run(capsys, "conv", "p", "p", "--type", ty, "--context", f"p : {ty}")
+    assert (code, out) == (0, "convertible\n")
+    code, out = run(
+        capsys, "conv", "q", "q", "--type", "Id (N1 * N1) (fst ((star, star) : N1 * N1), star) (star, star)",
+        "--context", "A : U0, q : Id (N1 * N1) (star, star) (star, star), B : A -> A",
+    )
+    assert (code, out) == (0, "convertible\n")
 
 
 def test_expression_errors_are_located_at_the_expression(capsys, tmp_path):

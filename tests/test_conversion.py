@@ -96,6 +96,23 @@ def test_cover_type_conversion_needs_no_readback(monkeypatch):
     assert conv_evals * 10 < calls["eval"]
 
 
+@pytest.mark.parametrize("evaluator", [Evaluator, HandWrittenEvaluator], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("flags", ALL_FLAG_SETS, ids=str)
+def test_j_reads_its_endpoints_from_its_proofs_type(flags, evaluator):
+    """Two J's over one neutral proof, whose endpoints differ in syntax but
+    are convertible, convert and have one normal form: the one with the
+    endpoints of the proof's type."""
+    chk = checker_for("", flags, evaluator)
+    ctx, scope = context_of(chk, [("A", "U0"), ("x", "A"), ("p", "Id (A * A) (x, x) (x, x)")])
+    j = "J (fun u => fun v => fun r => A) (fun u => fst u) ({}) ((x, x) : A * A) p"
+    lhs = j.format("(x, x) : A * A")
+    rhs = j.format("(fst ((x, x) : A * A), x) : A * A")
+    nf = "J (fun u => fun v => fun r => A) (fun u => fst u) (x, x) (x, x) p"
+    a, lhs, rhs, nf = (surface.parse_term(t, scope=scope) for t in ("A", lhs, rhs, nf))
+    assert typecheck.convertible(chk, a, lhs, rhs, ctx)
+    assert {chk.norm(ctx, chk.eval_in(ctx, t), chk.eval_in(ctx, a)) for t in (lhs, rhs)} == {nf}
+
+
 # --- random pairs of terms over the prelude ------------------------------------------
 
 PRELUDE_CONTEXT = [

@@ -10,7 +10,7 @@ from covertt import semantics as S
 from covertt import surface
 from covertt import terms as T
 from covertt.cover import FiniteAxiomSet, Subset
-from covertt.terms import Flags, structural_eq, subst, weaken
+from covertt.terms import Flags, subst, weaken
 
 from helpers import load_corpus_file, term_key
 
@@ -40,10 +40,11 @@ def test_subst_decrements_past_hit():
 
 
 def test_structural_eq_examples():
-    assert structural_eq(T.Lam(T.Var(0)), T.Lam(T.Var(0)))
-    assert not structural_eq(T.Star(), T.Var(0))
+    # with nameless binding, alpha-equality is plain structural equality
+    assert T.Lam(T.Var(0)) == T.Lam(T.Var(0))
+    assert T.Star() != T.Var(0)
     sup = T.Sup(T.Var(1), T.Var(0))
-    assert structural_eq(sup, T.Sup(T.Var(1), T.Var(0)))
+    assert sup == T.Sup(T.Var(1), T.Var(0))
 
 
 # random well-scoped-ish terms: indices are arbitrary naturals, which is
@@ -83,8 +84,8 @@ def test_weaken_composition(t, c, m, n):
 
 @given(_terms(), _terms())
 def test_structural_eq_is_equivalence(t, u):
-    assert structural_eq(t, t)
-    assert structural_eq(t, u) == structural_eq(u, t)
+    assert t == t
+    assert (t == u) == (u == t)
 
 
 def test_flags_from_names_and_inclusion():
