@@ -91,7 +91,7 @@ class ContextError(ValueError):
 
 def _context_items(spec: str) -> list:
     """``spec`` split at its commas outside parentheses, so that a pair's
-    comma stays in its item."""
+    comma stays in its item: (offset in ``spec``, item) pairs."""
     items, depth, start = [], 0, 0
     for k, c in enumerate(spec):
         if c == "(":
@@ -99,25 +99,32 @@ def _context_items(spec: str) -> list:
         elif c == ")":
             depth -= 1
         elif c == "," and depth == 0:
-            items.append(spec[start:k])
+            items.append((start, spec[start:k]))
             start = k + 1
-    return items + [spec[start:]]
+    return items + [(start, spec[start:])]
 
 
 def _parse_context(checker: Checker, spec: str):
     """Extend an empty context by 'name : TYPE' items, left to right.  A
-    type error in an item is located at ``<context>``."""
+    parse or type error in an item is located at ``<context>``, a parse
+    error at its line and column in the whole of ``spec``."""
     ctx = Context()
     scope: list[str] = []
     if not spec.strip():
         return ctx, scope
     checker.location = "<context>"
-    for item in _context_items(spec):
-        name, _, ty_src = item.partition(":")
-        name = name.strip()
+    for start, item in _context_items(spec):
+        head, _, ty_src = item.partition(":")
+        name = head.strip()
         if not name or not ty_src.strip():
             raise ContextError(f"malformed context item {item.strip()!r}")
-        ty = surface.parse_term(ty_src, scope=scope)
+        # what precedes the type, blanked but for its line breaks, keeps
+        # the parser's positions those of the whole string
+        before = "".join(c if c == "\n" else " " for c in spec[: start + len(head) + 1])
+        try:
+            ty = surface.parse_term(before + ty_src, scope=scope)
+        except surface.ParseError as e:
+            raise surface.ParseError(e.message, e.line, e.col, e.expected, "<context>") from None
         checker.ensure_type(ctx, ty)
         ctx = ctx.extend(name, checker.eval_in(ctx, ty))
         scope.append(name)

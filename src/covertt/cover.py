@@ -11,6 +11,13 @@ k of the iteration from V.  A brute-force oracle intersects all
 rule-closed supersets of V instead.  Derivations are read off the entry
 rounds, and can be turned into kernel proof terms over an encoding of the
 carrier as a right-nested sum of unit types.
+
+The instance's families (labels, axioms, V) and each ``tr`` node's premise
+function are case splits over that sum.  Each level of a split states its
+motive reduced, as a term over the carrier's tail at that level, rather
+than substituting the level's element into the whole motive; so no
+annotation is needed, a family's cases are closed, and only a premise's
+proof needs a unit elimination to bridge ``star`` to the split's variable.
 """
 
 from __future__ import annotations
@@ -257,124 +264,106 @@ def fin_type(k: int) -> Term:
 def fin_elem(i: int, k: int) -> Term:
     if not 0 <= i < k:
         raise ValueError("element out of range")
-    if k == 1:
-        return T.Star()
-    if i == 0:
-        return T.Inl(T.Star())
-    return T.Inr(fin_elem(i - 1, k - 1))
+    return _embed(i, k, T.Star())
 
 
-def _case_tree(k: int, leaf, scrut: Term, motive_body: Term) -> Term:
-    """Dependent case split over ``fin_type(k)``.
+def _embed(i: int, k: int, payload: Term) -> Term:
+    """Element i of ``fin_type(k)`` with ``payload`` as its unit."""
+    t = payload if i == k - 1 else T.Inl(payload)
+    for _ in range(i):
+        t = T.Inr(t)
+    return t
 
-    ``leaf(i)`` must be a closed term of type ``motive_body[emb(i, k)]``;
-    ``motive_body`` has exactly variable 0 free, standing for the scrutinee
-    (shifted occurrences included).  When the motive actually depends on the
-    scrutinee, unit eliminations bridge the bound unit payloads to ``star``
-    so the result checks without any uniqueness rules.
+
+def _case_tree(k: int, leaf, motive, j: int = 0) -> Term:
+    """Dependent case split of variable 0 over the elements j..k-1 of
+    ``fin_type(k)``.
+
+    ``motive(j)`` is the motive's body over that tail, variable 0 of type
+    ``fin_type(k - j)``; ``leaf(i)`` is the case for element i, variable 0
+    its unit payload.  Every level states its own motive, so nothing is
+    substituted: the kernel reduces a level's motive at ``inl x`` to its
+    leaf's type and at ``inr y`` to the next level's motive.
     """
-    dep = T.free_in(motive_body, 0)
-
-    def motive_at(repl: Term) -> Term:
-        # annotate: the replacement lands in scrutinee positions of the
-        # motive, which must stay inferable
-        return T.subst(motive_body, 0, T.Ann(repl, fin_type(k)))
-
-    if k == 0:
-        return T.EmptyElim(T.Lam(motive_body), scrut)
-    if k == 1:
-        if dep:
-            return T.UnitElim(T.Lam(motive_body), leaf(0), scrut)
-        return leaf(0)
-    if dep:
-        case_left = T.Lam(
-            T.UnitElim(T.Lam(motive_at(T.Inl(T.Var(0)))), leaf(0), T.Var(0))
-        )
-    else:
-        case_left = T.Lam(leaf(0))
-    inner = _case_tree(
-        k - 1,
-        lambda i: leaf(i + 1),
-        T.Var(0),
-        motive_at(T.Inr(T.Var(0))),
+    if j == k:
+        return T.EmptyElim(T.Lam(motive(j)), T.Var(0))
+    if j == k - 1:
+        return leaf(j)
+    return T.SumElim(
+        T.Lam(motive(j)), T.Lam(leaf(j)), T.Lam(_case_tree(k, leaf, motive, j + 1)), T.Var(0)
     )
-    return T.SumElim(T.Lam(motive_body), case_left, T.Lam(inner), scrut)
 
 
-def _subset_pred(s: Subset) -> Term:
-    """Decidable predicate ``carrier -> U0`` selecting the subset."""
-    body = _case_tree(
-        s.size,
-        lambda i: T.Unit() if s.contains(i) else T.Empty(),
-        T.Var(0),
-        T.Univ(),
-    )
-    return T.Lam(body)
+def _family_body(codes: list, j: int = 0) -> Term:
+    """The type family ``b |-> codes[b]`` over the tail j.. of the carrier,
+    variable 0 the tail's element."""
+    return _case_tree(len(codes), codes.__getitem__, lambda _j: T.Univ(), j)
 
 
-def _labels_body(ax: FiniteAxiomSet) -> Term:
-    """Label-set family body with variable 0 as the atom (a type code)."""
-    return _case_tree(
-        ax.size, lambda a: fin_type(len(ax.labels[a])), T.Var(0), T.Univ()
-    )
+def _subset_codes(s: Subset) -> list:
+    return [T.Unit() if s.contains(b) else T.Empty() for b in range(s.size)]
 
 
 def instance_terms(ax: FiniteAxiomSet, v: Subset):
     """Closed kernel terms (carrier, labels family, axioms family, subset)."""
     k = ax.size
     carrier = fin_type(k)
-    labels = T.Lam(_labels_body(ax))
+    label_codes = [fin_type(len(ls)) for ls in ax.labels]
+    pred_type = T.Pi(carrier, T.Univ())
 
     def axioms_for(a: int) -> Term:
         # (i : I(a)) -> carrier -> U0, by case split on the label
-        body = _case_tree(
-            len(ax.labels[a]),
-            lambda li: _subset_pred(ax.covers[a][li]),
-            T.Var(0),
-            T.Pi(carrier, T.Univ()),
-        )
-        return T.Lam(body)
+        covers = ax.covers[a]
 
-    # motive body inlines the label family to stay inferable
-    axioms_motive = T.Pi(_labels_body(ax), T.Pi(carrier, T.Univ()))
-    axioms = T.Lam(_case_tree(k, axioms_for, T.Var(0), axioms_motive))
-    subset = _subset_pred(v)
-    return carrier, labels, axioms, subset
+        def pred(li: int) -> Term:
+            return T.Lam(_family_body(_subset_codes(covers[li])))
+
+        return T.Lam(_case_tree(len(covers), pred, lambda _j: pred_type))
+
+    axioms = T.Lam(
+        _case_tree(k, axioms_for, lambda j: T.Pi(_family_body(label_codes, j), pred_type))
+    )
+    labels = T.Lam(_family_body(label_codes))
+    return carrier, labels, axioms, T.Lam(_family_body(_subset_codes(v)))
 
 
 def cover_type(ax: FiniteAxiomSet, v: Subset, atom: int) -> Term:
-    carrier, labels, axioms, subset = instance_terms(ax, v)
-    return T.App(T.Cover(carrier, labels, axioms, subset), fin_elem(atom, ax.size))
+    return T.App(T.Cover(*instance_terms(ax, v)), fin_elem(atom, ax.size))
 
 
 def extract_proof_term(ax: FiniteAxiomSet, v: Subset, d: Derivation) -> Term:
-    """Kernel proof term for a derivation; checks flag-free at the cover type."""
-    k = ax.size
-    carrier, labels, axioms, subset = instance_terms(ax, v)
-    cover_fam = T.Cover(carrier, labels, axioms, subset)
+    """Kernel proof term for a derivation; checks flag-free at the cover type.
 
-    def cover_at(a: int) -> Term:
-        return T.App(cover_fam, fin_elem(a, k))
+    The premise function of ``tr a i`` splits the carrier: at element b its
+    case has type ``C(a, i, b) -> Cover (b)`` with b's unit payload x in
+    place of ``star``.  A premise's proof is bridged from ``star`` to x by
+    one unit elimination; any other b is refuted by its empty domain.
+    """
+    k = ax.size
+    cover_fam = T.Cover(*instance_terms(ax, v))
 
     def build(node) -> Term:
         if isinstance(node, RfNode):
             return T.Rf(fin_elem(node.atom, k), T.Star())
         cov = ax.covers[node.atom][node.label]
         children = dict(zip(cov.indices(), node.children))
-        elem_a = fin_elem(node.atom, k)
-        elem_i = fin_elem(node.label, len(ax.labels[node.atom]))
+        codes = _subset_codes(cov)
 
-        # premise family: (b : carrier) -> C(a, i, b) -> b covered; the
-        # domain inlines the chosen axiom's subset predicate (convertible
-        # with the cover's axiom family at these canonical arguments)
+        # the cover at b, with the variable ``index`` as b's unit payload
+        def cover_at(b: int, index: int) -> Term:
+            return T.App(cover_fam, _embed(b, k, T.Var(index)))
+
         def leaf(b: int) -> Term:
             if cov.contains(b):
-                return T.Lam(build(children[b]))
-            return T.Lam(T.EmptyElim(T.Lam(cover_at(b)), T.Var(0)))
+                return T.Lam(T.UnitElim(T.Lam(cover_at(b, 0)), build(children[b]), T.Var(1)))
+            return T.Lam(T.EmptyElim(T.Lam(cover_at(b, 2)), T.Var(0)))
 
-        premise_motive = T.Pi(_subset_pred(cov).body, T.App(cover_fam, T.Var(1)))
-        body = _case_tree(k, leaf, T.Var(0), premise_motive)
-        return T.Tr(elem_a, elem_i, T.Lam(body))
+        def motive(j: int) -> Term:
+            # (c : C(a, i, inr^j y)) -> Cover (inr^j y), y the tail's element
+            return T.Pi(_family_body(codes, j), T.App(cover_fam, _embed(j, j + 1, T.Var(1))))
+
+        elem_i = fin_elem(node.label, len(ax.labels[node.atom]))
+        return T.Tr(fin_elem(node.atom, k), elem_i, T.Lam(_case_tree(k, leaf, motive)))
 
     return build(d)
 

@@ -6,7 +6,7 @@ import itertools
 import os
 import random
 
-from covertt import surface, typecheck
+from covertt import cover, surface, typecheck
 from covertt import terms as T
 from covertt.cover import FiniteAxiomSet, RfNode, Subset, TrNode, derivation
 from covertt.encodings import CorpusResult, _check_module, corpus_dir, load_manifest
@@ -502,6 +502,100 @@ def criterion6_derivations(seed: int = 98765):
             d = derivation(ax, v, atom)
             if d is not None:
                 yield ax, v, atom, d
+
+
+# --- the certificate encoding the cover engine used to build ---------------------
+#
+# Kept as an oracle of cover.cover_type and cover.extract_proof_term.  Each
+# level of a case split gets its motive by substituting an annotated
+# ``inl x``/``inr x`` into the whole motive, and a leaf is bridged to ``star``
+# by a unit elimination whenever that motive mentions the scrutinee.
+
+
+def _substituted_case_tree(k: int, leaf, scrut, motive_body):
+    dep = T.free_in(motive_body, 0)
+
+    def motive_at(repl):
+        return T.subst(motive_body, 0, T.Ann(repl, cover.fin_type(k)))
+
+    if k == 0:
+        return T.EmptyElim(T.Lam(motive_body), scrut)
+    if k == 1:
+        if dep:
+            return T.UnitElim(T.Lam(motive_body), leaf(0), scrut)
+        return leaf(0)
+    if dep:
+        case_left = T.Lam(T.UnitElim(T.Lam(motive_at(T.Inl(T.Var(0)))), leaf(0), T.Var(0)))
+    else:
+        case_left = T.Lam(leaf(0))
+    inner = _substituted_case_tree(
+        k - 1, lambda i: leaf(i + 1), T.Var(0), motive_at(T.Inr(T.Var(0)))
+    )
+    return T.SumElim(T.Lam(motive_body), case_left, T.Lam(inner), scrut)
+
+
+def _substituted_subset_pred(s: Subset):
+    return T.Lam(
+        _substituted_case_tree(
+            s.size, lambda i: T.Unit() if s.contains(i) else T.Empty(), T.Var(0), T.Univ()
+        )
+    )
+
+
+def _substituted_labels_body(ax: FiniteAxiomSet):
+    return _substituted_case_tree(
+        ax.size, lambda a: cover.fin_type(len(ax.labels[a])), T.Var(0), T.Univ()
+    )
+
+
+def instance_terms_substituted(ax: FiniteAxiomSet, v: Subset):
+    """(carrier, labels family, axioms family, subset), as the substituting
+    encoding built them."""
+    carrier = cover.fin_type(ax.size)
+
+    def axioms_for(a: int):
+        return T.Lam(
+            _substituted_case_tree(
+                len(ax.labels[a]),
+                lambda li: _substituted_subset_pred(ax.covers[a][li]),
+                T.Var(0),
+                T.Pi(carrier, T.Univ()),
+            )
+        )
+
+    axioms_motive = T.Pi(_substituted_labels_body(ax), T.Pi(carrier, T.Univ()))
+    axioms = T.Lam(_substituted_case_tree(ax.size, axioms_for, T.Var(0), axioms_motive))
+    return carrier, T.Lam(_substituted_labels_body(ax)), axioms, _substituted_subset_pred(v)
+
+
+def cover_type_substituted(ax: FiniteAxiomSet, v: Subset, atom: int):
+    return T.App(T.Cover(*instance_terms_substituted(ax, v)), cover.fin_elem(atom, ax.size))
+
+
+def extract_proof_term_substituted(ax: FiniteAxiomSet, v: Subset, d):
+    k = ax.size
+    cover_fam = T.Cover(*instance_terms_substituted(ax, v))
+
+    def build(node):
+        if isinstance(node, RfNode):
+            return T.Rf(cover.fin_elem(node.atom, k), T.Star())
+        cov = ax.covers[node.atom][node.label]
+        children = dict(zip(cov.indices(), node.children))
+
+        def leaf(b: int):
+            if cov.contains(b):
+                return T.Lam(build(children[b]))
+            return T.Lam(T.EmptyElim(T.Lam(T.App(cover_fam, cover.fin_elem(b, k))), T.Var(0)))
+
+        premise_motive = T.Pi(_substituted_subset_pred(cov).body, T.App(cover_fam, T.Var(1)))
+        body = _substituted_case_tree(k, leaf, T.Var(0), premise_motive)
+        return T.Tr(
+            cover.fin_elem(node.atom, k),
+            cover.fin_elem(node.label, len(ax.labels[node.atom])),
+            T.Lam(body),
+        )
+
+    return build(d)
 
 
 ORACLE_PUNCT = (":=", "=>", "->", "(", ")", ":", "*", ",")

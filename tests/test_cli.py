@@ -351,6 +351,13 @@ def test_malformed_context_item_is_an_error_line_on_stdout(capsys):
     assert captured.err == ""
 
 
+def test_context_parse_errors_are_located_in_the_whole_string(capsys):
+    code, out = run(capsys, "conv", "x", "x", "--type", "A", "--context", "A : U0, x : (A -> ")
+    assert (code, out) == (1, "error: <context>:1:19: unexpected eof '' (expected one of: term)\n")
+    code, out = run(capsys, "conv", "x", "x", "--type", "A", "--context", "A : U0,\n x : (A @ A)")
+    assert (code, out) == (1, "error: <context>:2:9: stray character '@'\n")
+
+
 def test_context_items_split_at_commas_outside_parentheses(capsys):
     ty = "Id (N1 * N1) (star , star) (star , star)"
     code, out = run(capsys, "conv", "p", "p", "--type", ty, "--context", f"p : {ty}")

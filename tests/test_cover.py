@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from covertt import cover
+from covertt import cover, surface
+from covertt import terms as T
 from covertt.cover import (
     FiniteAxiomSet,
     FormatError,
@@ -23,7 +24,13 @@ from covertt.cover import (
 from covertt.terms import Flags
 from covertt.typecheck import Checker, Context
 
-from helpers import kleene_least_cover, replay_derivation
+from helpers import (
+    cover_type_substituted,
+    criterion6_derivations,
+    extract_proof_term_substituted,
+    kleene_least_cover,
+    replay_derivation,
+)
 
 
 def _axiom_set(carrier, axioms):
@@ -212,15 +219,16 @@ def test_derivation_completeness_random():
                 assert len(d.children) == len(cov.indices())
 
 
+def _check_certificate(flags, ty, tm):
+    chk, ctx = Checker(flags), Context()
+    chk.ensure_type(ctx, ty)
+    chk.check(ctx, tm, chk.eval_in(ctx, ty))
+
+
 def _check_proof(ax, v, atom):
     d = derivation(ax, v, atom)
     assert d is not None
-    tm = extract_proof_term(ax, v, d)
-    ty = cover_type(ax, v, atom)
-    chk = Checker(Flags())
-    ctx = Context()
-    chk.ensure_type(ctx, ty)
-    chk.check(ctx, tm, chk.eval_in(ctx, ty))
+    _check_certificate(Flags(), cover_type(ax, v, atom), extract_proof_term(ax, v, d))
 
 
 def test_extracted_proofs_typecheck():
@@ -233,6 +241,78 @@ def test_extracted_proofs_typecheck():
 def test_extracted_proofs_typecheck_singleton_and_empty_label():
     ax = _axiom_set(["a"], [("a", "i", [])])
     _check_proof(ax, Subset.empty(1), 0)
+
+
+def _certified_instances():
+    """(axiom set, V, derivations by atom) for the criterion-6 stream and for
+    the exhaustive two-atom family under every V."""
+    by_instance: dict = {}
+    for ax, v, atom, d in criterion6_derivations():
+        by_instance.setdefault((ax, v), []).append((atom, d))
+    for (ax, v), derivations in by_instance.items():
+        yield ax, v, derivations
+    for ax in _all_two_atom_axiom_sets():
+        for vm in range(4):
+            v = Subset(vm, 2)
+            yield ax, v, [(a, d) for a in range(2) if (d := derivation(ax, v, a)) is not None]
+
+
+def test_reduced_motives_agree_with_the_substituting_encoding():
+    """The certificates with reduced motives against the encoding that
+    substituted into its motives.  A new certificate checks flag-free at its
+    own type.  The two types differ flag-free, by unit eliminations on a
+    variable that the substituting encoding wrapped around its leaves; under
+    eta_unit alone they are convertible, and the new proof checks at the old
+    type.  One checker per instance and flag set, so that the instance's
+    formation is inferred once."""
+    count = 0
+    for ax, v, derivations in _certified_instances():
+        plain, eta_unit, ctx = Checker(Flags()), Checker(Flags(eta_unit=True)), Context()
+        for atom, d in derivations:
+            ty, tm = cover_type(ax, v, atom), extract_proof_term(ax, v, d)
+            plain.ensure_type(ctx, ty)
+            plain.check(ctx, tm, plain.eval_in(ctx, ty))
+            old_ty = cover_type_substituted(ax, v, atom)
+            eta_unit.ensure_type(ctx, old_ty)
+            old = eta_unit.eval_in(ctx, old_ty)
+            assert eta_unit.ev.conv_type(eta_unit.eval_in(ctx, ty), old, 0)
+            eta_unit.check(ctx, tm, old)
+            count += 1
+    assert count == 205 + 1728
+
+
+def _contains_ann(t) -> bool:
+    stack, seen = [t], set()
+    while stack:
+        u = stack.pop()
+        if isinstance(u, T.Ann):
+            return True
+        if id(u) not in seen:
+            seen.add(id(u))
+            stack.extend(getattr(u, name) for name, _ in T.CHILDREN[type(u)])
+    return False
+
+
+def test_certificates_and_their_types_carry_no_annotation():
+    for ax, v, atom, d in criterion6_derivations():
+        assert not _contains_ann(cover_type(ax, v, atom))
+        assert not _contains_ann(extract_proof_term(ax, v, d))
+
+
+def _chain(n):
+    """a0 <- a1 <- ... <- a(n-1): one axiom per atom but the last, whose
+    premise is the next atom; V = {a(n-1)}."""
+    labels = tuple(("i",) if a < n - 1 else () for a in range(n))
+    covers = tuple((Subset.of([a + 1], n),) if a < n - 1 else () for a in range(n))
+    return FiniteAxiomSet(tuple(f"a{a}" for a in range(n)), labels, covers), Subset.of([n - 1], n)
+
+
+def test_ten_atom_chain_certificate_checks_and_stays_small():
+    ax, v = _chain(10)
+    d = derivation(ax, v, 0)
+    tm = extract_proof_term(ax, v, d)
+    _check_certificate(Flags(), cover_type(ax, v, 0), tm)
+    assert len(surface.pretty(tm)) < 2_000_000
 
 
 def test_query_rendering_deterministic():
