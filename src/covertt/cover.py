@@ -12,12 +12,17 @@ rule-closed supersets of V instead.  Derivations are read off the entry
 rounds, and can be turned into kernel proof terms over an encoding of the
 carrier as a right-nested sum of unit types.
 
-The instance's families (labels, axioms, V) and each ``tr`` node's premise
-function are case splits over that sum.  Each level of a split states its
-motive reduced, as a term over the carrier's tail at that level, rather
-than substituting the level's element into the whole motive; so no
-annotation is needed, a family's cases are closed, and only a premise's
-proof needs a unit elimination to bridge ``star`` to the split's variable.
+A certificate is one closed term that states its instance once, as five
+``let``s (the carrier, the label family, the axiom family, V and the
+``Cover`` family), and binds each ``tr`` node of the derivation once, in a
+``let`` of its own, so it grows with the derivation's distinct nodes, not
+with its unfolded tree.  The families and each ``tr``
+node's premise function are case splits over the carrier.  Each level of
+a split states its motive reduced, as a term over the carrier's tail at
+that level, rather than substituting the level's element into the whole
+motive; so no annotation is needed, a family's cases are closed, and only
+a premise's proof needs a unit elimination to bridge ``star`` to the
+split's variable.
 """
 
 from __future__ import annotations
@@ -250,6 +255,19 @@ def _derivation(ax: FiniteAxiomSet, rounds: list[Optional[int]], atom: int) -> O
 
 
 # --- kernel encoding of finite instances ----------------------------------------
+#
+# A certificate's let-bound variables are named by their level, counted
+# from its outermost binder, and a builder is told how many binders
+# enclose the point where it refers to one (``_ref``).
+
+# the levels of the instance's lets: the carrier, the label family, the
+# axiom family, the subset and the cover family
+_C, _L, _A, _V, _COV = range(5)
+
+
+def _ref(level: int, depth: int) -> Term:
+    """The variable bound at ``level``, seen under ``depth`` binders."""
+    return T.Var(depth - 1 - level)
 
 
 def fin_type(k: int) -> Term:
@@ -275,97 +293,151 @@ def _embed(i: int, k: int, payload: Term) -> Term:
     return t
 
 
-def _case_tree(k: int, leaf, motive, j: int = 0) -> Term:
+def _case_tree(k: int, leaf, motive, depth: int, j: int = 0) -> Term:
     """Dependent case split of variable 0 over the elements j..k-1 of
-    ``fin_type(k)``.
+    ``fin_type(k)``, under ``depth`` binders (variable 0's included).
 
-    ``motive(j)`` is the motive's body over that tail, variable 0 of type
-    ``fin_type(k - j)``; ``leaf(i)`` is the case for element i, variable 0
-    its unit payload.  Every level states its own motive, so nothing is
-    substituted: the kernel reduces a level's motive at ``inl x`` to its
-    leaf's type and at ``inr y`` to the next level's motive.
+    ``motive(j, d)`` is the motive's body over that tail, variable 0 of type
+    ``fin_type(k - j)``; ``leaf(i, d)`` is the case for element i, variable 0
+    its unit payload; ``d`` counts the binders around each.  Every level
+    states its own motive, so nothing is substituted: the kernel reduces a
+    level's motive at ``inl x`` to its leaf's type and at ``inr y`` to the
+    next level's motive.
     """
     if j == k:
-        return T.EmptyElim(T.Lam(motive(j)), T.Var(0))
+        return T.EmptyElim(T.Lam(motive(j, depth + 1)), T.Var(0))
     if j == k - 1:
-        return leaf(j)
+        return leaf(j, depth)
     return T.SumElim(
-        T.Lam(motive(j)), T.Lam(leaf(j)), T.Lam(_case_tree(k, leaf, motive, j + 1)), T.Var(0)
+        T.Lam(motive(j, depth + 1)),
+        T.Lam(leaf(j, depth + 1)),
+        T.Lam(_case_tree(k, leaf, motive, depth + 1, j + 1)),
+        T.Var(0),
     )
 
 
-def _family_body(codes: list, j: int = 0) -> Term:
-    """The type family ``b |-> codes[b]`` over the tail j.. of the carrier,
-    variable 0 the tail's element."""
-    return _case_tree(len(codes), codes.__getitem__, lambda _j: T.Univ(), j)
+def _family_body(codes: list) -> Term:
+    """The closed type family ``b |-> codes[b]`` over the carrier, variable
+    0 its element."""
+    return _case_tree(len(codes), lambda b, _d: codes[b], lambda _j, _d: T.Univ(), 1)
 
 
 def _subset_codes(s: Subset) -> list:
     return [T.Unit() if s.contains(b) else T.Empty() for b in range(s.size)]
 
 
-def instance_terms(ax: FiniteAxiomSet, v: Subset):
-    """Closed kernel terms (carrier, labels family, axioms family, subset)."""
-    k = ax.size
-    carrier = fin_type(k)
-    label_codes = [fin_type(len(ls)) for ls in ax.labels]
-    pred_type = T.Pi(carrier, T.Univ())
+def _predicates(depth: int) -> Term:
+    """``C -> U0``, the carrier's predicates, under ``depth`` binders."""
+    return T.Pi(_ref(_C, depth), T.Univ())
 
-    def axioms_for(a: int) -> Term:
-        # (i : I(a)) -> carrier -> U0, by case split on the label
+
+def _lets(bindings: list, body: Term) -> Term:
+    """``body`` under ``let _ : A := v in`` for each (A, v) of ``bindings``,
+    the first outermost."""
+    for ty, value in reversed(bindings):
+        body = T.Let(ty, value, body)
+    return body
+
+
+def _instance(ax: FiniteAxiomSet, v: Subset) -> list:
+    """The instance's lets: ``let C : U0 := Fin k in let L : C -> U0 := ...
+    in let A : (a : C) -> L a -> C -> U0 := ... in let V : C -> U0 := ... in
+    let Cov : C -> U0 := Cover C L A V``."""
+    label_codes = [fin_type(len(ls)) for ls in ax.labels]
+
+    def axioms_for(a: int, depth: int) -> Term:
+        # fun i => C(a, i), by case split on the label
         covers = ax.covers[a]
 
-        def pred(li: int) -> Term:
+        def axiom(li: int, _depth: int) -> Term:
             return T.Lam(_family_body(_subset_codes(covers[li])))
 
-        return T.Lam(_case_tree(len(covers), pred, lambda _j: pred_type))
+        return T.Lam(_case_tree(len(covers), axiom, lambda _j, d: _predicates(d), depth + 1))
 
-    axioms = T.Lam(
-        _case_tree(k, axioms_for, lambda j: T.Pi(_family_body(label_codes, j), pred_type))
-    )
-    labels = T.Lam(_family_body(label_codes))
-    return carrier, labels, axioms, T.Lam(_family_body(_subset_codes(v)))
+    def axioms_motive(j: int, depth: int) -> Term:
+        # L (inr^j y) -> C -> U0, y the tail's element
+        return T.Pi(T.App(_ref(_L, depth), _embed(j, j + 1, T.Var(0))), _predicates(depth + 1))
+
+    axioms_type = T.Pi(_ref(_C, 2), T.Pi(T.App(_ref(_L, 3), T.Var(0)), _predicates(4)))
+    return [
+        (T.Univ(), fin_type(ax.size)),
+        (_predicates(1), T.Lam(_family_body(label_codes))),
+        (axioms_type, T.Lam(_case_tree(ax.size, axioms_for, axioms_motive, 3))),
+        (_predicates(3), T.Lam(_family_body(_subset_codes(v)))),
+        (_predicates(4), T.Cover(*[_ref(level, 4) for level in (_C, _L, _A, _V)])),
+    ]
 
 
 def cover_type(ax: FiniteAxiomSet, v: Subset, atom: int) -> Term:
-    return T.App(T.Cover(*instance_terms(ax, v)), fin_elem(atom, ax.size))
+    """``Cov a`` in the scope of the instance's lets."""
+    return _lets(_instance(ax, v), T.App(_ref(_COV, 5), fin_elem(atom, ax.size)))
 
 
 def extract_proof_term(ax: FiniteAxiomSet, v: Subset, d: Derivation) -> Term:
     """Kernel proof term for a derivation; checks flag-free at the cover type.
 
-    The premise function of ``tr a i`` splits the carrier: at element b its
-    case has type ``C(a, i, b) -> Cover (b)`` with b's unit payload x in
-    place of ``star``.  A premise's proof is bridged from ``star`` to x by
-    one unit elimination; any other b is refuted by its empty domain.
+    An ``rf`` derivation is ``rf a star``.  Otherwise the instance's lets
+    are followed by ``let p : Cov a := tr a i f`` for each distinct ``tr``
+    node, children first, and the term is the root's variable.  The premise
+    function f splits the carrier: at element b its case has type
+    ``A a i b -> Cov b`` with b's unit payload x in place of ``star``.  A
+    premise's proof, its node's variable or an inline ``rf``, is bridged
+    from ``star`` to x by one unit elimination; any other b is refuted by
+    its empty domain.
     """
     k = ax.size
-    cover_fam = T.Cover(*instance_terms(ax, v))
+    if isinstance(d, RfNode):
+        return T.Rf(fin_elem(d.atom, k), T.Star())
+    nodes = _tr_nodes(d)
+    level = {id(node): _COV + 1 + n for n, node in enumerate(nodes)}
 
-    def build(node) -> Term:
-        if isinstance(node, RfNode):
-            return T.Rf(fin_elem(node.atom, k), T.Star())
+    def binding(node: TrNode) -> tuple:
+        # Cov a and tr a i f, under the lets before the node's own
+        depth = level[id(node)]
         cov = ax.covers[node.atom][node.label]
         children = dict(zip(cov.indices(), node.children))
-        codes = _subset_codes(cov)
+        a = fin_elem(node.atom, k)
+        i = fin_elem(node.label, len(ax.labels[node.atom]))
 
-        # the cover at b, with the variable ``index`` as b's unit payload
-        def cover_at(b: int, index: int) -> Term:
-            return T.App(cover_fam, _embed(b, k, T.Var(index)))
+        def motive(j: int, depth: int) -> Term:
+            # A a i (inr^j y) -> Cov (inr^j y), y the tail's element
+            premise = T.App(T.App(T.App(_ref(_A, depth), a), i), _embed(j, j + 1, T.Var(0)))
+            return T.Pi(premise, T.App(_ref(_COV, depth + 1), _embed(j, j + 1, T.Var(1))))
 
-        def leaf(b: int) -> Term:
-            if cov.contains(b):
-                return T.Lam(T.UnitElim(T.Lam(cover_at(b, 0)), build(children[b]), T.Var(1)))
-            return T.Lam(T.EmptyElim(T.Lam(cover_at(b, 2)), T.Var(0)))
+        def leaf(b: int, depth: int) -> Term:
+            # fun c => ..., the cover at b with the unit payload x for star
+            if not cov.contains(b):
+                x = T.Var(2)  # under c and the motive's binder
+                refuted = T.Lam(T.App(_ref(_COV, depth + 2), _embed(b, k, x)))
+                return T.Lam(T.EmptyElim(refuted, T.Var(0)))
+            child = children[b]
+            if isinstance(child, RfNode):
+                proof = T.Rf(fin_elem(b, k), T.Star())
+            else:
+                proof = _ref(level[id(child)], depth + 1)
+            bridge = T.Lam(T.App(_ref(_COV, depth + 2), _embed(b, k, T.Var(0))))
+            return T.Lam(T.UnitElim(bridge, proof, T.Var(1)))
 
-        def motive(j: int) -> Term:
-            # (c : C(a, i, inr^j y)) -> Cover (inr^j y), y the tail's element
-            return T.Pi(_family_body(codes, j), T.App(cover_fam, _embed(j, j + 1, T.Var(1))))
+        proof = T.Tr(a, i, T.Lam(_case_tree(k, leaf, motive, depth + 1)))
+        return T.App(_ref(_COV, depth), a), proof
 
-        elem_i = fin_elem(node.label, len(ax.labels[node.atom]))
-        return T.Tr(fin_elem(node.atom, k), elem_i, T.Lam(_case_tree(k, leaf, motive)))
+    # the body is the root's variable, bound last
+    return _lets(_instance(ax, v) + [binding(node) for node in nodes], T.Var(0))
 
-    return build(d)
+
+def _tr_nodes(d: TrNode) -> list:
+    """The distinct ``tr`` nodes of ``d``, each after the ``tr`` nodes below
+    it, found with an explicit stack."""
+    order, seen, stack = [], set(), [(d, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((c, False) for c in node.children if isinstance(c, TrNode))
+    return order
 
 
 # --- the axiom-set file format ------------------------------------------------------

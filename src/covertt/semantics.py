@@ -342,6 +342,8 @@ class Evaluator:
             return self.proj1(self.eval(env, t.pair))
         if cls is T.Proj2:
             return self.proj2(self.eval(env, t.pair))
+        if cls is T.Let:  # the zeta rule: the bound variable is the value
+            return self.eval(env + (self.eval(env, t.value),), t.body)
         if cls is T.Ann:
             return self.eval(env, t.term)
         if cls is T.Univ:

@@ -5,8 +5,9 @@ Declaration files consist of ``def name : TYPE := TERM`` and
 ``import "file"`` items that name other files relative to this one
 (``load_modules``).  Binders are ``(x : T) -> B`` and
 ``(x : T) * B``; ``->`` and ``*`` are sugar for their non-dependent forms;
-application is juxtaposition; lambdas are ``fun x => t``.  Eliminators take
-the motive as their first argument.
+application is juxtaposition; lambdas are ``fun x => t``, and local
+definitions ``let x : A := v in t``, which bind as far right as a lambda.
+Eliminators take the motive as their first argument.
 
 The lexer is one regular expression.  The parser works on the tokens'
 kinds and texts; positions are only computed, by ``tokenize``, to report an
@@ -24,9 +25,10 @@ their body, which lets conversion compare them without applying them.
 Sharing changes neither ``==`` nor ``hash``, which still compare structure.
 
 The pretty-printer emits text that re-parses to a structurally equal term,
-with deterministic fresh names ``x0, x1, ...`` indexed by binder depth.  It
-prints a non-dependent body under the same kind of anonymous binder, which
-takes no name, instead of strengthening the body first.  An annotation on
+with deterministic fresh names ``x0, x1, ...`` indexed by binder depth, for
+``fun`` and ``let`` binders alike.  It prints a non-dependent body under
+the same kind of anonymous binder, which takes no name, instead of
+strengthening the body first.  An annotation on
 the left of a non-dependent ``->`` or ``*``, or on the right of a ``*``,
 gets a second pair of parentheses, since ``( x : T ) -> B`` is a binder.
 """
@@ -94,7 +96,7 @@ RESERVED = (
     set(KEYWORD_FORMS)
     | set(ATOM_KEYWORDS)
     | BINDER_KEYWORDS
-    | {"fun", "def", "postulate", "import"}
+    | {"fun", "let", "in", "def", "postulate", "import"}
 )
 
 
@@ -295,12 +297,16 @@ class Parser:
             self.pos += 1
             name = self.expect("ident")
             self.expect("punct", "=>")
-            self.scope.append(name)
-            try:
-                body = self.parse_term()
-            finally:
-                self.scope.pop()
-            return self.node(T.Lam, body)
+            return self.node(T.Lam, self._bound(name, self.parse_term))
+        if self.at_keyword("let"):
+            self.pos += 1
+            name = self.expect("ident")
+            self.expect("punct", ":")
+            ty = self.parse_term()
+            self.expect("punct", ":=")
+            value = self.parse_term()
+            self.expect("keyword", "in")
+            return self.node(T.Let, ty, value, self._bound(name, self.parse_term))
         return self.parse_arrow()
 
     def parse_arrow(self) -> Term:
@@ -310,13 +316,14 @@ class Parser:
             left = self.parse_star_level()
         if self.at_punct("->"):
             self.pos += 1
-            return self.node(T.Pi, left, self._anonymous(self.parse_arrow))
+            return self.node(T.Pi, left, self._bound(None, self.parse_arrow))
         return left
 
-    def _anonymous(self, parse) -> Term:
-        """Parse the right side of a non-dependent ``->`` or ``*`` under an
-        anonymous binder, so that its indices already count the binder."""
-        self.scope.append(None)
+    def _bound(self, name: Optional[str], parse) -> Term:
+        """Parse under a binder of ``name``; None is the anonymous binder of
+        the right side of a non-dependent ``->`` or ``*``, so that its
+        indices already count the binder."""
+        self.scope.append(name)
         try:
             return parse()
         finally:
@@ -330,13 +337,9 @@ class Parser:
         self.expect("punct", ")")
         op = self.texts[self.pos]  # -> or *
         self.pos += 1
-        self.scope.append(name)
-        try:
-            if op == "->":
-                return self.node(T.Pi, dom, self.parse_arrow())
-            return self.node(T.Sigma, dom, self.parse_sigma_rhs())
-        finally:
-            self.scope.pop()
+        if op == "->":
+            return self.node(T.Pi, dom, self._bound(name, self.parse_arrow))
+        return self.node(T.Sigma, dom, self._bound(name, self.parse_sigma_rhs))
 
     def parse_sigma_rhs(self) -> Term:
         # right-hand side of '*': binds tighter than '->'
@@ -360,7 +363,7 @@ class Parser:
         left = self.parse_app()
         if self.at_punct("*"):
             self.pos += 1
-            return self.node(T.Sigma, left, self._anonymous(self.parse_sigma_rhs))
+            return self.node(T.Sigma, left, self._bound(None, self.parse_sigma_rhs))
         return left
 
     def parse_app(self) -> Term:
@@ -414,7 +417,7 @@ class Parser:
                 else:
                     body = self.node(T.App, self._share(T.weaken(fam)), self.node(T.Var, 0))
                 return self.node(T.Pi if text == "Pi" else T.Sigma, dom, body)
-            if text == "fun":
+            if text == "fun" or text == "let":
                 return self.parse_term()
             self.error(f"keyword {text!r} cannot start an atom")
         if self.at_punct("("):
@@ -560,7 +563,7 @@ def load_file(path: str) -> list[Declaration]:
 
 # --- pretty-printing ----------------------------------------------------------
 
-# precedence levels: 0 = term (fun/arrows), 1 = star, 2 = application, 3 = atom
+# precedence levels: 0 = term (fun/let/arrows), 1 = star, 2 = application, 3 = atom
 
 _KEYWORD_OF = {ctor: kw for kw, ctor in KEYWORD_FORMS.items()}
 
@@ -602,11 +605,18 @@ def _emit(t: Term, scope: list, named: int, prec: int, out: list) -> None:
         if prec > 2:
             out.append(")")
         return
-    if cls is T.Lam:
+    if cls is T.Lam or cls is T.Let:
         name = f"x{named}"
         if prec > 0:
             out.append("(")
-        out.append(f"fun {name} => ")
+        if cls is T.Lam:
+            out.append(f"fun {name} => ")
+        else:
+            out.append(f"let {name} : ")
+            _emit(t.type, scope, named, 0, out)
+            out.append(" := ")
+            _emit(t.value, scope, named, 0, out)
+            out.append(" in ")
         scope.append(name)
         _emit(t.body, scope, named + 1, 0, out)
         scope.pop()

@@ -1,8 +1,9 @@
 """Core term language.
 
 Terms are a first-order syntax tree with nameless (de Bruijn index) binding.
-Exactly three node kinds bind a variable: ``Pi`` (codomain), ``Sigma``
-(second component) and ``Lam`` (body).  Every other argument position,
+Exactly four node kinds bind a variable: ``Pi`` (codomain), ``Sigma``
+(second component), ``Lam`` (body) and ``Let`` (body, where the variable
+stands for the value).  Every other argument position,
 including the family parameters of ``W``/``DW``/``WP``/``Cover`` and the
 motives of eliminators, is an ordinary sub-term of function type.
 
@@ -146,7 +147,7 @@ class TypeSort(Term):
     __slots__ = ()
 
 
-# --- variables, constants, annotations -----------------------------------
+# --- variables, constants, annotations, definitions ----------------------
 
 
 class Var(Term):
@@ -159,6 +160,12 @@ class Const(Term):
 
 class Ann(Term):
     __slots__ = ("term", "type")
+
+
+class Let(Term):
+    """``let x : type := value in body``."""
+
+    __slots__ = ("type", "value", "body")  # body binds one variable
 
 
 # --- empty and unit -------------------------------------------------------
@@ -349,6 +356,7 @@ _BINDING_FIELDS = {
     (Pi, "cod"): 1,
     (Sigma, "snd"): 1,
     (Lam, "body"): 1,
+    (Let, "body"): 1,
 }
 
 
@@ -415,21 +423,6 @@ def free_in(t: Term, index: int) -> bool:
         if free_in(getattr(t, name), index + binds):
             return True
     return False
-
-
-def closed(t: Term, depth: int = 0) -> bool:
-    """Whether ``t`` mentions no constant and no variable bound outside it
-    (or outside ``depth`` enclosing binders).  Such a term means the same
-    thing in every context and under every global environment."""
-    cls = type(t)
-    if cls is Var:
-        return t.index < depth
-    if cls is Const:
-        return False
-    for name, binds in CHILDREN[cls]:
-        if not closed(getattr(t, name), depth + binds):
-            return False
-    return True
 
 
 def strengthen(t: Term, index: int = 0) -> Term:

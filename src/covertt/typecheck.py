@@ -25,17 +25,10 @@ Each declaration (``check_declarations``) and each ``normalize``,
 budget.  A type error is located at its declaration, or at ``<expr>`` in
 one of those calls.
 
-Each ``Checker`` remembers, in ``family_types``, the type it inferred for
-every closed formation of ``W``, ``DW``, ``WP`` or ``Cover``: one with no
-free variable and no constant (``terms.closed``), keyed by the term.  On
-the first occurrence the formation is inferred in the empty context, so the
-remembered value captures no context; only a successful inference is
-remembered, so an ill-typed formation fails wherever it occurs.  The memo is
-sound because such a term means the same thing in every context and under
-every global environment, and the one thing inference reads besides the
-term, the checker's flags, is fixed for the checker's life.  Certificates
-from the cover engine repeat their instance's ``Cover`` formation inside
-every motive and premise; with the memo it is checked once per proof.
+``let x : A := v in b`` has one rule, used by ``infer`` and ``check``
+alike: ``A`` is a type, ``v`` checks against it, and ``b`` is checked or
+inferred in a context whose entry for ``x`` is ``v``'s value, not a fresh
+variable, so the definition is transparent to conversion.
 """
 
 from __future__ import annotations
@@ -113,8 +106,6 @@ NOT_INFERABLE = {
 # against the type its indices form: N1 and N0 have none, and J's endpoints
 # form Id at the first one's type.  Every other scrutinee infers.
 CHECKED_SCRUTINEE = {T.UnitElim: VUnit, T.EmptyElim: VEmpty, T.J: VId}
-# formers whose closed formations each checker infers once (family_types)
-_MEMOISED = frozenset({T.W, *S.FAMILIES})
 
 
 class TypeCheckError(Node, Exception):
@@ -189,18 +180,19 @@ FUNEXT_NAME = "funext"
 
 class Context:
     """Typed telescope: names for messages, type values, and the matching
-    evaluation environment of fresh neutrals."""
+    evaluation environment: a fresh neutral per variable, or the value of a
+    let-bound one."""
 
     def __init__(self):
         self.names: list[str] = []
         self.types: list[Value] = []
         self.env: tuple = ()
 
-    def extend(self, name: str, ty: Value) -> "Context":
+    def extend(self, name: str, ty: Value, value: Optional[Value] = None) -> "Context":
         child = Context()
         child.names = self.names + [name]
         child.types = self.types + [ty]
-        child.env = self.env + (fresh(len(self.env), ty),)
+        child.env = self.env + (fresh(len(self.env), ty) if value is None else value,)
         return child
 
     def lookup(self, index: int) -> Value:
@@ -238,8 +230,6 @@ class Checker:
             tyv = self.ev.eval((), funext_type())
             self.globals[FUNEXT_NAME] = GlobalEntry(tyv, VNeutral(S.HConst(FUNEXT_NAME, tyv), ()))
         self.location = "?"
-        # inferred types of closed family formations, keyed by the term
-        self.family_types: dict[Term, Value] = {}
 
     def use_globals(self, globals_env: dict):
         """Check against ``globals_env`` from now on.  The evaluator stays,
@@ -309,12 +299,7 @@ class Checker:
         if cls in S.CASES:
             return self.infer_elim(ctx, t)
         if cls in S.FORMERS:
-            if cls not in _MEMOISED or not T.closed(t):
-                return self.infer_formation(ctx, t)
-            ty = self.family_types.get(t)
-            if ty is None:
-                ty = self.family_types[t] = self.infer_formation(Context(), t)
-            return ty
+            return self.infer_formation(ctx, t)
         if cls is T.Pi or cls is T.Sigma:
             dom, cod = _term_fields(t)
             s1 = self.ensure_type(ctx, dom)
@@ -332,6 +317,8 @@ class Checker:
             tyv = self.eval_in(ctx, t.type)
             self.check(ctx, t.term, tyv)
             return tyv
+        if cls is T.Let:
+            return self.check_let(ctx, t)
         if cls is T.Univ:
             return V_TYPE
         if cls is T.Star:
@@ -450,28 +437,26 @@ class Checker:
     # -- checking -----------------------------------------------------------------
 
     def check(self, ctx: Context, t: Term, ty: Value):
-        match (t, ty):
-            case (_, VSort("any")) | (_, VSort("type")):
-                self.ensure_type(ctx, t)
-                return
-            case (_, VSort("u0")):
-                sort = self.ensure_type(ctx, t)
-                if sort != V_U0:
-                    self.fail(
-                        "not-a-universe",
-                        "a large type cannot inhabit the universe of small types",
-                        found=T.TypeSort(),
-                    )
-                return
-            case (T.Lam(body), VPi(dom, cod)):
-                var = fresh(ctx.depth, dom)
-                self.check(
-                    ctx.extend("x", dom), body, self.ev.apply_clo(cod, var)
+        cls = type(t)
+        if type(ty) is VSort:
+            sort = self.ensure_type(ctx, t)
+            if ty.kind == "u0" and sort != V_U0:
+                self.fail(
+                    "not-a-universe",
+                    "a large type cannot inhabit the universe of small types",
+                    found=T.TypeSort(),
                 )
-                return
-            case (T.Star(), VUnit()):
-                return
-        if type(t) in WRONG_TARGET:
+            return
+        if cls is T.Lam and type(ty) is VPi:
+            var = fresh(ctx.depth, ty.dom)
+            self.check(ctx.extend("x", ty.dom), t.body, self.ev.apply_clo(ty.cod, var))
+            return
+        if cls is T.Star and type(ty) is VUnit:
+            return
+        if cls is T.Let:
+            self.check_let(ctx, t, ty)
+            return
+        if cls in WRONG_TARGET:
             self.check_intro(ctx, t, ty)
             return
         # fall through: infer and convert (sort-codomains subsume cumulatively)
@@ -483,6 +468,19 @@ class Checker:
                 expected=self.norm_type(ctx, ty),
                 found=self.norm_type(ctx, inferred),
             )
+
+    def check_let(self, ctx: Context, t: Term, ty: Optional[Value] = None) -> Value:
+        """``let x : A := v in b``: ``A`` is a type and ``v`` checks against
+        it; then ``b`` is checked against ``ty``, or inferred when ``ty`` is
+        None, with ``x`` standing for ``v``'s value.  Returns ``b``'s type."""
+        self.ensure_type(ctx, t.type)
+        tyv = self.eval_in(ctx, t.type)
+        self.check(ctx, t.value, tyv)
+        inner = ctx.extend("x", tyv, self.eval_in(ctx, t.value))
+        if ty is None:
+            return self.infer(inner, t.body)
+        self.check(inner, t.body, ty)
+        return ty
 
     def check_intro(self, ctx: Context, t: Term, ty: Value):
         """An introduction: the target type gives each field's type, and the

@@ -344,6 +344,8 @@ class HandWrittenEvaluator(Evaluator):
                 return entry.value
             case T.Ann(tm, _):
                 return self.eval(env, tm)
+            case T.Let(_ty, value, body):
+                return self.eval(env + (self.eval(env, value),), body)
             case T.Univ():
                 return V_U0
             case T.TypeSort():
@@ -598,6 +600,90 @@ def extract_proof_term_substituted(ax: FiniteAxiomSet, v: Subset, d):
     return build(d)
 
 
+# --- the certificate encoding with its instance inlined -------------------------
+#
+# Kept as an oracle of cover.cover_type and cover.extract_proof_term.  The
+# instance's families are closed terms, repeated in every motive and leaf,
+# and a derivation node's proof is rebuilt wherever the node recurs.  Each
+# level of a case split states its motive reduced, over the carrier's tail.
+
+
+def _reduced_case_tree(k: int, leaf, motive, j: int = 0):
+    if j == k:
+        return T.EmptyElim(T.Lam(motive(j)), T.Var(0))
+    if j == k - 1:
+        return leaf(j)
+    return T.SumElim(
+        T.Lam(motive(j)),
+        T.Lam(leaf(j)),
+        T.Lam(_reduced_case_tree(k, leaf, motive, j + 1)),
+        T.Var(0),
+    )
+
+
+def _inlined_family_body(codes: list, j: int = 0):
+    return _reduced_case_tree(len(codes), codes.__getitem__, lambda _j: T.Univ(), j)
+
+
+def instance_terms_inlined(ax: FiniteAxiomSet, v: Subset):
+    """(carrier, labels family, axioms family, subset), each a closed term."""
+    k = ax.size
+    carrier = cover.fin_type(k)
+    label_codes = [cover.fin_type(len(ls)) for ls in ax.labels]
+    pred_type = T.Pi(carrier, T.Univ())
+
+    def axioms_for(a: int):
+        covers = ax.covers[a]
+
+        def pred(li: int):
+            return T.Lam(_inlined_family_body(cover._subset_codes(covers[li])))
+
+        return T.Lam(_reduced_case_tree(len(covers), pred, lambda _j: pred_type))
+
+    axioms = T.Lam(
+        _reduced_case_tree(
+            k, axioms_for, lambda j: T.Pi(_inlined_family_body(label_codes, j), pred_type)
+        )
+    )
+    labels = T.Lam(_inlined_family_body(label_codes))
+    return carrier, labels, axioms, T.Lam(_inlined_family_body(cover._subset_codes(v)))
+
+
+def cover_type_inlined(ax: FiniteAxiomSet, v: Subset, atom: int):
+    return T.App(T.Cover(*instance_terms_inlined(ax, v)), cover.fin_elem(atom, ax.size))
+
+
+def extract_proof_term_inlined(ax: FiniteAxiomSet, v: Subset, d):
+    k = ax.size
+    cover_fam = T.Cover(*instance_terms_inlined(ax, v))
+
+    def build(node):
+        if isinstance(node, RfNode):
+            return T.Rf(cover.fin_elem(node.atom, k), T.Star())
+        cov = ax.covers[node.atom][node.label]
+        children = dict(zip(cov.indices(), node.children))
+        codes = cover._subset_codes(cov)
+
+        # the cover at b, with the variable ``index`` as b's unit payload
+        def cover_at(b: int, index: int):
+            return T.App(cover_fam, cover._embed(b, k, T.Var(index)))
+
+        def leaf(b: int):
+            if cov.contains(b):
+                return T.Lam(T.UnitElim(T.Lam(cover_at(b, 0)), build(children[b]), T.Var(1)))
+            return T.Lam(T.EmptyElim(T.Lam(cover_at(b, 2)), T.Var(0)))
+
+        def motive(j: int):
+            at_y = T.App(cover_fam, cover._embed(j, j + 1, T.Var(1)))
+            return T.Pi(_inlined_family_body(codes, j), at_y)
+
+        elem_a = cover.fin_elem(node.atom, k)
+        elem_i = cover.fin_elem(node.label, len(ax.labels[node.atom]))
+        return T.Tr(elem_a, elem_i, T.Lam(_reduced_case_tree(k, leaf, motive)))
+
+    return build(d)
+
+
 ORACLE_PUNCT = (":=", "=>", "->", "(", ")", ":", "*", ",")
 
 
@@ -712,6 +798,9 @@ def pretty_oracle(t, depth: int = 0, prec: int = 0) -> str:
             return f"( {pretty_oracle(a, depth, 0)} , {pretty_oracle(b, depth, 0)} )"
         case T.Ann(tm, ty):
             return f"( {pretty_oracle(tm, depth, 0)} : {pretty_oracle(ty, depth, 0)} )"
+        case T.Let(ty, value, body):
+            ty, value = pretty_oracle(ty, depth, 0), pretty_oracle(value, depth, 0)
+            return wrap(f"let x{depth} : {ty} := {value} in {pretty_oracle(body, depth + 1, 0)}", 0)
     for kw, ctor in surface.KEYWORD_FORMS.items():
         if type(t) is ctor:
             args = [getattr(t, name) for name in t.__match_args__]

@@ -109,6 +109,15 @@ def test_cover_command(capsys, tmp_path):
     assert out == "a V covered\n  tr a i\n    rf b\nb E uncovered\n"
 
 
+def test_norm_of_a_let(capsys):
+    code, out = run(capsys, "norm", "--expr", "let x : U0 := N1 in (star : x)")
+    assert (code, out) == (0, "star\n")
+    code, out = run(capsys, "norm", "--expr", "let x : N0 := star in x")
+    assert code == 1
+    assert out.splitlines()[0] == "error: <expr>: mismatch: type mismatch"
+    assert sum(line.startswith("error:") for line in out.splitlines()) == 1
+
+
 def test_norm_expression_with_eta(capsys, tmp_path):
     f = tmp_path / "defs.mltt"
     f.write_text("def C : U0 := N1 -> N1\ndef g : C -> C := fun h => h\n")

@@ -2,7 +2,10 @@
 and their kernel proof terms."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -25,8 +28,10 @@ from covertt.terms import Flags
 from covertt.typecheck import Checker, Context
 
 from helpers import (
+    cover_type_inlined,
     cover_type_substituted,
     criterion6_derivations,
+    extract_proof_term_inlined,
     extract_proof_term_substituted,
     kleene_least_cover,
     replay_derivation,
@@ -281,6 +286,39 @@ def test_reduced_motives_agree_with_the_substituting_encoding():
     assert count == 205 + 1728
 
 
+def test_let_bound_certificates_agree_with_the_inlined_encoding():
+    """The certificates that bind their instance and their derived atoms in
+    ``let``s against the encoding that inlines them.  With every flag off,
+    the two types are convertible, the new proof checks at the inlined type
+    and the inlined proof at the new type."""
+    count = 0
+    for ax, v, derivations in _certified_instances():
+        chk, ctx = Checker(Flags()), Context()
+        for atom, d in derivations:
+            ty, old_ty = cover_type(ax, v, atom), cover_type_inlined(ax, v, atom)
+            chk.ensure_type(ctx, ty)
+            chk.ensure_type(ctx, old_ty)
+            new, old = chk.eval_in(ctx, ty), chk.eval_in(ctx, old_ty)
+            assert chk.ev.conv_type(new, old, 0)
+            chk.check(ctx, extract_proof_term(ax, v, d), old)
+            chk.check(ctx, extract_proof_term_inlined(ax, v, d), new)
+            count += 1
+    assert count == 205 + 1728
+
+
+def test_a_certificate_binds_each_derived_atom_once():
+    ax, v = _ladder(7)
+    d = derivation(ax, v, 0)
+    tm = extract_proof_term(ax, v, d)
+    lets = 0
+    while isinstance(tm, T.Let):
+        lets, tm = lets + 1, tm.body
+    # five lets for the instance, one for each of x0, x1, y1, x2 and y2
+    assert lets == 5 + 5 and tm == T.Var(0)
+    # an rf derivation mentions nothing of the instance
+    assert extract_proof_term(ax, v, derivation(ax, v, 6)) == T.Rf(cover.fin_elem(6, 7), T.Star())
+
+
 def _contains_ann(t) -> bool:
     stack, seen = [t], set()
     while stack:
@@ -305,6 +343,45 @@ def _chain(n):
     labels = tuple(("i",) if a < n - 1 else () for a in range(n))
     covers = tuple((Subset.of([a + 1], n),) if a < n - 1 else () for a in range(n))
     return FiniteAxiomSet(tuple(f"a{a}" for a in range(n)), labels, covers), Subset.of([n - 1], n)
+
+
+def _ladder(n):
+    """Rungs x_i, y_i for i < m = (n - 1) // 2, each needing both atoms of
+    the next rung, and the last rung needing t; V = {t}.  The derivation of
+    x_0 unfolds to a tree of 2^m leaves."""
+    m = (n - 1) // 2
+    names = tuple([f"x{i}" for i in range(m)] + [f"y{i}" for i in range(m)] + ["t"])
+    premises = [[i + 1, m + i + 1] if i + 1 < m else [2 * m] for i in range(m)]
+    labels = tuple(("i",) if a < 2 * m else () for a in range(n))
+    covers = tuple((Subset.of(premises[a % m], n),) if a < 2 * m else () for a in range(n))
+    return FiniteAxiomSet(names, labels, covers), Subset.of([2 * m], n)
+
+
+_SCALE_CHECK = """
+import sys
+sys.setrecursionlimit(100_000)
+sys.path.insert(0, {tests!r})
+import test_cover
+from covertt import cover, surface
+ax, v = getattr(test_cover, {shape!r})({n})
+tm = cover.extract_proof_term(ax, v, cover.derivation(ax, v, 0))
+test_cover._check_certificate(test_cover.Flags(), cover.cover_type(ax, v, 0), tm)
+print(len(surface.pretty(tm)))
+"""
+
+
+@pytest.mark.parametrize("shape, n", [("_ladder", 17), ("_chain", 30)])
+def test_large_certificates_check_in_a_subprocess(shape, n):
+    """Each derived atom is bound once, so a ladder's certificate does not
+    unfold its shared nodes; run in a subprocess, so that a crash fails."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(tests, "..", "src"), tests]))
+    code = _SCALE_CHECK.format(tests=tests, shape=shape, n=n)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout) < 500_000
 
 
 def test_ten_atom_chain_certificate_checks_and_stays_small():

@@ -12,7 +12,14 @@ from covertt.cover import extract_proof_term
 from covertt.surface import ParseError, parse_file, parse_term, pretty
 from covertt import terms as T
 
-from helpers import CORPUS, criterion6_derivations, pretty_oracle, term_key, tokenize_oracle
+from helpers import (
+    CORPUS,
+    criterion6_derivations,
+    extract_proof_term_inlined,
+    pretty_oracle,
+    term_key,
+    tokenize_oracle,
+)
 
 
 def test_identity_roundtrip():
@@ -52,9 +59,22 @@ def test_eliminator_arities_enforced():
 
 
 def test_keywords_are_not_identifiers():
-    for kw in ("sup", "fun", "W", "case", "split", "U0"):
+    for kw in ("sup", "fun", "W", "case", "split", "U0", "let", "in"):
         with pytest.raises(ParseError):
             parse_file(f"def {kw} : N1 := star")
+
+
+def test_let_binds_its_body_only():
+    # the name is in scope in the body, not in the type or the value
+    t = parse_term("fun x => let x : U0 := x in x")
+    assert t == T.Lam(T.Let(T.Univ(), T.Var(0), T.Var(0)))
+    assert pretty(t) == "fun x0 => let x1 : U0 := x0 in x1"
+    # a let extends as far right as a lambda
+    t = parse_term("N1 -> let y : U0 := N1 in y -> y")
+    assert t == T.Pi(T.Unit(), T.Let(T.Univ(), T.Unit(), T.Pi(T.Var(0), T.Var(1))))
+    assert parse_term(pretty(t)) == t
+    with pytest.raises(ParseError):
+        parse_term("let y : U0 := N1 y")
 
 
 def test_pair_and_annotation():
@@ -165,11 +185,14 @@ def test_import_deduplication(tmp_path):
 # --- the regex tokenizer and the printer against the code they replaced -----
 
 # sha256 of the printed criterion-6 certificates (seed 98765, joined by
-# newlines), built with their case splits' motives stated reduced (the
-# substituting encoding in helpers vouches for them in test_cover), and of
-# every corpus declaration printed by pretty_declaration, as the bottom-up
-# printer that strengthened every non-dependent body printed it
-CERTIFICATES_SHA256 = "9fd5f1a22ddcf60ba3c1f064fd023a39be071c1c0a16ddb97f2cd8da7df2ae2c"
+# newlines), which bind their instance and each derived atom in lets (the
+# inlined encoding in helpers vouches for them in test_cover); of the same
+# certificates in that inlined encoding, as the engine printed them before
+# it had lets; and of every corpus declaration printed by
+# pretty_declaration, as the bottom-up printer that strengthened every
+# non-dependent body printed it
+CERTIFICATES_SHA256 = "2850577e6dc56bd4e750dcefa9f7e10ff1e3ceeced481d9eb81f3f361e9ba9a2"
+INLINED_CERTIFICATES_SHA256 = "9fd5f1a22ddcf60ba3c1f064fd023a39be071c1c0a16ddb97f2cd8da7df2ae2c"
 CORPUS_PRINTED_SHA256 = "5739e76c4ac5772d7f248d51c60f4dc03e9a85200adc1ad7217db4bbc7808ef6"
 
 
@@ -258,10 +281,18 @@ def test_certificates_round_trip_and_print_as_before(certificates):
         assert parse_term(text) == tm
 
 
+def test_the_inlined_oracle_prints_the_certificates_as_before():
+    texts = [
+        pretty(extract_proof_term_inlined(ax, v, d)) for ax, v, _atom, d in criterion6_derivations()
+    ]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == INLINED_CERTIFICATES_SHA256
+
+
 def test_certificates_print_within_their_size_bound(certificates):
     # the encoding that substituted into its case splits' motives printed
-    # 1,789,976 characters; stating them reduced halves that
-    assert sum(map(len, certificates[1])) <= 900_000
+    # 1,789,976 characters, stating them reduced 788,513, and binding the
+    # instance and each derived atom once in lets 118,748
+    assert sum(map(len, certificates[1])) <= 150_000
 
 
 # --- sharing -------------------------------------------------------------------
@@ -355,6 +386,7 @@ def _open_terms():
             st.builds(T.App, children, children),
             st.builds(T.Pair, children, children),
             st.builds(T.Ann, children, children),
+            st.builds(T.Let, children, children, children),
             st.builds(T.Inl, children),
             st.builds(T.Tr, children, children, children),
             st.builds(T.Cover, children, children, children, children),
@@ -373,7 +405,7 @@ def test_pretty_agrees_with_oracle(t):
 def _scoped_terms(draw, depth=0, fuel=5):
     """Random terms whose variables are all bound, built mostly from
     annotations, arrows and products, where printing needs parentheses."""
-    forms = ["leaf", "Lam", "App", "Pair", "Inl", "Tr"] + ["Pi", "Sigma", "Ann"] * 3
+    forms = ["leaf", "Lam", "Let", "App", "Pair", "Inl", "Tr"] + ["Pi", "Sigma", "Ann"] * 3
     if fuel == 0:
         forms = ["leaf"]
     form = draw(st.sampled_from(forms))
@@ -386,6 +418,8 @@ def _scoped_terms(draw, depth=0, fuel=5):
         return draw(st.sampled_from(leaves))
     if form == "Lam":
         return T.Lam(sub(1))
+    if form == "Let":
+        return T.Let(sub(), sub(), sub(1))
     if form in ("Pi", "Sigma"):
         return getattr(T, form)(sub(), sub(1))
     if form == "Inl":

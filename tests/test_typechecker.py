@@ -184,8 +184,8 @@ COVER_REJ = COVER_CTX + [("b", "A"), ("w", "Cover A If Cf V a")]
 # (id, context, term, type to check against or None to infer, kind, message,
 #  printed expected type or None, printed found type or None).  Eliminators
 # get a wrong scrutinee, motive, case and index; introductions a wrong field,
-# target type and target index; formations a wrong field.  ``?k`` prints the
-# context variable with de Bruijn index k.
+# target type and target index; formations a wrong field; a let a wrong type
+# or value.  ``?k`` prints the context variable with de Bruijn index k.
 REJECTIONS = [
     ("split-scrutinee", GEN_CTX, "split (fun q => A) (fun a => fun b => a) x", None,
      "mismatch", "split scrutinee is not a pair", None, "?7"),
@@ -363,6 +363,10 @@ REJECTIONS = [
      "mismatch", "type mismatch", "?7", "N1"),
     ("Id-rhs", GEN_CTX, "Id A x star", None,
      "mismatch", "type mismatch", "?7", "N1"),
+    ("let-type", GEN_CTX, "let y : x := x in y", None,
+     "not-a-universe", "expected a type", None, "?7"),
+    ("let-value", GEN_CTX, "let y : A := star in y", None,
+     "mismatch", "type mismatch", "?7", "N1"),
 
 ]
 
@@ -420,6 +424,7 @@ INFERENCES = [
     ("Inr", ("mismatch", "an injection is not inferable", None, None)),
     ("J", ("mismatch", "type mismatch", "Id N1 ?0 ?0", "N1")),
     ("Lam", ("mismatch", "an unannotated lambda is not inferable", None, None)),
+    ("Let", ("not-a-universe", "expected a type", None, "N1")),
     ("Pair", ("mismatch", "a bare pair is not inferable", None, None)),
     ("Pi", ("not-a-universe", "expected a type", None, "N1")),
     ("Proj1", ("mismatch", "fst applied to a non-pair type", None, "N1")),
@@ -677,7 +682,7 @@ def test_indexed_trees_infer_through_a_non_dependent_codomain(items, src, expect
     assert chk.norm_type(ctx, chk.infer(ctx, t)) == chk.norm_type(ctx, want)
 
 
-# --- the memo of closed family formations ----------------------------------------
+# --- family formations ----------------------------------------------------------
 
 COVER_OVER = "Cover {} (fun a => N1) (fun a => fun i => fun b => N1) (fun a => {})"
 
@@ -698,18 +703,6 @@ def family_inferences(monkeypatch):
     return calls
 
 
-def test_closed_formation_is_inferred_once_per_checker(family_inferences):
-    chk, ctx, scope = _ctx([("A", "U0")])
-    src = COVER_OVER.format("N1", "N1")
-    first = chk.infer(Context(), surface.parse_term(src))
-    # a separately parsed copy, under a binder
-    again = chk.infer(ctx, surface.parse_term(src, scope=scope))
-    assert again is first
-    assert family_inferences == [surface.parse_term(src)]
-    Checker().infer(Context(), surface.parse_term(src))
-    assert len(family_inferences) == 2
-
-
 def test_ill_typed_closed_formation_fails_at_every_occurrence():
     chk = Checker()
     bad = COVER_OVER.format("N1", "star")  # the subset is not a predicate
@@ -718,42 +711,46 @@ def test_ill_typed_closed_formation_fails_at_every_occurrence():
             chk.infer(Context(), term)
     with pytest.raises(TypeCheckError):
         check_in(chk, Context(), [], f"({bad}) star -> ({bad}) star", "U0")
-    assert chk.family_types == {}
 
 
-def test_formations_with_free_variables_or_constants_are_not_memoized(family_inferences):
-    chk, ctx, scope = _ctx([("A", "U0"), ("P", "N1 -> U0")])
-    for src in (COVER_OVER.format("A", "N1"), COVER_OVER.format("N1", "P a"), "W A (fun a => N1)"):
-        term = surface.parse_term(src, scope=scope)
-        chk.infer(ctx, term)
-        chk.infer(ctx, term)
-    assert chk.family_types == {}
-    chk = checker_for("def C : U0 := N1\n")
-    term = surface.parse_term(COVER_OVER.format("C", "N1"))
-    chk.infer(Context(), term)
-    chk.infer(Context(), term)
-    assert chk.family_types == {}
-    assert len(family_inferences) == 8
-
-
-def _formations(t):
-    stack, found = [t], []
-    while stack:
-        u = stack.pop()
-        if isinstance(u, (T.W, T.DW, T.WP, T.Cover)):
-            found.append(u)
-        stack.extend(getattr(u, name) for name, _ in T.CHILDREN[type(u)])
-    return found
-
-
-def test_certificate_check_infers_each_distinct_formation_once(family_inferences):
+def test_a_let_bound_certificate_infers_its_cover_formation_once(family_inferences):
+    """Once in the proof and once in its type, each in the ``let`` that
+    binds the instance's ``Cover`` family."""
     ax, v, atom, d = next(x for x in criterion6_derivations() if isinstance(x[3], TrNode))
     proof = surface.parse_term(surface.pretty(extract_proof_term(ax, v, d)))
     ty = surface.parse_term(surface.pretty(cover_type(ax, v, atom)))
     chk, ctx = Checker(Flags()), Context()
     chk.ensure_type(ctx, ty)
     chk.check(ctx, proof, chk.eval_in(ctx, ty))
-    occurrences = _formations(ty) + _formations(proof)
-    assert all(T.closed(f) for f in occurrences)
-    assert len(family_inferences) == len(set(family_inferences)) == len(set(occurrences))
-    assert len(occurrences) > len(set(occurrences))
+    cover_family = T.Cover(T.Var(3), T.Var(2), T.Var(1), T.Var(0))
+    assert family_inferences == [cover_family, cover_family]
+
+
+# --- let -------------------------------------------------------------------------
+
+
+def test_a_let_definition_is_transparent():
+    chk = Checker()
+    t = surface.parse_term("let x : U0 := N1 in (star : x)")
+    # the body's type is x, which is N1 itself
+    assert surface.pretty(typecheck.infer_type(chk, t)) == "N1"
+    assert surface.pretty(typecheck.normalize(chk, t)) == "star"
+    # an opaque variable of type U0 would not do
+    with pytest.raises(TypeCheckError):
+        chk.infer(Context(), surface.parse_term("(fun x => (star : x) : U0 -> N1)"))
+
+
+def test_let_checks_and_infers():
+    chk = Checker()
+    # checking position: the body is a lambda, which checks but never infers
+    check_in(chk, Context(), [], "let x : U0 := N1 in fun y => (y : x)", "N1 -> N1")
+    check_in(chk, Context(), [], "let y : N1 := star in refl y", "Id N1 star star")
+    # inferring position: the head of an application
+    t = surface.parse_term("(let f : N1 -> N1 := fun y => y in f) star")
+    assert surface.pretty(typecheck.infer_type(chk, t)) == "N1"
+    # a let in a type, and a let that shadows a variable
+    chk, ctx, scope = _ctx([("A", "U0"), ("a", "A")])
+    check_in(chk, ctx, scope, "a", "let A : U0 := A in A")
+    check_in(chk, ctx, scope, "let a : N1 := star in a", "N1")
+    with pytest.raises(TypeCheckError):
+        check_in(chk, ctx, scope, "let a : N1 := star in a", "A")
