@@ -27,9 +27,14 @@ fields and an eliminator frame's arguments.  An eliminator's case types
 are built from the introductions of the type it eliminates: one case per
 introduction, over its fields and, for a tree, the induction hypothesis.
 
-An introduction's value is one record, ``VIntro``: its term class and its
-fields' values, as a neutral's ``Frame`` is for an elimination.  A type
-former's value keeps a class of its own, whose fields the rules read by name.
+Every canonical value but a function is one record, ``VIntro``: its term
+class and its fields' values, as a neutral's ``Frame`` is for an
+elimination.  A type former builds an element of the universe, so it is an
+introduction too: ``Sum A B`` evaluates to ``VIntro(Sum, (A, B))``.  Only
+the binders ``Pi`` and ``Sigma`` keep classes of their own, and a family
+applied to its index is one ``VApplied``.  The rules' tables are keyed by
+term class, and ``type_former`` gives a type's key.  Readback, conversion
+and the rules dispatch on identity tests of classes and forms.
 
 Every eliminator computes by one rule, ``Evaluator.elim``, read from the
 same tables.  On an introduction it fires the case at that introduction's
@@ -112,64 +117,25 @@ class VLam(Value):
 
 
 class VSigma(Value):
-    __slots__ = ("fst", "snd")  # snd: a closure
-
-
-class VEmpty(Value):
-    __slots__ = ()
-
-
-class VUnit(Value):
-    __slots__ = ()
-
-
-class VSum(Value):
-    __slots__ = ("left", "right")
-
-
-class VId(Value):
-    __slots__ = ("type", "lhs", "rhs")
-
-
-class VW(Value):
-    __slots__ = ("label", "branch")
-
-
-class VDW(Value):
-    __slots__ = ("index", "names", "branch", "arity")
-
-
-class VDWApp(Value):
-    __slots__ = ("fam", "idx")  # fam: a VDW
-
-
-class VWP(Value):
-    __slots__ = ("index", "names", "rules")
-
-
-class VWPApp(Value):
-    __slots__ = ("fam", "idx")  # fam: a VWP
-
-
-class VCover(Value):
-    __slots__ = ("carrier", "labels", "axioms", "subset")
-
-    @property
-    def index(self) -> Value:
-        """A cover family is indexed by its carrier."""
-        return self.carrier
-
-
-class VCoverApp(Value):
-    __slots__ = ("fam", "idx")  # fam: a VCover
+    __slots__ = ("dom", "cod")  # cod: a closure
 
 
 class VIntro(Value):
-    """A canonical value other than a function: ``form`` is the
-    introduction's term class (``Pair``, ``Inl``, ``Sup``, ...) and ``args``
-    the values of its fields, in order."""
+    """A canonical value other than a function or a binder type: ``form``
+    is the term class that built it and ``args`` the values of its fields,
+    in order.  An introduction (``Pair``, ``Inl``, ``Sup``, ...) builds an
+    element of a type; a type former (``Sum``, ``Id``, ``W``, ...) builds an
+    element of the universe, or for ``DW``, ``WP`` and ``Cover`` a family
+    over its index type."""
 
     __slots__ = ("form", "args")
+
+
+class VApplied(Value):
+    """A family former applied to an index: ``fam`` is the family's
+    ``VIntro`` record and ``idx`` the index."""
+
+    __slots__ = ("fam", "idx")
 
 
 # --- neutrals ----------------------------------------------------------------------
@@ -253,10 +219,9 @@ class Evaluator:
             return self.apply_clo(f.clo, arg)
         if isinstance(f, VNeutral):
             return VNeutral(f.head, f.frames + (Frame(T.App, (arg,)),))
-        applied = _APPLIED_OF.get(type(f))
-        if applied is None:
-            raise KernelBug(f"application of non-function value {type(f).__name__}")
-        return applied(f, arg)
+        if type(f) is VIntro and f.form in FAMILIES:
+            return VApplied(f, arg)
+        raise KernelBug(f"application of non-function value {_describe(f)}")
 
     def apply_many(self, f: Value, *args: Value) -> Value:
         for a in args:
@@ -326,10 +291,10 @@ class Evaluator:
             if entry is None:
                 raise KernelBug(f"unbound constant {t.name!r} during evaluation")
             return entry.value
-        value = _VALUE_OF.get(cls)
-        if value is not None:
+        if cls in CANONICAL:
             # a type former or an introduction
-            return value(*[self.eval(env, getattr(t, name)) for name in _FIELD_NAMES[cls]])
+            args = [self.eval(env, getattr(t, name)) for name in _FIELD_NAMES[cls]]
+            return VIntro(cls, tuple(args))
         names = _ELIM_FIELDS.get(cls)
         if names is not None:
             *args, s = [self.eval(env, getattr(t, name)) for name in names]
@@ -359,18 +324,20 @@ class Evaluator:
     # fields before it, and reads no other field.  So the checker, which
     # evaluates a field only once it has checked it, reads the same rules as
     # readback and conversion, which hold every field.  A field whose type is
-    # a sort is itself a type.
+    # a sort is itself a type.  The rules read a former's fields by position:
+    # the three family formers list their index type first, their names
+    # (DW, WP) or labels (Cover) second, and their branches, rules or axioms
+    # third; a cover's subset is fourth, and DW's arity too.
 
     def type_field(self, former, vals, k: int) -> Value:
         """The type of field ``k`` of a type built by ``former`` (``App`` for
         an applied family)."""
-        match former:
-            case T.Sum:
-                return V_U0
-            case T.Id:
-                return V_U0 if k == 0 else vals[0]
-            case T.App:
-                return V_ANY if k == 0 else vals[0].index
+        if former is T.Sum:
+            return V_U0
+        if former is T.Id:
+            return V_U0 if k == 0 else vals[0]
+        if former is T.App:
+            return V_ANY if k == 0 else vals[0].args[0]
         # W, DW, WP and Cover: a small type, then predicates and relations on it
         if k == 0:
             return V_U0
@@ -403,29 +370,30 @@ class Evaluator:
     def value_field(self, intro, ty: Value, vals, k: int) -> Value:
         """The type of field ``k`` of an ``intro`` value of type ``ty``, one
         that ``inhabits`` accepts."""
-        # isinstance chains, not class patterns: these tables are on the hot
+        # identity tests, not class patterns: these rules are on the hot
         # path of conversion, and a class pattern costs several times an
-        # isinstance check
-        if isinstance(ty, _APPLIED):
+        # identity test
+        if type(ty) is VApplied:
             # an index, then rf's membership proof, or the name or label of
             # dsup, ind and tr followed by their subtrees
-            fam = ty.fam
+            fam = ty.fam.args
             if k == 0:
-                return fam.index
+                return fam[0]
             if intro is T.Rf:
-                return self.apply(fam.subset, vals[0])
+                return self.apply(fam[3], vals[0])
             if k == 1:
-                return self.apply(fam.labels if intro is T.Tr else fam.names, vals[0])
-            return self.subtrees(ty, vals, lambda idx, *_: type(ty)(fam, *idx))
-        if isinstance(ty, VSigma):
-            return ty.fst if k == 0 else self.apply_clo(ty.snd, vals[0])
-        if isinstance(ty, VSum):
-            return ty.left if intro is T.Inl else ty.right
-        if isinstance(ty, VId):
-            return ty.type
-        if isinstance(ty, VW):
-            return ty.label if k == 0 else self.subtrees(ty, vals, lambda *_: ty)
-        raise KernelBug(f"value_field: no {intro.__name__} at {type(ty).__name__}")
+                return self.apply(fam[1], vals[0])
+            return self.subtrees(ty, vals, lambda idx, *_: VApplied(ty.fam, *idx))
+        if type(ty) is VSigma:
+            return ty.dom if k == 0 else self.apply_clo(ty.cod, vals[0])
+        former, args = ty.form, ty.args
+        if former is T.Sum:
+            return args[0] if intro is T.Inl else args[1]
+        if former is T.Id:
+            return args[0]
+        if former is T.W:
+            return args[0] if k == 0 else self.subtrees(ty, vals, lambda *_: ty)
+        raise KernelBug(f"value_field: no {intro.__name__} at {former.__name__}")
 
     def subtrees(self, ty: Value, vals, cod) -> Value:
         """The type of the subtree function of a tree of type ``ty`` whose
@@ -434,22 +402,21 @@ class Evaluator:
         tuple of indices of the subtree at that position.  ``cod`` gives the
         subtree's type in the introduction rule and the induction hypothesis
         in the elimination rule."""
-        if isinstance(ty, VW):
-            return VPi(self.apply(ty.branch, vals[0]), PyClosure(lambda x: cod((), x)))
-        fam = ty.fam
+        if type(ty) is VIntro:  # W
+            return VPi(self.apply(ty.args[1], vals[0]), PyClosure(lambda x: cod((), x)))
+        fam = ty.fam.args
         x, y = vals[0], vals[1]
-        if isinstance(ty, VDWApp):
+        if ty.fam.form is T.DW:
             return VPi(
-                self.apply_many(fam.branch, x, y),
-                PyClosure(lambda b: cod((self.apply_many(fam.arity, x, y, b),), b)),
+                self.apply_many(fam[2], x, y),
+                PyClosure(lambda b: cod((self.apply_many(fam[3], x, y, b),), b)),
             )
         # WP rules and cover axioms: (j : I) -> R x y j -> <subtree at j>
-        rel = fam.rules if isinstance(ty, VWPApp) else fam.axioms
         return VPi(
-            fam.index,
+            fam[0],
             PyClosure(
                 lambda j: VPi(
-                    self.apply_many(rel, x, y, j), PyClosure(lambda r: cod((j,), j, r))
+                    self.apply_many(fam[2], x, y, j), PyClosure(lambda r: cod((j,), j, r))
                 )
             ),
         )
@@ -457,22 +424,24 @@ class Evaluator:
     def motive_type(self, elim, ty: Value) -> Optional[Value]:
         """The type of the motive of the eliminator ``elim`` on a scrutinee
         of type ``ty``; None when ``elim`` does not eliminate ``ty``."""
-        if _ELIMINATOR.get(type(ty)) is not elim:
+        former = type_former(ty)
+        if _ELIMINATOR.get(former) is not elim:
             return None
-        if isinstance(ty, VId):
-            a = ty.type
+        if former is T.Id:
+            a = ty.args[0]
             return VPi(
                 a,
                 PyClosure(
                     lambda x: VPi(
-                        a, PyClosure(lambda y: VPi(VId(a, x, y), constant_family(V_ANY)))
+                        a,
+                        PyClosure(lambda y: VPi(VIntro(T.Id, (a, x, y)), constant_family(V_ANY))),
                     )
                 ),
             )
-        if isinstance(ty, _APPLIED):
-            fam, applied = ty.fam, type(ty)
+        if type(ty) is VApplied:
+            fam = ty.fam
             return VPi(
-                fam.index, PyClosure(lambda i: VPi(applied(fam, i), constant_family(V_ANY)))
+                fam.args[0], PyClosure(lambda i: VPi(VApplied(fam, i), constant_family(V_ANY)))
             )
         return VPi(ty, constant_family(V_ANY))
 
@@ -481,7 +450,7 @@ class Evaluator:
         scrutinee of type ``ty``, one per introduction of ``ty``: a function
         over the introduction's fields, and for a tree over the induction
         hypothesis, into the motive at the value introduced."""
-        return tuple([self._case_type(i, ty, motive, ()) for i in INTROS[type(ty)]])
+        return tuple([self._case_type(i, ty, motive, ()) for i in INTROS[type_former(ty)]])
 
     def _case_type(self, intro, ty: Value, motive: Value, vals: tuple) -> Value:
         k = len(vals)
@@ -513,11 +482,11 @@ class Evaluator:
             if not isinstance(cur, VSigma):
                 raise KernelBug("readback: projection at non-Sigma type")
             if form is T.Proj1:
-                return (), cur.fst
-            return (), self.apply_clo(cur.snd, self.proj1(scrut))
+                return (), cur.dom
+            return (), self.apply_clo(cur.cod, self.proj1(scrut))
         m_ty = self.motive_type(form, cur)
         if m_ty is None:
-            raise KernelBug(f"readback: {form.__name__} at {type(cur).__name__}")
+            raise KernelBug(f"readback: {form.__name__} at {_describe(cur)}")
         motive = frame.args[0]
         return (m_ty, *self.case_types(cur, motive)), self.elim_type(cur, motive, scrut)
 
@@ -533,48 +502,46 @@ class Evaluator:
     def readback(self, v: Value, ty: Value, depth: int) -> Term:
         """Type-directed readback to a beta-normal term."""
         flags = self.flags
-        match ty:
-            case VSort():
-                return self.readback_type(v, depth)
-            case VPi(dom, cod) if flags.eta_pi or isinstance(v, VLam):
-                var = fresh(depth, dom)
+        cls = type(ty)
+        if cls is VSort:
+            return self.readback_type(v, depth)
+        if cls is VPi:
+            if flags.eta_pi or type(v) is VLam:
+                var = fresh(depth, ty.dom)
                 body = self.apply(v, var) if flags.eta_pi else self.apply_clo(v.clo, var)
-                return T.Lam(self.readback(body, self.apply_clo(cod, var), depth + 1))
-            case VPi() if isinstance(v, _FAMILY_VALUES):
+                return T.Lam(self.readback(body, self.apply_clo(ty.cod, var), depth + 1))
+            if type(v) is VIntro:
                 # bare family formers are values of large function type
                 return self.readback_type(v, depth)
-            case VSigma(dom, cod) if flags.eta_sigma:
-                a = self.proj1(v)
-                return T.Pair(
-                    self.readback(a, dom, depth),
-                    self.readback(self.proj2(v), self.apply_clo(cod, a), depth),
-                )
-            case VUnit() if flags.eta_unit:
-                return T.Star()
+        elif cls is VSigma and flags.eta_sigma:
+            a = self.proj1(v)
+            return T.Pair(
+                self.readback(a, ty.dom, depth),
+                self.readback(self.proj2(v), self.apply_clo(ty.cod, a), depth),
+            )
+        elif flags.eta_unit and type_former(ty) is T.Unit:
+            return T.Star()
         if isinstance(v, VNeutral):
             return self.readback_neutral(v, depth)
         if type(v) is not VIntro or not inhabits(v.form, ty):
-            raise KernelBug(f"readback: {_describe(v)} at type {type(ty).__name__}")
+            raise KernelBug(f"readback: {_describe(v)} at type {_describe(ty)}")
         intro, vals = v.form, v.args
         types = (self.value_field(intro, ty, vals, k) for k in range(len(vals)))
         return intro(*map(self.readback, vals, types, repeat(depth)))
 
     def readback_type(self, v: Value, depth: int) -> Term:
-        match v:
-            case VSort(kind):
-                return T.Univ() if kind == "u0" else T.TypeSort()
-            case VPi(dom, cod) | VSigma(dom, cod):
-                var = fresh(depth, dom)
-                return (T.Pi if isinstance(v, VPi) else T.Sigma)(
-                    self.readback_type(dom, depth),
-                    self.readback_type(self.apply_clo(cod, var), depth + 1),
-                )
-            case VNeutral():
-                return self.readback_neutral(v, depth)
-        former = _FORMER_OF.get(type(v))
-        if former is None:
-            raise KernelBug(f"readback_type: not a type value: {type(v).__name__}")
-        vals = _fields(v)
+        cls = type(v)
+        if cls is VSort:
+            return T.Univ() if v.kind == "u0" else T.TypeSort()
+        if cls is VPi or cls is VSigma:
+            var = fresh(depth, v.dom)
+            return (T.Pi if cls is VPi else T.Sigma)(
+                self.readback_type(v.dom, depth),
+                self.readback_type(self.apply_clo(v.cod, var), depth + 1),
+            )
+        if cls is VNeutral:
+            return self.readback_neutral(v, depth)
+        former, vals = _former_fields(v)
         types = (self.type_field(former, vals, k) for k in range(len(vals)))
         return former(*map(self.readback, vals, types, repeat(depth)))
 
@@ -624,29 +591,30 @@ class Evaluator:
         if a is b:
             return True
         flags = self.flags
-        match ty:
-            case VSort():
-                return self.conv_type(a, b, depth)
-            case VPi(dom, cod):
-                lams = isinstance(a, VLam) and isinstance(b, VLam)
-                if lams and self._same(a.clo, b.clo):
-                    return True
-                if flags.eta_pi or lams:
-                    var = fresh(depth, dom)
-                    if flags.eta_pi:
-                        a, b = self.apply(a, var), self.apply(b, var)
-                    else:
-                        a, b = self.apply_clo(a.clo, var), self.apply_clo(b.clo, var)
-                    return self.conv(a, b, self.apply_clo(cod, var), depth + 1)
-                if isinstance(a, _FAMILY_VALUES):
-                    return self.conv_type(a, b, depth)
-            case VSigma(dom, cod) if flags.eta_sigma:
-                a1 = self.proj1(a)
-                return self.conv(a1, self.proj1(b), dom, depth) and self.conv(
-                    self.proj2(a), self.proj2(b), self.apply_clo(cod, a1), depth
-                )
-            case VUnit() if flags.eta_unit:
+        cls = type(ty)
+        if cls is VSort:
+            return self.conv_type(a, b, depth)
+        if cls is VPi:
+            lams = type(a) is VLam and type(b) is VLam
+            if lams and self._same(a.clo, b.clo):
                 return True
+            if flags.eta_pi or lams:
+                var = fresh(depth, ty.dom)
+                if flags.eta_pi:
+                    a, b = self.apply(a, var), self.apply(b, var)
+                else:
+                    a, b = self.apply_clo(a.clo, var), self.apply_clo(b.clo, var)
+                return self.conv(a, b, self.apply_clo(ty.cod, var), depth + 1)
+            if type(a) is VIntro:
+                # bare family formers are values of large function type
+                return self.conv_type(a, b, depth)
+        elif cls is VSigma and flags.eta_sigma:
+            a1 = self.proj1(a)
+            return self.conv(a1, self.proj1(b), ty.dom, depth) and self.conv(
+                self.proj2(a), self.proj2(b), self.apply_clo(ty.cod, a1), depth
+            )
+        elif flags.eta_unit and type_former(ty) is T.Unit:
+            return True
         if isinstance(a, VNeutral) or isinstance(b, VNeutral):
             both = isinstance(a, VNeutral) and isinstance(b, VNeutral)
             return both and self.conv_neutral(a, b, depth)
@@ -654,7 +622,7 @@ class Evaluator:
         if type(a) is not type(b) or type(a) is VIntro and b.form is not a.form:
             return False
         if type(a) is not VIntro or not inhabits(a.form, ty):
-            raise KernelBug(f"conv: {_describe(a)} at type {type(ty).__name__}")
+            raise KernelBug(f"conv: {_describe(a)} at type {_describe(ty)}")
         fa, fb = a.args, b.args
         for k, x in enumerate(fa):
             # field k's type is computed only once fields 0..k-1 are equal
@@ -666,24 +634,25 @@ class Evaluator:
         """Whether the types ``a`` and ``b`` read back to the same term."""
         if a is b:
             return True
-        match a, b:
-            case VSort(k), VSort(l):
-                return (k == "u0") == (l == "u0")
-            case (VPi(d1, c1), VPi(d2, c2)) | (VSigma(d1, c1), VSigma(d2, c2)):
-                if not self.conv_type(d1, d2, depth):
-                    return False
-                if self._same(c1, c2):
-                    return True
-                var = fresh(depth, d1)
-                return self.conv_type(self.apply_clo(c1, var), self.apply_clo(c2, var), depth + 1)
-            case VNeutral(), VNeutral():
-                return self.conv_neutral(a, b, depth)
-        if type(a) is not type(b):
+        cls = type(a)
+        if cls is not type(b):
             return False
-        former = _FORMER_OF.get(type(a))
-        if former is None:
-            raise KernelBug(f"conv_type: not a type value: {type(a).__name__}")
-        fa, fb = _fields(a), _fields(b)
+        if cls is VSort:
+            return (a.kind == "u0") == (b.kind == "u0")
+        if cls is VPi or cls is VSigma:
+            if not self.conv_type(a.dom, b.dom, depth):
+                return False
+            if self._same(a.cod, b.cod):
+                return True
+            var = fresh(depth, a.dom)
+            return self.conv_type(
+                self.apply_clo(a.cod, var), self.apply_clo(b.cod, var), depth + 1
+            )
+        if cls is VNeutral:
+            return self.conv_neutral(a, b, depth)
+        (former, fa), (other, fb) = _former_fields(a), _former_fields(b)
+        if other is not former:
+            return False
         for k, x in enumerate(fa):
             if not self.conv(x, fb[k], self.type_field(former, fa, k), depth):
                 return False
@@ -761,7 +730,7 @@ def _fields(x) -> list:
 
 
 def _describe(v) -> str:
-    """A value's class, or an introduction's form, for an error message."""
+    """A value's class, or the form of a ``VIntro``, for an error message."""
     return v.form.__name__ if type(v) is VIntro else type(v).__name__
 
 
@@ -770,60 +739,44 @@ def _same_frame(f1: Frame, f2: Frame) -> bool:
     return f1 is f2 or all(map(operator.is_, f1.args, f2.args))
 
 
-# type former and applied family classes -> the term class they read back to
-_FORMER_OF = {
-    VEmpty: T.Empty,
-    VUnit: T.Unit,
-    VSum: T.Sum,
-    VId: T.Id,
-    VW: T.W,
-    VDW: T.DW,
-    VWP: T.WP,
-    VCover: T.Cover,
-    VDWApp: T.App,
-    VWPApp: T.App,
-    VCoverApp: T.App,
-}
-# type former term class -> the value class it evaluates to
-FORMERS = {term: value for value, term in _FORMER_OF.items() if term is not T.App}
 _FIELD_NAMES = {cls: tuple(name for name, _ in children) for cls, children in T.CHILDREN.items()}
-_APPLIED_OF = {VDW: VDWApp, VWP: VWPApp, VCover: VCoverApp}
-# the family formers DW, WP and Cover: their values, and their term classes
-_FAMILY_VALUES = tuple(_APPLIED_OF)
-FAMILIES = frozenset(_FORMER_OF[fam] for fam in _APPLIED_OF)
 
-
-# type class -> its eliminator and its introductions, as term classes
+# type former -> its eliminator and its introductions, as term classes
 _ELIMINATOR = {
-    VSigma: T.SigElim,
-    VSum: T.SumElim,
-    VUnit: T.UnitElim,
-    VEmpty: T.EmptyElim,
-    VId: T.J,
-    VW: T.WElim,
-    VDWApp: T.DWElim,
-    VWPApp: T.WPElim,
-    VCoverApp: T.CoverElim,
+    T.Sigma: T.SigElim,
+    T.Sum: T.SumElim,
+    T.Unit: T.UnitElim,
+    T.Empty: T.EmptyElim,
+    T.Id: T.J,
+    T.W: T.WElim,
+    T.DW: T.DWElim,
+    T.WP: T.WPElim,
+    T.Cover: T.CoverElim,
 }
 INTROS = {
-    VSigma: (T.Pair,),
-    VSum: (T.Inl, T.Inr),
-    VUnit: (T.Star,),
-    VEmpty: (),
-    VId: (T.Refl,),
-    VW: (T.Sup,),
-    VDWApp: (T.DSup,),
-    VWPApp: (T.Ind,),
-    VCoverApp: (T.Rf, T.Tr),
+    T.Sigma: (T.Pair,),
+    T.Sum: (T.Inl, T.Inr),
+    T.Unit: (T.Star,),
+    T.Empty: (),
+    T.Id: (T.Refl,),
+    T.W: (T.Sup,),
+    T.DW: (T.DSup,),
+    T.WP: (T.Ind,),
+    T.Cover: (T.Rf, T.Tr),
 }
+# the type formers whose values are ``VIntro`` records (Sigma binds, as Pi
+# does, and has a class of its own), and those of them that form families
+FORMERS = frozenset(INTROS) - {T.Sigma}
+FAMILIES = frozenset({T.DW, T.WP, T.Cover})
+# the term classes that evaluate to a ``VIntro``: formers and introductions
+CANONICAL = FORMERS.union(*INTROS.values())
 # introductions whose last field is a function to subtrees -> the number of
 # components of a subtree's position
 TREES = {T.Sup: 1, T.DSup: 1, T.Ind: 2, T.Tr: 2}
-_APPLIED = (VDWApp, VWPApp, VCoverApp)
 
 # eliminator -> the introductions of the type it eliminates, whose cases
 # follow its motive in that order
-CASES = {elim: INTROS[ty] for ty, elim in _ELIMINATOR.items()}
+CASES = {elim: INTROS[former] for former, elim in _ELIMINATOR.items()}
 # eliminator -> the fields eval reads: the motive, the cases and the
 # scrutinee, and not the indices between them, which its type gives
 _ELIM_FIELDS = {
@@ -832,27 +785,43 @@ _ELIM_FIELDS = {
 }
 
 
-def _introduce(intro):
-    """The constructor of ``intro``'s values, from its fields' values."""
-    return lambda *args: VIntro(intro, args)
+def type_former(ty: Value):
+    """The term class that keys the tables for the type ``ty``: ``Sigma``,
+    or the former of its record or of its applied family; None for a
+    function type, a sort or a neutral."""
+    cls = type(ty)
+    if cls is VIntro:
+        return ty.form
+    if cls is VApplied:
+        return ty.fam.form
+    return T.Sigma if cls is VSigma else None
 
 
-# type former or introduction -> the constructor of its values
-_VALUE_OF = {**FORMERS, **{i: _introduce(i) for intros in INTROS.values() for i in intros}}
+def _former_fields(ty: Value) -> tuple:
+    """The term class that the record of a type former or an applied family
+    reads back to (``App`` for the latter), and its fields' values."""
+    cls = type(ty)
+    if cls is VApplied:
+        return T.App, (ty.fam, ty.idx)
+    if cls is VIntro and ty.form in FORMERS:
+        return ty.form, ty.args
+    raise KernelBug(f"not a type value: {_describe(ty)}")
 
 
 def inhabits(intro, ty: Value) -> bool:
     """Whether a value introduced by ``intro`` can have type ``ty``."""
-    return intro in INTROS.get(type(ty), ())
+    return intro in INTROS.get(type_former(ty), ())
 
 
 def type_index(ty: Value) -> tuple:
     """The indices of ``ty``, each with its type: the endpoints of an
     identity type, the index of an applied family, none for other types."""
-    if isinstance(ty, _APPLIED):
-        return ((ty.idx, ty.fam.index),)
-    if isinstance(ty, VId):
-        return (ty.lhs, ty.type), (ty.rhs, ty.type)
+    cls = type(ty)
+    if cls is VApplied:
+        return ((ty.idx, ty.fam.args[0]),)
+    if cls is VIntro and ty.form is T.Id:
+        a, lhs, rhs = ty.args
+        return (lhs, a), (rhs, a)
     return ()
 
 

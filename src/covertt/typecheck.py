@@ -43,14 +43,12 @@ from .semantics import (
     GlobalEntry,
     V_TYPE,
     V_U0,
-    VEmpty,
-    VId,
+    VApplied,
+    VIntro,
     VNeutral,
     VPi,
     VSigma,
     VSort,
-    VUnit,
-    VW,
     Value,
     fresh,
 )
@@ -105,7 +103,7 @@ NOT_INFERABLE = {
 # eliminator -> its scrutinee's type former, where the scrutinee is checked
 # against the type its indices form: N1 and N0 have none, and J's endpoints
 # form Id at the first one's type.  Every other scrutinee infers.
-CHECKED_SCRUTINEE = {T.UnitElim: VUnit, T.EmptyElim: VEmpty, T.J: VId}
+CHECKED_SCRUTINEE = {T.UnitElim: T.Unit, T.EmptyElim: T.Empty, T.J: T.Id}
 
 
 class TypeCheckError(Node, Exception):
@@ -310,8 +308,8 @@ class Checker:
             if not isinstance(pty, VSigma):
                 self.fail("mismatch", WRONG_SCRUTINEE[cls], found=self.norm_type(ctx, pty))
             if cls is T.Proj1:
-                return pty.fst
-            return self.ev.apply_clo(pty.snd, self.ev.proj1(self.eval_in(ctx, t.pair)))
+                return pty.dom
+            return self.ev.apply_clo(pty.cod, self.ev.proj1(self.eval_in(ctx, t.pair)))
         if cls is T.Ann:
             self.ensure_type(ctx, t.type)
             tyv = self.eval_in(ctx, t.type)
@@ -322,7 +320,7 @@ class Checker:
         if cls is T.Univ:
             return V_TYPE
         if cls is T.Star:
-            return VUnit()
+            return VIntro(T.Unit, ())
         if cls in NOT_INFERABLE:
             self.fail(*NOT_INFERABLE[cls])
         if cls in S.TREES:
@@ -355,7 +353,7 @@ class Checker:
             fields = [self.infer(ctx, i) for i in index[:1]]
             for i in index[1:]:
                 self.check(ctx, i, fields[0])
-            sty = former(*fields, *[self.eval_in(ctx, i) for i in index])
+            sty = VIntro(former, (*fields, *[self.eval_in(ctx, i) for i in index]))
             self.check(ctx, s, sty)
         m_ty = self.ev.motive_type(elim, sty)
         if m_ty is None:
@@ -375,11 +373,11 @@ class Checker:
         intro, fields = type(t), _term_fields(t)
         target = next(ty for ty, intros in S.INTROS.items() if intro in intros)
         cod = self._nondependent_codomain(ctx, fields[-1], S.TREES[intro])
-        if not isinstance(cod, target):
+        if S.type_former(cod) is not target:
             name = intro.__name__.lower()
             self.fail("mismatch", f"{name} is not inferable here; add an annotation")
         # an indexed tree's index is its first field
-        ty = cod if target is VW else target(cod.fam, self.eval_in(ctx, fields[0]))
+        ty = cod if target is T.W else VApplied(cod.fam, self.eval_in(ctx, fields[0]))
         self.check(ctx, t, ty)
         return ty
 
@@ -398,14 +396,13 @@ class Checker:
 
     def _nondependent_codomain(self, ctx: Context, f: Term, arity: int):
         """Codomain of ``f``'s type after ``arity`` arguments, provided it does
-        not depend on them; None when ``f`` is not inferable, its type has
-        fewer than ``arity`` arrows, or the codomain mentions an argument."""
-        try:
-            fty = self.infer(ctx, f)
-        except TypeCheckError:
+        not depend on them; None when ``f`` is a term that never infers, its
+        type has fewer than ``arity`` arrows, or the codomain mentions an
+        argument.  Any other rejection of ``f`` is the tree's."""
+        if type(f) in NOT_INFERABLE:
             return None
         depth = ctx.depth
-        cod = fty
+        cod = self.infer(ctx, f)
         for k in range(arity):
             if not isinstance(cod, VPi):
                 return None
@@ -451,7 +448,7 @@ class Checker:
             var = fresh(ctx.depth, ty.dom)
             self.check(ctx.extend("x", ty.dom), t.body, self.ev.apply_clo(ty.cod, var))
             return
-        if cls is T.Star and type(ty) is VUnit:
+        if cls is T.Star and S.type_former(ty) is T.Unit:
             return
         if cls is T.Let:
             self.check_let(ctx, t, ty)

@@ -22,19 +22,11 @@ from covertt.semantics import (
     KernelBug,
     PyClosure,
     Value,
-    VCover,
-    VDW,
-    VEmpty,
-    VId,
     VIntro,
     VLam,
     VNeutral,
     VPi,
     VSigma,
-    VSum,
-    VUnit,
-    VW,
-    VWP,
 )
 from covertt.terms import Flags
 from covertt.typecheck import Checker, Context
@@ -351,9 +343,9 @@ class HandWrittenEvaluator(Evaluator):
             case T.TypeSort():
                 return V_TYPE
             case T.Empty():
-                return VEmpty()
+                return VIntro(T.Empty, ())
             case T.Unit():
-                return VUnit()
+                return VIntro(T.Unit, ())
             case T.Star():
                 return VIntro(T.Star, ())
             case T.Pi(dom, cod):
@@ -373,7 +365,7 @@ class HandWrittenEvaluator(Evaluator):
             case T.SigElim(m, c, s):
                 return self.sig_elim(self.eval(env, m), self.eval(env, c), self.eval(env, s))
             case T.Sum(l, r):
-                return VSum(self.eval(env, l), self.eval(env, r))
+                return VIntro(T.Sum, (self.eval(env, l), self.eval(env, r)))
             case T.Inl(x):
                 return VIntro(T.Inl, (self.eval(env, x),))
             case T.Inr(x):
@@ -383,7 +375,7 @@ class HandWrittenEvaluator(Evaluator):
                     self.eval(env, m), self.eval(env, cl), self.eval(env, cr), self.eval(env, s)
                 )
             case T.Id(ty, a, b):
-                return VId(self.eval(env, ty), self.eval(env, a), self.eval(env, b))
+                return VIntro(T.Id, (self.eval(env, ty), self.eval(env, a), self.eval(env, b)))
             case T.Refl(x):
                 return VIntro(T.Refl, (self.eval(env, x),))
             case T.J(m, d, _a, _b, p):
@@ -393,28 +385,30 @@ class HandWrittenEvaluator(Evaluator):
             case T.EmptyElim(m, s):
                 return self.empty_elim(self.eval(env, m), self.eval(env, s))
             case T.W(a, b):
-                return VW(self.eval(env, a), self.eval(env, b))
+                return VIntro(T.W, (self.eval(env, a), self.eval(env, b)))
             case T.Sup(a, f):
                 return VIntro(T.Sup, (self.eval(env, a), self.eval(env, f)))
             case T.WElim(m, d, s):
                 return self.w_elim(self.eval(env, m), self.eval(env, d), self.eval(env, s))
             case T.DW(i, n, br, ar):
-                return VDW(
-                    self.eval(env, i), self.eval(env, n), self.eval(env, br), self.eval(env, ar)
+                return VIntro(
+                    T.DW,
+                    (self.eval(env, i), self.eval(env, n), self.eval(env, br), self.eval(env, ar)),
                 )
             case T.DSup(i, n, f):
                 return VIntro(T.DSup, (self.eval(env, i), self.eval(env, n), self.eval(env, f)))
             case T.DWElim(m, d, _i, s):
                 return self.dw_elim(self.eval(env, m), self.eval(env, d), self.eval(env, s))
             case T.WP(i, n, r):
-                return VWP(self.eval(env, i), self.eval(env, n), self.eval(env, r))
+                return VIntro(T.WP, (self.eval(env, i), self.eval(env, n), self.eval(env, r)))
             case T.Ind(i, n, f):
                 return VIntro(T.Ind, (self.eval(env, i), self.eval(env, n), self.eval(env, f)))
             case T.WPElim(m, c, _i, s):
                 return self.wp_elim(self.eval(env, m), self.eval(env, c), self.eval(env, s))
             case T.Cover(a, i, c, v):
-                return VCover(
-                    self.eval(env, a), self.eval(env, i), self.eval(env, c), self.eval(env, v)
+                return VIntro(
+                    T.Cover,
+                    (self.eval(env, a), self.eval(env, i), self.eval(env, c), self.eval(env, v)),
                 )
             case T.Rf(a, r):
                 return VIntro(T.Rf, (self.eval(env, a), self.eval(env, r)))

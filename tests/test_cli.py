@@ -1,5 +1,6 @@
 """The command-line interface: golden outputs and exit codes."""
 
+import hashlib
 import os
 import resource
 import subprocess
@@ -406,3 +407,40 @@ def test_importing_the_cli_loads_no_code_generation_modules():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
+ALL_FLAGS = ("--eta-pi", "--eta-sigma", "--eta-unit", "--funext")
+REPORT_FLAG_SETS = [(), ("--funext",), ALL_FLAGS[:3], ALL_FLAGS]
+# sha256 of the transcript ``golden_reports`` builds, and its size in bytes
+REPORTS_SHA256 = "be0b3072261f32330c6f715fbd02d1c6298f6b4bb7b64ec8db1120eaeae063e3"
+REPORTS_BYTES = 47_793
+
+
+def golden_reports(capsys) -> str:
+    """Every report a kernel change must leave byte-identical: ``corpus``
+    under the four flag sets, ``check`` of every corpus file with no flags,
+    with ``--funext`` and with all four, and ``cover --derivations`` of the
+    sample.  Each run adds its command (file names without their
+    directories), its exit status and its output."""
+    runs = [("corpus", *flags) for flags in REPORT_FLAG_SETS]
+    for name in sorted(f for f in os.listdir(CORPUS) if f.endswith(".mltt")):
+        for flags in ((), ("--funext",), ALL_FLAGS):
+            runs.append(("check", os.path.join(CORPUS, name), *flags))
+    runs.append(("cover", os.path.join(SAMPLES, "two_atoms.cov"), "--derivations"))
+    parts = []
+    for argv in runs:
+        code, out = run(capsys, *argv)
+        shown = " ".join(os.path.basename(a) for a in argv)
+        parts.append(f"$ {shown}\nexit {code}\n{out}")
+    return "".join(parts)
+
+
+def test_the_reports_are_pinned(capsys):
+    """A kernel change that is not meant to change any output moves none of
+    these bytes; a deliberate output change re-pins the digest."""
+    transcript = golden_reports(capsys).encode()
+    assert (hashlib.sha256(transcript).hexdigest(), len(transcript)) == (
+        REPORTS_SHA256,
+        REPORTS_BYTES,
+    )

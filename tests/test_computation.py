@@ -2,8 +2,10 @@
 per eliminator that it replaced (``helpers.HandWrittenEvaluator``), and the
 step counts and normal forms it keeps."""
 
+import ast
 import functools
 import hashlib
+import pathlib
 
 import pytest
 
@@ -82,22 +84,45 @@ def test_nested_identity_steps_are_pinned():
 
 
 INTRODUCTIONS = [T.Pair, T.Star, T.Inl, T.Inr, T.Refl, T.Sup, T.DSup, T.Ind, T.Rf, T.Tr]
+# type formers build elements of the universe, or families over their index
+FORMERS = [T.Empty, T.Unit, T.Sum, T.Id, T.W, T.DW, T.WP, T.Cover]
 
 
 def test_the_introductions_are_those_of_the_types():
     assert {i for intros in S.INTROS.values() for i in intros} == set(INTRODUCTIONS)
 
 
-@pytest.mark.parametrize("intro", INTRODUCTIONS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("intro", INTRODUCTIONS + FORMERS, ids=lambda cls: cls.__name__)
 def test_every_introduction_evaluates_to_one_record(intro):
     """Its form is its term class and its arguments are its fields' values,
-    in ``__match_args__`` order."""
+    in ``__match_args__`` order.  A type former is an introduction of the
+    universe and evaluates to the same record."""
     n = len(intro.__match_args__)
     env = tuple(S.fresh(level, S.V_U0) for level in range(n))
     # field k is the variable at level k
     v = Evaluator().eval(env, intro(*[T.Var(n - 1 - k) for k in range(n)]))
     assert type(v) is S.VIntro and v.form is intro
     assert v.args == env
+
+
+@pytest.mark.parametrize("family", [T.DW, T.WP, T.Cover], ids=lambda cls: cls.__name__)
+def test_a_family_applied_to_a_variable_is_one_applied_record(family):
+    """Its ``fam`` is the family's own record and its ``idx`` the index."""
+    n = len(family.__match_args__)
+    env = tuple(S.fresh(level, S.V_U0) for level in range(n + 1))
+    fields = [T.Var(n - k) for k in range(n)]
+    ev = Evaluator()
+    v = ev.eval(env, T.App(family(*fields), T.Var(0)))
+    assert type(v) is S.VApplied and v.idx is env[-1]
+    assert v.fam == ev.eval(env, family(*fields)) == S.VIntro(family, env[:-1])
+
+
+def test_semantics_has_no_match_statement():
+    """Readback, conversion and the typing rules dispatch on identity tests:
+    a class pattern costs several times an identity test."""
+    source = pathlib.Path(S.__file__).read_text(encoding="utf-8")
+    matches = [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Match)]
+    assert matches == []
 
 
 @pytest.mark.parametrize("elim", list(S.CASES), ids=lambda cls: cls.__name__)

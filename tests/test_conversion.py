@@ -10,6 +10,7 @@ import pytest
 
 from covertt import surface, typecheck
 from covertt import semantics as S
+from covertt import terms as T
 from covertt.encodings import check_corpus
 from covertt.semantics import V_ANY, Evaluator
 from covertt.terms import Flags
@@ -357,7 +358,7 @@ def test_prelude_closure_rule_against_whole_environments_and_readback(flags, pai
 def _closure_pair(read_differs: bool):
     """Two lambdas ``fun x => f x`` at ``N1 -> N1`` whose environments
     ``(f, u)`` differ in ``f``, which the body reads, or only in ``u``."""
-    n1 = S.VUnit()
+    n1 = S.VIntro(T.Unit, ())
     fun_ty = S.VPi(n1, S.constant_family(n1))
     body = surface.parse_term("f x", scope=["f", "u", "x"])
     f1, f2 = S.fresh(0, fun_ty), S.fresh(1, fun_ty)

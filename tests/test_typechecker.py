@@ -682,6 +682,33 @@ def test_indexed_trees_infer_through_a_non_dependent_codomain(items, src, expect
     assert chk.norm_type(ctx, chk.infer(ctx, t)) == chk.norm_type(ctx, want)
 
 
+ELIM_W = "elimW (fun w => N1) (fun a => fun f => fun g => star) ({})"
+
+
+@pytest.mark.parametrize(
+    "src, kind, message, expected, found",
+    [
+        (ELIM_W.format("sup star (h star)"), "mismatch", "type mismatch", "N0", "N1"),
+        ("sup star nope", "unbound", "unknown name 'nope'", None, None),
+        (
+            "sup star (fun x => x)",
+            "mismatch",
+            "sup is not inferable here; add an annotation",
+            None,
+            None,
+        ),
+    ],
+)
+def test_a_subtree_function_is_rejected_for_its_own_error(src, kind, message, expected, found):
+    """Only a subtree function that never infers makes a tree "not
+    inferable"; any other rejection of it is reported as it is."""
+    chk, ctx, scope = _ctx([("h", "N0 -> W N1 (fun u => N0)")])
+    with pytest.raises(TypeCheckError) as e:
+        chk.infer(ctx, surface.parse_term(src, scope=scope))
+    printed = [t if t is None else surface.pretty(t) for t in (e.value.expected, e.value.found)]
+    assert (e.value.kind, e.value.message, *printed) == (kind, message, expected, found)
+
+
 # --- family formations ----------------------------------------------------------
 
 COVER_OVER = "Cover {} (fun a => N1) (fun a => fun i => fun b => N1) (fun a => {})"
