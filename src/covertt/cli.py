@@ -231,10 +231,18 @@ def main(argv=None) -> int:
         "cover": cmd_cover,
     }[ns.command]
     try:
-        return handler(ns)
-    except INTERNAL_ERRORS as e:
-        print(f"error: {_internal_message(e)}")
+        try:
+            status = handler(ns)
+        except INTERNAL_ERRORS as e:
+            print(f"error: {_internal_message(e)}")
+            status = 1
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader has gone: the rest of the output goes nowhere, and
+        # the flush at exit finds nothing to complain about
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -228,12 +228,14 @@ class Checker:
             tyv = self.ev.eval((), funext_type())
             self.globals[FUNEXT_NAME] = GlobalEntry(tyv, VNeutral(S.HConst(FUNEXT_NAME, tyv), ()))
         self.location = "?"
+        self.lets = {}  # Context -> [(type term, value term, extended Context)]
 
     def use_globals(self, globals_env: dict):
         """Check against ``globals_env`` from now on.  The evaluator stays,
         so a recursor closure in a global built earlier charges its steps
         to the declaration being checked now."""
         self.globals = self.ev.globals = globals_env
+        self.lets = {}
 
     # -- helpers --------------------------------------------------------------
 
@@ -469,11 +471,21 @@ class Checker:
     def check_let(self, ctx: Context, t: Term, ty: Optional[Value] = None) -> Value:
         """``let x : A := v in b``: ``A`` is a type and ``v`` checks against
         it; then ``b`` is checked against ``ty``, or inferred when ``ty`` is
-        None, with ``x`` standing for ``v``'s value.  Returns ``b``'s type."""
-        self.ensure_type(ctx, t.type)
-        tyv = self.eval_in(ctx, t.type)
-        self.check(ctx, t.value, tyv)
-        inner = ctx.extend("x", tyv, self.eval_in(ctx, t.value))
+        None, with ``x`` standing for ``v``'s value.  Returns ``b``'s type.
+        A let is checked once per context object: an equal ``A`` and ``v``
+        reuse the context the first check built, so a certificate's type and
+        proof share one instance value.  That is sound because an entry is
+        stored only after its check succeeds, serves only this checker (one
+        set of flags), and ``use_globals`` drops it (until then globals only
+        grow, as a name is never redefined)."""
+        seen = self.lets.setdefault(ctx, [])
+        inner = next((c for a, v, c in seen if t.type == a and t.value == v), None)
+        if inner is None:
+            self.ensure_type(ctx, t.type)
+            tyv = self.eval_in(ctx, t.type)
+            self.check(ctx, t.value, tyv)
+            inner = ctx.extend("x", tyv, self.eval_in(ctx, t.value))
+            seen.append((t.type, t.value, inner))
         if ty is None:
             return self.infer(inner, t.body)
         self.check(inner, t.body, ty)

@@ -208,6 +208,22 @@ def same_whole_environment(x, y) -> bool:
     return all(same_whole_environment(getattr(x, n), getattr(y, n)) for n in fields)
 
 
+class UnsharedLetChecker(Checker):
+    """The checker before it remembered the lets it had checked, kept as the
+    oracle of ``Checker.check_let``: every ``let`` is checked, and its value
+    evaluated, each time it is met."""
+
+    def check_let(self, ctx, t, ty=None):
+        self.ensure_type(ctx, t.type)
+        tyv = self.eval_in(ctx, t.type)
+        self.check(ctx, t.value, tyv)
+        inner = ctx.extend("x", tyv, self.eval_in(ctx, t.value))
+        if ty is None:
+            return self.infer(inner, t.body)
+        self.check(inner, t.body, ty)
+        return ty
+
+
 class HandWrittenEvaluator(Evaluator):
     """The evaluator ``Evaluator.elim`` replaced, kept as its oracle: one
     class pattern per term in ``eval`` and one method per eliminator, each

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from covertt import encodings, surface, typecheck
+from covertt import surface, typecheck
 from covertt.cover import (
     FiniteAxiomSet,
     Subset,
@@ -29,6 +29,7 @@ from covertt.encodings import check_corpus
 from covertt.terms import Flags
 from covertt.typecheck import Checker, Context
 
+import builders
 from helpers import CORPUS, conv, random_instance as _random_instance
 from test_encodings import DW_INSTANCES, W_INSTANCES, _check_fragment
 from test_typechecker import (
@@ -58,7 +59,7 @@ def test_criterion_1_definitional_half():
     for name, i, n, br, ar in DW_INSTANCES:
         _check_fragment(
             ["p41ii.mltt"],
-            encodings.build_dw_encoding(i, n, br, ar, prefix=f"c1dw{name}_"),
+            builders.build_dw_encoding(i, n, br, ar, prefix=f"c1dw{name}_"),
             Flags(eta_pi=True, eta_sigma=True),
         )
     from test_encodings import COVER_INSTANCES, WP_INSTANCES
@@ -66,19 +67,19 @@ def test_criterion_1_definitional_half():
     for name, a, ifam, cfam, v in COVER_INSTANCES:
         _check_fragment(
             ["p51ii.mltt"],
-            encodings.build_canonical(a, ifam, cfam, v, prefix=f"c1cov{name}_"),
+            builders.build_canonical(a, ifam, cfam, v, prefix=f"c1cov{name}_"),
             Flags(eta_pi=True, eta_sigma=True),
         )
     for name, i, n, r in WP_INSTANCES:
         _check_fragment(
             ["p52ii.mltt"],
-            encodings.build_wp_via_dw(i, n, r, prefix=f"c1wp{name}_"),
+            builders.build_wp_via_dw(i, n, r, prefix=f"c1wp{name}_"),
             Flags(eta_pi=True, eta_sigma=True),
         )
     for name, a, b in W_INSTANCES:
         _check_fragment(
             ["p52iv.mltt"],
-            encodings.build_w_via_wp(a, b, prefix=f"c1w{name}_"),
+            builders.build_w_via_wp(a, b, prefix=f"c1w{name}_"),
             Flags(eta_pi=True, eta_unit=True),
         )
     assert _report(

@@ -278,13 +278,20 @@ def test_corpus_charges_a_forced_imported_recursor_to_the_importing_declaration(
     )
 
 
-def test_cover_derivations_on_a_20000_atom_chain(tmp_path):
-    n = 20_000
+def chain_file(tmp_path, n: int):
+    """A chain c0 <- c1 <- ... <- c(n-1) whose top atom is covered, and one
+    query, of c0."""
     lines = ["carrier " + " ".join(f"c{i}" for i in range(n))]
     lines += [f"axiom c{i} k : c{i + 1}" for i in range(n - 1)]
     lines += [f"subset top : c{n - 1}", "query c0 top"]
     f = tmp_path / "chain.cov"
     f.write_text("\n".join(lines) + "\n")
+    return f
+
+
+def test_cover_derivations_on_a_20000_atom_chain(tmp_path):
+    n = 20_000
+    f = chain_file(tmp_path, n)
     env = dict(os.environ, PYTHONPATH=SRC)
     # the report is about 400 MB (line k is indented 2k spaces): read it
     # from the pipe line by line instead of holding it; a run that takes
@@ -309,6 +316,26 @@ def test_cover_derivations_on_a_20000_atom_chain(tmp_path):
     # figure is the largest child this test process has waited for)
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     assert peak_mb < 200
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", ["cover", "check"])
+def test_a_reader_that_closes_early_ends_the_run_without_a_traceback(tmp_path, command, unbuffered):
+    # both reports outgrow one buffered write, so more is written after the
+    # reader has gone: the chain's derivation is about 360 KB, and p51i's
+    # report under funext (28,591 bytes) is printed while it is checked
+    argv = {
+        "cover": ["cover", str(chain_file(tmp_path, 600)), "--derivations"],
+        "check": ["check", os.path.join(CORPUS, "p51i.mltt"), "--funext"],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen(
+        [sys.executable, "-m", "covertt.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")
 
 
 INTERNAL = [

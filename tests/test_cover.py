@@ -24,10 +24,12 @@ from covertt.cover import (
     least_cover,
     load_axiom_set,
 )
+from covertt.semantics import Closure, Evaluator
 from covertt.terms import Flags
-from covertt.typecheck import Checker, Context
+from covertt.typecheck import Checker, Context, TypeCheckError
 
 from helpers import (
+    UnsharedLetChecker,
     cover_type_inlined,
     cover_type_substituted,
     criterion6_derivations,
@@ -304,6 +306,67 @@ def test_let_bound_certificates_agree_with_the_inlined_encoding():
             chk.check(ctx, extract_proof_term_inlined(ax, v, d), new)
             count += 1
     assert count == 205 + 1728
+
+
+def _verdicts(checker_class, instances):
+    """Every proof of an instance checked flag-free at every atom's type, in
+    one checker and context per instance: (atom, target, verdict) triples,
+    and the steps the checkers' evaluators took."""
+    verdicts, steps = [], 0
+    for types, proofs in instances:
+        chk, ctx = checker_class(Flags()), Context()
+        for target, ty in enumerate(types):
+            chk.ensure_type(ctx, ty)
+            tyv = chk.eval_in(ctx, ty)
+            for atom, proof in proofs:
+                try:
+                    chk.check(ctx, proof, tyv)
+                    verdicts.append((atom, target, "ok"))
+                except TypeCheckError as e:
+                    verdicts.append((atom, target, e.kind))
+        steps += chk.ev.steps
+    return verdicts, steps
+
+
+def test_checking_each_let_once_agrees_with_the_unshared_checker():
+    """The checker that checks a ``let`` once per context against the one
+    that checks it every time: the same verdicts on every certificate at
+    every atom's type, and fewer steps."""
+    instances = [
+        (
+            [cover_type(ax, v, a) for a in range(len(ax.carrier))],
+            [(a, extract_proof_term(ax, v, d)) for a, d in derivations],
+        )
+        for ax, v, derivations in _certified_instances()
+    ]
+    shared, shared_steps = _verdicts(Checker, instances)
+    unshared, unshared_steps = _verdicts(UnsharedLetChecker, instances)
+    assert shared == unshared
+    accepted = [(atom, target) for atom, target, verdict in shared if verdict == "ok"]
+    assert len(accepted) == 205 + 1728 and all(atom == target for atom, target in accepted)
+    assert shared_steps < unshared_steps
+
+
+@pytest.mark.parametrize("checker_class, distinct", [(Checker, False), (UnsharedLetChecker, True)])
+def test_a_proof_checked_after_its_type_shares_its_instance(monkeypatch, checker_class, distinct):
+    """The proof's instance ``let``s are the type's, so no two closures that
+    ``Evaluator._same`` is asked about have equal bodies that are distinct
+    objects; a checker that checks every ``let`` again makes such pairs."""
+    pairs = []
+    same = Evaluator._same
+
+    def counted(self, x, y):
+        if type(x) is Closure and type(y) is Closure and x.body is not y.body and x.body == y.body:
+            pairs.append((x, y))
+        return same(self, x, y)
+
+    monkeypatch.setattr(Evaluator, "_same", counted)
+    ax, v, atom, d = next(x for x in criterion6_derivations() if isinstance(x[3], TrNode))
+    ty = cover_type(ax, v, atom)
+    chk, ctx = checker_class(Flags()), Context()
+    chk.ensure_type(ctx, ty)
+    chk.check(ctx, extract_proof_term(ax, v, d), chk.eval_in(ctx, ty))
+    assert bool(pairs) == distinct
 
 
 def test_a_certificate_binds_each_derived_atom_once():

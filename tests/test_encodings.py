@@ -10,11 +10,12 @@ import os
 
 import pytest
 
-from covertt import encodings, surface, typecheck
+from covertt import surface, typecheck
 from covertt.encodings import check_corpus, load_manifest
 from covertt.terms import Flags
 from covertt.typecheck import Context, TypeCheckError
 
+import builders
 from helpers import (
     ALL_FLAG_SETS,
     CORPUS,
@@ -291,13 +292,13 @@ def _check_fragment(imports, decls, flags):
 
 @pytest.mark.parametrize("name,i,n,br,ar", DW_INSTANCES)
 def test_build_dw_encoding_instances(name, i, n, br, ar):
-    decls = encodings.build_dw_encoding(i, n, br, ar, prefix=f"{name}_")
+    decls = builders.build_dw_encoding(i, n, br, ar, prefix=f"{name}_")
     _check_fragment(["p41ii.mltt"], decls, Flags(eta_pi=True, eta_sigma=True))
 
 
 @pytest.mark.parametrize("name,i,n,br,ar", DW_INSTANCES)
 def test_build_dw_iso_instances(name, i, n, br, ar):
-    decls = encodings.build_dw_iso(i, n, br, ar, prefix=f"{name}_")
+    decls = builders.build_dw_iso(i, n, br, ar, prefix=f"{name}_")
     _check_fragment(
         ["p41i.mltt"], decls, Flags(funext=True, eta_pi=True, eta_sigma=True)
     )
@@ -305,25 +306,25 @@ def test_build_dw_iso_instances(name, i, n, br, ar):
 
 @pytest.mark.parametrize("name,a,ifam,cfam,v", COVER_INSTANCES)
 def test_build_cover_as_wp_instances(name, a, ifam, cfam, v):
-    decls = encodings.build_cover_as_wp(a, ifam, cfam, v, prefix=f"{name}_")
+    decls = builders.build_cover_as_wp(a, ifam, cfam, v, prefix=f"{name}_")
     _check_fragment(["cover_as_wp.mltt"], decls, Flags())
 
 
 @pytest.mark.parametrize("name,i,n,r", WP_INSTANCES)
 def test_build_wp_as_cover_instances(name, i, n, r):
-    decls = encodings.build_wp_as_cover(i, n, r, prefix=f"{name}_")
+    decls = builders.build_wp_as_cover(i, n, r, prefix=f"{name}_")
     _check_fragment(["wp_as_cover.mltt"], decls, Flags())
 
 
 @pytest.mark.parametrize("name,a,ifam,cfam,v", COVER_INSTANCES)
 def test_build_canonical_rules_instances(name, a, ifam, cfam, v):
-    decls = encodings.build_canonical(a, ifam, cfam, v, prefix=f"{name}_", mode="rules")
+    decls = builders.build_canonical(a, ifam, cfam, v, prefix=f"{name}_", mode="rules")
     _check_fragment(["p51ii.mltt"], decls, Flags(eta_pi=True, eta_sigma=True))
 
 
 @pytest.mark.parametrize("name,a,ifam,cfam,v", COVER_INSTANCES)
 def test_build_canonical_iso_instances(name, a, ifam, cfam, v):
-    decls = encodings.build_canonical(a, ifam, cfam, v, prefix=f"{name}_", mode="iso")
+    decls = builders.build_canonical(a, ifam, cfam, v, prefix=f"{name}_", mode="iso")
     _check_fragment(
         ["p51i.mltt"], decls, Flags(funext=True, eta_pi=True, eta_sigma=True)
     )
@@ -331,31 +332,31 @@ def test_build_canonical_iso_instances(name, a, ifam, cfam, v):
 
 @pytest.mark.parametrize("name,i,n,r", WP_INSTANCES)
 def test_build_wp_via_dw_rules_instances(name, i, n, r):
-    decls = encodings.build_wp_via_dw(i, n, r, prefix=f"{name}_", mode="rules")
+    decls = builders.build_wp_via_dw(i, n, r, prefix=f"{name}_", mode="rules")
     _check_fragment(["p52ii.mltt"], decls, Flags(eta_pi=True, eta_sigma=True))
 
 
 @pytest.mark.parametrize("name,i,n,r", WP_INSTANCES)
 def test_build_wp_via_dw_iso_instances(name, i, n, r):
-    decls = encodings.build_wp_via_dw(i, n, r, prefix=f"{name}_", mode="iso")
+    decls = builders.build_wp_via_dw(i, n, r, prefix=f"{name}_", mode="iso")
     _check_fragment(["p52i.mltt"], decls, Flags(funext=True))
 
 
 @pytest.mark.parametrize("name,a,b", W_INSTANCES)
 def test_build_w_via_wp_rules_instances(name, a, b):
-    decls = encodings.build_w_via_wp(a, b, prefix=f"{name}_", mode="rules")
+    decls = builders.build_w_via_wp(a, b, prefix=f"{name}_", mode="rules")
     _check_fragment(["p52iv.mltt"], decls, Flags(eta_pi=True, eta_unit=True))
 
 
 @pytest.mark.parametrize("name,a,b", W_INSTANCES)
 def test_build_w_via_wp_iso_instances(name, a, b):
-    decls = encodings.build_w_via_wp(a, b, prefix=f"{name}_", mode="iso")
+    decls = builders.build_w_via_wp(a, b, prefix=f"{name}_", mode="iso")
     _check_fragment(["p52iii.mltt"], decls, Flags(funext=True))
 
 
 @pytest.mark.parametrize("name,i,n,r", WP_INSTANCES)
 def test_build_representation_instances(name, i, n, r):
-    decls = encodings.build_representation_lemma(i, n, r, prefix=f"{name}_")
+    decls = builders.build_representation_lemma(i, n, r, prefix=f"{name}_")
     _check_fragment(["representation.mltt"], decls, Flags())
 
 
@@ -387,7 +388,7 @@ def test_interpreted_introduction_infers_its_family():
 
 
 def test_build_free_vacuous_branching_is_inhabited():
-    decls = encodings.build_free("N1", "(fun i => N1)", "(fun i => fun n => N0)")
+    decls = builders.build_free("N1", "(fun i => N1)", "(fun i => fun n => N0)")
     decls = list(decls) + [
         "def leaf : iFree := sup ( star , star ) "
         "(fun b => absurd (fun z => iFree) b)"
@@ -396,7 +397,7 @@ def test_build_free_vacuous_branching_is_inhabited():
 
 
 def test_build_legal_checks_and_rejects_label_mismatch():
-    decls = encodings.build_legal(
+    decls = builders.build_legal(
         "(Sum N1 N1)", "(fun i => N1)", "(fun i => fun n => N0)",
         "(fun i => fun n => fun b => absurd (fun z => Sum N1 N1) b)",
     )

@@ -741,8 +741,9 @@ def test_ill_typed_closed_formation_fails_at_every_occurrence():
 
 
 def test_a_let_bound_certificate_infers_its_cover_formation_once(family_inferences):
-    """Once in the proof and once in its type, each in the ``let`` that
-    binds the instance's ``Cover`` family."""
+    """Once, in the type's ``let`` that binds the instance's ``Cover``
+    family: the proof's equal ``let``, met in the same context, is not
+    checked again."""
     ax, v, atom, d = next(x for x in criterion6_derivations() if isinstance(x[3], TrNode))
     proof = surface.parse_term(surface.pretty(extract_proof_term(ax, v, d)))
     ty = surface.parse_term(surface.pretty(cover_type(ax, v, atom)))
@@ -750,7 +751,7 @@ def test_a_let_bound_certificate_infers_its_cover_formation_once(family_inferenc
     chk.ensure_type(ctx, ty)
     chk.check(ctx, proof, chk.eval_in(ctx, ty))
     cover_family = T.Cover(T.Var(3), T.Var(2), T.Var(1), T.Var(0))
-    assert family_inferences == [cover_family, cover_family]
+    assert family_inferences == [cover_family]
 
 
 # --- let -------------------------------------------------------------------------
@@ -781,3 +782,41 @@ def test_let_checks_and_infers():
     check_in(chk, ctx, scope, "let a : N1 := star in a", "N1")
     with pytest.raises(TypeCheckError):
         check_in(chk, ctx, scope, "let a : N1 := star in a", "A")
+
+
+# a checker remembers the lets it has checked, per context object: each test
+# below fails if the memo ignores what it names
+
+
+def test_a_let_checked_under_one_checker_is_checked_again_under_another():
+    """The memo belongs to one checker, so to one set of flags."""
+    ctx, scope = context_of(Checker(), [("x", "N1")])
+    src = "let p : Id N1 x star := refl star in star"
+    check_in(Checker(Flags(eta_unit=True)), ctx, scope, src, "N1")
+    with pytest.raises(TypeCheckError):
+        check_in(Checker(), ctx, scope, src, "N1")
+
+
+def test_a_rejected_let_is_rejected_every_time():
+    chk, ctx = Checker(), Context()
+    t = surface.parse_term("let y : N1 := N1 in y")
+    for _ in range(2):
+        with pytest.raises(TypeCheckError):
+            chk.infer(ctx, t)
+
+
+def test_a_let_is_remembered_by_its_type_as_well_as_its_value():
+    chk, ctx = Checker(), Context()
+    chk.infer(ctx, surface.parse_term("let f : N1 -> N1 := fun y => y in f star"))
+    with pytest.raises(TypeCheckError):
+        chk.infer(ctx, surface.parse_term("let f : N0 -> N0 := fun y => y in f star"))
+
+
+def test_new_globals_make_a_checker_check_its_lets_again():
+    chk, ctx = Checker(), Context()
+    t = surface.parse_term("let y : N1 := c in y")
+    chk.use_globals(checker_for("def c : N1 := star").globals)
+    chk.infer(ctx, t)
+    chk.use_globals(checker_for("def c : U0 := N1").globals)
+    with pytest.raises(TypeCheckError):
+        chk.infer(ctx, t)
