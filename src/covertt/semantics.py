@@ -46,7 +46,7 @@ neutral it becomes a ``Frame`` of the motive and the cases.  The unit
 eliminator under ``eta_unit`` is the one exception, as above.  Every
 eliminator's term is its motive, its cases, the scrutinee's indices (J's
 endpoints, a family's index, or none) and the scrutinee.  Nothing evaluates
-the indices: readback, conversion and the result type (``elim_type``) read
+the indices: readback, conversion and the result type (``elim_motive``) read
 them from the scrutinee's type (``type_index``).
 
 ``Evaluator.steps`` counts every eliminator step the evaluator takes;
@@ -190,7 +190,7 @@ class Evaluator:
         self.step_limit = step_limit
         self.steps = 0  # every step this evaluator has taken
         self.budget_start = 0  # ``steps`` when the current budget began
-        self.read_positions = {}  # id(body) -> (body, the positions it reads)
+        self.read_positions = {}  # id(body) -> (body, the variables it reads)
 
     def restart_budget(self):
         """Give the next piece of work (a declaration, a normalization) the
@@ -488,14 +488,14 @@ class Evaluator:
         if m_ty is None:
             raise KernelBug(f"readback: {form.__name__} at {_describe(cur)}")
         motive = frame.args[0]
-        return (m_ty, *self.case_types(cur, motive)), self.elim_type(cur, motive, scrut)
+        return (m_ty, *self.case_types(cur, motive)), self.apply(self.elim_motive(cur, motive), scrut)
 
-    def elim_type(self, ty: Value, motive: Value, s: Value) -> Value:
-        """The type of an elimination with ``motive`` of the scrutinee ``s``
-        of type ``ty``: the motive at ``ty``'s indices, then at ``s``."""
+    def elim_motive(self, ty: Value, motive: Value) -> Value:
+        """``motive`` at the indices of ``ty``: applied to a scrutinee of
+        type ``ty``, it gives the type of that scrutinee's elimination."""
         for i, _ in type_index(ty):
             motive = self.apply(motive, i)
-        return self.apply(motive, s)
+        return motive
 
     # -- readback ------------------------------------------------------------
 
@@ -699,7 +699,7 @@ class Evaluator:
             if x.body is not y.body:
                 return False
             ex, ey = x.env, y.env
-            return all(self._same(ex[-1 - k], ey[-1 - k]) for k in self._reads(x.body))
+            return all(self._same(ex[-k], ey[-k]) for k in self.reads(x.body) if k)
         if cls is PyClosure:
             return False
         if cls is Frame or cls is VIntro:
@@ -708,16 +708,17 @@ class Evaluator:
             return x == y
         return all(map(self._same, _fields(x), _fields(y)))
 
-    def _reads(self, body: Term) -> set:
-        """The positions of a closure's environment, counted from its end,
-        that ``body`` reads; found once per body object."""
+    def reads(self, body: Term) -> set:
+        """The variables a closure's ``body`` reads, found once per body
+        object: 0 for its own, k for its environment's entry ``env[-k]``."""
         entry = self.read_positions.get(id(body))
         if entry is None:
-            found, stack = set(), [(body, 1)]  # subterms, with the binders around them
+            found, stack = set(), [(body, 0)]  # subterms, with the binders around them
             while stack:
                 t, bound = stack.pop()
                 if type(t) is not T.Var:
-                    stack += [(getattr(t, name), bound + n) for name, n in T.CHILDREN[type(t)]]
+                    for name, n in T.CHILDREN[type(t)]:
+                        stack.append((getattr(t, name), bound + n))
                 elif t.index >= bound:
                     found.add(t.index - bound)
             entry = self.read_positions[id(body)] = (body, found)

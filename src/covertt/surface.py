@@ -245,6 +245,15 @@ class Parser:
         t = self.token(self.pos)
         raise ParseError(message, t.line, t.col, expected, self.filename)
 
+    def parse(self, rule):
+        """``rule()``, with the recursion limit reported as a ``ParseError``
+        at the token where the parser stopped."""
+        try:
+            return rule()
+        except RecursionError:
+            pass
+        self.error("input nested too deeply")
+
     def expect(self, kind: str, text: Optional[str] = None) -> str:
         k = self.pos
         if self.kinds[k] != kind or (text is not None and self.texts[k] != text):
@@ -454,7 +463,7 @@ def parse_term(src: str, scope: Optional[list[str]] = None) -> Term:
     p = Parser(src)
     if scope:
         p.scope = list(scope)
-    t = p.parse_term()
+    t = p.parse(p.parse_term)
     if p.kinds[p.pos] != "eof":
         p.error("trailing input after term")
     return t
@@ -463,7 +472,8 @@ def parse_term(src: str, scope: Optional[list[str]] = None) -> Term:
 def parse_file(src: str, filename: str = "<input>") -> tuple[list[Declaration], list[str]]:
     """The declarations and imports of ``src``; a ``ParseError`` names
     ``filename``, as the declarations' locations do."""
-    return Parser(src, filename).parse_file()
+    p = Parser(src, filename)
+    return p.parse(p.parse_file)
 
 
 class Module(Node):

@@ -20,6 +20,11 @@ rejection messages, the index checks, and the order in which an
 eliminator's fields are checked: the scrutinee and its indices (J's
 endpoints before its proof, ``CHECKED_SCRUTINEE``), the motive, the cases.
 
+A type instantiated at a checked subterm (an application's codomain, the
+type of ``snd``'s second component, an eliminator's motive after the
+indices) gets a fresh variable for it when its closure never reads that
+variable (``Checker.argument``), so nested terms check in linear steps.
+
 Each declaration (``check_declarations``) and each ``normalize``,
 ``convertible`` or ``infer_type`` call gets the evaluator's whole step
 budget.  A type error is located at its declaration, or at ``<expr>`` in
@@ -45,6 +50,7 @@ from .semantics import (
     V_U0,
     VApplied,
     VIntro,
+    VLam,
     VNeutral,
     VPi,
     VSigma,
@@ -257,6 +263,16 @@ class Checker:
     def values_equal(self, ctx: Context, a: Value, b: Value, ty: Value) -> bool:
         return self.ev.equal(a, b, ty, ctx.depth)
 
+    def argument(self, ctx: Context, clo, dom: Value, t: Term) -> Value:
+        """What to apply ``clo`` to at the checked term ``t`` of type ``dom``:
+        ``t``'s value, or a fresh variable if ``clo`` is a closure whose body
+        never reads its variable, which then cannot show in the result.  A
+        variable or constant is looked up, which is cheaper than that test."""
+        lookup = type(t) is T.Var or type(t) is T.Const
+        if lookup or type(clo) is not S.Closure or 0 in self.ev.reads(clo.body):
+            return self.eval_in(ctx, t)
+        return fresh(ctx.depth, dom)
+
     def ensure_type(self, ctx: Context, t: Term) -> Value:
         """Check that ``t`` is a type (small or large); return its sort."""
         sort = self.infer(ctx, t)
@@ -288,7 +304,7 @@ class Checker:
         if cls is T.App:
             pi = self.whnf_pi(ctx, self.infer(ctx, t.fn), "application head")
             self.check(ctx, t.arg, pi.dom)
-            return self.ev.apply_clo(pi.cod, self.eval_in(ctx, t.arg))
+            return self.ev.apply_clo(pi.cod, self.argument(ctx, pi.cod, pi.dom, t.arg))
         if cls is T.Const:
             entry = self.globals.get(t.name)
             if entry is None:
@@ -311,7 +327,7 @@ class Checker:
                 self.fail("mismatch", WRONG_SCRUTINEE[cls], found=self.norm_type(ctx, pty))
             if cls is T.Proj1:
                 return pty.dom
-            return self.ev.apply_clo(pty.cod, self.ev.proj1(self.eval_in(ctx, t.pair)))
+            return self.ev.apply_clo(pty.cod, self.argument(ctx, pty.cod, pty.dom, T.Proj1(t.pair)))
         if cls is T.Ann:
             self.ensure_type(ctx, t.type)
             tyv = self.eval_in(ctx, t.type)
@@ -342,8 +358,8 @@ class Checker:
         """Elimination with an explicit motive.  The term's fields are the
         motive, one case per introduction, the scrutinee's indices and the
         scrutinee.  The scrutinee's type gives the motive's type and the
-        indices, the motive gives the cases' types, and the result is
-        ``Evaluator.elim_type``."""
+        indices, the motive gives the cases' types, and the result is the
+        motive at the indices (``elim_motive``), then at the scrutinee."""
         elim = type(t)
         m, *cases, s = _term_fields(t)
         n = len(S.CASES[elim])
@@ -367,7 +383,9 @@ class Checker:
         mv = self.check_motive(ctx, m, m_ty)
         for c, c_ty in zip(cases, self.ev.case_types(sty, mv)):
             self.check(ctx, c, c_ty)
-        return self.ev.elim_type(sty, mv, self.eval_in(ctx, s))
+        motive = self.ev.elim_motive(sty, mv)
+        clo = motive.clo if type(motive) is VLam else None
+        return self.ev.apply(motive, self.argument(ctx, clo, sty, s))
 
     def infer_tree(self, ctx: Context, t: Term) -> Value:
         """Best-effort inference of a tree: its type is the codomain of its

@@ -11,7 +11,8 @@ sys.setrecursionlimit(100_000)
 @pytest.fixture
 def small_budget(monkeypatch):
     """Every evaluator built during the test gets a budget of 100 steps, so
-    a 20-deep ``helpers.nested_identity`` exhausts it."""
+    a 150-deep ``helpers.nested_identity`` exhausts it: evaluating it takes
+    one step per application."""
     init = Evaluator.__init__
 
     def limited(self, globals_env=None, flags=Flags(), step_limit=None):

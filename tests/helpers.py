@@ -40,9 +40,10 @@ ALL_FLAG_SETS = [
 ]
 
 
-def checker_with(evaluator, flags: Flags = Flags()) -> Checker:
-    """A checker under ``flags`` whose evaluator is of class ``evaluator``."""
-    checker = Checker(flags)
+def checker_with(evaluator, flags: Flags = Flags(), checker_class=Checker) -> Checker:
+    """A ``checker_class`` under ``flags`` whose evaluator is of class
+    ``evaluator``."""
+    checker = checker_class(flags)
     checker.ev = evaluator(checker.globals, flags)
     return checker
 
@@ -97,7 +98,9 @@ def term_key(t):
 
 
 def nested_identity(depth: int) -> str:
-    """Checking and normalizing this takes about depth**2 / 2 steps."""
+    """Checking this takes no steps, since the identity's type does not
+    read its argument, and normalizing it ``depth`` (one per application).
+    ``EagerArgumentChecker`` takes depth * (depth - 1) / 2 to check it."""
     return "(fun x => x : N1 -> N1) (" * depth + "star" + ")" * depth
 
 
@@ -140,15 +143,16 @@ def check_corpus_flat(flags: Flags, base: str | None = None) -> list[CorpusResul
     return results
 
 
-def corpus_normal_forms(flags: Flags, evaluator=Evaluator):
+def corpus_normal_forms(flags: Flags, evaluator=Evaluator, checker_class=Checker):
     """Check every module that the manifest's entries under ``flags`` reach,
     each once and against the globals of its own imports, as
-    ``check_corpus`` does, with an evaluator of class ``evaluator``; then
+    ``check_corpus`` does, with a ``checker_class`` whose evaluator is of
+    class ``evaluator``; then
     read back every definition that passed at its type.  Returns each
     module's verdict as (file, index of the first failing declaration,
     detail), the evaluator's steps after checking, and one
     ``NAME := NORMAL FORM`` line per definition, in order."""
-    checker = checker_with(evaluator, flags)
+    checker = checker_with(evaluator, flags, checker_class)
     builtin = dict(checker.globals)
     parsed: dict = {}
     checked: dict = {}
@@ -222,6 +226,17 @@ class UnsharedLetChecker(Checker):
             return self.infer(inner, t.body)
         self.check(inner, t.body, ty)
         return ty
+
+
+class EagerArgumentChecker(Checker):
+    """The checker before it evaluated a checked argument only where the
+    type being instantiated reads it, kept as the oracle of
+    ``Checker.argument``: every application's argument, every Sigma first
+    component and every eliminator's scrutinee is evaluated to instantiate
+    its type, which makes checking nested applications quadratic."""
+
+    def argument(self, ctx, clo, dom, t):
+        return self.eval_in(ctx, t)
 
 
 class HandWrittenEvaluator(Evaluator):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -129,20 +130,20 @@ def test_norm_expression_with_eta(capsys, tmp_path):
 
 def test_check_reports_an_exhausted_budget(capsys, tmp_path, small_budget):
     f = tmp_path / "deep.mltt"
-    f.write_text(f"def small : N1 := star\ndef deep : N1 := {nested_identity(20)}\n")
+    f.write_text(f"def small : N1 := star\ndef deep : N1 := {nested_identity(150)}\n")
     code, out = run(capsys, "check", str(f))
     assert code == 1
     assert out == "ok small\nerror: deep.mltt:2: deep: evaluation exceeded 100 eliminator steps\n"
 
 
 def test_norm_reports_an_exhausted_budget(capsys, small_budget):
-    code, out = run(capsys, "norm", "--expr", nested_identity(20))
+    code, out = run(capsys, "norm", "--expr", nested_identity(150))
     assert code == 1
     assert out == "error: evaluation exceeded 100 eliminator steps\n"
 
 
 def test_conv_reports_an_exhausted_budget(capsys, small_budget):
-    code, out = run(capsys, "conv", nested_identity(20), "star", "--type", "N1")
+    code, out = run(capsys, "conv", nested_identity(150), "star", "--type", "N1")
     assert code == 1
     assert out == "error: evaluation exceeded 100 eliminator steps\n"
 
@@ -150,7 +151,7 @@ def test_conv_reports_an_exhausted_budget(capsys, small_budget):
 def test_each_declaration_gets_the_whole_budget(capsys, tmp_path, small_budget):
     """Two declarations of 55 steps each pass under a 100-step budget, in
     ``check_declarations`` and in ``covertt check``."""
-    src = f"def a : N1 := {nested_identity(10)}\ndef b : N1 := {nested_identity(10)}\n"
+    src = f"def a : N1 := {nested_identity(55)}\ndef b : N1 := {nested_identity(55)}\n"
     decls, _ = parse_file(src)
     assert typecheck.check_declarations(decls).ev.steps == 110
     f = tmp_path / "two.mltt"
@@ -232,7 +233,7 @@ def test_corpus_reports_an_exhausted_budget_as_failed(capsys, tmp_path, small_bu
     base = write_corpus(
         tmp_path,
         "deep deep.mltt\nok ok.mltt\n",
-        {"deep.mltt": f"def deep : N1 := {nested_identity(20)}\n", "ok.mltt": "def x : N1 := star\n"},
+        {"deep.mltt": f"def deep : N1 := {nested_identity(150)}\n", "ok.mltt": "def x : N1 := star\n"},
     )
     code, out = run(capsys, "corpus", "--corpus-dir", base)
     assert (code, out) == (
@@ -263,13 +264,13 @@ def last : N1 := star
 def test_corpus_charges_a_forced_imported_recursor_to_the_importing_declaration(
     capsys, tmp_path, small_budget
 ):
-    """Forcing ``r``'s recursor closure takes under 100 steps, and so does
-    ``use`` without it; together they exhaust ``use``'s budget, so the
-    closure's steps are charged to ``use`` and not to whatever evaluator
-    built ``r``."""
+    """Forcing ``r``'s recursor closure takes under 100 steps (73), and so
+    does ``use`` without it (40); together they exhaust ``use``'s budget,
+    so the closure's steps are charged to ``use`` and not to whatever
+    evaluator built ``r``."""
     base = write_corpus(tmp_path, "base base.mltt\nuse use.mltt\n", {
         "base.mltt": RECURSOR_BASE,
-        "use.mltt": f'import "base.mltt"\ndef use : N1 := r ({nested_identity(10)})\n',
+        "use.mltt": f'import "base.mltt"\ndef use : N1 := r ({nested_identity(40)})\n',
     })
     code, out = run(capsys, "corpus", "--corpus-dir", base)
     assert (code, out) == (
@@ -316,6 +317,47 @@ def test_cover_derivations_on_a_20000_atom_chain(tmp_path):
     # figure is the largest child this test process has waited for)
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     assert peak_mb < 200
+
+
+def covertt(*argv: str) -> tuple:
+    """``covertt ARGV`` in a process of its own: exit status, stdout, stderr."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "covertt.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+# past the parser's reach under the recursion limit ``main`` sets (it stops
+# near 20,000 levels of nesting)
+TOO_DEEP = nested_identity(30_000)
+TOO_DEEP_ERROR = r"deep\.mltt:2:\d+: input nested too deeply"
+
+
+def test_check_locates_input_nested_too_deeply_to_parse(tmp_path):
+    f = tmp_path / "deep.mltt"
+    f.write_text(f"def small : N1 := star\ndef deep : N1 := {TOO_DEEP}\n")
+    code, out, err = covertt("check", str(f))
+    assert (code, err) == (1, "")
+    assert re.fullmatch(f"error: {TOO_DEEP_ERROR}\n", out), out[:200]
+
+
+def test_corpus_fails_only_the_entry_nested_too_deeply_to_parse(tmp_path):
+    base = write_corpus(tmp_path, "a ok.mltt\ndeep deep.mltt\nb ok.mltt\n", {
+        "deep.mltt": f"def small : N1 := star\ndef deep : N1 := {TOO_DEEP}\n",
+        "ok.mltt": "def x : N1 := star\n",
+    })
+    code, out, err = covertt("corpus", "--corpus-dir", base)
+    assert (code, err) == (1, "")
+    first, failed, last = out.splitlines()
+    assert (first, last) == ("PASS a ok.mltt", "PASS b ok.mltt")
+    assert re.fullmatch(f"FAIL deep deep.mltt: {TOO_DEEP_ERROR}", failed), failed[:200]
+
+
+def test_norm_of_a_3000_deep_nesting_ends_within_the_budget():
+    """Checking it takes no steps and evaluating it 3,000."""
+    assert covertt("norm", "--expr", nested_identity(3_000)) == (0, "star\n", "")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

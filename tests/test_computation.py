@@ -1,6 +1,8 @@
 """The computation rules: ``Evaluator.elim`` against the hand-written rule
 per eliminator that it replaced (``helpers.HandWrittenEvaluator``), and the
-step counts and normal forms it keeps."""
+step counts and normal forms it keeps.  The checker's steps against the
+checker that evaluated every checked argument
+(``helpers.EagerArgumentChecker``)."""
 
 import ast
 import functools
@@ -17,7 +19,12 @@ from covertt.semantics import Evaluator
 from covertt.terms import Flags
 from covertt.typecheck import Checker
 
-from helpers import HandWrittenEvaluator, corpus_normal_forms, nested_identity
+from helpers import (
+    EagerArgumentChecker,
+    HandWrittenEvaluator,
+    corpus_normal_forms,
+    nested_identity,
+)
 
 FLAG_SETS = {
     "none": Flags(),
@@ -28,7 +35,9 @@ FLAG_SETS = {
 
 # Measured with the hand-written rules: the steps of one ``check_corpus``
 # call, and the sha256 of the normal forms ``corpus_normal_forms`` lists.
-CORPUS_STEPS = {"none": 847, "funext": 3_311, "eta3": 9_045, "all": 18_673}
+CORPUS_STEPS = {"none": 829, "funext": 3_114, "eta3": 8_862, "all": 18_014}
+# the same calls' steps with ``EagerArgumentChecker``
+EAGER_CORPUS_STEPS = {"none": 847, "funext": 3_311, "eta3": 9_045, "all": 18_673}
 NORMAL_FORMS_SHA256 = {
     "none": "e5ab308e42b45b9b34701753232df7778c07db7ce6211ea8b3de52eec4d9b4e9",
     "funext": "8bbd163000a381f5fb241df6254a7c555858600355c174ab345bd99ae0c1acd2",
@@ -38,8 +47,8 @@ NORMAL_FORMS_SHA256 = {
 
 
 @functools.lru_cache(maxsize=None)
-def normal_forms(flag_set: str, evaluator):
-    return corpus_normal_forms(FLAG_SETS[flag_set], evaluator)
+def normal_forms(flag_set: str, evaluator, checker_class=Checker):
+    return corpus_normal_forms(FLAG_SETS[flag_set], evaluator, checker_class)
 
 
 @pytest.mark.parametrize("flag_set", FLAG_SETS)
@@ -71,16 +80,60 @@ def test_corpus_steps_and_normal_forms_are_pinned(flag_set, monkeypatch):
     assert digest == NORMAL_FORMS_SHA256[flag_set]
 
 
-def test_nested_identity_steps_are_pinned():
-    """100 nested applications of the identity take n(n-1)/2 steps to
-    infer and n more to normalize."""
+@pytest.mark.parametrize("flag_set", FLAG_SETS)
+def test_corpus_agrees_with_the_eager_argument_rule(flag_set):
+    """The same verdicts and the same normal form of every definition as
+    the checker that evaluates every checked argument, in no more steps."""
+    verdicts, steps, forms = normal_forms(flag_set, Evaluator)
+    eager = normal_forms(flag_set, Evaluator, EagerArgumentChecker)
+    assert (verdicts, forms) == (eager[0], eager[2])
+    assert steps <= eager[1] == EAGER_CORPUS_STEPS[flag_set]
+
+
+@pytest.mark.parametrize(
+    "checker_class, steps", [(Checker, (0, 100)), (EagerArgumentChecker, (4_950, 5_050))]
+)
+def test_nested_identity_steps_are_pinned(checker_class, steps):
+    """100 nested applications of the identity take no steps to infer,
+    since the identity's codomain does not read its argument, and n to
+    normalize.  Evaluating each argument to instantiate the codomain took
+    n(n-1)/2 to infer."""
     term = surface.parse_term(nested_identity(100))
-    chk = Checker()
+    chk = checker_class()
     assert typecheck.infer_type(chk, term) == surface.parse_term("N1")
-    assert chk.ev.steps == 4_950
-    chk = Checker()
+    inferred = chk.ev.steps
+    chk = checker_class()
     assert typecheck.normalize(chk, term) == surface.parse_term("star")
-    assert chk.ev.steps == 5_050
+    assert (inferred, chk.ev.steps) == steps
+
+
+def nested(level: str, depth: int) -> str:
+    """``level`` (a term with one ``{}`` hole) nested ``depth`` times
+    around ``star``."""
+    src = "star"
+    for _ in range(depth):
+        src = level.format(src)
+    return src
+
+
+# terms of type N1 whose types never read the nested subterm, each with
+# the number of steps that inferring and normalizing may take per level
+LINEAR = {
+    "identity": ("(fun x => x : N1 -> N1) ({})", 2),
+    "unitElim": ("unitElim (fun u => N1) star ({})", 3),
+    "snd": ("snd ((star, (fun x => x : N1 -> N1) ({})) : N1 * N1)", 2),
+}
+
+
+@pytest.mark.parametrize("depth", [100, 1_000])
+@pytest.mark.parametrize("shape", LINEAR)
+def test_nested_terms_check_and_normalize_in_linear_steps(shape, depth):
+    level, per_level = LINEAR[shape]
+    term = surface.parse_term(nested(level, depth))
+    for run in (typecheck.infer_type, typecheck.normalize):
+        chk = Checker()
+        assert run(chk, term) == surface.parse_term("N1" if run is typecheck.infer_type else "star")
+        assert chk.ev.steps <= per_level * depth
 
 
 INTRODUCTIONS = [T.Pair, T.Star, T.Inl, T.Inr, T.Refl, T.Sup, T.DSup, T.Ind, T.Rf, T.Tr]

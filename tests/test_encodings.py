@@ -152,7 +152,7 @@ def test_synthetic_corpus_agrees_with_the_flat_check(case, tmp_path):
 
 def test_budget_exhausted_in_a_shared_base_names_it_in_every_entry(tmp_path, small_budget):
     base = write_corpus(tmp_path, "a a.mltt\nb b.mltt\n", {
-        "base.mltt": f"def small : N1 := star\ndef deep : N1 := {nested_identity(20)}\n",
+        "base.mltt": f"def small : N1 := star\ndef deep : N1 := {nested_identity(150)}\n",
         "a.mltt": 'import "base.mltt"\ndef a : N1 := small\n',
         "b.mltt": 'import "base.mltt"\ndef b : N1 := small\n',
     })

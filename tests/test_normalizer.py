@@ -195,7 +195,8 @@ def test_eval_budget_guard():
     chk = checker_for(BASE, Flags(), )
     chk.ev.step_limit = 50
     ctx, scope = context_of(chk, [])
-    big = "succ (succ (succ (succ (succ (succ (succ (succ (succ (succ zero)))))))))"
+    # checking takes no steps, evaluating 20 and reading back 67
+    big = "succ (" * 20 + "zero" + ")" * 20
     t = surface.parse_term(big, scope=scope)
     ty = chk.eval_in(ctx, surface.parse_term("Nat", scope=scope))
     with pytest.raises(EvalBudgetExceeded):

@@ -820,3 +820,34 @@ def test_new_globals_make_a_checker_check_its_lets_again():
     chk.use_globals(checker_for("def c : U0 := N1").globals)
     with pytest.raises(TypeCheckError):
         chk.infer(ctx, t)
+
+
+# --- a type instantiated at a checked subterm ----------------------------------------
+#
+# The checker evaluates an argument, a pair's first component or a
+# scrutinee only when the type it instantiates reads it; each of these types
+# does, so a checker that put a fresh variable in its place would reject them.
+
+
+ID_STAR = "Id N1 star star"
+
+
+@pytest.mark.parametrize(
+    "src, ty",
+    [
+        ("(fun b => refl b : (b : N1) -> Id N1 b b) star", ID_STAR),
+        # the codomain reads its variable under a binder of its own
+        ("(fun b => fun u => refl b : (b : N1) -> N1 -> Id N1 b b) star star", ID_STAR),
+        ("snd ((star, refl star) : (b : N1) * Id N1 b b)", ID_STAR),
+        ("unitElim (fun u => Id N1 u u) (refl star) star", ID_STAR),
+        # J's motive reads the proof after the endpoints
+        (
+            "J (fun x => fun y => fun p => Id (Id N1 x y) p p) (fun x => refl (refl x))"
+            " star star (refl star)",
+            "Id (Id N1 star star) (refl star) (refl star)",
+        ),
+    ],
+)
+def test_a_type_that_reads_a_checked_subterm_gets_its_value(src, ty):
+    chk = checker_for(f"def p : {ty} := {src}")
+    assert surface.pretty(typecheck.infer_type(chk, surface.parse_term(src))) == ty
