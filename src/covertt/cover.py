@@ -10,7 +10,10 @@ axioms it is a premise of, and layer k holds the atoms that enter at round
 k of the iteration from V.  A brute-force oracle intersects all
 rule-closed supersets of V instead.  Derivations are read off the entry
 rounds, and can be turned into kernel proof terms over an encoding of the
-carrier as a right-nested sum of unit types.
+carrier as a right-nested sum of unit types.  A Subset keeps its atoms as
+an ascending tuple beside its mask, so the loader, the rounds and the
+derivations never walk a mask bit by bit; the queries of one subset share
+its entry rounds and its derivation nodes.
 
 A certificate is one closed term that states its instance once, as five
 ``let``s (the carrier, the label family, the axiom family, V and the
@@ -41,14 +44,23 @@ class FormatError(Exception):
 
 
 class Subset(Node):
-    """Bit-vector over the carrier's atom order."""
+    """Bit-vector over the carrier's atom order.  ``members`` holds the same
+    atoms as an ascending tuple, the order the engine walks them in; like
+    ``FiniteAxiomSet.positions`` it takes no part in equality or ``repr``."""
 
-    __slots__ = ("mask", "size")
+    __slots__ = ("mask", "size", "members")
+    __match_args__ = ("mask", "size")
 
     def __init__(self, mask: int, size: int):
         if mask < 0 or mask >> size:
             raise ValueError("subset mask out of range")
-        self._fill(mask, size)
+        members = []
+        m = mask
+        while m:
+            low = m & -m
+            members.append(low.bit_length() - 1)
+            m ^= low
+        self._fill(mask, size, tuple(members))
 
     @classmethod
     def empty(cls, size: int) -> "Subset":
@@ -60,10 +72,7 @@ class Subset(Node):
 
     @classmethod
     def of(cls, indices, size: int) -> "Subset":
-        m = 0
-        for i in indices:
-            m |= 1 << i
-        return cls(m, size)
+        return _subset(indices, size)
 
     def contains(self, i: int) -> bool:
         return bool(self.mask >> i & 1)
@@ -75,16 +84,23 @@ class Subset(Node):
         return self.mask & ~other.mask == 0
 
     def indices(self):
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return list(self.members)
 
     def __iter__(self):
-        return iter(self.indices())
+        return iter(self.members)
+
+
+def _subset(indices, size: int) -> Subset:
+    """The Subset of ``indices`` in any order, built with no bit walk."""
+    members = sorted(set(indices))
+    m = 0
+    for i in members:
+        m |= 1 << i
+    if m >> size:
+        raise ValueError("subset mask out of range")
+    s = Subset.__new__(Subset)
+    s._fill(m, size, tuple(members))
+    return s
 
 
 class FiniteAxiomSet(Node):
@@ -144,7 +160,7 @@ def _entry_rounds(ax: FiniteAxiomSet, v: Subset) -> list[Optional[int]]:
     from V, found with every premise occurrence visited once.
     """
     rounds: list[Optional[int]] = [None] * ax.size
-    layer = v.indices()
+    layer = v.members
     for a in layer:
         rounds[a] = 0
     heads: list[int] = []  # per axiom, the atom it covers
@@ -155,7 +171,7 @@ def _entry_rounds(ax: FiniteAxiomSet, v: Subset) -> list[Optional[int]]:
         if rounds[a] == 0:  # in V: no axiom of it can matter
             continue
         for cov in per_atom:
-            premises = cov.indices()
+            premises = cov.members
             if not premises:
                 if rounds[a] is None:
                     rounds[a] = 1
@@ -210,22 +226,22 @@ def brute_force_min_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
 
 def derivation(ax: FiniteAxiomSet, v: Subset, atom: int) -> Optional[Derivation]:
     """Some derivation iff the atom is in the least cover of V."""
-    return _derivation(ax, _entry_rounds(ax, v), atom)
+    return _derivation(ax, _entry_rounds(ax, v), atom, {})
 
 
-def _derivation(ax: FiniteAxiomSet, rounds: list[Optional[int]], atom: int) -> Optional[Derivation]:
+def _derivation(ax: FiniteAxiomSet, rounds: list, atom: int, nodes: dict) -> Optional[Derivation]:
     """The derivation read off the entry rounds of V's least cover.
 
     An atom of round 0 is an ``rf`` leaf.  An atom of round k > 0 uses its
     first axiom whose premises all entered before round k, which is the
     axiom a replay of the Kleene rounds picks.  The tree is built with an
     explicit stack, one node per atom shared wherever the atom recurs, so
-    its depth is not bounded by the interpreter's stack.
+    its depth is not bounded by the interpreter's stack.  An atom's node
+    depends only on the rounds, so the queries of one V share ``nodes``.
     """
     if rounds[atom] is None:
         return None
-    nodes: dict[int, Derivation] = {}
-    chosen: dict[int, tuple[int, list[int]]] = {}  # atom -> (label, premises)
+    chosen: dict[int, tuple[int, tuple]] = {}  # atom -> (label, premises)
     stack = [atom]
     while stack:
         a = stack[-1]
@@ -239,7 +255,7 @@ def _derivation(ax: FiniteAxiomSet, rounds: list[Optional[int]], atom: int) -> O
             continue
         if a not in chosen:
             for li, cov in enumerate(ax.covers[a]):
-                premises = cov.indices()
+                premises = cov.members
                 if all(rounds[b] is not None and rounds[b] < r for b in premises):
                     chosen[a] = li, premises
                     break
@@ -395,7 +411,7 @@ def extract_proof_term(ax: FiniteAxiomSet, v: Subset, d: Derivation) -> Term:
         # Cov a and tr a i f, under the lets before the node's own
         depth = level[id(node)]
         cov = ax.covers[node.atom][node.label]
-        children = dict(zip(cov.indices(), node.children))
+        children = dict(zip(cov.members, node.children))
         a = fin_elem(node.atom, k)
         i = fin_elem(node.label, len(ax.labels[node.atom]))
 
@@ -455,29 +471,52 @@ class CoverFile(Node):
 
 
 def load_axiom_set(text: str) -> CoverFile:
-    """Line format: ``carrier``, ``axiom``, ``subset`` and ``query`` items."""
+    """Line format: ``carrier``, ``axiom``, ``subset`` and ``query`` items,
+    each line dispatched on its first word and its Subset built from indices."""
     carrier: Optional[tuple[str, ...]] = None
     positions: dict = {}  # atom -> index in the carrier
     labels: list[list[str]] = []
     covers: list[list[Subset]] = []
     subsets: dict = {}
     queries: list = []
-
-    def atom_index(atom: str, ln: int) -> int:
-        a = positions.get(atom)
-        if a is None:
-            raise FormatError(f"unknown atom {atom!r}", ln)
-        return a
-
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        match parts:
-            case ["carrier", *atoms]:
+    try:
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            parts = raw.partition("#")[0].split()
+            if not parts:
+                continue
+            kind = parts[0]
+            if kind == "axiom":
+                if len(parts) < 4 or parts[3] != ":":
+                    raise FormatError("malformed axiom line (expected 'axiom a i : b ...')", ln)
+                if carrier is None:
+                    raise FormatError("carrier must come first", ln)
+                a, label = positions[parts[1]], parts[2]
+                if label in labels[a]:
+                    raise FormatError(f"duplicate label {label!r} for atom {parts[1]!r}", ln)
+                labels[a].append(label)
+                covers[a].append(_subset(map(positions.__getitem__, parts[4:]), len(carrier)))
+            elif kind == "subset":
+                if len(parts) < 3 or parts[2] != ":":
+                    raise FormatError("malformed subset line (expected 'subset V : a ...')", ln)
+                if carrier is None:
+                    raise FormatError("carrier must come first", ln)
+                name = parts[1]
+                if name in subsets:
+                    raise FormatError(f"duplicate subset {name!r}", ln)
+                subsets[name] = _subset(map(positions.__getitem__, parts[3:]), len(carrier))
+            elif kind == "query":
+                if len(parts) != 3:
+                    raise FormatError("malformed query line (expected 'query a V')", ln)
+                if carrier is None:
+                    raise FormatError("carrier must come first", ln)
+                a, name = positions[parts[1]], parts[2]
+                if name not in subsets:
+                    raise FormatError(f"unknown subset {name!r}", ln)
+                queries.append((a, name))
+            elif kind == "carrier":
                 if carrier is not None:
                     raise FormatError("duplicate carrier line", ln)
+                atoms = parts[1:]
                 if not atoms:
                     raise FormatError("carrier must list at least one atom", ln)
                 if len(set(atoms)) != len(atoms):
@@ -486,35 +525,10 @@ def load_axiom_set(text: str) -> CoverFile:
                 positions = {a: i for i, a in enumerate(carrier)}
                 labels = [[] for _ in atoms]
                 covers = [[] for _ in atoms]
-            case ["axiom", atom, label, ":", *members]:
-                if carrier is None:
-                    raise FormatError("carrier must come first", ln)
-                a = atom_index(atom, ln)
-                if label in labels[a]:
-                    raise FormatError(f"duplicate label {label!r} for atom {atom!r}", ln)
-                idxs = [atom_index(m, ln) for m in members]
-                labels[a].append(label)
-                covers[a].append(Subset.of(idxs, len(carrier)))
-            case ["axiom", *_]:
-                raise FormatError("malformed axiom line (expected 'axiom a i : b ...')", ln)
-            case ["subset", name, ":", *members]:
-                if carrier is None:
-                    raise FormatError("carrier must come first", ln)
-                if name in subsets:
-                    raise FormatError(f"duplicate subset {name!r}", ln)
-                idxs = [atom_index(m, ln) for m in members]
-                subsets[name] = Subset.of(idxs, len(carrier))
-            case ["subset", *_]:
-                raise FormatError("malformed subset line (expected 'subset V : a ...')", ln)
-            case ["query", atom, name]:
-                if carrier is None:
-                    raise FormatError("carrier must come first", ln)
-                a = atom_index(atom, ln)
-                if name not in subsets:
-                    raise FormatError(f"unknown subset {name!r}", ln)
-                queries.append((a, name))
-            case _:
-                raise FormatError(f"unrecognized item {parts[0]!r}", ln)
+            else:
+                raise FormatError(f"unrecognized item {kind!r}", ln)
+    except KeyError as e:  # the only lookups that can fail are of atoms in positions
+        raise FormatError(f"unknown atom {e.args[0]!r}", ln) from None
 
     if carrier is None:
         raise FormatError("missing carrier line", 1)
@@ -548,16 +562,16 @@ def iter_queries(cf: CoverFile, with_derivations: bool = False):
     lines are made as they are consumed, so a caller that prints them holds
     one line at a time, not a report that grows with the square of the depth."""
     ax = cf.axiom_set
-    rounds_of: dict = {}  # subset name -> entry rounds, shared by its queries
+    shared: dict = {}  # subset name -> (entry rounds, derivation nodes) of its queries
     for atom, name in cf.queries:
-        rounds = rounds_of.get(name)
-        if rounds is None:
-            rounds = rounds_of[name] = _entry_rounds(ax, cf.subsets[name])
+        if name not in shared:
+            shared[name] = _entry_rounds(ax, cf.subsets[name]), {}
+        rounds, nodes = shared[name]
         covered = rounds[atom] is not None
         word = "covered" if covered else "uncovered"
         yield f"{ax.carrier[atom]} {name} {word}"
         if with_derivations and covered:
-            yield from _derivation_lines(ax, _derivation(ax, rounds, atom), 1)
+            yield from _derivation_lines(ax, _derivation(ax, rounds, atom, nodes), 1)
 
 
 def run_queries(cf: CoverFile, with_derivations: bool = False) -> list[str]:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from typing import Optional
 
 from covertt import cover, surface, typecheck
 from covertt import terms as T
-from covertt.cover import FiniteAxiomSet, RfNode, Subset, TrNode, derivation
+from covertt.cover import CoverFile, FiniteAxiomSet, FormatError, RfNode, Subset, TrNode, derivation
 from covertt.encodings import CorpusResult, _check_module, corpus_dir, load_manifest
 from covertt.surface import RESERVED, ParseError
 from covertt.semantics import (
@@ -529,6 +530,124 @@ def criterion6_derivations(seed: int = 98765):
             d = derivation(ax, v, atom)
             if d is not None:
                 yield ax, v, atom, d
+
+
+# --- the axiom-set loader the cover engine used to run ----------------------------
+
+
+def load_axiom_set_reference(text: str) -> CoverFile:
+    """The loader ``cover.load_axiom_set`` replaced, kept as its oracle: one
+    ``match`` on each line's words, and each Subset built by ``Subset.of``.
+    A malformed ``query`` line falls through to ``unrecognized item``.
+
+    Line format: ``carrier``, ``axiom``, ``subset`` and ``query`` items."""
+    carrier: Optional[tuple[str, ...]] = None
+    positions: dict = {}  # atom -> index in the carrier
+    labels: list[list[str]] = []
+    covers: list[list[Subset]] = []
+    subsets: dict = {}
+    queries: list = []
+
+    def atom_index(atom: str, ln: int) -> int:
+        a = positions.get(atom)
+        if a is None:
+            raise FormatError(f"unknown atom {atom!r}", ln)
+        return a
+
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        match parts:
+            case ["carrier", *atoms]:
+                if carrier is not None:
+                    raise FormatError("duplicate carrier line", ln)
+                if not atoms:
+                    raise FormatError("carrier must list at least one atom", ln)
+                if len(set(atoms)) != len(atoms):
+                    raise FormatError("duplicate atom in carrier", ln)
+                carrier = tuple(atoms)
+                positions = {a: i for i, a in enumerate(carrier)}
+                labels = [[] for _ in atoms]
+                covers = [[] for _ in atoms]
+            case ["axiom", atom, label, ":", *members]:
+                if carrier is None:
+                    raise FormatError("carrier must come first", ln)
+                a = atom_index(atom, ln)
+                if label in labels[a]:
+                    raise FormatError(f"duplicate label {label!r} for atom {atom!r}", ln)
+                idxs = [atom_index(m, ln) for m in members]
+                labels[a].append(label)
+                covers[a].append(Subset.of(idxs, len(carrier)))
+            case ["axiom", *_]:
+                raise FormatError("malformed axiom line (expected 'axiom a i : b ...')", ln)
+            case ["subset", name, ":", *members]:
+                if carrier is None:
+                    raise FormatError("carrier must come first", ln)
+                if name in subsets:
+                    raise FormatError(f"duplicate subset {name!r}", ln)
+                idxs = [atom_index(m, ln) for m in members]
+                subsets[name] = Subset.of(idxs, len(carrier))
+            case ["subset", *_]:
+                raise FormatError("malformed subset line (expected 'subset V : a ...')", ln)
+            case ["query", atom, name]:
+                if carrier is None:
+                    raise FormatError("carrier must come first", ln)
+                a = atom_index(atom, ln)
+                if name not in subsets:
+                    raise FormatError(f"unknown subset {name!r}", ln)
+                queries.append((a, name))
+            case _:
+                raise FormatError(f"unrecognized item {parts[0]!r}", ln)
+
+    if carrier is None:
+        raise FormatError("missing carrier line", 1)
+    ax = FiniteAxiomSet(
+        carrier,
+        tuple(tuple(ls) for ls in labels),
+        tuple(tuple(cs) for cs in covers),
+    )
+    return CoverFile(ax, subsets, queries)
+
+
+def chain_cover_text(rng: random.Random, n: int) -> str:
+    """An n-atom chain ``c0 <- c1 <- ... <- c(n-1)``, its carrier shuffled.
+    Queries: ``c0`` and then the middle atom against ``top`` = {c(n-1)}
+    (covered), ``c0`` and the tail against the empty ``none`` (uncovered)."""
+    order = [f"c{i}" for i in range(n)]
+    rng.shuffle(order)
+    lines = ["carrier " + " ".join(order)]
+    lines += [f"axiom c{i} k : c{i + 1}" for i in range(n - 1)]
+    lines += [f"subset top : c{n - 1}", "subset none :"]
+    lines += ["query c0 top", f"query c{n // 2} top", "query c0 none", f"query c{n - 1} none"]
+    return "\n".join(lines) + "\n"
+
+
+def layered_horn_cover_text(rng: random.Random, width: int, depth: int) -> str:
+    """A sparse Horn set in ``depth`` layers of ``width`` atoms, its carrier
+    shuffled.  Layer ``depth - 1`` is the bottom; half of it is ``base``.
+    Every other atom has up to two axioms, each with one to three premises
+    drawn from the layer below, a premise sometimes repeated, and comments,
+    blank lines and tabs are scattered through the file.  Queries ask every
+    top-layer atom against ``base`` and against the empty ``none``."""
+    layers = [[f"h{k}_{j}" for j in range(width)] for k in range(depth)]
+    order = [a for layer in layers for a in layer]
+    rng.shuffle(order)
+    lines = ["# a generated Horn set", "carrier " + " ".join(order)]
+    for k in range(depth - 1):
+        for a in layers[k]:
+            for i in range(rng.randint(0, 2)):
+                premises = [rng.choice(layers[k + 1]) for _ in range(rng.randint(1, 3))]
+                sep = rng.choice([" ", "\t", "  "])
+                lines.append(sep.join(["axiom", a, f"r{i}", ":", *premises]))
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "   ", "# between axioms"]))
+    base = rng.sample(layers[-1], width // 2)
+    lines.append("subset base : " + " ".join(base) + "  # the covered half")
+    lines.append("subset none :")
+    lines += [f"query {a} {v}" for v in ("base", "none") for a in layers[0]]
+    return "\n".join(lines) + "\n"
 
 
 # --- the certificate encoding the cover engine used to build ---------------------

@@ -209,6 +209,14 @@ def test_a_cover_format_error_names_the_file_and_line(capsys, tmp_path):
     assert run(capsys, "cover", str(f)) == (1, "error: bad.cov:2: unknown atom 'zz'\n")
 
 
+@pytest.mark.parametrize("query", ["query a", "query a V extra"])
+def test_a_malformed_query_line_is_reported_as_one(capsys, tmp_path, query):
+    f = tmp_path / "q1.cov"
+    f.write_text(f"carrier a b\n{query}\n")
+    want = "error: q1.cov:2: malformed query line (expected 'query a V')\n"
+    assert run(capsys, "cover", str(f)) == (1, want)
+
+
 def test_a_cover_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path):
     f = tmp_path / "bad.cov"
     f.write_bytes(b"carrier a\n\xff\n")

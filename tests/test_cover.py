@@ -1,12 +1,16 @@
 """The finite cover engine: fixpoints, the brute-force oracle, derivations
 and their kernel proof terms."""
 
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from covertt import cover, surface
@@ -30,14 +34,19 @@ from covertt.typecheck import Checker, Context, TypeCheckError
 
 from helpers import (
     UnsharedLetChecker,
+    chain_cover_text,
     cover_type_inlined,
     cover_type_substituted,
     criterion6_derivations,
     extract_proof_term_inlined,
     extract_proof_term_substituted,
     kleene_least_cover,
+    layered_horn_cover_text,
+    load_axiom_set_reference,
     replay_derivation,
 )
+
+SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
 
 def _axiom_set(carrier, axioms):
@@ -522,3 +531,157 @@ def test_indices_walk_the_set_bits_in_order():
             s = Subset(mask, size)
             assert s.indices() == [i for i in range(size) if s.contains(i)]
             assert Subset.of(s.indices(), size) == s
+
+
+# --- the one-pass loader against the loader it replaced ------------------------------
+
+
+def _cover_texts():
+    """Seeded chains and layered Horn sets, and the shipped sample."""
+    rng = random.Random(18)
+    texts = [chain_cover_text(rng, n) for n in (1, 2, 3, 50, 600)]
+    texts += [layered_horn_cover_text(rng, w, d) for w, d in [(1, 1), (2, 3), (8, 4), (40, 5), (300, 5)]]
+    with open(os.path.join(SAMPLES, "two_atoms.cov"), encoding="utf-8") as f:
+        return texts + [f.read()]
+
+
+def _same_cover_file(new, ref):
+    assert new.axiom_set == ref.axiom_set
+    assert new.subsets == ref.subsets
+    assert new.queries == ref.queries
+    assert list(new.subsets) == list(ref.subsets)
+    covers = zip(new.axiom_set.covers, ref.axiom_set.covers)
+    pairs = [(s, t) for a, b in covers for s, t in zip(a, b)]
+    pairs += [(new.subsets[name], ref.subsets[name]) for name in ref.subsets]
+    assert all(s.members == t.members for s, t in pairs)
+
+
+def test_the_loader_agrees_with_its_reference_on_generated_files():
+    for text in _cover_texts():
+        _same_cover_file(load_axiom_set(text), load_axiom_set_reference(text))
+
+
+# one text per FormatError the loader reports, then texts with two faults,
+# the first of which is reported
+FORMAT_ERRORS = [
+    ("carrier a\ncarrier b\n", "duplicate carrier line", 2),
+    ("carrier\n", "carrier must list at least one atom", 1),
+    ("carrier a b a\n", "duplicate atom in carrier", 1),
+    ("axiom a i :\n", "carrier must come first", 1),
+    ("subset V : a\n", "carrier must come first", 1),
+    ("query a V\n", "carrier must come first", 1),
+    ("carrier a\naxiom a i b\n", "malformed axiom line (expected 'axiom a i : b ...')", 2),
+    ("carrier a\naxiom a\n", "malformed axiom line (expected 'axiom a i : b ...')", 2),
+    ("carrier a\naxiom z i :\n", "unknown atom 'z'", 2),
+    ("carrier a b\naxiom a i : b z\n", "unknown atom 'z'", 2),
+    ("carrier a\naxiom a i :\naxiom a i : a\n", "duplicate label 'i' for atom 'a'", 3),
+    ("carrier a\nsubset V a\n", "malformed subset line (expected 'subset V : a ...')", 2),
+    ("carrier a\nsubset V : a z\n", "unknown atom 'z'", 2),
+    ("carrier a\nsubset V :\nsubset V : a\n", "duplicate subset 'V'", 3),
+    ("carrier a\nsubset V :\nquery z V\n", "unknown atom 'z'", 3),
+    ("carrier a\nquery a V\n", "unknown subset 'V'", 2),
+    ("carrier a\nfrob a\n", "unrecognized item 'frob'", 2),
+    ("", "missing carrier line", 1),
+    ("# only a comment\n\n", "missing carrier line", 1),
+    ("carrier a\naxiom z i : y\n", "unknown atom 'z'", 2),
+    ("carrier a\naxiom a i :\naxiom a i : z\n", "duplicate label 'i' for atom 'a'", 3),
+    ("subset V : z\ncarrier a\n", "carrier must come first", 1),
+    ("axiom a\ncarrier a\n", "malformed axiom line (expected 'axiom a i : b ...')", 1),
+    ("carrier a\nsubset V :\nsubset V : z\n", "duplicate subset 'V'", 3),
+    ("carrier a\naxiom a i : y z\n", "unknown atom 'y'", 2),
+    ("carrier a\nquery z W\n", "unknown atom 'z'", 2),
+    ("carrier a\ncarrier\n", "duplicate carrier line", 2),
+]
+MALFORMED_QUERIES = [
+    ("carrier a b\nquery a\n", 2),
+    ("carrier a b\nquery a V extra\n", 2),
+    ("query\ncarrier a\n", 1),
+]
+
+
+def _format_error(load, text):
+    with pytest.raises(FormatError) as e:
+        load(text)
+    return e.value.message, e.value.line
+
+
+@pytest.mark.parametrize("text, message, line", FORMAT_ERRORS)
+def test_each_format_error_matches_the_reference_loader(text, message, line):
+    assert _format_error(load_axiom_set, text) == _format_error(load_axiom_set_reference, text)
+    assert _format_error(load_axiom_set, text) == (message, line)
+
+
+@pytest.mark.parametrize("text, line", MALFORMED_QUERIES)
+def test_a_malformed_query_line_is_no_longer_an_unrecognized_item(text, line):
+    assert _format_error(load_axiom_set, text) == ("malformed query line (expected 'query a V')", line)
+    assert _format_error(load_axiom_set_reference, text) == ("unrecognized item 'query'", line)
+
+
+# --- a Subset's members ---------------------------------------------------------------
+
+
+@st.composite
+def _masks(draw):
+    """(mask, size) with size up to 2,000: a uniform mask, or a sparse one."""
+    n = draw(st.integers(1, 2000))
+    if draw(st.booleans()):
+        return draw(st.integers(0, (1 << n) - 1)), n
+    return sum(1 << i for i in draw(st.sets(st.integers(0, n - 1), max_size=12))), n
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(mask_size=_masks(), rnd=st.randoms(use_true_random=False))
+def test_a_subsets_members_are_its_bits_in_order(mask_size, rnd):
+    mask, n = mask_size
+    s = Subset(mask, n)
+    assert s.members == tuple(i for i in range(n) if mask >> i & 1)
+    t = Subset.of(s.members, n)
+    assert t == s and hash(t) == hash(s) and t.members == s.members
+    assert repr(s) == f"Subset(mask={mask!r}, size={n!r})"
+    for c in (copy.copy(s), pickle.loads(pickle.dumps(s))):
+        assert c == s and c.members == s.members
+    scrambled = list(s.members) * 2
+    rnd.shuffle(scrambled)
+    assert Subset.of((i for i in scrambled), n).members == s.members
+    for bad in (n, n + rnd.randrange(5000), -1):
+        with pytest.raises(ValueError):
+            Subset.of(iter([*scrambled, bad]), n)
+
+
+# --- derivations shared by a subset's queries -----------------------------------------
+
+
+def _per_query_report(cf):
+    """The report with each query's derivation built on its own."""
+    ax, out = cf.axiom_set, []
+    for atom, name in cf.queries:
+        d = derivation(ax, cf.subsets[name], atom)
+        out.append(f"{ax.carrier[atom]} {name} {'uncovered' if d is None else 'covered'}")
+        out += [] if d is None else cover.render_derivation(ax, d)
+    return out
+
+
+def test_shared_derivations_render_as_each_query_built_alone():
+    for text in _cover_texts():
+        cf = load_axiom_set(text)
+        assert list(cover.iter_queries(cf, with_derivations=True)) == _per_query_report(cf)
+
+
+def test_a_chains_middle_query_reuses_its_head_querys_nodes(monkeypatch):
+    n = 40
+    cf = load_axiom_set(chain_cover_text(random.Random(5), n))
+    ax = cf.axiom_set
+    assert cf.queries[:2] == [(ax.atom_index("c0"), "top"), (ax.atom_index(f"c{n // 2}"), "top")]
+    built = []
+
+    def counting(atom, label, children):
+        built.append(atom)
+        return TrNode(atom, label, children)
+
+    monkeypatch.setattr(cover, "TrNode", counting)
+    lines = cover.run_queries(cf, with_derivations=True)
+    monkeypatch.undo()
+    assert lines == _per_query_report(cf)
+    middle = lines[lines.index(f"c{n // 2} top covered") + 1 : lines.index("c0 none uncovered")]
+    assert middle == cover.render_derivation(ax, derivation(ax, cf.subsets["top"], cf.queries[1][0]))
+    assert len(built) == n - 1  # one tr node per atom of the head's chain, none for the middle
