@@ -5,6 +5,10 @@ final context, ``conv`` two expressions at a type, ``corpus`` for the
 shipped proof corpus, and ``cover`` for finite axiom-set files.  The four
 equality flags are global per invocation; reports are stable line-oriented
 text and the exit status is zero exactly when no failure was reported.
+
+A command's failure propagates to ``main``, whose one handler prints it as
+one ``error:`` line; ``check`` also names the declaration whose check
+failed or stopped.  ``--context`` is read by ``surface.parse_context``.
 """
 
 from __future__ import annotations
@@ -15,20 +19,8 @@ import sys
 
 from . import cover as cover_mod
 from . import encodings, surface, typecheck
-from .semantics import EvalBudgetExceeded, KernelBug
 from .terms import Flags
 from .typecheck import Checker, Context, TypeCheckError
-
-
-# Failures that no input should cause but that a deep or unforeseen input
-# can: each is reported as one error line instead of a traceback.
-INTERNAL_ERRORS = (RecursionError, KernelBug)
-
-
-def _internal_message(e: BaseException) -> str:
-    if isinstance(e, RecursionError):
-        return f"input nested too deeply ({e})"
-    return f"internal kernel error ({e})"
 
 
 def _add_flag_args(p: argparse.ArgumentParser):
@@ -47,31 +39,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="type-check a declaration file")
+    p.set_defaults(run=cmd_check)
     p.add_argument("file")
     _add_flag_args(p)
 
     p = sub.add_parser("norm", help="print the normal form of an expression")
+    p.set_defaults(run=cmd_norm)
     p.add_argument("file", nargs="?", help="declaration file providing the context")
     p.add_argument("--expr", required=True)
     _add_flag_args(p)
 
     p = sub.add_parser("conv", help="check two expressions convertible at a type")
+    p.set_defaults(run=cmd_conv)
     p.add_argument("lhs")
     p.add_argument("rhs")
     p.add_argument("--type", required=True, dest="at_type")
     p.add_argument("--file", help="declaration file providing definitions")
-    p.add_argument(
-        "--context",
-        default="",
-        help="comma-separated typed assumptions, e.g. 'A : U0, f : A -> A'",
-    )
+    p.add_argument("--context", default="", help="typed assumptions, e.g. 'A : U0, f : A -> A'")
     _add_flag_args(p)
 
     p = sub.add_parser("corpus", help="check the shipped proof corpus")
+    p.set_defaults(run=cmd_corpus)
     p.add_argument("--corpus-dir", default=None)
     _add_flag_args(p)
 
     p = sub.add_parser("cover", help="run queries of a finite axiom-set file")
+    p.set_defaults(run=cmd_cover)
     p.add_argument("file")
     p.add_argument("--derivations", action="store_true")
 
@@ -85,59 +78,21 @@ def _load_checker(path, flags) -> Checker:
     return typecheck.check_declarations(decls, flags)
 
 
-class ContextError(ValueError):
-    """A ``--context`` item that is not ``name : TYPE``."""
-
-
-def _context_items(spec: str) -> list:
-    """``spec`` split at its commas outside parentheses, so that a pair's
-    comma stays in its item: (offset in ``spec``, item) pairs."""
-    items, depth, start = [], 0, 0
-    for k, c in enumerate(spec):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "," and depth == 0:
-            items.append((start, spec[start:k]))
-            start = k + 1
-    return items + [(start, spec[start:])]
-
-
-def _parse_context(checker: Checker, spec: str):
-    """Extend an empty context by 'name : TYPE' items, left to right.  A
-    parse or type error in an item is located at ``<context>``, a parse
-    error at its line and column in the whole of ``spec``."""
+def _context(checker: Checker, spec: str):
+    """The context of the ``--context`` items, checked left to right at
+    ``<context>``, and its names."""
+    items = surface.parse_context(spec)
     ctx = Context()
-    scope: list[str] = []
-    if not spec.strip():
-        return ctx, scope
     checker.location = "<context>"
-    for start, item in _context_items(spec):
-        head, _, ty_src = item.partition(":")
-        name = head.strip()
-        if not name or not ty_src.strip():
-            raise ContextError(f"malformed context item {item.strip()!r}")
-        # what precedes the type, blanked but for its line breaks, keeps
-        # the parser's positions those of the whole string
-        before = "".join(c if c == "\n" else " " for c in spec[: start + len(head) + 1])
-        try:
-            ty = surface.parse_term(before + ty_src, scope=scope)
-        except surface.ParseError as e:
-            raise surface.ParseError(e.message, e.line, e.col, e.expected, "<context>") from None
+    for _, ty in items:
         checker.ensure_type(ctx, ty)
-        ctx = ctx.extend(name, checker.eval_in(ctx, ty))
-        scope.append(name)
-    return ctx, scope
+        ctx = ctx.extend(checker.eval_in(ctx, ty))
+    return ctx, [name for name, _ in items]
 
 
 def cmd_check(ns) -> int:
     flags = _flags(ns)
-    try:
-        decls = surface.load_file(ns.file)
-    except (surface.ParseError, OSError) as e:
-        print(f"error: {e}")
-        return 1
+    decls = surface.load_file(ns.file)
     checker = Checker(flags)
     for d in decls:
         try:
@@ -145,56 +100,37 @@ def cmd_check(ns) -> int:
             print(f"ok {d.name}")
         except TypeCheckError as e:
             print(f"error {d.name}")
-            print(str(e))
+            print(e)
             return 1
-        except EvalBudgetExceeded as e:
-            print(f"error: {d.location}: {d.name}: {e}")
-            return 1
-        except INTERNAL_ERRORS as e:
-            print(f"error: {d.location}: {d.name}: {_internal_message(e)}")
+        except typecheck.STOPS as e:
+            print(f"error: {d.location}: {d.name}: {typecheck.stop_message(e)}")
             return 1
     return 0
 
 
 def cmd_norm(ns) -> int:
-    flags = _flags(ns)
-    try:
-        checker = _load_checker(ns.file, flags)
-        term = surface.parse_term(ns.expr)
-        print(surface.pretty(typecheck.normalize(checker, term)))
-        return 0
-    except (surface.ParseError, TypeCheckError, EvalBudgetExceeded, OSError) as e:
-        print(f"error: {e}")
-        return 1
+    checker = _load_checker(ns.file, _flags(ns))
+    term = surface.parse_term(ns.expr)
+    print(surface.pretty(typecheck.normalize(checker, term)))
+    return 0
 
 
 def cmd_conv(ns) -> int:
-    flags = _flags(ns)
-    try:
-        checker = _load_checker(ns.file, flags)
-        ctx, scope = _parse_context(checker, ns.context)
-        ty = surface.parse_term(ns.at_type, scope=scope)
-        lhs = surface.parse_term(ns.lhs, scope=scope)
-        rhs = surface.parse_term(ns.rhs, scope=scope)
-        if typecheck.convertible(checker, ty, lhs, rhs, ctx):
-            print("convertible")
-            return 0
-        print("not convertible")
-        return 1
-    except (surface.ParseError, TypeCheckError, EvalBudgetExceeded, OSError, ContextError) as e:
-        print(f"error: {e}")
-        return 1
+    checker = _load_checker(ns.file, _flags(ns))
+    ctx, scope = _context(checker, ns.context)
+    ty = surface.parse_term(ns.at_type, scope=scope)
+    lhs = surface.parse_term(ns.lhs, scope=scope)
+    rhs = surface.parse_term(ns.rhs, scope=scope)
+    if typecheck.convertible(checker, ty, lhs, rhs, ctx):
+        print("convertible")
+        return 0
+    print("not convertible")
+    return 1
 
 
 def cmd_corpus(ns) -> int:
-    flags = _flags(ns)
-    try:
-        results = encodings.check_corpus(flags, ns.corpus_dir)
-    except (OSError, ValueError, surface.ParseError) as e:  # the manifest
-        print(f"error: {e}")
-        return 1
     status = 0
-    for r in results:
+    for r in encodings.check_corpus(_flags(ns), ns.corpus_dir):
         if r.status == "pass":
             print(f"PASS {r.tag} {r.file}")
         elif r.status == "skip":
@@ -212,29 +148,27 @@ def cmd_cover(ns) -> int:
         # named as a ParseError names its file
         print(f"error: {os.path.basename(ns.file)}:{e.line}: {e.message}")
         return 1
-    except (surface.ParseError, OSError) as e:
-        print(f"error: {e}")
-        return 1
     for line in cover_mod.iter_queries(cf, with_derivations=ns.derivations):
         print(line)
     return 0
 
 
+# What ends a command with one ``error:`` line: input that cannot be read
+# or parsed, a malformed manifest line (ValueError), a type error, or a
+# check stopped short of a verdict.
+FAILURES = (surface.ParseError, OSError, ValueError, TypeCheckError, *typecheck.STOPS)
+
+
 def main(argv=None) -> int:
     sys.setrecursionlimit(100_000)
     ns = build_parser().parse_args(argv)
-    handler = {
-        "check": cmd_check,
-        "norm": cmd_norm,
-        "conv": cmd_conv,
-        "corpus": cmd_corpus,
-        "cover": cmd_cover,
-    }[ns.command]
     try:
         try:
-            status = handler(ns)
-        except INTERNAL_ERRORS as e:
-            print(f"error: {_internal_message(e)}")
+            status = ns.run(ns)
+        except BrokenPipeError:
+            raise  # the reader has gone: there is no one to tell
+        except FAILURES as e:
+            print(f"error: {typecheck.stop_message(e)}")
             status = 1
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
     except BrokenPipeError:

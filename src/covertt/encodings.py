@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 
-from .semantics import EvalBudgetExceeded
 from .terms import Flags, Node
 from . import surface, typecheck
 
@@ -78,9 +77,10 @@ def check_corpus(flags: Flags, base: str | None = None):
     result, failure included.  An entry fails at the first failure in the
     order in which ``surface.load_file`` would list its declarations,
     including a name that two of its modules both define.  Each declaration
-    gets the evaluator's full step budget; an exhausted budget is reported
-    as ``FILE:LINE: NAME: evaluation exceeded ...``.  A manifest that cannot
-    be read raises.
+    gets the evaluator's full step budget.  A declaration whose check stops
+    (``typecheck.STOPS``: an exhausted budget, the recursion limit, a kernel
+    fault) fails its entry as ``FILE:LINE: NAME: TEXT``, as ``covertt
+    check`` reports it.  A manifest that cannot be read raises.
     """
     base = base or corpus_dir()
     parsed: dict = {}  # file path -> its module or its error, for every entry
@@ -162,6 +162,6 @@ def _check_module(module, checker, builtin: dict, checked: dict) -> _Checked:
             typecheck.check_declarations([d], checker=checker)
         except typecheck.TypeCheckError as e:
             return _Checked(env, i, _first_line(e))
-        except EvalBudgetExceeded as e:
-            return _Checked(env, i, f"{d.location}: {d.name}: {e}")
+        except typecheck.STOPS as e:
+            return _Checked(env, i, f"{d.location}: {d.name}: {typecheck.stop_message(e)}")
     return _Checked(env, len(module.decls))

@@ -3,7 +3,9 @@
 Declaration files consist of ``def name : TYPE := TERM`` and
 ``postulate name : TYPE`` items, with ``--`` line comments and
 ``import "file"`` items that name other files relative to this one
-(``load_modules``).  Binders are ``(x : T) -> B`` and
+(``load_modules``).  A context (``parse_context``, the CLI's ``--context``)
+is ``name : TYPE`` items separated by commas; a pair's comma stays inside
+its parentheses.  Binders are ``(x : T) -> B`` and
 ``(x : T) * B``; ``->`` and ``*`` are sugar for their non-dependent forms;
 application is juxtaposition; lambdas are ``fun x => t``, and local
 definitions ``let x : A := v in t``, which bind as far right as a lambda.
@@ -299,6 +301,17 @@ class Parser:
                 self.error("expected a declaration", expected=["def", "postulate", "import"])
         return decls, imports
 
+    def parse_context(self) -> list[tuple[str, Term]]:
+        items: list[tuple[str, Term]] = []
+        while self.kinds[self.pos] != "eof":
+            if items:
+                self.expect("punct", ",")
+            name = self.expect("ident")
+            self.expect("punct", ":")
+            items.append((name, self.parse_term()))
+            self.scope.append(name)
+        return items
+
     # -- terms
 
     def parse_term(self) -> Term:
@@ -474,6 +487,14 @@ def parse_file(src: str, filename: str = "<input>") -> tuple[list[Declaration], 
     ``filename``, as the declarations' locations do."""
     p = Parser(src, filename)
     return p.parse(p.parse_file)
+
+
+def parse_context(src: str) -> list[tuple[str, Term]]:
+    """The ``name : TYPE`` items of ``src``, separated by commas, as (name,
+    type) pairs, each type in the scope of the names before it.  A
+    ``ParseError`` names ``<context>``, at its line and column in ``src``."""
+    p = Parser(src, "<context>")
+    return p.parse(p.parse_context)
 
 
 class Module(Node):

@@ -38,6 +38,7 @@ variable, so the definition is transparent to conversion.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from . import terms as T
@@ -148,53 +149,32 @@ class Declaration(Node):
         self._fill(name, type, body, location)
 
 
-# The function-extensionality axiom, closed over its parameters:
-# (A : U0) (B : A -> U0) (f g : (x : A) -> B x)
-#   -> ((x : A) -> Id (B x) (f x) (g x)) -> Id ((x : A) -> B x) f g
-def funext_type() -> Term:
-    v = T.Var
-    pi_fx = T.Pi(v(1), T.App(v(1), v(0)))  # (x : A) -> B x  under A,B
-    return T.Pi(
-        T.Univ(),
-        T.Pi(
-            T.Pi(T.Var(0), T.Univ()),
-            T.Pi(
-                pi_fx,
-                T.Pi(
-                    T.Pi(v(2), T.App(v(2), v(0))),
-                    T.Pi(
-                        T.Pi(
-                            v(3),
-                            T.Id(T.App(v(3), v(0)), T.App(v(2), v(0)), T.App(v(1), v(0))),
-                        ),
-                        T.Id(
-                            T.Pi(v(4), T.App(v(4), v(0))),
-                            v(2),
-                            v(1),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-
-
 FUNEXT_NAME = "funext"
 
 
+@functools.cache
+def funext_type() -> Term:
+    """The function-extensionality axiom's type, which a ``postulate
+    funext`` must state, parsed once per process."""
+    from .surface import parse_term
+
+    return parse_term(
+        "(A : U0) -> (B : A -> U0) -> (f : (x : A) -> B x) -> (g : (x : A) -> B x)"
+        " -> ((x : A) -> Id (B x) (f x) (g x)) -> Id ((x : A) -> B x) f g"
+    )
+
+
 class Context:
-    """Typed telescope: names for messages, type values, and the matching
-    evaluation environment: a fresh neutral per variable, or the value of a
-    let-bound one."""
+    """Typed telescope: type values and the matching evaluation
+    environment: a fresh neutral per variable, or the value of a let-bound
+    one."""
 
     def __init__(self):
-        self.names: list[str] = []
         self.types: list[Value] = []
         self.env: tuple = ()
 
-    def extend(self, name: str, ty: Value, value: Optional[Value] = None) -> "Context":
+    def extend(self, ty: Value, value: Optional[Value] = None) -> "Context":
         child = Context()
-        child.names = self.names + [name]
         child.types = self.types + [ty]
         child.env = self.env + (fresh(len(self.env), ty) if value is None else value,)
         return child
@@ -319,7 +299,7 @@ class Checker:
         if cls is T.Pi or cls is T.Sigma:
             dom, cod = _term_fields(t)
             s1 = self.ensure_type(ctx, dom)
-            s2 = self.ensure_type(ctx.extend("_", self.eval_in(ctx, dom)), cod)
+            s2 = self.ensure_type(ctx.extend(self.eval_in(ctx, dom)), cod)
             return V_U0 if (s1 == V_U0 and s2 == V_U0) else V_TYPE
         if cls is T.Proj1 or cls is T.Proj2:
             pty = self.infer(ctx, t.pair)
@@ -466,7 +446,7 @@ class Checker:
             return
         if cls is T.Lam and type(ty) is VPi:
             var = fresh(ctx.depth, ty.dom)
-            self.check(ctx.extend("x", ty.dom), t.body, self.ev.apply_clo(ty.cod, var))
+            self.check(ctx.extend(ty.dom), t.body, self.ev.apply_clo(ty.cod, var))
             return
         if cls is T.Star and S.type_former(ty) is T.Unit:
             return
@@ -502,7 +482,7 @@ class Checker:
             self.ensure_type(ctx, t.type)
             tyv = self.eval_in(ctx, t.type)
             self.check(ctx, t.value, tyv)
-            inner = ctx.extend("x", tyv, self.eval_in(ctx, t.value))
+            inner = ctx.extend(tyv, self.eval_in(ctx, t.value))
             seen.append((t.type, t.value, inner))
         if ty is None:
             return self.infer(inner, t.body)
@@ -544,6 +524,21 @@ class Checker:
 
 
 # --- declaration checking -----------------------------------------------------------
+
+
+# What stops a check short of a verdict: an exhausted step budget, input
+# nested too deeply for the interpreter, or a fault of the kernel's own.
+STOPS = (S.EvalBudgetExceeded, RecursionError, S.KernelBug)
+
+
+def stop_message(e: BaseException) -> str:
+    """How ``e`` is reported: the recursion limit and a kernel fault are
+    named; any other error, an exhausted budget included, is its message."""
+    if isinstance(e, RecursionError):
+        return f"input nested too deeply ({e})"
+    if isinstance(e, S.KernelBug):
+        return f"internal kernel error ({e})"
+    return str(e)
 
 
 def check_new_name(d: Declaration, names) -> None:

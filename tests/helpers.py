@@ -61,7 +61,7 @@ def context_of(checker: Checker, items: list[tuple[str, str]]):
     for name, ty_src in items:
         ty = surface.parse_term(ty_src, scope=scope)
         checker.ensure_type(ctx, ty)
-        ctx = ctx.extend(name, checker.eval_in(ctx, ty))
+        ctx = ctx.extend(checker.eval_in(ctx, ty))
         scope.append(name)
     return ctx, scope
 
@@ -79,6 +79,37 @@ def check_in(checker: Checker, ctx, scope, term_src: str, ty_src: str):
     tyv = checker.eval_in(ctx, ty)
     term = surface.parse_term(term_src, scope=scope)
     checker.check(ctx, term, tyv)
+
+
+def funext_type_reference() -> T.Term:
+    """The funext axiom's type built by hand, the oracle of
+    ``typecheck.funext_type``: (A : U0) (B : A -> U0) (f g : (x : A) -> B x)
+    -> ((x : A) -> Id (B x) (f x) (g x)) -> Id ((x : A) -> B x) f g."""
+    v = T.Var
+    pi_fx = T.Pi(v(1), T.App(v(1), v(0)))  # (x : A) -> B x  under A,B
+    return T.Pi(
+        T.Univ(),
+        T.Pi(
+            T.Pi(T.Var(0), T.Univ()),
+            T.Pi(
+                pi_fx,
+                T.Pi(
+                    T.Pi(v(2), T.App(v(2), v(0))),
+                    T.Pi(
+                        T.Pi(
+                            v(3),
+                            T.Id(T.App(v(3), v(0)), T.App(v(2), v(0)), T.App(v(1), v(0))),
+                        ),
+                        T.Id(
+                            T.Pi(v(4), T.App(v(4), v(0))),
+                            v(2),
+                            v(1),
+                        ),
+                    ),
+                ),
+            ),
+        ),
+    )
 
 
 def load_corpus_file(name: str):
@@ -222,7 +253,7 @@ class UnsharedLetChecker(Checker):
         self.ensure_type(ctx, t.type)
         tyv = self.eval_in(ctx, t.type)
         self.check(ctx, t.value, tyv)
-        inner = ctx.extend("x", tyv, self.eval_in(ctx, t.value))
+        inner = ctx.extend(tyv, self.eval_in(ctx, t.value))
         if ty is None:
             return self.infer(inner, t.body)
         self.check(inner, t.body, ty)

@@ -430,11 +430,33 @@ def test_norm_conv_cover_report_an_internal_failure(capsys, tmp_path, monkeypatc
         assert (code, out) == (1, f"error: {what} ({exc})\n"), argv
 
 
+@pytest.mark.parametrize("exc, what", INTERNAL)
+def test_corpus_fails_only_the_entry_whose_check_stops(capsys, tmp_path, monkeypatch, exc, what):
+    base = write_corpus(tmp_path, "a ok.mltt\nmid mid.mltt\nb ok.mltt\n", {
+        "ok.mltt": "def x : N1 := star\n",
+        "mid.mltt": "def small : N1 := star\ndef deep : N1 := star\n",
+    })
+    check = typecheck.check_declarations
+
+    def check_declarations(decls, *args, **kwargs):
+        if decls[0].name == "deep":
+            raise exc
+        return check(decls, *args, **kwargs)
+
+    monkeypatch.setattr(typecheck, "check_declarations", check_declarations)
+    code, out = run(capsys, "corpus", "--corpus-dir", base)
+    assert (code, out) == (
+        1, "PASS a ok.mltt\n"
+        f"FAIL mid mid.mltt: mid.mltt:2: deep: {what} ({exc})\n"
+        "PASS b ok.mltt\n"
+    )
+
+
 def test_malformed_context_item_is_an_error_line_on_stdout(capsys):
     code = main(["conv", "x", "x", "--type", "A", "--context", "A U0"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.out == "error: malformed context item 'A U0'\n"
+    assert captured.out == "error: <context>:1:3: unexpected keyword 'U0' (expected one of: :)\n"
     assert captured.err == ""
 
 

@@ -166,6 +166,31 @@ def test_parse_errors_name_the_file(tmp_path):
     assert str(e.value) == f"b.mltt:2:3: import cycle through {tmp_path}/a.mltt"
 
 
+def test_a_context_is_its_items_each_in_the_scope_of_the_names_before_it():
+    assert surface.parse_context("") == surface.parse_context("  \n ") == []
+    pair = "Id (N1 * N1) (star , star) (star , star)"
+    items = surface.parse_context(f"A : U0, q : {pair}, B : A -> A")
+    assert items == [
+        ("A", T.Univ()),
+        ("q", parse_term(pair, scope=["A"])),
+        ("B", parse_term("A -> A", scope=["A", "q"])),
+    ]
+    assert items[2][1] == T.Pi(T.Var(1), T.Var(2))
+
+
+@pytest.mark.parametrize("src, expected", [
+    ("A : U0, B U0", "<context>:1:11: unexpected keyword 'U0' (expected one of: :)"),
+    ("A : U0, U0 : U0", "<context>:1:9: unexpected keyword 'U0' (expected one of: ident)"),
+    ("A B : U0", "<context>:1:3: unexpected ident 'B' (expected one of: :)"),
+    ("A : U0,", "<context>:1:8: unexpected eof '' (expected one of: ident)"),
+    ("A : U0,\n x : (A -> A", "<context>:2:13: unexpected eof '' (expected one of: ))"),
+])
+def test_a_malformed_context_item_is_located_in_the_whole_string(src, expected):
+    with pytest.raises(ParseError) as e:
+        surface.parse_context(src)
+    assert str(e.value) == expected
+
+
 def test_import_deduplication(tmp_path):
     base = tmp_path / "base.mltt"
     mid = tmp_path / "mid.mltt"

@@ -17,6 +17,7 @@ from helpers import (
     context_of,
     conv,
     criterion6_derivations,
+    funext_type_reference,
 )
 
 # parameter contexts mirroring the formation-rule premises
@@ -465,7 +466,7 @@ def test_inference_of_every_term_class(name, result):
     else:
         t = cls(*[T.Var(0)] * len(cls.__match_args__))
     chk = Checker()
-    ctx = Context().extend("x", chk.eval_in(Context(), T.Unit()))
+    ctx = Context().extend(chk.eval_in(Context(), T.Unit()))
     if isinstance(result, str):
         assert surface.pretty(chk.norm_type(ctx, chk.infer(ctx, t))) == result
         return
@@ -572,6 +573,11 @@ postulate funext : (A : U0) -> (B : A -> U0) -> (f : (x : A) -> B x) ->
     with pytest.raises(TypeCheckError) as e:
         typecheck.check_declarations(decls, Flags())
     assert e.value.kind == "flag-required"
+
+
+def test_the_funext_type_is_parsed_from_its_text_once():
+    assert typecheck.funext_type() == funext_type_reference()
+    assert typecheck.funext_type() is typecheck.funext_type()
 
 
 def test_other_postulates_rejected():
