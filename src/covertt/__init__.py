@@ -3,11 +3,10 @@ dependent trees, well-founded predicates and inductive basic covers,
 plus a finite-instance engine for inductively generated covers.
 """
 
-from .terms import Flags, Term, subst, weaken
+from .terms import Declaration, Flags, Term, subst, weaken
 from .typecheck import (
     Checker,
     Context,
-    Declaration,
     TypeCheckError,
     check_declarations,
     convertible,

@@ -7,8 +7,10 @@ equality flags are global per invocation; reports are stable line-oriented
 text and the exit status is zero exactly when no failure was reported.
 
 A command's failure propagates to ``main``, whose one handler prints it as
-one ``error:`` line; ``check`` also names the declaration whose check
-failed or stopped.  ``--context`` is read by ``surface.parse_context``.
+one ``error:`` line.  A declaration whose check stops is named there
+(``typecheck.check_named``), by ``check`` and by ``norm`` and ``conv`` of a
+file alike; ``check`` also names one that fails.  ``--context`` is read by
+``surface.parse_context`` and checked within a step budget of its own.
 """
 
 from __future__ import annotations
@@ -72,10 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_checker(path, flags) -> Checker:
-    if path is None:
-        return Checker(flags)
-    decls = surface.load_file(path)
-    return typecheck.check_declarations(decls, flags)
+    checker = Checker(flags)
+    if path is not None:
+        for d in surface.load_file(path):
+            typecheck.check_named(d, checker)
+    return checker
 
 
 def _context(checker: Checker, spec: str):
@@ -83,7 +86,7 @@ def _context(checker: Checker, spec: str):
     ``<context>``, and its names."""
     items = surface.parse_context(spec)
     ctx = Context()
-    checker.location = "<context>"
+    checker.begin("<context>")
     for _, ty in items:
         checker.ensure_type(ctx, ty)
         ctx = ctx.extend(checker.eval_in(ctx, ty))
@@ -91,20 +94,15 @@ def _context(checker: Checker, spec: str):
 
 
 def cmd_check(ns) -> int:
-    flags = _flags(ns)
-    decls = surface.load_file(ns.file)
-    checker = Checker(flags)
-    for d in decls:
+    checker = Checker(_flags(ns))
+    for d in surface.load_file(ns.file):
         try:
-            typecheck.check_declarations([d], flags, checker)
-            print(f"ok {d.name}")
+            typecheck.check_named(d, checker)
         except TypeCheckError as e:
             print(f"error {d.name}")
             print(e)
             return 1
-        except typecheck.STOPS as e:
-            print(f"error: {d.location}: {d.name}: {typecheck.stop_message(e)}")
-            return 1
+        print(f"ok {d.name}")
     return 0
 
 
@@ -155,8 +153,9 @@ def cmd_cover(ns) -> int:
 
 # What ends a command with one ``error:`` line: input that cannot be read
 # or parsed, a malformed manifest line (ValueError), a type error, or a
-# check stopped short of a verdict.
-FAILURES = (surface.ParseError, OSError, ValueError, TypeCheckError, *typecheck.STOPS)
+# check stopped short of a verdict, named by its declaration or not.
+FAILURES = (surface.ParseError, OSError, ValueError, TypeCheckError, typecheck.CheckStopped,
+            *typecheck.STOPS)
 
 
 def main(argv=None) -> int:

@@ -159,9 +159,7 @@ def _check_module(module, checker, builtin: dict, checked: dict) -> _Checked:
     checker.use_globals(env)
     for i, d in enumerate(module.decls):
         try:
-            typecheck.check_declarations([d], checker=checker)
-        except typecheck.TypeCheckError as e:
+            typecheck.check_named(d, checker)
+        except (typecheck.TypeCheckError, typecheck.CheckStopped) as e:
             return _Checked(env, i, _first_line(e))
-        except typecheck.STOPS as e:
-            return _Checked(env, i, f"{d.location}: {d.name}: {typecheck.stop_message(e)}")
     return _Checked(env, len(module.decls))

@@ -83,14 +83,14 @@ class Value(Node):
 
 
 class VSort(Value):
-    """``U0``, the large classification ``Type``, or the any-sort checking target."""
+    """``U0``, or the large classification ``Type``, which is also the
+    checking target of a type of either sort."""
 
-    __slots__ = ("kind",)  # "u0" | "type" | "any"
+    __slots__ = ("kind",)  # "u0" | "type"
 
 
 V_U0 = VSort("u0")
 V_TYPE = VSort("type")
-V_ANY = VSort("any")
 
 
 class Closure(Node):
@@ -228,19 +228,14 @@ class Evaluator:
             f = self.apply(f, a)
         return f
 
-    def proj1(self, v: Value) -> Value:
+    def proj(self, form, v: Value) -> Value:
+        """``fst v`` when ``form`` is ``Proj1``, ``snd v`` when it is ``Proj2``."""
+        first = form is T.Proj1
         if type(v) is VIntro and v.form is T.Pair:
-            return v.args[0]
+            return v.args[0 if first else 1]
         if isinstance(v, VNeutral):
-            return VNeutral(v.head, v.frames + (Frame(T.Proj1, ()),))
-        raise KernelBug("fst of non-pair")
-
-    def proj2(self, v: Value) -> Value:
-        if type(v) is VIntro and v.form is T.Pair:
-            return v.args[1]
-        if isinstance(v, VNeutral):
-            return VNeutral(v.head, v.frames + (Frame(T.Proj2, ()),))
-        raise KernelBug("snd of non-pair")
+            return VNeutral(v.head, v.frames + (Frame(form, ()),))
+        raise KernelBug(f"{'fst' if first else 'snd'} of non-pair")
 
     # -- the computation rule
 
@@ -303,10 +298,8 @@ class Evaluator:
             return VPi(self.eval(env, t.dom), Closure(env, t.cod))
         if cls is T.Sigma:
             return VSigma(self.eval(env, t.fst), Closure(env, t.snd))
-        if cls is T.Proj1:
-            return self.proj1(self.eval(env, t.pair))
-        if cls is T.Proj2:
-            return self.proj2(self.eval(env, t.pair))
+        if cls is T.Proj1 or cls is T.Proj2:
+            return self.proj(cls, self.eval(env, t.pair))
         if cls is T.Let:  # the zeta rule: the bound variable is the value
             return self.eval(env + (self.eval(env, t.value),), t.body)
         if cls is T.Ann:
@@ -337,7 +330,7 @@ class Evaluator:
         if former is T.Id:
             return V_U0 if k == 0 else vals[0]
         if former is T.App:
-            return V_ANY if k == 0 else vals[0].args[0]
+            return V_TYPE if k == 0 else vals[0].args[0]
         # W, DW, WP and Cover: a small type, then predicates and relations on it
         if k == 0:
             return V_U0
@@ -434,16 +427,16 @@ class Evaluator:
                 PyClosure(
                     lambda x: VPi(
                         a,
-                        PyClosure(lambda y: VPi(VIntro(T.Id, (a, x, y)), constant_family(V_ANY))),
+                        PyClosure(lambda y: VPi(VIntro(T.Id, (a, x, y)), constant_family(V_TYPE))),
                     )
                 ),
             )
         if type(ty) is VApplied:
             fam = ty.fam
             return VPi(
-                fam.args[0], PyClosure(lambda i: VPi(VApplied(fam, i), constant_family(V_ANY)))
+                fam.args[0], PyClosure(lambda i: VPi(VApplied(fam, i), constant_family(V_TYPE)))
             )
-        return VPi(ty, constant_family(V_ANY))
+        return VPi(ty, constant_family(V_TYPE))
 
     def case_types(self, ty: Value, motive: Value) -> tuple:
         """The types of the cases of the eliminator with ``motive`` on a
@@ -483,7 +476,7 @@ class Evaluator:
                 raise KernelBug("readback: projection at non-Sigma type")
             if form is T.Proj1:
                 return (), cur.dom
-            return (), self.apply_clo(cur.cod, self.proj1(scrut))
+            return (), self.apply_clo(cur.cod, self.proj(T.Proj1, scrut))
         m_ty = self.motive_type(form, cur)
         if m_ty is None:
             raise KernelBug(f"readback: {form.__name__} at {_describe(cur)}")
@@ -514,10 +507,10 @@ class Evaluator:
                 # bare family formers are values of large function type
                 return self.readback_type(v, depth)
         elif cls is VSigma and flags.eta_sigma:
-            a = self.proj1(v)
+            a = self.proj(T.Proj1, v)
             return T.Pair(
                 self.readback(a, ty.dom, depth),
-                self.readback(self.proj2(v), self.apply_clo(ty.cod, a), depth),
+                self.readback(self.proj(T.Proj2, v), self.apply_clo(ty.cod, a), depth),
             )
         elif flags.eta_unit and type_former(ty) is T.Unit:
             return T.Star()
@@ -609,9 +602,9 @@ class Evaluator:
                 # bare family formers are values of large function type
                 return self.conv_type(a, b, depth)
         elif cls is VSigma and flags.eta_sigma:
-            a1 = self.proj1(a)
-            return self.conv(a1, self.proj1(b), ty.dom, depth) and self.conv(
-                self.proj2(a), self.proj2(b), self.apply_clo(ty.cod, a1), depth
+            a1 = self.proj(T.Proj1, a)
+            return self.conv(a1, self.proj(T.Proj1, b), ty.dom, depth) and self.conv(
+                self.proj(T.Proj2, a), self.proj(T.Proj2, b), self.apply_clo(ty.cod, a1), depth
             )
         elif flags.eta_unit and type_former(ty) is T.Unit:
             return True
@@ -638,7 +631,7 @@ class Evaluator:
         if cls is not type(b):
             return False
         if cls is VSort:
-            return (a.kind == "u0") == (b.kind == "u0")
+            return a.kind == b.kind
         if cls is VPi or cls is VSigma:
             if not self.conv_type(a.dom, b.dom, depth):
                 return False

@@ -1,9 +1,10 @@
 """Surface syntax: parser and pretty-printer.
 
 Declaration files consist of ``def name : TYPE := TERM`` and
-``postulate name : TYPE`` items, with ``--`` line comments and
-``import "file"`` items that name other files relative to this one
-(``load_modules``).  A context (``parse_context``, the CLI's ``--context``)
+``postulate name : TYPE`` items, read as ``terms.Declaration`` records,
+with ``--`` line comments and ``import "file"`` items that name other
+files relative to this one (``load_modules``).  The parser imports no
+kernel module.  A context (``parse_context``, the CLI's ``--context``)
 is ``name : TYPE`` items separated by commas; a pair's comma stays inside
 its parentheses.  Binders are ``(x : T) -> B`` and
 ``(x : T) * B``; ``->`` and ``*`` are sugar for their non-dependent forms;
@@ -42,8 +43,7 @@ import re
 from typing import Optional
 
 from . import terms as T
-from .terms import Node, Term
-from .typecheck import Declaration
+from .terms import Declaration, Node, Term
 
 
 class ParseError(Exception):

@@ -18,6 +18,7 @@ built positionally, compared and hashed by class and fields, printed as
 from __future__ import annotations
 
 from operator import attrgetter
+from typing import Optional
 
 
 class Node:
@@ -435,6 +436,16 @@ def strengthen(t: Term, index: int = 0) -> Term:
             raise ValueError("strengthen: variable occurs")
         return Var(t.index - 1) if t.index > index else t
     return map_subterms(t, lambda c, d: strengthen(c, index + d))
+
+
+# --- declarations ----------------------------------------------------------------
+
+
+class Declaration(Node):
+    __slots__ = ("name", "type", "body", "location")
+
+    def __init__(self, name: str, type: Term, body: Optional[Term] = None, location: str = "?"):
+        self._fill(name, type, body, location)
 
 
 # --- judgmental-equality flags ------------------------------------------------------

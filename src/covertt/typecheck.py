@@ -25,10 +25,12 @@ type of ``snd``'s second component, an eliminator's motive after the
 indices) gets a fresh variable for it when its closure never reads that
 variable (``Checker.argument``), so nested terms check in linear steps.
 
-Each declaration (``check_declarations``) and each ``normalize``,
-``convertible`` or ``infer_type`` call gets the evaluator's whole step
-budget.  A type error is located at its declaration, or at ``<expr>`` in
-one of those calls.
+Every entry point begins with ``Checker.begin``, which names the location
+of what it checks and gives it the evaluator's whole step budget: each
+declaration (``check_declarations``), each ``normalize``, ``convertible``
+or ``infer_type`` call (at ``<expr>``), and a CLI ``--context`` (at
+``<context>``).  A type error is located there.  ``check_named`` also names
+the declaration whose check stops short of a verdict.
 
 ``let x : A := v in b`` has one rule, used by ``infer`` and ``check``
 alike: ``A`` is a type, ``v`` checks against it, and ``b`` is checked or
@@ -42,7 +44,7 @@ import functools
 from typing import Optional
 
 from . import terms as T
-from .terms import Flags, Node, Term
+from .terms import Declaration, Flags, Node, Term
 from . import semantics as S
 from .semantics import (
     Evaluator,
@@ -59,6 +61,7 @@ from .semantics import (
     Value,
     fresh,
 )
+from .surface import parse_term, pretty
 
 # term class -> the rejection of an elimination's scrutinee type, of an
 # introduction's target type, and of either's index
@@ -133,20 +136,11 @@ class TypeCheckError(Node, Exception):
 
     def __str__(self) -> str:
         parts = [f"{self.location}: {self.kind}: {self.message}"]
-        from .surface import pretty
-
         if self.expected is not None:
             parts.append(f"  expected: {pretty(self.expected)}")
         if self.found is not None:
             parts.append(f"  found:    {pretty(self.found)}")
         return "\n".join(parts)
-
-
-class Declaration(Node):
-    __slots__ = ("name", "type", "body", "location")
-
-    def __init__(self, name: str, type: Term, body: Optional[Term] = None, location: str = "?"):
-        self._fill(name, type, body, location)
 
 
 FUNEXT_NAME = "funext"
@@ -156,8 +150,6 @@ FUNEXT_NAME = "funext"
 def funext_type() -> Term:
     """The function-extensionality axiom's type, which a ``postulate
     funext`` must state, parsed once per process."""
-    from .surface import parse_term
-
     return parse_term(
         "(A : U0) -> (B : A -> U0) -> (f : (x : A) -> B x) -> (g : (x : A) -> B x)"
         " -> ((x : A) -> Id (B x) (f x) (g x)) -> Id ((x : A) -> B x) f g"
@@ -178,9 +170,6 @@ class Context:
         child.types = self.types + [ty]
         child.env = self.env + (fresh(len(self.env), ty) if value is None else value,)
         return child
-
-    def lookup(self, index: int) -> Value:
-        return self.types[-1 - index]
 
     @property
     def depth(self) -> int:
@@ -225,6 +214,12 @@ class Checker:
 
     # -- helpers --------------------------------------------------------------
 
+    def begin(self, location: str):
+        """Start an entry point's work at ``location``, with the evaluator's
+        whole step budget."""
+        self.location = location
+        self.ev.restart_budget()
+
     def fail(self, kind: str, message: str, expected=None, found=None):
         raise TypeCheckError(kind, message, expected, found, self.location)
 
@@ -236,12 +231,6 @@ class Checker:
 
     def norm_type(self, ctx: Context, v: Value) -> Term:
         return self.ev.readback_type(v, ctx.depth)
-
-    def types_equal(self, ctx: Context, a: Value, b: Value) -> bool:
-        return self.ev.equal_types(a, b, ctx.depth)
-
-    def values_equal(self, ctx: Context, a: Value, b: Value, ty: Value) -> bool:
-        return self.ev.equal(a, b, ty, ctx.depth)
 
     def argument(self, ctx: Context, clo, dom: Value, t: Term) -> Value:
         """What to apply ``clo`` to at the checked term ``t`` of type ``dom``:
@@ -264,15 +253,6 @@ class Checker:
             found=self.norm_type(ctx, sort),
         )
 
-    def whnf_pi(self, ctx: Context, ty: Value, what: str) -> VPi:
-        if isinstance(ty, VPi):
-            return ty
-        self.fail(
-            "not-a-function",
-            f"{what} does not have a function type",
-            found=self.norm_type(ctx, ty),
-        )
-
     # -- inference -------------------------------------------------------------
 
     def infer(self, ctx: Context, t: Term) -> Value:
@@ -280,9 +260,15 @@ class Checker:
         if cls is T.Var:
             if t.index < 0 or t.index >= ctx.depth:
                 self.fail("unbound", f"variable index {t.index} out of scope")
-            return ctx.lookup(t.index)
+            return ctx.types[-1 - t.index]
         if cls is T.App:
-            pi = self.whnf_pi(ctx, self.infer(ctx, t.fn), "application head")
+            pi = self.infer(ctx, t.fn)
+            if not isinstance(pi, VPi):
+                self.fail(
+                    "not-a-function",
+                    "application head does not have a function type",
+                    found=self.norm_type(ctx, pi),
+                )
             self.check(ctx, t.arg, pi.dom)
             return self.ev.apply_clo(pi.cod, self.argument(ctx, pi.cod, pi.dom, t.arg))
         if cls is T.Const:
@@ -385,7 +371,7 @@ class Checker:
         """Check that the value ``iv`` is each of ``ty``'s indices (the index
         of an applied family, both endpoints of an identity type)."""
         index = S.type_index(ty)
-        if not all(self.values_equal(ctx, iv, x, ity) for x, ity in index):
+        if not all(self.ev.equal(iv, x, ity, ctx.depth) for x, ity in index):
             want, ity = index[0]
             self.fail(
                 "mismatch",
@@ -541,6 +527,19 @@ def stop_message(e: BaseException) -> str:
     return str(e)
 
 
+class CheckStopped(Exception):
+    """A declaration's check stopped (``STOPS``): the text is ``FILE:LINE:
+    NAME: TEXT``, where ``TEXT`` is ``stop_message``'s."""
+
+
+def check_named(d: Declaration, checker: Checker) -> None:
+    """Check ``d`` with ``checker``, naming ``d`` if its check stops."""
+    try:
+        check_declarations([d], checker.flags, checker)
+    except STOPS as e:
+        raise CheckStopped(f"{d.location}: {d.name}: {stop_message(e)}") from e
+
+
 def check_new_name(d: Declaration, names) -> None:
     """Reject ``d`` if it defines a name already in ``names``.  Postulating
     funext is not a definition: that constant is the checker's own."""
@@ -562,8 +561,7 @@ def check_declarations(decls, flags: Flags = Flags(), checker: Optional[Checker]
     flags = checker.flags
     ctx = Context()
     for d in decls:
-        checker.location = d.location
-        checker.ev.restart_budget()
+        checker.begin(d.location)
         check_new_name(d, checker.globals)
         checker.ensure_type(ctx, d.type)
         tyv = checker.eval_in(ctx, d.type)
@@ -579,7 +577,7 @@ def check_declarations(decls, flags: Flags = Flags(), checker: Optional[Checker]
                     "flag-required",
                     "postulating funext requires the funext flag",
                 )
-            if not checker.types_equal(ctx, tyv, checker.globals[FUNEXT_NAME].type_value):
+            if not checker.ev.equal_types(tyv, checker.globals[FUNEXT_NAME].type_value, ctx.depth):
                 checker.fail(
                     "mismatch",
                     "funext must be postulated at its canonical type",
@@ -598,36 +596,26 @@ def check_declarations(decls, flags: Flags = Flags(), checker: Optional[Checker]
 
 def infer_type(checker: Checker, t: Term) -> Term:
     """Infer ``t``'s type in the empty context over the checker's globals."""
-    checker.ev.restart_budget()
-    checker.location = "<expr>"
+    checker.begin("<expr>")
     ctx = Context()
-    tyv = checker.infer(ctx, t)
-    if isinstance(tyv, VSort):
-        return T.Univ() if tyv == V_U0 else T.TypeSort()
-    return checker.norm_type(ctx, tyv)
+    return checker.norm_type(ctx, checker.infer(ctx, t))
 
 
 def normalize(checker: Checker, t: Term) -> Term:
     """Normal form of a closed, well-typed term (flag-aware)."""
-    checker.ev.restart_budget()
-    checker.location = "<expr>"
+    checker.begin("<expr>")
     ctx = Context()
     tyv = checker.infer(ctx, t)
-    if isinstance(tyv, VSort):
-        return checker.norm_type(ctx, checker.eval_in(ctx, t))
     return checker.norm(ctx, checker.eval_in(ctx, t), tyv)
 
 
 def convertible(checker: Checker, ty: Term, t: Term, u: Term, ctx: Optional[Context] = None) -> bool:
     """Whether ``t`` and ``u`` are judgmentally equal at type ``ty``."""
-    checker.ev.restart_budget()
-    checker.location = "<expr>"
+    checker.begin("<expr>")
     if ctx is None:
         ctx = Context()
     checker.ensure_type(ctx, ty)
     tyv = checker.eval_in(ctx, ty)
     checker.check(ctx, t, tyv)
     checker.check(ctx, u, tyv)
-    return checker.values_equal(
-        ctx, checker.eval_in(ctx, t), checker.eval_in(ctx, u), tyv
-    )
+    return checker.ev.equal(checker.eval_in(ctx, t), checker.eval_in(ctx, u), tyv, ctx.depth)

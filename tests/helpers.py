@@ -13,7 +13,6 @@ from covertt.cover import CoverFile, FiniteAxiomSet, FormatError, RfNode, Subset
 from covertt.encodings import CorpusResult, _check_module, corpus_dir, load_manifest
 from covertt.surface import RESERVED, ParseError
 from covertt.semantics import (
-    V_ANY,
     V_TYPE,
     V_U0,
     Closure,
@@ -214,7 +213,7 @@ def corpus_normal_forms(flags: Flags, evaluator=Evaluator, checker_class=Checker
     return verdicts, steps, forms
 
 
-def readback_equal(ev: Evaluator, a: Value, b: Value, ty: Value = V_ANY, depth: int = 0) -> bool:
+def readback_equal(ev: Evaluator, a: Value, b: Value, ty: Value = V_TYPE, depth: int = 0) -> bool:
     """The conversion check the kernel used to run, kept as the oracle of
     ``Evaluator.conv``: read both values back in full and compare the terms.
     At a sort (the default) the values are types."""
@@ -422,9 +421,9 @@ class HandWrittenEvaluator(Evaluator):
             case T.Pair(a, b):
                 return VIntro(T.Pair, (self.eval(env, a), self.eval(env, b)))
             case T.Proj1(p):
-                return self.proj1(self.eval(env, p))
+                return self.proj(T.Proj1, self.eval(env, p))
             case T.Proj2(p):
-                return self.proj2(self.eval(env, p))
+                return self.proj(T.Proj2, self.eval(env, p))
             case T.SigElim(m, c, s):
                 return self.sig_elim(self.eval(env, m), self.eval(env, c), self.eval(env, s))
             case T.Sum(l, r):

@@ -452,6 +452,50 @@ def test_corpus_fails_only_the_entry_whose_check_stops(capsys, tmp_path, monkeyp
     )
 
 
+# what stops the check of a 150-deep declaration: the 100-step budget, or
+# one of INTERNAL raised in its place
+STOPPED = [(None, "evaluation exceeded 100 eliminator steps")] + [
+    (exc, f"{what} ({exc})") for exc, what in INTERNAL
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["norm", "FILE", "--expr", "star"], ["conv", "star", "star", "--type", "N1", "--file", "FILE"]],
+    ids=["norm", "conv"],
+)
+@pytest.mark.parametrize("exc, text", STOPPED, ids=["budget", "recursion", "kernel"])
+def test_norm_and_conv_name_the_file_declaration_whose_check_stops(
+    capsys, tmp_path, monkeypatch, small_budget, argv, exc, text
+):
+    """As ``check`` names it."""
+    f = tmp_path / "deep.mltt"
+    f.write_text(f"def small : N1 := star\ndef deep : N1 := {nested_identity(150)}\n")
+    if exc is not None:
+        check = typecheck.check_declarations
+
+        def check_declarations(decls, *args):
+            if decls[0].name == "deep":
+                raise exc
+            return check(decls, *args)
+
+        monkeypatch.setattr(typecheck, "check_declarations", check_declarations)
+    code, out = run(capsys, *(str(f) if a == "FILE" else a for a in argv))
+    assert (code, out) == (1, f"error: deep.mltt:2: deep: {text}\n")
+
+
+def test_context_gets_a_budget_of_its_own(capsys, tmp_path, small_budget):
+    """Not what the file's last declaration left: that takes all 100 steps,
+    and the context item one more."""
+    f = tmp_path / "full.mltt"
+    f.write_text(f"def full : N1 := {nested_identity(100)}\n")
+    code, out = run(
+        capsys, "conv", "x", "x", "--type", "N1", "--file", str(f),
+        "--context", "x : (fun A => A : U0 -> U0) N1",
+    )
+    assert (code, out) == (0, "convertible\n")
+
+
 def test_malformed_context_item_is_an_error_line_on_stdout(capsys):
     code = main(["conv", "x", "x", "--type", "A", "--context", "A U0"])
     captured = capsys.readouterr()

@@ -190,6 +190,52 @@ def test_a_neutral_frame_holds_the_motive_and_the_cases(elim):
     assert frame.args == env[: len(frame.args)]
 
 
+@pytest.mark.parametrize("form, k, name", [(T.Proj1, 0, "fst"), (T.Proj2, 1, "snd")])
+def test_one_projection_rule(form, k, name):
+    """``proj`` takes the component object of a pair, pushes one frame of
+    its form on a neutral, and rejects any other value."""
+    ev = Evaluator()
+    pair = S.VIntro(T.Pair, (S.fresh(0, S.V_U0), S.fresh(1, S.V_U0)))
+    assert ev.proj(form, pair) is pair.args[k]
+    neutral = S.fresh(2, S.V_U0)
+    projected = ev.proj(form, neutral)
+    assert projected.head is neutral.head and projected.frames == (S.Frame(form, ()),)
+    with pytest.raises(S.KernelBug, match=f"^{name} of non-pair$"):
+        ev.proj(form, S.VIntro(T.Star, ()))
+
+
+ELIMINATED = [
+    (T.Sigma, T.SigElim), (T.Sum, T.SumElim), (T.Unit, T.UnitElim), (T.Empty, T.EmptyElim),
+    (T.Id, T.J), (T.W, T.WElim), (T.DW, T.DWElim), (T.WP, T.WPElim), (T.Cover, T.CoverElim),
+]
+
+
+@pytest.mark.parametrize("former, elim", ELIMINATED, ids=lambda cls: cls.__name__)
+def test_every_motive_lands_in_the_large_sort(former, elim):
+    """A motive's type is a function, over the scrutinee's indices and the
+    scrutinee, into ``Type``: the one sort that takes a type of either sort."""
+    ev = Evaluator()
+    n = len(former.__match_args__)
+    fields = tuple(S.fresh(level, S.V_U0) for level in range(n))
+    if former is T.Sigma:
+        ty = S.VSigma(fields[0], S.constant_family(fields[1]))
+    elif former in S.FAMILIES:
+        ty = S.VApplied(S.VIntro(former, fields), S.fresh(n, S.V_U0))
+    else:
+        ty = S.VIntro(former, fields)
+    cod, level = ev.motive_type(elim, ty), n + 1
+    while type(cod) is S.VPi:
+        cod, level = ev.apply_clo(cod.cod, S.fresh(level, cod.dom)), level + 1
+    assert cod is S.V_TYPE
+
+
+def test_there_are_two_sorts():
+    """An applied family's family has a type of either sort, and no third
+    sort stands for "any sort"."""
+    assert Evaluator().type_field(T.App, (), 0) is S.V_TYPE
+    assert not hasattr(S, "V_ANY")
+
+
 @pytest.mark.parametrize("evaluator", [Evaluator, HandWrittenEvaluator], ids=lambda c: c.__name__)
 def test_j_takes_no_step_for_its_endpoints(evaluator):
     """Each endpoint takes an eliminator step when evaluated, and J takes

@@ -12,7 +12,7 @@ from covertt import surface, typecheck
 from covertt import semantics as S
 from covertt import terms as T
 from covertt.encodings import check_corpus
-from covertt.semantics import V_ANY, Evaluator
+from covertt.semantics import V_TYPE, Evaluator
 from covertt.terms import Flags
 
 from helpers import (
@@ -43,7 +43,7 @@ def test_corpus_conversions_agree_with_readback(flags, monkeypatch):
             finally:
                 seen["active"] = False
             seen["calls"] += 1
-            ty = rest[0] if len(rest) == 2 else V_ANY
+            ty = rest[0] if len(rest) == 2 else V_TYPE
             steps = ev.steps
             if verdict != readback_equal(ev, a, b, ty, rest[-1]):
                 disagreements.append((verdict, ev.readback(a, ty, rest[-1])))
@@ -92,7 +92,7 @@ def test_cover_type_conversion_needs_no_readback(monkeypatch):
     conv_evals = calls["eval"]
     assert calls == {"readback": 0, "readback_type": 0, "eval": conv_evals}
     calls["eval"] = 0
-    assert readback_equal(chk.ev, lhs, rhs, V_ANY, ctx.depth)
+    assert readback_equal(chk.ev, lhs, rhs, V_TYPE, ctx.depth)
     assert calls["readback_type"] > 0
     assert conv_evals * 10 < calls["eval"]
 
@@ -308,7 +308,7 @@ def closure_rule_audit():
             # a Pi's codomain or a Sigma's second component: a family over
             # the first side's domain, read back as a lambda into types
             (dom, c1), (_, c2) = (tuple(getattr(v, n) for n in v.__match_args__) for v in (a, b))
-            family = S.VPi(dom, S.constant_family(V_ANY))
+            family = S.VPi(dom, S.constant_family(V_TYPE))
             audit(ev, c1, c2, S.VLam(c1), S.VLam(c2), family, depth)
         return conv_type(ev, a, b, depth)
 

@@ -1,13 +1,16 @@
+import ast
 import copy
 import os
+import pathlib
 import pickle
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import covertt
 from covertt import semantics as S
-from covertt import surface
+from covertt import surface, typecheck
 from covertt import terms as T
 from covertt.cover import FiniteAxiomSet, Subset
 from covertt.terms import Flags, subst, weaken
@@ -210,3 +213,25 @@ def test_nodes_survive_copy_and_pickle():
         for back in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
             assert back == node and hash(back) == hash(node)
     assert pickle.loads(pickle.dumps(ax)).positions == {"a": 0}
+
+
+def test_declaration_is_one_syntax_record():
+    assert typecheck.Declaration is T.Declaration is covertt.Declaration
+
+
+def test_the_kernel_imports_at_module_top_and_the_parser_imports_no_kernel_module():
+    """``typecheck`` and ``semantics`` import nothing inside a function, and
+    ``surface`` imports neither, so the checker and the parser form no
+    import cycle."""
+    src = pathlib.Path(T.__file__).parent
+
+    def imports(name):
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        return tree, [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+    for name in ("typecheck", "semantics"):
+        tree, found = imports(name)
+        assert [n.lineno for n in found if n not in tree.body] == [], name
+    _, found = imports("surface")
+    modules = {getattr(n, "module", None) or a.name for n in found for a in n.names}
+    assert not modules & {"typecheck", "semantics"}
