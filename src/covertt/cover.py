@@ -7,13 +7,15 @@ a subset V is the least fixpoint of the monotone operator
 computed by forward chaining in layers (linear-time Horn satisfiability):
 each axiom counts its premises not yet covered, each atom watches the
 axioms it is a premise of, and layer k holds the atoms that enter at round
-k of the iteration from V.  A brute-force oracle intersects all
-rule-closed supersets of V instead.  Derivations are read off the entry
-rounds, and can be turned into kernel proof terms over an encoding of the
-carrier as a right-nested sum of unit types.  A Subset keeps its atoms as
-an ascending tuple beside its mask, so the loader, the rounds and the
-derivations never walk a mask bit by bit; the queries of one subset share
-its entry rounds and its derivation nodes.
+k of the iteration from V.  Whether an atom is covered depends only on the
+atoms it reaches through axiom premises, so the chaining indexes only the
+axioms of the atoms its goals reach: the atoms queried against V.  A
+brute-force oracle intersects all rule-closed supersets of V instead.
+Derivations are read off the entry rounds, and can be turned into kernel
+proof terms over an encoding of the carrier as a right-nested sum of unit
+types.  A Subset keeps its atoms as an ascending tuple beside its mask, so
+the loader, the rounds and the derivations never walk a mask bit by bit;
+the queries of one subset share its entry rounds and its derivation nodes.
 
 A certificate is one closed term that states its instance once, as five
 ``let``s (the carrier, the label family, the axiom family, V and the
@@ -116,6 +118,8 @@ class FiniteAxiomSet(Node):
         n = len(carrier)
         if len(labels) != n or len(covers) != n:
             raise ValueError("families must align with the carrier")
+        if any(len(ls) != len(cs) for ls, cs in zip(labels, covers)):
+            raise ValueError("an atom's labels and axiom subsets must align")
         for per_atom in covers:
             for s in per_atom:
                 if s.size != n:
@@ -151,34 +155,55 @@ class TrNode(Node):
 Derivation = object  # RfNode | TrNode
 
 
-def _entry_rounds(ax: FiniteAxiomSet, v: Subset) -> list[Optional[int]]:
-    """The round at which each atom enters the least cover of V, or ``None``.
+def _entry_rounds(ax: FiniteAxiomSet, v: Subset, goals) -> list[Optional[int]]:
+    """The round at which each atom the goals reach enters the least cover
+    of V, or ``None``.
+
+    A goal reaches itself, and an atom outside V reaches the premises of its
+    axioms; an atom of V reaches nothing more.  Only the axioms of reached
+    atoms are indexed, and every atom not reached reads ``None``, covered or
+    not.  A reached atom's round depends only on the atoms it reaches, so
+    it is the same for every set of goals that reaches it.
 
     Round 0 is V.  An atom outside V enters at round k + 1 when one of its
     axioms has all its premises entered by round k; an axiom without
     premises fires at round 1.  These are the rounds of Kleene iteration
-    from V, found with every premise occurrence visited once.
+    from V, found with every reached premise occurrence visited once.
     """
     rounds: list[Optional[int]] = [None] * ax.size
-    layer = v.members
-    for a in layer:
-        rounds[a] = 0
+    # per reached atom, the axioms it is a premise of; None marks an atom not reached
+    watch: list[Optional[list[int]]] = [None] * ax.size
     heads: list[int] = []  # per axiom, the atom it covers
     missing: list[int] = []  # per axiom, its premises not yet entered
-    watch: list[list[int]] = [[] for _ in range(ax.size)]  # per atom, axioms it is a premise of
+    covers, in_v = ax.covers, set(v.members)
+    layer: list[int] = []
     nxt: list[int] = []
-    for a, per_atom in enumerate(ax.covers):
-        if rounds[a] == 0:  # in V: no axiom of it can matter
+    todo: list[int] = []  # reached atoms whose axioms are not yet indexed
+    for a in goals:
+        if watch[a] is None:
+            watch[a] = []
+            todo.append(a)
+    while todo:
+        a = todo.pop()
+        if a in in_v:  # no axiom of an atom of V can matter
+            rounds[a] = 0
+            layer.append(a)
             continue
-        for cov in per_atom:
+        for cov in covers[a]:
             premises = cov.members
             if not premises:
                 if rounds[a] is None:
                     rounds[a] = 1
                     nxt.append(a)
                 continue
+            i = len(heads)
             for b in premises:
-                watch[b].append(len(heads))
+                w = watch[b]
+                if w is None:
+                    watch[b] = [i]
+                    todo.append(b)
+                else:
+                    w.append(i)
             heads.append(a)
             missing.append(len(premises))
     k = 0
@@ -196,7 +221,8 @@ def _entry_rounds(ax: FiniteAxiomSet, v: Subset) -> list[Optional[int]]:
 
 def least_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
     """Least cover of V: the atoms that enter at some round."""
-    return Subset.of((a for a, r in enumerate(_entry_rounds(ax, v)) if r is not None), ax.size)
+    rounds = _entry_rounds(ax, v, range(ax.size))
+    return Subset.of((a for a, r in enumerate(rounds) if r is not None), ax.size)
 
 
 def brute_force_min_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
@@ -226,7 +252,7 @@ def brute_force_min_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
 
 def derivation(ax: FiniteAxiomSet, v: Subset, atom: int) -> Optional[Derivation]:
     """Some derivation iff the atom is in the least cover of V."""
-    return _derivation(ax, _entry_rounds(ax, v), atom, {})
+    return _derivation(ax, _entry_rounds(ax, v, (atom,)), atom, {})
 
 
 def _derivation(ax: FiniteAxiomSet, rounds: list, atom: int, nodes: dict) -> Optional[Derivation]:
@@ -238,6 +264,8 @@ def _derivation(ax: FiniteAxiomSet, rounds: list, atom: int, nodes: dict) -> Opt
     explicit stack, one node per atom shared wherever the atom recurs, so
     its depth is not bounded by the interpreter's stack.  An atom's node
     depends only on the rounds, so the queries of one V share ``nodes``.
+    Only the rounds of atoms that ``atom`` reaches are read, so rounds
+    computed with ``atom`` among the goals suffice.
     """
     if rounds[atom] is None:
         return None
@@ -481,7 +509,7 @@ def load_axiom_set(text: str) -> CoverFile:
     queries: list = []
     try:
         for ln, raw in enumerate(text.splitlines(), start=1):
-            parts = raw.partition("#")[0].split()
+            parts = (raw.partition("#")[0] if "#" in raw else raw).split()
             if not parts:
                 continue
             kind = parts[0]
@@ -532,11 +560,10 @@ def load_axiom_set(text: str) -> CoverFile:
 
     if carrier is None:
         raise FormatError("missing carrier line", 1)
-    ax = FiniteAxiomSet(
-        carrier,
-        tuple(tuple(ls) for ls in labels),
-        tuple(tuple(cs) for cs in covers),
-    )
+    # the families are aligned and sized by construction, and positions is
+    # the carrier's index map, so the constructor's checks are skipped
+    ax = FiniteAxiomSet.__new__(FiniteAxiomSet)
+    ax._fill(carrier, tuple(map(tuple, labels)), tuple(map(tuple, covers)), positions)
     return CoverFile(ax, subsets, queries)
 
 
@@ -558,14 +585,18 @@ def _derivation_lines(ax: FiniteAxiomSet, d: Derivation, indent: int):
 
 
 def iter_queries(cf: CoverFile, with_derivations: bool = False):
-    """The report lines of ``run_queries``, one at a time.  A derivation's
+    """The report lines of ``run_queries``, one at a time.  The queries of
+    one subset share one fixpoint over the atoms they reach.  A derivation's
     lines are made as they are consumed, so a caller that prints them holds
     one line at a time, not a report that grows with the square of the depth."""
     ax = cf.axiom_set
+    goals: dict = {}  # subset name -> the atoms queried against it
+    for atom, name in cf.queries:
+        goals.setdefault(name, []).append(atom)
     shared: dict = {}  # subset name -> (entry rounds, derivation nodes) of its queries
     for atom, name in cf.queries:
         if name not in shared:
-            shared[name] = _entry_rounds(ax, cf.subsets[name]), {}
+            shared[name] = _entry_rounds(ax, cf.subsets[name], goals[name]), {}
         rounds, nodes = shared[name]
         covered = rounds[atom] is not None
         word = "covered" if covered else "uncovered"

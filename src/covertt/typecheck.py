@@ -216,9 +216,11 @@ class Checker:
 
     def begin(self, location: str):
         """Start an entry point's work at ``location``, with the evaluator's
-        whole step budget."""
+        whole step budget and no remembered lets: the contexts they were
+        checked in belong to the work before."""
         self.location = location
         self.ev.restart_budget()
+        self.lets = {}
 
     def fail(self, kind: str, message: str, expected=None, found=None):
         raise TypeCheckError(kind, message, expected, found, self.location)
@@ -460,8 +462,8 @@ class Checker:
         reuse the context the first check built, so a certificate's type and
         proof share one instance value.  That is sound because an entry is
         stored only after its check succeeds, serves only this checker (one
-        set of flags), and ``use_globals`` drops it (until then globals only
-        grow, as a name is never redefined)."""
+        set of flags) until the next ``begin``, and ``use_globals`` drops it
+        (until then globals only grow, as a name is never redefined)."""
         seen = self.lets.setdefault(ctx, [])
         inner = next((c for a, v, c in seen if t.type == a and t.value == v), None)
         if inner is None:

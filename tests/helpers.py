@@ -537,6 +537,60 @@ def replay_derivation(ax: FiniteAxiomSet, v: Subset, atom: int):
     return build(atom)
 
 
+def whole_carrier_entry_rounds(ax: FiniteAxiomSet, v: Subset) -> list[Optional[int]]:
+    """The fixpoint ``cover._entry_rounds`` replaced, kept as its oracle: it
+    indexes every axiom of the carrier, whatever the goals, and gives every
+    atom its round in the least cover of V, or ``None``."""
+    rounds: list[Optional[int]] = [None] * ax.size
+    layer = v.members
+    for a in layer:
+        rounds[a] = 0
+    heads: list[int] = []  # per axiom, the atom it covers
+    missing: list[int] = []  # per axiom, its premises not yet entered
+    watch: list[list[int]] = [[] for _ in range(ax.size)]  # per atom, axioms it is a premise of
+    nxt: list[int] = []
+    for a, per_atom in enumerate(ax.covers):
+        if rounds[a] == 0:  # in V: no axiom of it can matter
+            continue
+        for cov in per_atom:
+            premises = cov.members
+            if not premises:
+                if rounds[a] is None:
+                    rounds[a] = 1
+                    nxt.append(a)
+                continue
+            for b in premises:
+                watch[b].append(len(heads))
+            heads.append(a)
+            missing.append(len(premises))
+    k = 0
+    while True:
+        for b in layer:
+            for i in watch[b]:
+                missing[i] -= 1
+                if missing[i] == 0 and rounds[heads[i]] is None:
+                    rounds[heads[i]] = k + 1
+                    nxt.append(heads[i])
+        if not nxt:
+            return rounds
+        layer, nxt, k = nxt, [], k + 1
+
+
+def reached_atoms(ax: FiniteAxiomSet, v: Subset, goals) -> set:
+    """The goals and, from each atom outside V, the premises of its axioms."""
+    seen, todo = set(goals), list(goals)
+    while todo:
+        a = todo.pop()
+        if v.contains(a):
+            continue
+        for cov in ax.covers[a]:
+            for b in cov.members:
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+    return seen
+
+
 def random_instance(rng, n):
     """A random axiom set over n atoms, as criterion 6 draws them."""
     names = tuple(chr(ord("a") + i) for i in range(n))

@@ -43,7 +43,10 @@ from helpers import (
     kleene_least_cover,
     layered_horn_cover_text,
     load_axiom_set_reference,
+    random_instance,
+    reached_atoms,
     replay_derivation,
+    whole_carrier_entry_rounds,
 )
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
@@ -209,6 +212,13 @@ def test_oracle_equivalence_seeded_random():
         assert lc == kleene_least_cover(ax, v) == brute_force_min_cover(ax, v)
         assert v.issubset(lc)
         assert least_cover(ax, lc) == lc
+
+
+def test_an_atom_and_its_labels_and_axiom_subsets_align():
+    with pytest.raises(ValueError, match="labels and axiom subsets"):
+        FiniteAxiomSet(("a", "b"), (("i0",), ()), ((Subset(2, 2), Subset(0, 2)), ()))
+    with pytest.raises(ValueError, match="labels and axiom subsets"):
+        FiniteAxiomSet(("a", "b"), (("i0", "i1"), ()), ((Subset(2, 2),), ()))
 
 
 def test_derivation_matches_membership():
@@ -507,9 +517,9 @@ def test_run_queries_computes_one_fixpoint_per_subset(monkeypatch):
     calls = []
     entry_rounds = cover._entry_rounds
 
-    def counting(ax, v):
+    def counting(ax, v, *goals):
         calls.append(v)
-        return entry_rounds(ax, v)
+        return entry_rounds(ax, v, *goals)
 
     monkeypatch.setattr(cover, "_entry_rounds", counting)
     lines = cover.run_queries(load_axiom_set(text), with_derivations=True)
@@ -685,3 +695,56 @@ def test_a_chains_middle_query_reuses_its_head_querys_nodes(monkeypatch):
     middle = lines[lines.index(f"c{n // 2} top covered") + 1 : lines.index("c0 none uncovered")]
     assert middle == cover.render_derivation(ax, derivation(ax, cf.subsets["top"], cf.queries[1][0]))
     assert len(built) == n - 1  # one tr node per atom of the head's chain, none for the middle
+
+
+# --- the fixpoint over the atoms the goals reach ---------------------------------------
+
+
+def _goal_directed_instances():
+    """(axiom set, V) pairs: criterion-6-shaped random instances, seeded
+    chains and layered Horn sets with their own subsets and random ones,
+    and the shipped sample."""
+    rng = random.Random(22)
+    for _ in range(100):
+        n = rng.choice([2, 3, 4])
+        yield random_instance(rng, n), Subset(rng.randrange(1 << n), n)
+    for text in _cover_texts():
+        cf = load_axiom_set(text)
+        n = cf.axiom_set.size
+        yield from ((cf.axiom_set, v) for v in cf.subsets.values())
+        yield cf.axiom_set, Subset.of(rng.sample(range(n), rng.randint(0, n)), n)
+
+
+def test_the_goals_reached_atoms_get_the_whole_carriers_rounds():
+    rng = random.Random(2022)
+    for ax, v in _goal_directed_instances():
+        n = ax.size
+        oracle = whole_carrier_entry_rounds(ax, v)
+        assert cover._entry_rounds(ax, v, range(n)) == oracle
+        for _ in range(3):
+            goals = rng.sample(range(n), rng.randint(1, min(n, 5)))
+            reached = reached_atoms(ax, v, goals)
+            # a reached atom gets its round, every other atom reads None
+            expected = [oracle[a] if a in reached else None for a in range(n)]
+            assert cover._entry_rounds(ax, v, goals) == expected
+
+
+def test_a_covered_atom_the_goals_do_not_reach_reads_none():
+    # b is covered by its premise-free axiom, but a's axioms do not reach it
+    ax = _axiom_set(["a", "b", "c"], [("a", "i", ["c"]), ("b", "k", [])])
+    v = Subset.of([2], 3)
+    assert whole_carrier_entry_rounds(ax, v) == [1, 1, 0]
+    assert cover._entry_rounds(ax, v, [0]) == [1, None, 0]
+
+
+def test_reports_match_the_whole_carrier_fixpoint():
+    for text in _cover_texts():
+        cf = load_axiom_set(text)
+        ax, expected = cf.axiom_set, []
+        rounds = {name: (whole_carrier_entry_rounds(ax, v), {}) for name, v in cf.subsets.items()}
+        for atom, name in cf.queries:
+            r, nodes = rounds[name]
+            expected.append(f"{ax.carrier[atom]} {name} {'uncovered' if r[atom] is None else 'covered'}")
+            if r[atom] is not None:
+                expected += cover._derivation_lines(ax, cover._derivation(ax, r, atom, nodes), 1)
+        assert cover.run_queries(cf, with_derivations=True) == expected

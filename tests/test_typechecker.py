@@ -828,6 +828,18 @@ def test_new_globals_make_a_checker_check_its_lets_again():
         chk.infer(ctx, t)
 
 
+def test_a_checker_forgets_the_lets_of_the_declarations_before():
+    """Each declaration has a root context of its own, so its lets are of no
+    use to the next one."""
+    chk = Checker()
+    decls, _ = surface.parse_file(
+        "\n".join(f"def d{k} : N1 -> N1 := fun y => let x : N1 := y in x" for k in range(50))
+    )
+    for d in decls:
+        typecheck.check_named(d, chk)
+    assert len(chk.lets) <= 1
+
+
 # --- a type instantiated at a checked subterm ----------------------------------------
 #
 # The checker evaluates an argument, a pair's first component or a
