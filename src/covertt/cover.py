@@ -13,9 +13,11 @@ axioms of the atoms its goals reach: the atoms queried against V.  A
 brute-force oracle intersects all rule-closed supersets of V instead.
 Derivations are read off the entry rounds, and can be turned into kernel
 proof terms over an encoding of the carrier as a right-nested sum of unit
-types.  A Subset keeps its atoms as an ascending tuple beside its mask, so
-the loader, the rounds and the derivations never walk a mask bit by bit;
-the queries of one subset share its entry rounds and its derivation nodes.
+types.  A Subset is the ascending tuple of its atoms' indices; its bit
+mask is derived only when read, so loading a file builds no carrier-wide
+integer per axiom, and its memory grows with the premises it lists, not
+with the carrier's size times the axioms.  The queries of one subset share
+its entry rounds and its derivation nodes.
 
 A certificate is one closed term that states its instance once, as five
 ``let``s (the carrier, the label family, the axiom family, V and the
@@ -32,6 +34,7 @@ split's variable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from . import terms as T
@@ -46,44 +49,62 @@ class FormatError(Exception):
 
 
 class Subset(Node):
-    """Bit-vector over the carrier's atom order.  ``members`` holds the same
-    atoms as an ascending tuple, the order the engine walks them in; like
-    ``FiniteAxiomSet.positions`` it takes no part in equality or ``repr``."""
+    """A subset of a carrier of ``size`` atoms: ``members``, its atoms'
+    indices as an ascending tuple, the order the engine walks them in.
+    ``mask``, the bit-vector over the carrier's atom order, is derived from
+    the members when read; equality, hashing and ``repr`` show the mask and
+    size, as if they were the fields."""
 
-    __slots__ = ("mask", "size", "members")
+    __slots__ = ("members", "size")
     __match_args__ = ("mask", "size")
 
     def __init__(self, mask: int, size: int):
         if mask < 0 or mask >> size:
             raise ValueError("subset mask out of range")
         members = []
-        m = mask
-        while m:
-            low = m & -m
+        while mask:
+            low = mask & -mask
             members.append(low.bit_length() - 1)
-            m ^= low
-        self._fill(mask, size, tuple(members))
+            mask ^= low
+        self._fill(tuple(members), size)
 
     @classmethod
     def empty(cls, size: int) -> "Subset":
-        return cls(0, size)
+        return cls.of((), size)
 
     @classmethod
     def full(cls, size: int) -> "Subset":
-        return cls((1 << size) - 1, size)
+        return cls.of(range(size), size)
 
     @classmethod
     def of(cls, indices, size: int) -> "Subset":
-        return _subset(indices, size)
+        """The Subset of ``indices`` in any order, repeats allowed."""
+        members = sorted(set(indices))
+        if members and (members[0] < 0 or members[-1] >= size):
+            raise ValueError("subset index out of range")
+        s = cls.__new__(cls)
+        s._fill(tuple(members), size)
+        return s
+
+    @property
+    def mask(self) -> int:
+        # one pass over a byte buffer; OR-ing in ``1 << i`` per member would
+        # copy a carrier-wide integer each time
+        bits = bytearray((self.size + 7) // 8)
+        for i in self.members:
+            bits[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(bits, "little")
 
     def contains(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
+        members = self.members
+        j = bisect_left(members, i)
+        return j < len(members) and members[j] == i
 
     def union(self, other: "Subset") -> "Subset":
-        return Subset(self.mask | other.mask, self.size)
+        return Subset.of(self.members + other.members, self.size)
 
     def issubset(self, other: "Subset") -> bool:
-        return self.mask & ~other.mask == 0
+        return set(self.members).issubset(other.members)
 
     def indices(self):
         return list(self.members)
@@ -91,22 +112,17 @@ class Subset(Node):
     def __iter__(self):
         return iter(self.members)
 
+    def __eq__(self, other):
+        # the members determine the mask, so they compare without building it
+        if other.__class__ is self.__class__:
+            return self.members == other.members and self.size == other.size
+        return NotImplemented
 
-def _subset(indices, size: int) -> Subset:
-    """The Subset of ``indices`` in any order, built with no bit walk."""
-    members = sorted(set(indices))
-    m = 0
-    for i in members:
-        m |= 1 << i
-    if m >> size:
-        raise ValueError("subset mask out of range")
-    s = Subset.__new__(Subset)
-    s._fill(m, size, tuple(members))
-    return s
+    __hash__ = Node.__hash__  # of (mask, size)
 
 
 class FiniteAxiomSet(Node):
-    """``carrier`` is a tuple of atom names; per atom, ``labels`` is a tuple
+    """``carrier`` is a tuple of distinct atom names; per atom, ``labels`` is a tuple
     of its axioms' labels in order and ``covers`` a tuple of the Subsets
     they cover, C(a, i).  ``positions`` maps an atom to its index; it takes
     no part in equality or ``repr``."""
@@ -124,7 +140,10 @@ class FiniteAxiomSet(Node):
             for s in per_atom:
                 if s.size != n:
                     raise ValueError("axiom subset over the wrong carrier")
-        self._fill(carrier, labels, covers, {a: i for i, a in enumerate(carrier)})
+        positions = {a: i for i, a in enumerate(carrier)}
+        if len(positions) != n:
+            raise ValueError("duplicate atom in carrier")
+        self._fill(carrier, labels, covers, positions)
 
     def atom_index(self, atom: str) -> int:
         try:
@@ -219,8 +238,14 @@ def _entry_rounds(ax: FiniteAxiomSet, v: Subset, goals) -> list[Optional[int]]:
         layer, nxt, k = nxt, [], k + 1
 
 
+def _same_carrier(ax: FiniteAxiomSet, v: Subset) -> None:
+    if v.size != ax.size:
+        raise ValueError("subset over the wrong carrier")
+
+
 def least_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
     """Least cover of V: the atoms that enter at some round."""
+    _same_carrier(ax, v)
     rounds = _entry_rounds(ax, v, range(ax.size))
     return Subset.of((a for a, r in enumerate(rounds) if r is not None), ax.size)
 
@@ -231,16 +256,18 @@ def brute_force_min_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
     n = ax.size
     if n > 12:
         raise ValueError("brute-force oracle bounded to carriers of size <= 12")
+    v_mask = v.mask
+    cover_masks = [[cov.mask for cov in per_atom] for per_atom in ax.covers]
     acc = (1 << n) - 1
     for x in range(1 << n):
-        if v.mask & ~x:
+        if v_mask & ~x:
             continue
         closed = True
         for a in range(n):
             if x >> a & 1:
                 continue
-            for cov in ax.covers[a]:
-                if cov.mask & ~x == 0:
+            for mask in cover_masks[a]:
+                if mask & ~x == 0:
                     closed = False
                     break
             if not closed:
@@ -252,6 +279,7 @@ def brute_force_min_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
 
 def derivation(ax: FiniteAxiomSet, v: Subset, atom: int) -> Optional[Derivation]:
     """Some derivation iff the atom is in the least cover of V."""
+    _same_carrier(ax, v)
     return _derivation(ax, _entry_rounds(ax, v, (atom,)), atom, {})
 
 
@@ -414,6 +442,7 @@ def _instance(ax: FiniteAxiomSet, v: Subset) -> list:
 
 def cover_type(ax: FiniteAxiomSet, v: Subset, atom: int) -> Term:
     """``Cov a`` in the scope of the instance's lets."""
+    _same_carrier(ax, v)
     return _lets(_instance(ax, v), T.App(_ref(_COV, 5), fin_elem(atom, ax.size)))
 
 
@@ -429,6 +458,7 @@ def extract_proof_term(ax: FiniteAxiomSet, v: Subset, d: Derivation) -> Term:
     from ``star`` to x by one unit elimination; any other b is refuted by
     its empty domain.
     """
+    _same_carrier(ax, v)
     k = ax.size
     if isinstance(d, RfNode):
         return T.Rf(fin_elem(d.atom, k), T.Star())
@@ -500,9 +530,12 @@ class CoverFile(Node):
 
 def load_axiom_set(text: str) -> CoverFile:
     """Line format: ``carrier``, ``axiom``, ``subset`` and ``query`` items,
-    each line dispatched on its first word and its Subset built from indices."""
+    each line dispatched on its first word.  A line's Subset is built
+    straight from its atoms' sorted, deduplicated indices: they come from
+    ``positions``, so ``Subset.of``'s range check is skipped."""
     carrier: Optional[tuple[str, ...]] = None
     positions: dict = {}  # atom -> index in the carrier
+    new, fill = Subset.__new__, Subset._fill
     labels: list[list[str]] = []
     covers: list[list[Subset]] = []
     subsets: dict = {}
@@ -522,7 +555,9 @@ def load_axiom_set(text: str) -> CoverFile:
                 if label in labels[a]:
                     raise FormatError(f"duplicate label {label!r} for atom {parts[1]!r}", ln)
                 labels[a].append(label)
-                covers[a].append(_subset(map(positions.__getitem__, parts[4:]), len(carrier)))
+                s = new(Subset)
+                fill(s, tuple(sorted(set(map(positions.__getitem__, parts[4:])))), len(carrier))
+                covers[a].append(s)
             elif kind == "subset":
                 if len(parts) < 3 or parts[2] != ":":
                     raise FormatError("malformed subset line (expected 'subset V : a ...')", ln)
@@ -531,7 +566,8 @@ def load_axiom_set(text: str) -> CoverFile:
                 name = parts[1]
                 if name in subsets:
                     raise FormatError(f"duplicate subset {name!r}", ln)
-                subsets[name] = _subset(map(positions.__getitem__, parts[3:]), len(carrier))
+                s = subsets[name] = new(Subset)
+                fill(s, tuple(sorted(set(map(positions.__getitem__, parts[3:])))), len(carrier))
             elif kind == "query":
                 if len(parts) != 3:
                     raise FormatError("malformed query line (expected 'query a V')", ln)

@@ -619,9 +619,20 @@ def criterion6_derivations(seed: int = 98765):
 # --- the axiom-set loader the cover engine used to run ----------------------------
 
 
+def subset_by_mask(indices, size: int) -> Subset:
+    """The Subset builder ``Subset.of`` replaced, kept as its oracle: the
+    indices sorted and OR-ed into a carrier-wide mask, and the Subset read
+    off the mask by the constructor's bit walk."""
+    m = 0
+    for i in sorted(set(indices)):
+        m |= 1 << i
+    return Subset(m, size)
+
+
 def load_axiom_set_reference(text: str) -> CoverFile:
     """The loader ``cover.load_axiom_set`` replaced, kept as its oracle: one
-    ``match`` on each line's words, and each Subset built by ``Subset.of``.
+    ``match`` on each line's words, and each Subset built by
+    ``subset_by_mask``.
     A malformed ``query`` line falls through to ``unrecognized item``.
 
     Line format: ``carrier``, ``axiom``, ``subset`` and ``query`` items."""
@@ -663,7 +674,7 @@ def load_axiom_set_reference(text: str) -> CoverFile:
                     raise FormatError(f"duplicate label {label!r} for atom {atom!r}", ln)
                 idxs = [atom_index(m, ln) for m in members]
                 labels[a].append(label)
-                covers[a].append(Subset.of(idxs, len(carrier)))
+                covers[a].append(subset_by_mask(idxs, len(carrier)))
             case ["axiom", *_]:
                 raise FormatError("malformed axiom line (expected 'axiom a i : b ...')", ln)
             case ["subset", name, ":", *members]:
@@ -672,7 +683,7 @@ def load_axiom_set_reference(text: str) -> CoverFile:
                 if name in subsets:
                     raise FormatError(f"duplicate subset {name!r}", ln)
                 idxs = [atom_index(m, ln) for m in members]
-                subsets[name] = Subset.of(idxs, len(carrier))
+                subsets[name] = subset_by_mask(idxs, len(carrier))
             case ["subset", *_]:
                 raise FormatError("malformed subset line (expected 'subset V : a ...')", ln)
             case ["query", atom, name]:

@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import hypothesis
 import hypothesis.strategies as st
@@ -46,6 +47,7 @@ from helpers import (
     random_instance,
     reached_atoms,
     replay_derivation,
+    subset_by_mask,
     whole_carrier_entry_rounds,
 )
 
@@ -219,6 +221,44 @@ def test_an_atom_and_its_labels_and_axiom_subsets_align():
         FiniteAxiomSet(("a", "b"), (("i0",), ()), ((Subset(2, 2), Subset(0, 2)), ()))
     with pytest.raises(ValueError, match="labels and axiom subsets"):
         FiniteAxiomSet(("a", "b"), (("i0", "i1"), ()), ((Subset(2, 2),), ()))
+
+
+def test_a_carrier_lists_each_atom_once():
+    with pytest.raises(ValueError, match="duplicate atom in carrier"):
+        FiniteAxiomSet(("a", "a"), (("i",), ()), ((Subset(0, 2),), ()))
+    with pytest.raises(ValueError, match="duplicate atom in carrier"):
+        FiniteAxiomSet(("a", "b", "a"), ((), (), ()), ((), (), ()))
+
+
+# a V over one atom, handed to each entry point over a two-atom carrier
+_WRONG_V = Subset(0b1, 1)
+
+
+def _two_atoms():
+    return _axiom_set(["a", "b"], [("a", "i", ["b"])])
+
+
+def test_least_cover_refuses_a_subset_over_another_carrier():
+    with pytest.raises(ValueError, match="subset over the wrong carrier"):
+        least_cover(_two_atoms(), _WRONG_V)
+
+
+def test_derivation_refuses_a_subset_over_another_carrier():
+    with pytest.raises(ValueError, match="subset over the wrong carrier"):
+        derivation(_two_atoms(), _WRONG_V, 0)
+
+
+def test_cover_type_refuses_a_subset_over_another_carrier():
+    with pytest.raises(ValueError, match="subset over the wrong carrier"):
+        cover_type(_two_atoms(), _WRONG_V, 0)
+
+
+def test_extract_proof_term_refuses_a_subset_over_another_carrier():
+    ax = _two_atoms()
+    for atom in (0, 1):
+        d = derivation(ax, Subset.of([1], 2), atom)
+        with pytest.raises(ValueError, match="subset over the wrong carrier"):
+            extract_proof_term(ax, _WRONG_V, d)
 
 
 def test_derivation_matches_membership():
@@ -566,9 +606,39 @@ def _same_cover_file(new, ref):
     assert all(s.members == t.members for s, t in pairs)
 
 
+def _commented(text):
+    """``text`` with a comment at the end of every axiom, subset and query
+    line, after a space, a tab or nothing."""
+    tails = ["  # why", "\t#", "#glued"]
+    out = []
+    for k, line in enumerate(text.splitlines()):
+        if line.split()[:1] in (["axiom"], ["subset"], ["query"]):
+            line += tails[k % len(tails)]
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
 def test_the_loader_agrees_with_its_reference_on_generated_files():
     for text in _cover_texts():
-        _same_cover_file(load_axiom_set(text), load_axiom_set_reference(text))
+        for variant in (text, _commented(text), text.replace("\n", "\r\n")):
+            new = load_axiom_set(variant)
+            _same_cover_file(new, load_axiom_set_reference(variant))
+            if variant is not text:
+                _same_cover_file(new, load_axiom_set(text))
+
+
+def test_a_loaded_chain_keeps_no_carrier_wide_mask_per_axiom():
+    # the members alone take about 7 MB here, a carrier-wide mask per axiom about 33 MB
+    text = chain_cover_text(random.Random(5), 20_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cf = load_axiom_set(text)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cf.axiom_set.carrier) == 20_000
+    assert retained < 12_000_000
 
 
 # one text per FormatError the loader reports, then texts with two faults,
@@ -645,17 +715,31 @@ def test_a_subsets_members_are_its_bits_in_order(mask_size, rnd):
     mask, n = mask_size
     s = Subset(mask, n)
     assert s.members == tuple(i for i in range(n) if mask >> i & 1)
+    assert s.mask == mask and s.size == n
     t = Subset.of(s.members, n)
-    assert t == s and hash(t) == hash(s) and t.members == s.members
-    assert repr(s) == f"Subset(mask={mask!r}, size={n!r})"
-    for c in (copy.copy(s), pickle.loads(pickle.dumps(s))):
-        assert c == s and c.members == s.members
+    assert t == s and hash(t) == hash(s) == hash((mask, n)) and t.members == s.members
+    assert t == subset_by_mask(s.members, n) and t.mask == mask
+    assert repr(s) == repr(t) == f"Subset(mask={mask!r}, size={n!r})"
+    for c in (copy.copy(s), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert c == s and c.members == s.members and c.mask == mask
     scrambled = list(s.members) * 2
     rnd.shuffle(scrambled)
-    assert Subset.of((i for i in scrambled), n).members == s.members
+    assert Subset.of((i for i in scrambled), n) == subset_by_mask(scrambled, n) == s
     for bad in (n, n + rnd.randrange(5000), -1):
         with pytest.raises(ValueError):
             Subset.of(iter([*scrambled, bad]), n)
+        with pytest.raises(ValueError):
+            subset_by_mask([*scrambled, bad], n)
+    # a second subset of the same carrier: unrelated, below s, above s, or s
+    other = rnd.choice([rnd.getrandbits(n), mask & rnd.getrandbits(n), mask | rnd.getrandbits(n), mask])
+    o = Subset.of([i for i in range(n) if other >> i & 1], n)
+    assert o.mask == other
+    assert [s.contains(i) for i in range(n + 2)] == [bool(mask >> i & 1) for i in range(n + 2)]
+    assert s.issubset(o) == (mask & ~other == 0) and o.issubset(s) == (other & ~mask == 0)
+    assert s.union(o) == o.union(s) == Subset(mask | other, n)
+    assert s.union(o).mask == mask | other
+    assert (s == o) == (mask == other) and (s != o) == (mask != other)
+    assert hash(o) == hash((other, n))
 
 
 # --- derivations shared by a subset's queries -----------------------------------------
