@@ -7,10 +7,11 @@ equality flags are global per invocation; reports are stable line-oriented
 text and the exit status is zero exactly when no failure was reported.
 
 A command's failure propagates to ``main``, whose one handler prints it as
-one ``error:`` line.  A declaration whose check stops is named there
-(``typecheck.check_named``), by ``check`` and by ``norm`` and ``conv`` of a
-file alike; ``check`` also names one that fails.  ``--context`` is read by
-``surface.parse_context`` and checked within a step budget of its own.
+one ``error:`` line; running out of memory is ``error: out of memory``.  A
+declaration whose check stops is named there (``typecheck.check_named``),
+by ``check`` and by ``norm`` and ``conv`` of a file alike; ``check`` also
+names one that fails.  ``--context`` is read by ``surface.parse_context``
+and checked within a step budget of its own.
 """
 
 from __future__ import annotations
@@ -168,6 +169,10 @@ def main(argv=None) -> int:
             raise  # the reader has gone: there is no one to tell
         except FAILURES as e:
             print(f"error: {typecheck.stop_message(e)}")
+            status = 1
+        except MemoryError:
+            # what the command held is released as the error unwinds to here
+            print("error: out of memory")
             status = 1
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
     except BrokenPipeError:

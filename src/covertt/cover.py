@@ -14,10 +14,12 @@ brute-force oracle intersects all rule-closed supersets of V instead.
 Derivations are read off the entry rounds, and can be turned into kernel
 proof terms over an encoding of the carrier as a right-nested sum of unit
 types.  A Subset is the ascending tuple of its atoms' indices; its bit
-mask is derived only when read, so loading a file builds no carrier-wide
-integer per axiom, and its memory grows with the premises it lists, not
-with the carrier's size times the axioms.  The queries of one subset share
-its entry rounds and its derivation nodes.
+mask is derived only when read.  An axiom's premises are kept as its line
+lists them, in the order written and with repeats, so loading a file
+sorts nothing and builds no Subset per axiom: the chaining counts each
+premise occurrence, a derivation sorts only the axioms it uses, and a
+certificate builds a Subset only for each axiom it encodes.  The queries
+of one subset share its entry rounds and its derivation nodes.
 
 A certificate is one closed term that states its instance once, as five
 ``let``s (the carrier, the label family, the axiom family, V and the
@@ -123,11 +125,15 @@ class Subset(Node):
 
 class FiniteAxiomSet(Node):
     """``carrier`` is a tuple of distinct atom names; per atom, ``labels`` is a tuple
-    of its axioms' labels in order and ``covers`` a tuple of the Subsets
-    they cover, C(a, i).  ``positions`` maps an atom to its index; it takes
-    no part in equality or ``repr``."""
+    of its axioms' labels in order and ``premises`` a tuple of their premises,
+    each the tuple of atom indices the axiom lists, in any order and with
+    repeats allowed.  ``covers``, per atom the Subsets C(a, i) the axioms
+    cover, is built from the premises when read; it takes part in equality
+    and ``repr`` in their place, so two sets listing the same premises in
+    different orders are equal.  ``positions`` maps an atom to its index; it
+    takes no part in equality or ``repr``."""
 
-    __slots__ = ("carrier", "labels", "covers", "positions")
+    __slots__ = ("carrier", "labels", "premises", "positions")
     __match_args__ = ("carrier", "labels", "covers")
 
     def __init__(self, carrier: tuple, labels: tuple, covers: tuple):
@@ -143,7 +149,17 @@ class FiniteAxiomSet(Node):
         positions = {a: i for i, a in enumerate(carrier)}
         if len(positions) != n:
             raise ValueError("duplicate atom in carrier")
-        self._fill(carrier, labels, covers, positions)
+        premises = tuple(tuple(s.members for s in per_atom) for per_atom in covers)
+        self._fill(carrier, labels, premises, positions)
+
+    @property
+    def covers(self) -> tuple:
+        n = len(self.carrier)
+        return tuple(tuple(Subset.of(p, n) for p in per_atom) for per_atom in self.premises)
+
+    def axiom(self, atom: int, label: int) -> Subset:
+        """C(atom, label), the Subset one axiom covers."""
+        return Subset.of(self.premises[atom][label], len(self.carrier))
 
     def atom_index(self, atom: str) -> int:
         try:
@@ -187,14 +203,17 @@ def _entry_rounds(ax: FiniteAxiomSet, v: Subset, goals) -> list[Optional[int]]:
     Round 0 is V.  An atom outside V enters at round k + 1 when one of its
     axioms has all its premises entered by round k; an axiom without
     premises fires at round 1.  These are the rounds of Kleene iteration
-    from V, found with every reached premise occurrence visited once.
+    from V, found with every reached premise occurrence visited once.  An
+    axiom counts each premise occurrence, a repeated premise as often as it
+    is listed, and each is counted off when its atom enters, so the axiom
+    fires when its distinct premises have all entered.
     """
     rounds: list[Optional[int]] = [None] * ax.size
     # per reached atom, the axioms it is a premise of; None marks an atom not reached
     watch: list[Optional[list[int]]] = [None] * ax.size
     heads: list[int] = []  # per axiom, the atom it covers
     missing: list[int] = []  # per axiom, its premises not yet entered
-    covers, in_v = ax.covers, set(v.members)
+    axioms, in_v = ax.premises, set(v.members)
     layer: list[int] = []
     nxt: list[int] = []
     todo: list[int] = []  # reached atoms whose axioms are not yet indexed
@@ -208,8 +227,7 @@ def _entry_rounds(ax: FiniteAxiomSet, v: Subset, goals) -> list[Optional[int]]:
             rounds[a] = 0
             layer.append(a)
             continue
-        for cov in covers[a]:
-            premises = cov.members
+        for premises in axioms[a]:
             if not premises:
                 if rounds[a] is None:
                     rounds[a] = 1
@@ -310,10 +328,10 @@ def _derivation(ax: FiniteAxiomSet, rounds: list, atom: int, nodes: dict) -> Opt
             stack.pop()
             continue
         if a not in chosen:
-            for li, cov in enumerate(ax.covers[a]):
-                premises = cov.members
+            for li, premises in enumerate(ax.premises[a]):
                 if all(rounds[b] is not None and rounds[b] < r for b in premises):
-                    chosen[a] = li, premises
+                    # the children follow C(a, li), in carrier order
+                    chosen[a] = li, tuple(sorted(set(premises)))
                     break
         li, premises = chosen[a]
         # premises entered before a, so pushing them cannot cycle
@@ -419,12 +437,10 @@ def _instance(ax: FiniteAxiomSet, v: Subset) -> list:
 
     def axioms_for(a: int, depth: int) -> Term:
         # fun i => C(a, i), by case split on the label
-        covers = ax.covers[a]
-
         def axiom(li: int, _depth: int) -> Term:
-            return T.Lam(_family_body(_subset_codes(covers[li])))
+            return T.Lam(_family_body(_subset_codes(ax.axiom(a, li))))
 
-        return T.Lam(_case_tree(len(covers), axiom, lambda _j, d: _predicates(d), depth + 1))
+        return T.Lam(_case_tree(len(ax.labels[a]), axiom, lambda _j, d: _predicates(d), depth + 1))
 
     def axioms_motive(j: int, depth: int) -> Term:
         # L (inr^j y) -> C -> U0, y the tail's element
@@ -468,7 +484,7 @@ def extract_proof_term(ax: FiniteAxiomSet, v: Subset, d: Derivation) -> Term:
     def binding(node: TrNode) -> tuple:
         # Cov a and tr a i f, under the lets before the node's own
         depth = level[id(node)]
-        cov = ax.covers[node.atom][node.label]
+        cov = ax.axiom(node.atom, node.label)
         children = dict(zip(cov.members, node.children))
         a = fin_elem(node.atom, k)
         i = fin_elem(node.label, len(ax.labels[node.atom]))
@@ -530,14 +546,13 @@ class CoverFile(Node):
 
 def load_axiom_set(text: str) -> CoverFile:
     """Line format: ``carrier``, ``axiom``, ``subset`` and ``query`` items,
-    each line dispatched on its first word.  A line's Subset is built
-    straight from its atoms' sorted, deduplicated indices: they come from
-    ``positions``, so ``Subset.of``'s range check is skipped."""
+    each line dispatched on its first word.  An axiom's premises are kept
+    as the tuple of atom indices its line lists; only a ``subset`` line
+    builds a Subset."""
     carrier: Optional[tuple[str, ...]] = None
     positions: dict = {}  # atom -> index in the carrier
-    new, fill = Subset.__new__, Subset._fill
     labels: list[list[str]] = []
-    covers: list[list[Subset]] = []
+    premises: list[list[tuple]] = []
     subsets: dict = {}
     queries: list = []
     try:
@@ -555,9 +570,7 @@ def load_axiom_set(text: str) -> CoverFile:
                 if label in labels[a]:
                     raise FormatError(f"duplicate label {label!r} for atom {parts[1]!r}", ln)
                 labels[a].append(label)
-                s = new(Subset)
-                fill(s, tuple(sorted(set(map(positions.__getitem__, parts[4:])))), len(carrier))
-                covers[a].append(s)
+                premises[a].append(tuple(map(positions.__getitem__, parts[4:])))
             elif kind == "subset":
                 if len(parts) < 3 or parts[2] != ":":
                     raise FormatError("malformed subset line (expected 'subset V : a ...')", ln)
@@ -566,8 +579,7 @@ def load_axiom_set(text: str) -> CoverFile:
                 name = parts[1]
                 if name in subsets:
                     raise FormatError(f"duplicate subset {name!r}", ln)
-                s = subsets[name] = new(Subset)
-                fill(s, tuple(sorted(set(map(positions.__getitem__, parts[3:])))), len(carrier))
+                subsets[name] = Subset.of(map(positions.__getitem__, parts[3:]), len(carrier))
             elif kind == "query":
                 if len(parts) != 3:
                     raise FormatError("malformed query line (expected 'query a V')", ln)
@@ -588,7 +600,7 @@ def load_axiom_set(text: str) -> CoverFile:
                 carrier = tuple(atoms)
                 positions = {a: i for i, a in enumerate(carrier)}
                 labels = [[] for _ in atoms]
-                covers = [[] for _ in atoms]
+                premises = [[] for _ in atoms]
             else:
                 raise FormatError(f"unrecognized item {kind!r}", ln)
     except KeyError as e:  # the only lookups that can fail are of atoms in positions
@@ -599,7 +611,7 @@ def load_axiom_set(text: str) -> CoverFile:
     # the families are aligned and sized by construction, and positions is
     # the carrier's index map, so the constructor's checks are skipped
     ax = FiniteAxiomSet.__new__(FiniteAxiomSet)
-    ax._fill(carrier, tuple(map(tuple, labels)), tuple(map(tuple, covers)), positions)
+    ax._fill(carrier, tuple(map(tuple, labels)), tuple(map(tuple, premises)), positions)
     return CoverFile(ax, subsets, queries)
 
 

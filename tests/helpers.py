@@ -488,10 +488,11 @@ class HandWrittenEvaluator(Evaluator):
 
 def kleene_step(ax: FiniteAxiomSet, v_mask: int, x_mask: int) -> int:
     out = x_mask | v_mask
+    covers = ax.covers
     for a in range(ax.size):
         if out >> a & 1:
             continue
-        for cov in ax.covers[a]:
+        for cov in covers[a]:
             if cov.mask & ~x_mask == 0:
                 out |= 1 << a
                 break
@@ -523,13 +524,14 @@ def replay_derivation(ax: FiniteAxiomSet, v: Subset, atom: int):
         x = nxt
     if not x >> atom & 1:
         return None
+    covers = ax.covers
 
     def build(a: int):
         if v.mask >> a & 1:
             return RfNode(a)
         entered = next(k for k in range(len(rounds)) if rounds[k] >> a & 1)
         prev = rounds[entered - 1]
-        for li, cov in enumerate(ax.covers[a]):
+        for li, cov in enumerate(covers[a]):
             if cov.mask & ~prev == 0:
                 return TrNode(a, li, tuple(build(b) for b in cov.indices()))
         raise AssertionError("round replay lost an axiom")
@@ -579,11 +581,12 @@ def whole_carrier_entry_rounds(ax: FiniteAxiomSet, v: Subset) -> list[Optional[i
 def reached_atoms(ax: FiniteAxiomSet, v: Subset, goals) -> set:
     """The goals and, from each atom outside V, the premises of its axioms."""
     seen, todo = set(goals), list(goals)
+    covers = ax.covers
     while todo:
         a = todo.pop()
         if v.contains(a):
             continue
-        for cov in ax.covers[a]:
+        for cov in covers[a]:
             for b in cov.members:
                 if b not in seen:
                     seen.add(b)
@@ -793,12 +796,13 @@ def instance_terms_substituted(ax: FiniteAxiomSet, v: Subset):
     """(carrier, labels family, axioms family, subset), as the substituting
     encoding built them."""
     carrier = cover.fin_type(ax.size)
+    covers = ax.covers
 
     def axioms_for(a: int):
         return T.Lam(
             _substituted_case_tree(
                 len(ax.labels[a]),
-                lambda li: _substituted_subset_pred(ax.covers[a][li]),
+                lambda li: _substituted_subset_pred(covers[a][li]),
                 T.Var(0),
                 T.Pi(carrier, T.Univ()),
             )
@@ -816,11 +820,12 @@ def cover_type_substituted(ax: FiniteAxiomSet, v: Subset, atom: int):
 def extract_proof_term_substituted(ax: FiniteAxiomSet, v: Subset, d):
     k = ax.size
     cover_fam = T.Cover(*instance_terms_substituted(ax, v))
+    covers = ax.covers
 
     def build(node):
         if isinstance(node, RfNode):
             return T.Rf(cover.fin_elem(node.atom, k), T.Star())
-        cov = ax.covers[node.atom][node.label]
+        cov = covers[node.atom][node.label]
         children = dict(zip(cov.indices(), node.children))
 
         def leaf(b: int):
@@ -870,14 +875,13 @@ def instance_terms_inlined(ax: FiniteAxiomSet, v: Subset):
     carrier = cover.fin_type(k)
     label_codes = [cover.fin_type(len(ls)) for ls in ax.labels]
     pred_type = T.Pi(carrier, T.Univ())
+    covers = ax.covers
 
     def axioms_for(a: int):
-        covers = ax.covers[a]
-
         def pred(li: int):
-            return T.Lam(_inlined_family_body(cover._subset_codes(covers[li])))
+            return T.Lam(_inlined_family_body(cover._subset_codes(covers[a][li])))
 
-        return T.Lam(_reduced_case_tree(len(covers), pred, lambda _j: pred_type))
+        return T.Lam(_reduced_case_tree(len(covers[a]), pred, lambda _j: pred_type))
 
     axioms = T.Lam(
         _reduced_case_tree(
@@ -895,11 +899,12 @@ def cover_type_inlined(ax: FiniteAxiomSet, v: Subset, atom: int):
 def extract_proof_term_inlined(ax: FiniteAxiomSet, v: Subset, d):
     k = ax.size
     cover_fam = T.Cover(*instance_terms_inlined(ax, v))
+    covers = ax.covers
 
     def build(node):
         if isinstance(node, RfNode):
             return T.Rf(cover.fin_elem(node.atom, k), T.Star())
-        cov = ax.covers[node.atom][node.label]
+        cov = covers[node.atom][node.label]
         children = dict(zip(cov.indices(), node.children))
         codes = cover._subset_codes(cov)
 

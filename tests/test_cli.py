@@ -430,6 +430,17 @@ def test_norm_conv_cover_report_an_internal_failure(capsys, tmp_path, monkeypatc
         assert (code, out) == (1, f"error: {what} ({exc})\n"), argv
 
 
+def test_running_out_of_memory_is_one_error_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cover, "load_axiom_set", raiser(MemoryError()))
+    monkeypatch.setattr(typecheck, "check_declarations", raiser(MemoryError()))
+    f = tmp_path / "two.cov"
+    f.write_text("carrier a b\nsubset V : b\nquery a V\n")
+    g = tmp_path / "one.mltt"
+    g.write_text("def x : N1 := star\n")
+    for argv in (["cover", str(f)], ["check", str(g)], ["norm", str(g), "--expr", "x"]):
+        assert run(capsys, *argv) == (1, "error: out of memory\n"), argv
+
+
 @pytest.mark.parametrize("exc, what", INTERNAL)
 def test_corpus_fails_only_the_entry_whose_check_stops(capsys, tmp_path, monkeypatch, exc, what):
     base = write_corpus(tmp_path, "a ok.mltt\nmid mid.mltt\nb ok.mltt\n", {
