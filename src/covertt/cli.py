@@ -12,6 +12,12 @@ declaration whose check stops is named there (``typecheck.check_named``),
 by ``check`` and by ``norm`` and ``conv`` of a file alike; ``check`` also
 names one that fails.  ``--context`` is read by ``surface.parse_context``
 and checked within a step budget of its own.
+
+The module imports only ``argparse``, ``os``, ``sys`` and ``terms``; each
+command imports what it runs, so a process compiles no module its command
+does not need: ``check``, ``norm`` and ``conv`` load ``surface`` and
+``typecheck`` (with ``semantics``), ``corpus`` also ``encodings``, and
+``cover`` only ``surface`` and ``cover``.
 """
 
 from __future__ import annotations
@@ -20,10 +26,7 @@ import argparse
 import os
 import sys
 
-from . import cover as cover_mod
-from . import encodings, surface, typecheck
 from .terms import Flags
-from .typecheck import Checker, Context, TypeCheckError
 
 
 def _add_flag_args(p: argparse.ArgumentParser):
@@ -74,19 +77,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_checker(path, flags) -> Checker:
-    checker = Checker(flags)
+def _load_checker(path, flags):
+    from . import surface, typecheck
+
+    checker = typecheck.Checker(flags)
     if path is not None:
         for d in surface.load_file(path):
             typecheck.check_named(d, checker)
     return checker
 
 
-def _context(checker: Checker, spec: str):
+def _context(checker, spec: str):
     """The context of the ``--context`` items, checked left to right at
     ``<context>``, and its names."""
+    from . import surface, typecheck
+
     items = surface.parse_context(spec)
-    ctx = Context()
+    ctx = typecheck.Context()
     checker.begin("<context>")
     for _, ty in items:
         checker.ensure_type(ctx, ty)
@@ -95,11 +102,13 @@ def _context(checker: Checker, spec: str):
 
 
 def cmd_check(ns) -> int:
-    checker = Checker(_flags(ns))
+    from . import surface, typecheck
+
+    checker = typecheck.Checker(_flags(ns))
     for d in surface.load_file(ns.file):
         try:
             typecheck.check_named(d, checker)
-        except TypeCheckError as e:
+        except typecheck.TypeCheckError as e:
             print(f"error {d.name}")
             print(e)
             return 1
@@ -108,6 +117,8 @@ def cmd_check(ns) -> int:
 
 
 def cmd_norm(ns) -> int:
+    from . import surface, typecheck
+
     checker = _load_checker(ns.file, _flags(ns))
     term = surface.parse_term(ns.expr)
     print(surface.pretty(typecheck.normalize(checker, term)))
@@ -115,6 +126,8 @@ def cmd_norm(ns) -> int:
 
 
 def cmd_conv(ns) -> int:
+    from . import surface, typecheck
+
     checker = _load_checker(ns.file, _flags(ns))
     ctx, scope = _context(checker, ns.context)
     ty = surface.parse_term(ns.at_type, scope=scope)
@@ -128,6 +141,8 @@ def cmd_conv(ns) -> int:
 
 
 def cmd_corpus(ns) -> int:
+    from . import encodings
+
     status = 0
     for r in encodings.check_corpus(_flags(ns), ns.corpus_dir):
         if r.status == "pass":
@@ -141,6 +156,9 @@ def cmd_corpus(ns) -> int:
 
 
 def cmd_cover(ns) -> int:
+    from . import cover as cover_mod
+    from . import surface
+
     try:
         cf = cover_mod.load_axiom_set(surface.read_source(ns.file))
     except cover_mod.FormatError as e:
@@ -152,11 +170,15 @@ def cmd_cover(ns) -> int:
     return 0
 
 
-# What ends a command with one ``error:`` line: input that cannot be read
-# or parsed, a malformed manifest line (ValueError), a type error, or a
-# check stopped short of a verdict, named by its declaration or not.
-FAILURES = (surface.ParseError, OSError, ValueError, TypeCheckError, typecheck.CheckStopped,
-            *typecheck.STOPS)
+def _failures() -> tuple:
+    """What ends a command with one ``error:`` line: input that cannot be
+    read or parsed, a malformed manifest line (ValueError), a type error, or
+    a check stopped short of a verdict, named by its declaration or not.
+    Read only once an exception reaches ``main``, as it imports the kernel."""
+    from . import surface, typecheck
+
+    return (surface.ParseError, OSError, ValueError, typecheck.TypeCheckError,
+            typecheck.CheckStopped, *typecheck.STOPS)
 
 
 def main(argv=None) -> int:
@@ -167,12 +189,15 @@ def main(argv=None) -> int:
             status = ns.run(ns)
         except BrokenPipeError:
             raise  # the reader has gone: there is no one to tell
-        except FAILURES as e:
-            print(f"error: {typecheck.stop_message(e)}")
-            status = 1
         except MemoryError:
-            # what the command held is released as the error unwinds to here
+            # what the command held is released as the error unwinds to
+            # here; this clause comes first, as the next one imports
             print("error: out of memory")
+            status = 1
+        except _failures() as e:  # evaluated only when an exception gets here
+            from .typecheck import stop_message
+
+            print(f"error: {stop_message(e)}")
             status = 1
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
     except BrokenPipeError:

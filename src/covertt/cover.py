@@ -125,7 +125,7 @@ class Subset(Node):
 
 class FiniteAxiomSet(Node):
     """``carrier`` is a tuple of distinct atom names; per atom, ``labels`` is a tuple
-    of its axioms' labels in order and ``premises`` a tuple of their premises,
+    of its axioms' distinct labels in order and ``premises`` a tuple of their premises,
     each the tuple of atom indices the axiom lists, in any order and with
     repeats allowed.  ``covers``, per atom the Subsets C(a, i) the axioms
     cover, is built from the premises when read; it takes part in equality
@@ -149,6 +149,9 @@ class FiniteAxiomSet(Node):
         positions = {a: i for i, a in enumerate(carrier)}
         if len(positions) != n:
             raise ValueError("duplicate atom in carrier")
+        for atom, ls in zip(carrier, labels):
+            if len(set(ls)) != len(ls):
+                raise ValueError(f"duplicate label for atom {atom!r}")
         premises = tuple(tuple(s.members for s in per_atom) for per_atom in covers)
         self._fill(carrier, labels, premises, positions)
 
@@ -551,7 +554,7 @@ def load_axiom_set(text: str) -> CoverFile:
     builds a Subset."""
     carrier: Optional[tuple[str, ...]] = None
     positions: dict = {}  # atom -> index in the carrier
-    labels: list[list[str]] = []
+    labels: list[dict] = []  # per atom, its labels as keys, in order
     premises: list[list[tuple]] = []
     subsets: dict = {}
     queries: list = []
@@ -569,7 +572,7 @@ def load_axiom_set(text: str) -> CoverFile:
                 a, label = positions[parts[1]], parts[2]
                 if label in labels[a]:
                     raise FormatError(f"duplicate label {label!r} for atom {parts[1]!r}", ln)
-                labels[a].append(label)
+                labels[a][label] = None
                 premises[a].append(tuple(map(positions.__getitem__, parts[4:])))
             elif kind == "subset":
                 if len(parts) < 3 or parts[2] != ":":
@@ -599,7 +602,7 @@ def load_axiom_set(text: str) -> CoverFile:
                     raise FormatError("duplicate atom in carrier", ln)
                 carrier = tuple(atoms)
                 positions = {a: i for i, a in enumerate(carrier)}
-                labels = [[] for _ in atoms]
+                labels = [{} for _ in atoms]
                 premises = [[] for _ in atoms]
             else:
                 raise FormatError(f"unrecognized item {kind!r}", ln)
@@ -608,8 +611,9 @@ def load_axiom_set(text: str) -> CoverFile:
 
     if carrier is None:
         raise FormatError("missing carrier line", 1)
-    # the families are aligned and sized by construction, and positions is
-    # the carrier's index map, so the constructor's checks are skipped
+    # the families are aligned and sized and each atom's labels distinct by
+    # construction, and positions is the carrier's index map, so the
+    # constructor's checks are skipped
     ax = FiniteAxiomSet.__new__(FiniteAxiomSet)
     ax._fill(carrier, tuple(map(tuple, labels)), tuple(map(tuple, premises)), positions)
     return CoverFile(ax, subsets, queries)

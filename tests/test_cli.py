@@ -563,6 +563,43 @@ def test_importing_the_cli_loads_no_code_generation_modules():
     assert out == "[]\n"
 
 
+# what a run of each command loads of the package, beside ``covertt``,
+# ``covertt.cli`` and ``covertt.terms``: only the modules it runs
+KERNEL = {"surface", "typecheck", "semantics"}
+COMMAND_MODULES = [
+    (["check", "FILE"], KERNEL),
+    (["norm", "FILE", "--expr", "x"], KERNEL),
+    (["conv", "x", "x", "--type", "N1", "--file", "FILE"], KERNEL),
+    (["corpus", "--corpus-dir", "DIR"], KERNEL | {"encodings"}),
+    (["cover", "COV"], {"surface", "cover"}),
+]
+_RUN_AND_LIST_MODULES = (
+    "import contextlib, io, sys\n"
+    "before = set(sys.modules)\n"
+    "from covertt.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    status = main(sys.argv[1:])\n"
+    "print(status, sorted(m for m in set(sys.modules) - before if m.startswith('covertt')))\n"
+)
+
+
+@pytest.mark.parametrize("argv, loaded", COMMAND_MODULES, ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    base = write_corpus(tmp_path, "one one.mltt\n", {
+        "one.mltt": "def x : N1 := star\n",
+        "two.cov": "carrier a b\nsubset V : b\nquery a V\n",
+    })
+    paths = {"FILE": os.path.join(base, "one.mltt"), "DIR": base, "COV": os.path.join(base, "two.cov")}
+    argv = [paths.get(a, a) for a in argv]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    expected = sorted({"covertt", "covertt.cli", "covertt.terms"} | {f"covertt.{m}" for m in loaded})
+    assert out == f"0 {expected}\n"
+
+
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 ALL_FLAGS = ("--eta-pi", "--eta-sigma", "--eta-unit", "--funext")
 REPORT_FLAG_SETS = [(), ("--funext",), ALL_FLAGS[:3], ALL_FLAGS]

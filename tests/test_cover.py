@@ -230,6 +230,15 @@ def test_a_carrier_lists_each_atom_once():
         FiniteAxiomSet(("a", "b", "a"), ((), (), ()), ((), (), ()))
 
 
+def test_an_atom_lists_each_label_once():
+    """As the loader requires: a rendered ``tr a i`` names one axiom."""
+    with pytest.raises(ValueError, match="duplicate label for atom 'b'"):
+        FiniteAxiomSet(("a", "b"), ((), ("i", "j", "i")), ((), (Subset(0, 2),) * 3))
+    # one label on two atoms names two axioms
+    ax = FiniteAxiomSet(("a", "b"), (("i",), ("i",)), ((Subset(2, 2),), (Subset(0, 2),)))
+    assert ax.labels == (("i",), ("i",))
+
+
 # a V over one atom, handed to each entry point over a two-atom carrier
 _WRONG_V = Subset(0b1, 1)
 
@@ -669,6 +678,28 @@ def test_a_set_built_from_subsets_equals_the_loaded_one():
         for twin in (copy.copy(ax), copy.deepcopy(ax), pickle.loads(pickle.dumps(ax))):
             assert twin == ax and hash(twin) == hash(ax)
             assert twin.premises == ax.premises and twin.positions == ax.positions
+
+
+_LOAD_MANY = """
+import sys
+from covertt import cover
+print(len(cover.load_axiom_set(sys.stdin.read()).axiom_set.labels[0]))
+"""
+
+
+def test_an_atom_with_many_axioms_loads_in_linear_time():
+    """Each atom's labels are held as dict keys, so a duplicate is found
+    without a scan; scanning a list, 40,000 labels took 15 s and these
+    100,000 would take minutes.  Run in a subprocess, so that it can be
+    stopped."""
+    n = 100_000
+    text = "carrier a b\n" + "".join(f"axiom a r{i} : b\n" for i in range(n))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_MANY], input=text, capture_output=True, text=True, env=env,
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (0, f"{n}\n"), proc.stderr[-2000:]
 
 
 def test_a_loaded_chain_keeps_no_carrier_wide_mask_per_axiom():
