@@ -83,7 +83,9 @@ def check_corpus(flags: Flags, base: str | None = None):
     check`` reports it.  A manifest that cannot be read raises.
     """
     base = base or corpus_dir()
-    parsed: dict = {}  # file path -> its module or its error, for every entry
+    # file path -> its module or its error, for every entry, and the
+    # parser's node table: a subterm written in two files is one object
+    parsed: dict = {}
     checked: dict[str, _Checked] = {}  # module path -> its check
     # one evaluator for the call: a recursor closure in an imported global
     # charges its steps to the declaration that forces it

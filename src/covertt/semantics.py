@@ -8,12 +8,13 @@ type every value reads back as ``star`` under ``eta_unit``.
 
 Conversion compares two values directly.  It walks both values at once
 through the same typed cases as readback and stops at the first difference.
-It answers without descending where the two sides are the same object, or
-closures with the same body object whose environments agree where the body
-reads them (``Evaluator._same``): the idea of flat closure conversion,
-without rewriting any body.  It is equal by construction to reading both
-values back and comparing the terms, which the test suite keeps as its
-oracle.
+It answers without descending where the two sides, or two closures or
+frames of a neutral's spine about to be instantiated or typed, are the same
+object, or closures with the same body object whose environments agree
+where the body reads them (``Evaluator._same``): the idea of flat closure
+conversion, without rewriting any body.  It is equal by construction to
+reading both values back and comparing the terms, which the test suite
+keeps as its oracle.
 
 ``eta_unit`` additionally lets the unit eliminator fire on any scrutinee
 (every inhabitant is judgmentally ``star`` under that rule), which is what
@@ -56,7 +57,6 @@ top-level call, the whole ``step_limit``.
 
 from __future__ import annotations
 
-import operator
 from itertools import repeat
 from typing import Optional, Union
 
@@ -562,14 +562,15 @@ class Evaluator:
     #
     # Conversion walks both values at once, through the same typed cases and
     # field tables as readback, and stops at the first difference.  A pair is
-    # convertible exactly when the two readbacks are equal terms, but where
-    # the two sides are the same object, or closures with the same body that
-    # agree where it reads their environments, it answers without descending.
-    # Under eta_pi both sides are applied to one fresh variable, under
-    # eta_sigma their projections are compared, and under eta_unit any two
-    # values at the unit type are equal.  Neutral spines are typed frame by
-    # frame as readback types them, so eta_unit also holds at frame arguments
-    # and no pair has to be read back.
+    # convertible exactly when the two readbacks are equal terms.  Every
+    # comparison asks ``_same`` before it instantiates two closures or types
+    # two spines' frames (``Checker.subsumes`` too, at codomains): the same
+    # object, or closures with the same body that agree where it reads their
+    # environments, answer without descending.  Under eta_pi both sides are
+    # applied to one fresh variable, under eta_sigma their projections are
+    # compared, and under eta_unit any two values at the unit type are equal.
+    # Neutral spines are typed frame by frame as readback types them, so
+    # eta_unit also holds at frame arguments and no pair has to be read back.
 
     def equal(self, a: Value, b: Value, ty: Value, depth: int) -> bool:
         """One conversion problem of the checker (``conv`` recurses)."""
@@ -653,8 +654,8 @@ class Evaluator:
 
     def conv_neutral(self, a: VNeutral, b: VNeutral, depth: int) -> bool:
         """Same head, same spine length, then the frames in order.  Frames
-        whose fields are the same objects need no types, so the walk types
-        the spine only up to the last frame that differs.  The indices an
+        that are the same (``_same``) need no types, so the walk types the
+        spine only up to the last frame that differs.  The indices an
         eliminator's term records are those of the type the spine before it
         gives, so they need no comparison of their own."""
         ha, hb = a.head, b.head
@@ -666,7 +667,7 @@ class Evaluator:
         fa, fb = a.frames, b.frames
         if len(fa) != len(fb) or any(f.form is not g.form for f, g in zip(fa, fb)):
             return False
-        last = max((k for k in range(len(fa)) if not _same_frame(fa[k], fb[k])), default=-1)
+        last = next((k for k in reversed(range(len(fa))) if not self._same(fa[k], fb[k])), -1)
         cur = ha.type
         for k in range(last + 1):
             types, result = self.frame_types(cur, VNeutral(ha, fa[:k]), fa[k])
@@ -726,11 +727,6 @@ def _fields(x) -> list:
 def _describe(v) -> str:
     """A value's class, or the form of a ``VIntro``, for an error message."""
     return v.form.__name__ if type(v) is VIntro else type(v).__name__
-
-
-def _same_frame(f1: Frame, f2: Frame) -> bool:
-    """Two frames of the same form whose arguments are the same objects."""
-    return f1 is f2 or all(map(operator.is_, f1.args, f2.args))
 
 
 _FIELD_NAMES = {cls: tuple(name for name, _ in children) for cls, children in T.CHILDREN.items()}

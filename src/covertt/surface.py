@@ -22,16 +22,22 @@ rebuild every right side once per arrow that encloses it.
 The parser shares equal subterms (hash-consing): it builds every node
 through ``Parser.node``, which returns the node it built before for the
 same class and the same children, told apart by identity, or the same
-index or name.  So equal subterms of one ``parse_term`` call, or of one
-file, are one object, and the closures evaluated from repeated text share
-their body, which lets conversion compare them without applying them.
+index or name.  So equal subterms of one ``parse_term`` call, or of the
+files of one load (one ``load_modules`` call, or the calls that share one
+``parsed`` dict), are one object, and the closures evaluated from repeated
+text share their body, which lets conversion compare them without applying
+them, even where a type written in one file meets its copy in another.
+The node table lives as long as the parse or the load, and no longer.
 Sharing changes neither ``==`` nor ``hash``, which still compare structure.
 
 The pretty-printer emits text that re-parses to a structurally equal term,
 with deterministic fresh names ``x0, x1, ...`` indexed by binder depth, for
 ``fun`` and ``let`` binders alike.  It prints a non-dependent body under
 the same kind of anonymous binder, which takes no name, instead of
-strengthening the body first.  An annotation on
+strengthening the body first.  Whether a body reads its binder is found
+in one walk from the outermost ``->`` or ``*`` the printer meets, and
+remembered by node for the rest of the call, so printing takes time linear
+in the size of the term, not quadratic in its depth.  An annotation on
 the left of a non-dependent ``->`` or ``*``, or on the right of a ``*``,
 gets a second pair of parentheses, since ``( x : T ) -> B`` is a binder.
 """
@@ -201,7 +207,7 @@ _ATOM_START = set(KEYWORD_FORMS) | set(ATOM_KEYWORDS) | BINDER_KEYWORDS
 
 
 class Parser:
-    def __init__(self, src: str, filename: Optional[str] = None):
+    def __init__(self, src: str, filename: Optional[str] = None, nodes: Optional[dict] = None):
         self.src = src
         try:
             kinds, texts, lines = _lex(src)
@@ -218,12 +224,15 @@ class Parser:
         # of a non-dependent ``->`` or ``*``, which no name refers to
         self.scope: list[Optional[str]] = []
         self._tokens: Optional[list[Token]] = None
-        self.nodes: dict = {}  # the key of each node built so far -> the node
+        # the key of each node built so far -> the node; shared by the files
+        # of one load
+        self.nodes: dict = {} if nodes is None else nodes
 
     def node(self, cls, *fields) -> Term:
-        """``cls(*fields)``, built once per parse: a node equal to one this
-        parser built before is that node.  Sub-terms are this parse's nodes,
-        so they are keyed by identity; an index or a name by its value."""
+        """``cls(*fields)``, built once per node table: a node equal to one
+        built before into ``nodes`` is that node.  Sub-terms are the table's
+        nodes, so they are keyed by identity; an index or a name by its
+        value."""
         key = (cls, *fields) if cls is T.Var or cls is T.Const else (cls, *map(id, fields))
         t = self.nodes.get(key)
         if t is None:
@@ -231,7 +240,7 @@ class Parser:
         return t
 
     def _share(self, t: Term) -> Term:
-        """A term built outside the parser, rebuilt from this parse's nodes."""
+        """A term built outside the parser, rebuilt from the table's nodes."""
         fields = [getattr(t, name) for name in t.__match_args__]
         return self.node(type(t), *[self._share(f) if isinstance(f, Term) else f for f in fields])
 
@@ -482,10 +491,14 @@ def parse_term(src: str, scope: Optional[list[str]] = None) -> Term:
     return t
 
 
-def parse_file(src: str, filename: str = "<input>") -> tuple[list[Declaration], list[str]]:
+def parse_file(
+    src: str, filename: str = "<input>", nodes: Optional[dict] = None
+) -> tuple[list[Declaration], list[str]]:
     """The declarations and imports of ``src``; a ``ParseError`` names
-    ``filename``, as the declarations' locations do."""
-    p = Parser(src, filename)
+    ``filename``, as the declarations' locations do.  ``nodes`` is the node
+    table of the load that reads ``src`` (``load_modules``), if any: a
+    subterm built into it before, from another file, is that object."""
+    p = Parser(src, filename, nodes)
     return p.parse(p.parse_file)
 
 
@@ -538,9 +551,9 @@ def read_source(path: str) -> str:
     return src
 
 
-def _parse_module(ap: str) -> Module:
+def _parse_module(ap: str, nodes: dict) -> Module:
     src = read_source(ap)
-    decls, imports = parse_file(src, os.path.basename(ap))
+    decls, imports = parse_file(src, os.path.basename(ap), nodes)
     return Module(ap, decls, [os.path.join(os.path.dirname(ap), imp) for imp in imports], src)
 
 
@@ -554,9 +567,12 @@ def load_modules(path: str, parsed: Optional[dict] = None) -> list[Module]:
     a file's errors before checking anything.  ``parsed`` maps an absolute
     path to its ``Module``, or to the ``ParseError`` or ``OSError`` that
     reading it raised; a caller that loads several files passes one dict to
-    read and parse each file once.
+    read and parse each file once.  Under the key None, ``parsed`` also
+    holds the parser's node table, so that a subterm written in two files
+    read into one dict is one object; it goes when the dict goes.
     """
     parsed = {} if parsed is None else parsed
+    nodes = parsed.setdefault(None, {})
     order: list[Module] = []
     finished: dict[str, bool] = {}  # absolute path -> all of its imports loaded
 
@@ -568,7 +584,7 @@ def load_modules(path: str, parsed: Optional[dict] = None) -> list[Module]:
         module = parsed.get(ap)
         if module is None:
             try:
-                module = _parse_module(ap)
+                module = _parse_module(ap, nodes)
             except (ParseError, OSError) as e:
                 module = e
             parsed[ap] = module
@@ -603,17 +619,20 @@ _ATOM_TEXT = {ctor: kw for kw, ctor in ATOM_KEYWORDS.items()} | {T.TypeSort: "Ty
 
 def pretty(t: Term) -> str:
     out: list[str] = []
-    _emit(t, [], 0, 0, out)
+    _emit(t, [], 0, 0, out, {})
     return "".join(out)
 
 
-def _emit(t: Term, scope: list, named: int, prec: int, out: list) -> None:
+def _emit(t: Term, scope: list, named: int, prec: int, out: list, read: dict) -> None:
     """Append the text of ``t`` to ``out``.
 
     ``scope`` holds the names of the enclosing binders, innermost last, with
     None for the anonymous binder of a non-dependent ``->`` or ``*`` (its
     body never mentions it, so no variable resolves to it).  Named binders
-    are called ``x0, x1, ...``; ``named`` counts them.
+    are called ``x0, x1, ...``; ``named`` counts them.  ``read`` maps a
+    binder node's identity to whether its body reads its variable
+    (``_binders_read``), filled in where the printer first meets a ``Pi`` or
+    ``Sigma``, so that printing stays linear in the size of the term.
     """
     cls = type(t)
     if cls is T.Var:
@@ -630,9 +649,9 @@ def _emit(t: Term, scope: list, named: int, prec: int, out: list) -> None:
     if cls is T.App:
         if prec > 2:
             out.append("(")
-        _emit(t.fn, scope, named, 2, out)
+        _emit(t.fn, scope, named, 2, out, read)
         out.append(" ")
-        _emit(t.arg, scope, named, 3, out)
+        _emit(t.arg, scope, named, 3, out, read)
         if prec > 2:
             out.append(")")
         return
@@ -644,12 +663,12 @@ def _emit(t: Term, scope: list, named: int, prec: int, out: list) -> None:
             out.append(f"fun {name} => ")
         else:
             out.append(f"let {name} : ")
-            _emit(t.type, scope, named, 0, out)
+            _emit(t.type, scope, named, 0, out, read)
             out.append(" := ")
-            _emit(t.value, scope, named, 0, out)
+            _emit(t.value, scope, named, 0, out, read)
             out.append(" in ")
         scope.append(name)
-        _emit(t.body, scope, named + 1, 0, out)
+        _emit(t.body, scope, named + 1, 0, out, read)
         scope.pop()
         if prec > 0:
             out.append(")")
@@ -666,18 +685,20 @@ def _emit(t: Term, scope: list, named: int, prec: int, out: list) -> None:
         # the right side of a product is followed by ``->`` when the product
         # is the left side of a non-dependent arrow
         emit_body = _emit_operand if cls is T.Sigma else _emit
-        if T.free_in(body, 0):
+        if id(t) not in read:
+            _binders_read(t, [], read)
+        if read[id(t)]:
             name = f"x{named}"
             out.append(f"({name} : ")
-            _emit(head, scope, named, 0, out)
+            _emit(head, scope, named, 0, out, read)
             out.append(")" + op)
             scope.append(name)
-            emit_body(body, scope, named + 1, level, out)
+            emit_body(body, scope, named + 1, level, out, read)
         else:
-            _emit_operand(head, scope, named, level + 1, out)
+            _emit_operand(head, scope, named, level + 1, out, read)
             out.append(op)
             scope.append(None)
-            emit_body(body, scope, named, level, out)
+            emit_body(body, scope, named, level, out, read)
         scope.pop()
         if prec > level:
             out.append(")")
@@ -685,9 +706,9 @@ def _emit(t: Term, scope: list, named: int, prec: int, out: list) -> None:
     if cls is T.Pair or cls is T.Ann:
         first, sep, second = (t.fst, " , ", t.snd) if cls is T.Pair else (t.term, " : ", t.type)
         out.append("( ")
-        _emit(first, scope, named, 0, out)
+        _emit(first, scope, named, 0, out, read)
         out.append(sep)
-        _emit(second, scope, named, 0, out)
+        _emit(second, scope, named, 0, out, read)
         out.append(" )")
         return
     # fixed-arity keyword forms
@@ -699,20 +720,39 @@ def _emit(t: Term, scope: list, named: int, prec: int, out: list) -> None:
     out.append(kw)
     for name, _binds in T.CHILDREN[cls]:
         out.append(" ")
-        _emit(getattr(t, name), scope, named, 3, out)
+        _emit(getattr(t, name), scope, named, 3, out, read)
     if prec > 2:
         out.append(")")
 
 
-def _emit_operand(t: Term, scope: list, named: int, prec: int, out: list) -> None:
+def _emit_operand(t: Term, scope: list, named: int, prec: int, out: list, read: dict) -> None:
     """An operand that ``->`` or ``*`` may follow: an annotation gets a
     second pair of parentheses, since ``( x : T ) ->`` is a binder."""
     if type(t) is T.Ann:
         out.append("(")
-        _emit(t, scope, named, prec, out)
+        _emit(t, scope, named, prec, out, read)
         out.append(")")
     else:
-        _emit(t, scope, named, prec, out)
+        _emit(t, scope, named, prec, out, read)
+
+
+def _binders_read(t: Term, used: list, read: dict) -> None:
+    """Record in ``read``, for every binder node within ``t``, ``t`` included,
+    whether its body reads its variable.  ``used`` has one flag per binder
+    around ``t`` within the walk, innermost last; a variable sets its
+    binder's, and one bound outside the walk sets none."""
+    cls = type(t)
+    if cls is T.Var:
+        if t.index < len(used):
+            used[-1 - t.index] = True
+        return
+    for name, binds in T.CHILDREN[cls]:
+        if binds:
+            used.append(False)
+            _binders_read(getattr(t, name), used, read)
+            read[id(t)] = used.pop()
+        else:
+            _binders_read(getattr(t, name), used, read)
 
 
 def pretty_declaration(d: Declaration) -> str:

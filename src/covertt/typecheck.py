@@ -492,7 +492,9 @@ class Checker:
     def subsumes(self, got: Value, want: Value, depth: int) -> bool:
         """Type inclusion: exact conversion, except that a sort-valued codomain
         position may expect "any sort" (eliminator motives) and the large sort
-        subsumes the universe."""
+        subsumes the universe.  Codomains that are the same closure
+        (``Evaluator._same``) are not instantiated: they read back equal,
+        and inclusion is reflexive on types that read back equal."""
         if isinstance(want, VSort):
             if want.kind == "u0":
                 return isinstance(got, VSort) and got.kind == "u0"
@@ -502,6 +504,8 @@ class Checker:
         if isinstance(want, VPi) and isinstance(got, VPi):
             if not self.ev.equal_types(got.dom, want.dom, depth):
                 return False
+            if self.ev._same(got.cod, want.cod):
+                return True
             var = fresh(depth, want.dom)
             return self.subsumes(
                 self.ev.apply_clo(got.cod, var),

@@ -35,9 +35,9 @@ FLAG_SETS = {
 
 # Measured with the hand-written rules: the steps of one ``check_corpus``
 # call, and the sha256 of the normal forms ``corpus_normal_forms`` lists.
-CORPUS_STEPS = {"none": 829, "funext": 3_114, "eta3": 8_862, "all": 18_014}
+CORPUS_STEPS = {"none": 637, "funext": 2_627, "eta3": 6_138, "all": 13_455}
 # the same calls' steps with ``EagerArgumentChecker``
-EAGER_CORPUS_STEPS = {"none": 847, "funext": 3_311, "eta3": 9_045, "all": 18_673}
+EAGER_CORPUS_STEPS = {"none": 655, "funext": 2_824, "eta3": 6_321, "all": 14_114}
 NORMAL_FORMS_SHA256 = {
     "none": "e5ab308e42b45b9b34701753232df7778c07db7ce6211ea8b3de52eec4d9b4e9",
     "funext": "8bbd163000a381f5fb241df6254a7c555858600355c174ab345bd99ae0c1acd2",

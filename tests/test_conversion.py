@@ -279,44 +279,91 @@ def test_unequal_pairs_agree_with_readback(flags):
 
 @contextlib.contextmanager
 def closure_rule_audit():
-    """Audit every pair of closures that ``conv`` or ``conv_type`` is about
-    to compare: ``Evaluator._same`` must say yes wherever the rule it
-    replaced (``same_whole_environment``) does, and where it says yes the
-    two closures must read back equal.  Yields the failures and a count of
-    the rule's verdicts: ``"both"``, ``"new only"`` and ``"no"``."""
+    """Audit every pair that the kernel asks ``Evaluator._same`` about before
+    it instantiates them: the closures ``conv`` and ``conv_type`` compare,
+    the codomains ``Checker.subsumes`` compares, and the frames of the
+    spines ``conv_neutral`` compares.  ``_same`` must say yes wherever the
+    rule it replaced (``same_whole_environment``) does, and where it says
+    yes the two must read back equal.  Yields the failures and a count of
+    the rule's verdicts over every site: ``"both"``, ``"new only"`` and
+    ``"no"``."""
     failures, verdicts = [], collections.Counter()
-    conv, conv_type = Evaluator.conv, Evaluator.conv_type
+    conv, conv_type, conv_neutral = Evaluator.conv, Evaluator.conv_type, Evaluator.conv_neutral
+    subsumes = typecheck.Checker.subsumes
 
-    def audit(ev, c1, c2, a, b, ty, depth):
+    def audit(ev, c1, c2, depth, operands) -> bool:
+        """``_same(c1, c2)``, audited.  ``operands()`` gives the two values
+        that hold ``c1`` and ``c2`` and their type, which must read back
+        equal where ``c1`` and ``c2`` are the same."""
         new, old = ev._same(c1, c2), same_whole_environment(c1, c2)
         verdicts["both" if old and new else "new only" if new else "no"] += 1
         if old and not new:
             failures.append(("whole environments same, closures not", c1, c2))
         if new:
             steps = ev.steps
-            if not readback_equal(ev, a, b, ty, depth):
+            if not readback_equal(ev, *operands(), depth):
                 failures.append(("same closures read back unequal", c1, c2))
             ev.steps = steps  # the oracle's work does not count
+        return new
+
+    def family(dom, c1, c2):
+        # a Pi's codomain or a Sigma's second component: a family over the
+        # first side's domain, read back as a lambda into types
+        return lambda: (S.VLam(c1), S.VLam(c2), S.VPi(dom, S.constant_family(V_TYPE)))
 
     def audited_conv(ev, a, b, ty, depth):
         if isinstance(ty, S.VPi) and isinstance(a, S.VLam) and isinstance(b, S.VLam):
-            audit(ev, a.clo, b.clo, a, b, ty, depth)
+            audit(ev, a.clo, b.clo, depth, lambda: (a, b, ty))
         return conv(ev, a, b, ty, depth)
 
     def audited_conv_type(ev, a, b, depth):
         if type(a) is type(b) and isinstance(a, (S.VPi, S.VSigma)) and a is not b:
-            # a Pi's codomain or a Sigma's second component: a family over
-            # the first side's domain, read back as a lambda into types
             (dom, c1), (_, c2) = (tuple(getattr(v, n) for n in v.__match_args__) for v in (a, b))
-            family = S.VPi(dom, S.constant_family(V_TYPE))
-            audit(ev, c1, c2, S.VLam(c1), S.VLam(c2), family, depth)
+            audit(ev, c1, c2, depth, family(dom, c1, c2))
         return conv_type(ev, a, b, depth)
 
+    def audited_subsumes(chk, got, want, depth):
+        if isinstance(got, S.VPi) and isinstance(want, S.VPi) and got is not want:
+            audit(chk.ev, got.cod, want.cod, depth, family(got.dom, got.cod, want.cod))
+        return subsumes(chk, got, want, depth)
+
+    def audited_conv_neutral(ev, a, b, depth):
+        fa, fb = a.frames, b.frames
+        forms = [f.form for f in fa] == [g.form for g in fb]
+        if _head_key(a.head) == _head_key(b.head) and forms:
+            # the frames it asks about, from the last back to one that differs
+            for k in reversed(range(len(fa))):
+                # frame k after a's spine, then b's in its place: the type of
+                # the spine types both
+                same = audit(ev, fa[k], fb[k], depth, lambda k=k: (
+                    S.VNeutral(a.head, fa[: k + 1]),
+                    S.VNeutral(a.head, fa[:k] + fb[k : k + 1]),
+                    spine_type(ev, a.head, fa[: k + 1]),
+                ))
+                if not same:
+                    break
+        return conv_neutral(ev, a, b, depth)
+
     Evaluator.conv, Evaluator.conv_type = audited_conv, audited_conv_type
+    Evaluator.conv_neutral, typecheck.Checker.subsumes = audited_conv_neutral, audited_subsumes
     try:
         yield failures, verdicts
     finally:
         Evaluator.conv, Evaluator.conv_type = conv, conv_type
+        Evaluator.conv_neutral, typecheck.Checker.subsumes = conv_neutral, subsumes
+
+
+def _head_key(head):
+    """What ``conv_neutral`` compares of a neutral's head."""
+    return type(head), head.level if type(head) is S.HVar else head.name
+
+
+def spine_type(ev, head, frames):
+    """The type of the neutral ``head`` eliminated by ``frames``."""
+    ty = head.type
+    for k, frame in enumerate(frames):
+        ty = ev.frame_types(ty, S.VNeutral(head, frames[:k]), frame)[1]
+    return ty
 
 
 # the flag sets the corpus manifest uses: none, funext, the three eta rules, all
@@ -355,11 +402,11 @@ def test_prelude_closure_rule_against_whole_environments_and_readback(flags, pai
     hypothesis.event(f"closure rule: {sorted(verdicts.items())}")
 
 
-def _closure_pair(read_differs: bool):
-    """Two lambdas ``fun x => f x`` at ``N1 -> N1`` whose environments
+def _closure_pair(read_differs: bool, cod: S.Value = S.VIntro(T.Unit, ())):
+    """Two lambdas ``fun x => f x`` at ``N1 -> cod`` whose environments
     ``(f, u)`` differ in ``f``, which the body reads, or only in ``u``."""
     n1 = S.VIntro(T.Unit, ())
-    fun_ty = S.VPi(n1, S.constant_family(n1))
+    fun_ty = S.VPi(n1, S.constant_family(cod))
     body = surface.parse_term("f x", scope=["f", "u", "x"])
     f1, f2 = S.fresh(0, fun_ty), S.fresh(1, fun_ty)
     u1, u2 = S.fresh(2, n1), S.fresh(3, n1)
@@ -379,3 +426,39 @@ def test_closures_are_applied_only_where_a_read_entry_differs(read_differs, monk
     # equal closures are not applied; unequal ones are applied and differ
     assert bool(evals) is read_differs
     assert ev._same(a.clo, b.clo) is not read_differs
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """The arguments of every call of ``owner.name`` from now on."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("read_differs", [False, True], ids=["unread entry", "read entry"])
+def test_subsumption_instantiates_codomains_only_where_a_read_entry_differs(
+    read_differs, monkeypatch
+):
+    """``(x : N1) -> f x`` against itself under environments that differ
+    only where the codomain does not read them: no codomain is evaluated."""
+    (a, b), _ = _closure_pair(read_differs, S.V_U0)
+    got, want = (S.VPi(S.VIntro(T.Unit, ()), lam.clo) for lam in (a, b))
+    chk = typecheck.Checker()
+    evals = _count_calls(monkeypatch, Evaluator, "eval")
+    assert chk.subsumes(got, want, 4) is not read_differs
+    assert bool(evals) is read_differs
+
+
+@pytest.mark.parametrize("read_differs", [False, True], ids=["unread entry", "read entry"])
+def test_spines_are_typed_only_where_a_read_entry_differs(read_differs, monkeypatch):
+    """``g (fun x => f x)`` against itself, the two lambdas distinct objects
+    under environments that differ only where their body does not read
+    them: the spine is not typed."""
+    (a, b), fun_ty = _closure_pair(read_differs)
+    n1 = S.VIntro(T.Unit, ())
+    g = S.HVar(4, S.VPi(fun_ty, S.constant_family(n1)))
+    spines = [S.VNeutral(g, (S.Frame(T.App, (lam,)),)) for lam in (a, b)]
+    ev = Evaluator()
+    typed = _count_calls(monkeypatch, Evaluator, "frame_types")
+    assert ev.conv_neutral(*spines, 5) is not read_differs
+    assert bool(typed) is read_differs

@@ -418,17 +418,37 @@ def test_checking_each_let_once_agrees_with_the_unshared_checker():
 @pytest.mark.parametrize("checker_class, distinct", [(Checker, False), (UnsharedLetChecker, True)])
 def test_a_proof_checked_after_its_type_shares_its_instance(monkeypatch, checker_class, distinct):
     """The proof's instance ``let``s are the type's, so no two closures that
-    ``Evaluator._same`` is asked about have equal bodies that are distinct
-    objects; a checker that checks every ``let`` again makes such pairs."""
-    pairs = []
+    ``conv`` or ``conv_type`` ask ``Evaluator._same`` about have equal bodies
+    that are distinct objects; a checker that checks every ``let`` again
+    makes such pairs.  ``subsumes`` and ``conv_neutral`` also ask, about an
+    inferred type's closures, which the proof term's own text builds."""
+    pairs, asking = [], [False]
     same = Evaluator._same
 
     def counted(self, x, y):
-        if type(x) is Closure and type(y) is Closure and x.body is not y.body and x.body == y.body:
+        distinct = type(x) is Closure and type(y) is Closure and x.body is not y.body
+        if asking[-1] and distinct and x.body == y.body:
             pairs.append((x, y))
         return same(self, x, y)
 
+    def asked_by(fn, counts):
+        def wrapper(*args):
+            asking.append(counts)
+            try:
+                return fn(*args)
+            finally:
+                asking.pop()
+
+        return wrapper
+
     monkeypatch.setattr(Evaluator, "_same", counted)
+    for owner, name, counts in [
+        (Evaluator, "conv", True),
+        (Evaluator, "conv_type", True),
+        (Evaluator, "conv_neutral", False),
+        (Checker, "subsumes", False),
+    ]:
+        monkeypatch.setattr(owner, name, asked_by(getattr(owner, name), counts))
     ax, v, atom, d = next(x for x in criterion6_derivations() if isinstance(x[3], TrNode))
     ty = cover_type(ax, v, atom)
     chk, ctx = checker_class(Flags()), Context()

@@ -190,9 +190,9 @@ def test_each_reachable_file_is_parsed_and_each_declaration_checked_once(monkeyp
     parsed, checked = [], []
     parse_file, check_declarations = surface.parse_file, typecheck.check_declarations
 
-    def counting_parse(src, filename="<input>"):
+    def counting_parse(src, filename="<input>", nodes=None):
         parsed.append(filename)
-        return parse_file(src, filename)
+        return parse_file(src, filename, nodes)
 
     def counting_check(ds, *args, **kwargs):
         checked.extend((d.location, d.name) for d in ds)

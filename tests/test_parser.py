@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -205,6 +206,29 @@ def test_import_deduplication(tmp_path):
     assert [[os.path.basename(p) for p in m.imports] for m in modules] == [
         [], ["base.mltt"], ["base.mltt", "mid.mltt"]
     ]
+
+
+def test_a_subterm_written_in_two_files_of_one_load_is_one_object(tmp_path):
+    """Within one ``load_modules`` call, and across calls that share one
+    ``parsed`` dict; a separate load builds its own."""
+    pair = "(A : U0) -> A -> A * A"
+    (tmp_path / "b.mltt").write_text(f"def p : {pair} := fun A => fun x => ( x , x )\n")
+    (tmp_path / "a.mltt").write_text(f'import "b.mltt"\ndef q : {pair} := p\n')
+    (tmp_path / "c.mltt").write_text(f"def r : {pair} := fun A => fun y => ( y , y )\n")
+
+    def types(path, parsed=None):
+        modules = surface.load_modules(str(tmp_path / path), parsed)
+        return [d.type for m in modules for d in m.decls]
+
+    parsed = {}
+    (p, q), (r,) = types("a.mltt", parsed), types("c.mltt", parsed)
+    assert p is q is r
+    # the function bodies of p and r differ in the name of their variable only
+    assert parsed[str(tmp_path / "b.mltt")].decls[0].body.body is (
+        parsed[str(tmp_path / "c.mltt")].decls[0].body.body
+    )
+    (r2,) = types("c.mltt")
+    assert r2 == r and r2 is not r
 
 
 # --- the regex tokenizer and the printer against the code they replaced -----
@@ -424,6 +448,32 @@ def _open_terms():
 @given(_open_terms())
 def test_pretty_agrees_with_oracle(t):
     assert pretty(t) == pretty_oracle(t)
+
+
+@pytest.mark.parametrize("link", ["N1 -> ", "N1 * ", "(x : N1) -> ", "(x : N1) -> Id N1 x x -> "])
+def test_pretty_visits_nodes_linear_in_the_depth(link):
+    """The calls the printer makes into the surface and term modules, one
+    per node its walks visit, grow by the same amount each time a chain of
+    binders grows by the same number of links."""
+    files = {surface.__file__, T.__file__}
+    visits = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename in files:
+            visits.append(frame.f_code.co_name)
+
+    chains = [parse_term(link * n + "star") for n in (100, 200, 300)]
+    counts = []
+    for t in chains:
+        visits.clear()
+        sys.setprofile(profile)
+        try:
+            text = pretty(t)
+        finally:
+            sys.setprofile(None)
+        assert text == pretty_oracle(t)
+        counts.append(len(visits))
+    assert counts[2] - counts[1] == counts[1] - counts[0]
 
 
 @st.composite
