@@ -13,13 +13,14 @@ axioms of the atoms its goals reach: the atoms queried against V.  A
 brute-force oracle intersects all rule-closed supersets of V instead.
 Derivations are read off the entry rounds, and can be turned into kernel
 proof terms over an encoding of the carrier as a right-nested sum of unit
-types.  A Subset is the ascending tuple of its atoms' indices; its bit
-mask is derived only when read.  An axiom's premises are kept as its line
-lists them, in the order written and with repeats, so loading a file
-sorts nothing and builds no Subset per axiom: the chaining counts each
-premise occurrence, a derivation sorts only the axioms it uses, and a
-certificate builds a Subset only for each axiom it encodes.  The queries
-of one subset share its entry rounds and its derivation nodes.
+types.  A Subset is the ascending tuple of its atoms' indices, and an
+axiom's premises are kept as its line lists them, in the order written
+and with repeats, so loading a file sorts nothing and builds no Subset
+per axiom: the chaining counts each premise occurrence, a derivation
+sorts only the axioms it uses, and a certificate builds a Subset only for
+each axiom it encodes.  Bit masks appear only at the edge: a Subset built
+from one, its mask when read, and the brute-force oracle.  The queries of
+one subset share its entry rounds and its derivation nodes.
 
 A certificate is one closed term that states its instance once, as five
 ``let``s (the carrier, the label family, the axiom family, V and the
@@ -53,30 +54,16 @@ class FormatError(Exception):
 class Subset(Node):
     """A subset of a carrier of ``size`` atoms: ``members``, its atoms'
     indices as an ascending tuple, the order the engine walks them in.
-    ``mask``, the bit-vector over the carrier's atom order, is derived from
-    the members when read; equality, hashing and ``repr`` show the mask and
-    size, as if they were the fields."""
+    ``Subset(mask, size)`` reads the members off a bit mask over the
+    carrier's atom order, and ``mask`` derives that mask when read."""
 
     __slots__ = ("members", "size")
-    __match_args__ = ("mask", "size")
 
     def __init__(self, mask: int, size: int):
         if mask < 0 or mask >> size:
             raise ValueError("subset mask out of range")
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length() - 1)
-            mask ^= low
-        self._fill(tuple(members), size)
-
-    @classmethod
-    def empty(cls, size: int) -> "Subset":
-        return cls.of((), size)
-
-    @classmethod
-    def full(cls, size: int) -> "Subset":
-        return cls.of(range(size), size)
+        bits = mask.to_bytes((size + 7) // 8, "little")
+        self._fill(tuple(i for i in range(size) if bits[i >> 3] >> (i & 7) & 1), size)
 
     @classmethod
     def of(cls, indices, size: int) -> "Subset":
@@ -90,8 +77,7 @@ class Subset(Node):
 
     @property
     def mask(self) -> int:
-        # one pass over a byte buffer; OR-ing in ``1 << i`` per member would
-        # copy a carrier-wide integer each time
+        # one pass over a byte buffer, not a carrier-wide ``1 << i`` per member
         bits = bytearray((self.size + 7) // 8)
         for i in self.members:
             bits[i >> 3] |= 1 << (i & 7)
@@ -102,57 +88,38 @@ class Subset(Node):
         j = bisect_left(members, i)
         return j < len(members) and members[j] == i
 
-    def union(self, other: "Subset") -> "Subset":
-        return Subset.of(self.members + other.members, self.size)
-
-    def issubset(self, other: "Subset") -> bool:
-        return set(self.members).issubset(other.members)
-
-    def indices(self):
-        return list(self.members)
-
     def __iter__(self):
         return iter(self.members)
 
-    def __eq__(self, other):
-        # the members determine the mask, so they compare without building it
-        if other.__class__ is self.__class__:
-            return self.members == other.members and self.size == other.size
-        return NotImplemented
-
-    __hash__ = Node.__hash__  # of (mask, size)
-
 
 class FiniteAxiomSet(Node):
-    """``carrier`` is a tuple of distinct atom names; per atom, ``labels`` is a tuple
-    of its axioms' distinct labels in order and ``premises`` a tuple of their premises,
-    each the tuple of atom indices the axiom lists, in any order and with
-    repeats allowed.  ``covers``, per atom the Subsets C(a, i) the axioms
-    cover, is built from the premises when read; it takes part in equality
-    and ``repr`` in their place, so two sets listing the same premises in
-    different orders are equal.  ``positions`` maps an atom to its index; it
-    takes no part in equality or ``repr``."""
+    """``carrier`` is a tuple of distinct atom names.  Per atom, ``labels``
+    is a tuple of its axioms' distinct labels in order, and ``premises`` a
+    tuple of their premises: each the tuple of atom indices its axiom lists,
+    in any order and with repeats, given to the constructor as any iterable
+    of indices, a Subset among them.  ``covers``, the Subsets C(a, i), is
+    built from the premises when read and stands in for them in equality
+    and ``repr``, so premises listed in another order give an equal set.
+    ``positions`` maps an atom to its index; it takes no part in either."""
 
     __slots__ = ("carrier", "labels", "premises", "positions")
     __match_args__ = ("carrier", "labels", "covers")
 
-    def __init__(self, carrier: tuple, labels: tuple, covers: tuple):
+    def __init__(self, carrier: tuple, labels: tuple, premises):
         n = len(carrier)
-        if len(labels) != n or len(covers) != n:
+        premises = tuple(tuple(map(tuple, per_atom)) for per_atom in premises)
+        if len(labels) != n or len(premises) != n:
             raise ValueError("families must align with the carrier")
-        if any(len(ls) != len(cs) for ls, cs in zip(labels, covers)):
+        if any(len(ls) != len(ps) for ls, ps in zip(labels, premises)):
             raise ValueError("an atom's labels and axiom subsets must align")
-        for per_atom in covers:
-            for s in per_atom:
-                if s.size != n:
-                    raise ValueError("axiom subset over the wrong carrier")
+        if any(p and (min(p) < 0 or max(p) >= n) for per_atom in premises for p in per_atom):
+            raise ValueError("axiom subset over the wrong carrier")
         positions = {a: i for i, a in enumerate(carrier)}
         if len(positions) != n:
             raise ValueError("duplicate atom in carrier")
         for atom, ls in zip(carrier, labels):
             if len(set(ls)) != len(ls):
                 raise ValueError(f"duplicate label for atom {atom!r}")
-        premises = tuple(tuple(s.members for s in per_atom) for per_atom in covers)
         self._fill(carrier, labels, premises, positions)
 
     @property
@@ -274,11 +241,12 @@ def least_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
 def brute_force_min_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
     """Intersection of all rule-closed supersets of V.  Oracle for
     ``least_cover``; exponential, bounded to small carriers."""
+    _same_carrier(ax, v)
     n = ax.size
     if n > 12:
         raise ValueError("brute-force oracle bounded to carriers of size <= 12")
     v_mask = v.mask
-    cover_masks = [[cov.mask for cov in per_atom] for per_atom in ax.covers]
+    cover_masks = [[sum(1 << b for b in set(p)) for p in per_atom] for per_atom in ax.premises]
     acc = (1 << n) - 1
     for x in range(1 << n):
         if v_mask & ~x:
@@ -301,6 +269,8 @@ def brute_force_min_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
 def derivation(ax: FiniteAxiomSet, v: Subset, atom: int) -> Optional[Derivation]:
     """Some derivation iff the atom is in the least cover of V."""
     _same_carrier(ax, v)
+    if not 0 <= atom < ax.size:
+        raise ValueError("atom out of range")
     return _derivation(ax, _entry_rounds(ax, v, (atom,)), atom, {})
 
 
@@ -538,9 +508,7 @@ def _tr_nodes(d: TrNode) -> list:
 
 class CoverFile(Node):
     __slots__ = ("axiom_set", "subsets", "queries")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # mutable
+    __hash__ = None  # holds a dict and a list
 
     def __init__(self, axiom_set: FiniteAxiomSet, subsets: dict, queries: list):
         # subsets: name -> Subset; queries: (atom index, subset name) pairs
@@ -619,13 +587,14 @@ def load_axiom_set(text: str) -> CoverFile:
     return CoverFile(ax, subsets, queries)
 
 
-def render_derivation(ax: FiniteAxiomSet, d: Derivation, indent: int = 1) -> list[str]:
-    """One line per node in pre-order, two spaces of indent per level."""
-    return list(_derivation_lines(ax, d, indent))
+def render_derivation(ax: FiniteAxiomSet, d: Derivation) -> list[str]:
+    """One line per node in pre-order, two spaces of indent per level, the
+    root's included."""
+    return list(_derivation_lines(ax, d))
 
 
-def _derivation_lines(ax: FiniteAxiomSet, d: Derivation, indent: int):
-    stack = [(d, indent)]
+def _derivation_lines(ax: FiniteAxiomSet, d: Derivation):
+    stack = [(d, 1)]
     while stack:
         node, depth = stack.pop()
         pad = "  " * depth
@@ -654,7 +623,7 @@ def iter_queries(cf: CoverFile, with_derivations: bool = False):
         word = "covered" if covered else "uncovered"
         yield f"{ax.carrier[atom]} {name} {word}"
         if with_derivations and covered:
-            yield from _derivation_lines(ax, _derivation(ax, rounds, atom, nodes), 1)
+            yield from _derivation_lines(ax, _derivation(ax, rounds, atom, nodes))
 
 
 def run_queries(cf: CoverFile, with_derivations: bool = False) -> list[str]:

@@ -533,7 +533,7 @@ def replay_derivation(ax: FiniteAxiomSet, v: Subset, atom: int):
         prev = rounds[entered - 1]
         for li, cov in enumerate(covers[a]):
             if cov.mask & ~prev == 0:
-                return TrNode(a, li, tuple(build(b) for b in cov.indices()))
+                return TrNode(a, li, tuple(build(b) for b in cov.members))
         raise AssertionError("round replay lost an axiom")
 
     return build(atom)
@@ -826,7 +826,7 @@ def extract_proof_term_substituted(ax: FiniteAxiomSet, v: Subset, d):
         if isinstance(node, RfNode):
             return T.Rf(cover.fin_elem(node.atom, k), T.Star())
         cov = covers[node.atom][node.label]
-        children = dict(zip(cov.indices(), node.children))
+        children = dict(zip(cov.members, node.children))
 
         def leaf(b: int):
             if cov.contains(b):
@@ -905,7 +905,7 @@ def extract_proof_term_inlined(ax: FiniteAxiomSet, v: Subset, d):
         if isinstance(node, RfNode):
             return T.Rf(cover.fin_elem(node.atom, k), T.Star())
         cov = covers[node.atom][node.label]
-        children = dict(zip(cov.indices(), node.children))
+        children = dict(zip(cov.members, node.children))
         codes = cover._subset_codes(cov)
 
         # the cover at b, with the variable ``index`` as b's unit payload

@@ -203,13 +203,13 @@ def test_criterion_5_oracle_equivalence():
                 v = Subset(vm, 2)
                 c = least_cover(ax, v)
                 assert c == brute_force_min_cover(ax, v)
-                assert v.issubset(c)
+                assert set(v) <= set(c)
                 assert least_cover(ax, c) == c
                 per_v[vm] = c
             for vm in range(4):
                 for wm in range(4):
-                    if Subset(vm, 2).issubset(Subset(wm, 2)):
-                        assert per_v[vm].issubset(per_v[wm])
+                    if vm & ~wm == 0:
+                        assert set(per_v[vm]) <= set(per_v[wm])
     rng = random.Random(424242)  # fixed seed, recorded here
     for _ in range(200):
         n = rng.choice([3, 4])
@@ -217,7 +217,7 @@ def test_criterion_5_oracle_equivalence():
         v = Subset(rng.randrange(1 << n), n)
         c = least_cover(ax, v)
         assert c == brute_force_min_cover(ax, v)
-        assert v.issubset(c)
+        assert set(v) <= set(c)
         assert least_cover(ax, c) == c
     elapsed = time.time() - t0
     assert _report(

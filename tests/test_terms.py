@@ -188,7 +188,7 @@ def test_equal_fields_in_different_classes_differ():
             "VPi(dom=VSort(kind='u0'), cod=Closure(env=(), body=Var(index=0)))",
         ),
         (Flags(eta_pi=True), "Flags(eta_pi=True, eta_sigma=False, eta_unit=False, funext=False)"),
-        (Subset(5, 3), "Subset(mask=5, size=3)"),
+        (Subset(5, 3), "Subset(members=(0, 2), size=3)"),
     ],
 )
 def test_repr_keeps_the_record_format(node, text):
@@ -199,7 +199,7 @@ def test_records_keep_keywords_defaults_and_validation():
     assert Flags(funext=True) == Flags(False, False, False, True)
     with pytest.raises(ValueError):
         Subset(8, 3)
-    ax = FiniteAxiomSet(carrier=("a", "b"), labels=((), ()), covers=((), ()))
+    ax = FiniteAxiomSet(carrier=("a", "b"), labels=((), ()), premises=((), ()))
     assert ax.positions == {"a": 0, "b": 1}
     assert "positions" not in repr(ax) and ax == FiniteAxiomSet(("a", "b"), ((), ()), ((), ()))
     with pytest.raises(ValueError):
