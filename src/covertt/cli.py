@@ -6,18 +6,20 @@ shipped proof corpus, and ``cover`` for finite axiom-set files.  The four
 equality flags are global per invocation; reports are stable line-oriented
 text and the exit status is zero exactly when no failure was reported.
 
-A command's failure propagates to ``main``, whose one handler prints it as
-one ``error:`` line; running out of memory is ``error: out of memory``.  A
-declaration whose check stops is named there (``typecheck.check_named``),
-by ``check`` and by ``norm`` and ``conv`` of a file alike; ``check`` also
-names one that fails.  ``--context`` is read by ``surface.parse_context``
-and checked within a step budget of its own.
+A file is checked one way, by ``check``, ``norm`` and ``conv --file`` as by
+``corpus`` (``encodings.check_modules``): each module against the globals
+of its own imports only.  A command's failure propagates to ``main``, whose
+one handler prints it as one ``error:`` line; running out of memory is
+``error: out of memory``.  A declaration whose check stops is named there
+(``typecheck.check_named``); ``check`` also names one that fails.
+``--context`` is read by ``surface.parse_context`` and checked within a
+step budget of its own.
 
 The module imports only ``argparse``, ``os``, ``sys`` and ``terms``; each
 command imports what it runs, so a process compiles no module its command
-does not need: ``check``, ``norm`` and ``conv`` load ``surface`` and
-``typecheck`` (with ``semantics``), ``corpus`` also ``encodings``, and
-``cover`` only ``surface`` and ``cover``.
+does not need: ``norm`` and ``conv`` load ``surface`` and ``typecheck``
+(with ``semantics``), given a file also ``encodings``, as ``check`` and
+``corpus`` do, and ``cover`` only ``surface`` and ``cover``.
 """
 
 from __future__ import annotations
@@ -77,13 +79,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _walk(path, checker, checked: dict):
+    """``encodings.check_modules`` over ``path`` and the files it imports."""
+    from . import encodings, surface
+
+    return encodings.check_modules(surface.load_modules(path), checker, dict(checker.globals), checked)
+
+
 def _load_checker(path, flags):
-    from . import surface, typecheck
+    """A checker over the globals of ``path``'s own module, or of none."""
+    from . import typecheck
 
     checker = typecheck.Checker(flags)
     if path is not None:
-        for d in surface.load_file(path):
-            typecheck.check_named(d, checker)
+        checked: dict = {}
+        for _, error in _walk(path, checker, checked):
+            if error is not None:
+                raise error
+        checker.use_globals(checked[os.path.abspath(path)].globals)
     return checker
 
 
@@ -102,16 +115,15 @@ def _context(checker, spec: str):
 
 
 def cmd_check(ns) -> int:
-    from . import surface, typecheck
+    from . import typecheck
 
-    checker = typecheck.Checker(_flags(ns))
-    for d in surface.load_file(ns.file):
-        try:
-            typecheck.check_named(d, checker)
-        except typecheck.TypeCheckError as e:
+    for d, error in _walk(ns.file, typecheck.Checker(_flags(ns)), {}):
+        if isinstance(error, typecheck.TypeCheckError):
             print(f"error {d.name}")
-            print(e)
+            print(error)
             return 1
+        if error is not None:
+            raise error  # a stopped check, which main names
         print(f"ok {d.name}")
     return 0
 

@@ -96,11 +96,12 @@ class FiniteAxiomSet(Node):
     """``carrier`` is a tuple of distinct atom names.  Per atom, ``labels``
     is a tuple of its axioms' distinct labels in order, and ``premises`` a
     tuple of their premises: each the tuple of atom indices its axiom lists,
-    in any order and with repeats, given to the constructor as any iterable
-    of indices, a Subset among them.  ``covers``, the Subsets C(a, i), is
-    built from the premises when read and stands in for them in equality
-    and ``repr``, so premises listed in another order give an equal set.
-    ``positions`` maps an atom to its index; it takes no part in either."""
+    in any order and with repeats.  The constructor takes any sequences, and
+    a premise as any iterable of indices, a Subset among them.  ``covers``,
+    the Subsets C(a, i), is built from the premises when read and stands in
+    for them in equality and ``repr``, so premises listed in another order
+    give an equal set.  ``positions`` maps an atom to its index; it takes
+    no part in either."""
 
     __slots__ = ("carrier", "labels", "premises", "positions")
     __match_args__ = ("carrier", "labels", "covers")
@@ -120,7 +121,7 @@ class FiniteAxiomSet(Node):
         for atom, ls in zip(carrier, labels):
             if len(set(ls)) != len(ls):
                 raise ValueError(f"duplicate label for atom {atom!r}")
-        self._fill(carrier, labels, premises, positions)
+        self._fill(tuple(carrier), tuple(map(tuple, labels)), premises, positions)
 
     @property
     def covers(self) -> tuple:
@@ -145,16 +146,10 @@ class FiniteAxiomSet(Node):
 class RfNode(Node):
     __slots__ = ("atom",)
 
-    def __init__(self, atom: int):
-        self._fill(atom)
-
 
 class TrNode(Node):
+    # children: one derivation per element of C(atom, label), in order
     __slots__ = ("atom", "label", "children")
-
-    def __init__(self, atom: int, label: int, children: tuple):
-        # children: one derivation per element of C(atom, label), in order
-        self._fill(atom, label, children)
 
 
 Derivation = object  # RfNode | TrNode
@@ -507,12 +502,9 @@ def _tr_nodes(d: TrNode) -> list:
 
 
 class CoverFile(Node):
+    # subsets: name -> Subset; queries: (atom index, subset name) pairs
     __slots__ = ("axiom_set", "subsets", "queries")
     __hash__ = None  # holds a dict and a list
-
-    def __init__(self, axiom_set: FiniteAxiomSet, subsets: dict, queries: list):
-        # subsets: name -> Subset; queries: (atom index, subset name) pairs
-        self._fill(axiom_set, subsets, queries)
 
 
 def load_axiom_set(text: str) -> CoverFile:

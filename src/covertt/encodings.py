@@ -22,9 +22,6 @@ def corpus_dir() -> str:
 class CorpusEntry(Node):
     __slots__ = ("tag", "file", "required")
 
-    def __init__(self, tag: str, file: str, required: Flags):
-        self._fill(tag, file, required)
-
     def path(self, base: str | None = None) -> str:
         return os.path.join(base or corpus_dir(), self.file)
 
@@ -71,16 +68,15 @@ def check_corpus(flags: Flags, base: str | None = None):
     checked under the invocation flags (flag monotonicity makes this sound).
     Its whole import graph is read and parsed first, so a file that cannot
     be read or parsed fails the entry before anything is checked.  Then
+    ``check_modules`` walks it, as ``covertt check`` of that file does:
     every module the entry reaches is checked once per call, in import
-    order, against the globals of its own transitive imports only, as
-    ``covertt check`` of that file would check it; a later entry reuses the
-    result, failure included.  An entry fails at the first failure in the
-    order in which ``surface.load_file`` would list its declarations,
-    including a name that two of its modules both define.  Each declaration
-    gets the evaluator's full step budget.  A declaration whose check stops
-    (``typecheck.STOPS``: an exhausted budget, the recursion limit, a kernel
-    fault) fails its entry as ``FILE:LINE: NAME: TEXT``, as ``covertt
-    check`` reports it.  A manifest that cannot be read raises.
+    order, against the globals of its own transitive imports only, and a
+    later entry reuses the result, failure included.  An entry fails at the
+    walk's first failure, which may be a name that two of its modules both
+    define.  Each declaration gets the evaluator's full step budget.  A
+    declaration whose check stops (``typecheck.STOPS``: an exhausted budget,
+    the recursion limit, a kernel fault) fails its entry as ``FILE:LINE:
+    NAME: TEXT``.  A manifest that cannot be read raises.
     """
     base = base or corpus_dir()
     # file path -> its module or its error, for every entry, and the
@@ -105,51 +101,46 @@ def check_corpus(flags: Flags, base: str | None = None):
         try:
             modules = surface.load_modules(entry.path(base), parsed)
         except (surface.ParseError, OSError) as e:
-            results.append(CorpusResult(entry.tag, entry.file, "fail", _first_line(e)))
-            continue
-        failure = _first_failure(modules, checker, builtin, checked)
+            failure = e
+        else:
+            failure = next((e for _, e in check_modules(modules, checker, builtin, checked) if e), None)
         if failure is None:
             results.append(CorpusResult(entry.tag, entry.file, "pass"))
         else:
-            results.append(CorpusResult(entry.tag, entry.file, "fail", failure))
+            results.append(CorpusResult(entry.tag, entry.file, "fail", str(failure).splitlines()[0]))
     return results
 
 
 class _Checked(Node):
     """A module's check: the declarations before ``failed`` passed, and
     ``globals`` holds them and its imports' globals; when ``failed`` is a
-    declaration's index, ``detail`` says why that one failed."""
+    declaration's index, ``error`` is what failed that one."""
 
-    __slots__ = ("globals", "failed", "detail")
-
-    def __init__(self, globals: dict, failed: int, detail: str = ""):
-        self._fill(globals, failed, detail)
+    __slots__ = ("globals", "failed", "error")
 
 
-def _first_line(e: Exception) -> str:
-    return str(e).splitlines()[0]
-
-
-def _first_failure(modules, checker, builtin: dict, checked: dict) -> str | None:
-    """The first failure among the declarations of ``modules``, taken in
-    order (``load_modules`` order, as ``load_file`` flattens it), or None.
-    A declaration fails if it redefines a name of an earlier module, which
-    may be one its own module does not import, or if it fails in its own
-    module's check."""
+def check_modules(modules, checker, builtin: dict, checked: dict):
+    """Yield each declaration of one file's ``load_modules`` in order, with
+    None or the exception that fails it, and stop at the first failure: a
+    name an earlier module defines, imported or not, or a failure in its
+    module's check.  ``checked`` maps a path to its module's check; a module
+    not in it is checked against ``builtin`` (the checker's own globals) and
+    its own imports' globals only, and added."""
     names = set(builtin)
     for module in modules:
         result = checked.get(module.path)
         if result is None:
             result = checked[module.path] = _check_module(module, checker, builtin, checked)
-        try:
-            for d in module.decls[: result.failed + 1]:
+        for i, d in enumerate(module.decls[: result.failed + 1]):
+            error = result.error if i == result.failed else None
+            try:
                 typecheck.check_new_name(d, names)
-        except typecheck.TypeCheckError as e:
-            return _first_line(e)
-        if result.failed < len(module.decls):
-            return result.detail
+            except typecheck.TypeCheckError as e:
+                error = e
+            yield d, error
+            if error is not None:
+                return
         names.update(d.name for d in module.decls)
-    return None
 
 
 def _check_module(module, checker, builtin: dict, checked: dict) -> _Checked:
@@ -163,5 +154,6 @@ def _check_module(module, checker, builtin: dict, checked: dict) -> _Checked:
         try:
             typecheck.check_named(d, checker)
         except (typecheck.TypeCheckError, typecheck.CheckStopped) as e:
-            return _Checked(env, i, _first_line(e))
-    return _Checked(env, len(module.decls))
+            # kept as long as ``checked``, so without the frames it unwound
+            return _Checked(env, i, e.with_traceback(None))
+    return _Checked(env, len(module.decls), None)

@@ -603,8 +603,8 @@ def load_modules(path: str, parsed: Optional[dict] = None) -> list[Module]:
 
 def load_file(path: str) -> list[Declaration]:
     """The declarations of ``path`` and of every file it imports, each file
-    once, in the order of ``load_modules``: the flat sequence that
-    ``covertt check``, ``norm`` and ``conv`` check."""
+    once, in the order of ``load_modules``, as one flat sequence.  The
+    commands check a file module by module (``encodings.check_modules``)."""
     return [d for module in load_modules(path) for d in module.decls]
 
 

@@ -196,7 +196,7 @@ def corpus_normal_forms(flags: Flags, evaluator=Evaluator, checker_class=Checker
                 checked[module.path] = _check_module(module, checker, builtin, checked)
                 modules.append(module)
     verdicts = [
-        (os.path.basename(m.path), checked[m.path].failed, checked[m.path].detail)
+        (os.path.basename(m.path), checked[m.path].failed, str(checked[m.path].error or ""))
         for m in modules
     ]
     ev = checker.ev

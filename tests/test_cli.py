@@ -172,6 +172,12 @@ def test_corpus_reports_a_malformed_manifest(capsys, tmp_path):
     assert (code, out) == (1, f"error: {base}/manifest:2: expected a tag and a file name\n")
 
 
+def test_corpus_reports_an_unknown_manifest_flag(capsys, tmp_path):
+    base = write_corpus(tmp_path, "ok ok.mltt eta_foo\n", {"ok.mltt": "def x : N1 := star\n"})
+    code, out = run(capsys, "corpus", "--corpus-dir", base)
+    assert (code, out) == (1, f"error: {base}/manifest:1: unknown flags: ['eta_foo']\n")
+
+
 def test_corpus_reports_a_manifest_that_is_not_utf8(capsys, tmp_path):
     base = write_corpus(tmp_path, "", {"ok.mltt": "def x : N1 := star\n"})
     (tmp_path / "manifest").write_bytes(b"ok ok.mltt\n# caf\xe9\n")
@@ -548,6 +554,29 @@ def test_expression_errors_are_located_at_the_expression(capsys, tmp_path):
     assert code == 1 and out == "error: <context>: unbound: unknown name 'B'\n"
 
 
+def test_trailing_input_after_an_expression_is_located(capsys):
+    code, out = run(capsys, "norm", "--expr", "star )")
+    assert (code, out) == (1, "error: 1:6: trailing input after term\n")
+
+
+# a bare family former: a value of the large function type N1 -> U0
+WP_FAMILY = "(WP N1 (fun x => N1) (fun x => fun n => fun y => {}) : N1 -> U0)"
+
+
+def test_norm_reads_back_a_bare_family_former(capsys):
+    code, out = run(capsys, "norm", "--expr", WP_FAMILY.format("N0"))
+    assert (code, out) == (0, "WP N1 (fun x0 => N1) (fun x0 => fun x1 => fun x2 => N0)\n")
+
+
+@pytest.mark.parametrize("other, verdict", [
+    ("(WP N1 (fun a => N1) (fun a => fun b => fun c => N0) : N1 -> U0)", "convertible"),
+    (WP_FAMILY.format("N1"), "not convertible"),
+], ids=["renamed", "N1 for N0"])
+def test_conv_compares_bare_family_formers(capsys, other, verdict):
+    code, out = run(capsys, "conv", WP_FAMILY.format("N0"), other, "--type", "N1 -> U0")
+    assert (code, out) == (int(verdict != "convertible"), verdict + "\n")
+
+
 def test_importing_the_cli_loads_no_code_generation_modules():
     # modules that ``site`` loaded before the import do not count
     script = (
@@ -566,10 +595,11 @@ def test_importing_the_cli_loads_no_code_generation_modules():
 # what a run of each command loads of the package, beside ``covertt``,
 # ``covertt.cli`` and ``covertt.terms``: only the modules it runs
 KERNEL = {"surface", "typecheck", "semantics"}
+# a file is checked as the corpus checks an entry, by ``encodings``
 COMMAND_MODULES = [
-    (["check", "FILE"], KERNEL),
-    (["norm", "FILE", "--expr", "x"], KERNEL),
-    (["conv", "x", "x", "--type", "N1", "--file", "FILE"], KERNEL),
+    (["check", "FILE"], KERNEL | {"encodings"}),
+    (["norm", "FILE", "--expr", "x"], KERNEL | {"encodings"}),
+    (["conv", "x", "x", "--type", "N1", "--file", "FILE"], KERNEL | {"encodings"}),
     (["corpus", "--corpus-dir", "DIR"], KERNEL | {"encodings"}),
     (["cover", "COV"], {"surface", "cover"}),
 ]
@@ -585,6 +615,18 @@ _RUN_AND_LIST_MODULES = (
 
 @pytest.mark.parametrize("argv, loaded", COMMAND_MODULES, ids=[argv[0] for argv, _ in COMMAND_MODULES])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    assert_loads(tmp_path, argv, loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--expr", "star"],
+    ["conv", "x", "x", "--type", "A", "--context", "A : U0, x : A"],
+], ids=["norm", "conv"])
+def test_norm_and_conv_without_a_file_load_only_the_kernel(tmp_path, argv):
+    assert_loads(tmp_path, argv, KERNEL)
+
+
+def assert_loads(tmp_path, argv, loaded):
     base = write_corpus(tmp_path, "one one.mltt\n", {
         "one.mltt": "def x : N1 := star\n",
         "two.cov": "carrier a b\nsubset V : b\nquery a V\n",

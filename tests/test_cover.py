@@ -731,6 +731,13 @@ def test_the_constructor_keeps_the_premises_it_is_given():
         assert FiniteAxiomSet(ax.carrier, ax.labels, ax.covers) == ax
 
 
+def test_a_set_built_from_lists_equals_the_one_built_from_tuples():
+    from_lists = FiniteAxiomSet(["a", "b"], [["i"], []], [[[1]], []])
+    from_tuples = FiniteAxiomSet(("a", "b"), (("i",), ()), (((1,),), ()))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert (from_lists.carrier, from_lists.labels) == (("a", "b"), (("i",), ()))
+
+
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_a_premise_outside_the_carrier_is_refused(bad):
     # a negative premise would otherwise index the chaining's tables from the end

@@ -6,11 +6,13 @@ the empty flag set.  The builders are driven across the three small
 parameter instances (empty, unit and two-element label types).
 """
 
+import functools
 import os
 
 import pytest
 
 from covertt import surface, typecheck
+from covertt.cli import main
 from covertt.encodings import check_corpus, load_manifest
 from covertt.terms import Flags
 from covertt.typecheck import Context, TypeCheckError
@@ -175,6 +177,63 @@ def test_a_name_supplied_only_by_a_sibling_import_is_rejected(tmp_path):
         ("top", "fail", "b.mltt:1: unbound: unknown name 'one'"),
     ]
     assert report(check_corpus_flat(Flags(), base), base) == [("top", "pass", "")]
+
+
+# --- one verdict per file, whichever command checks it ------------------------------
+
+# name -> (manifest, files): every entry checked by ``covertt check`` of its file
+CHECK_CASES = {
+    "a name supplied only by a sibling import": (
+        "top top.mltt\na a.mltt\nb b.mltt\n",
+        {
+            "a.mltt": "def one : N1 := star\n",
+            "b.mltt": "def two : N1 := one\n",
+            "top.mltt": 'import "a.mltt"\nimport "b.mltt"\ndef three : N1 := two\n',
+        },
+    ),
+    **{case: (manifest, files) for case, (manifest, files, _) in SYNTHETIC_CORPORA.items()},
+}
+
+
+def check_failure(path, flags, capsys):
+    """The first failure that ``covertt check PATH`` under ``flags`` names,
+    worded as a corpus report's detail, or None when it exits 0."""
+    flag_args = [f"--{n.replace('_', '-')}" for n in Flags.FLAG_NAMES if getattr(flags, n)]
+    status = main(["check", path, *flag_args])
+    lines = capsys.readouterr().out.splitlines()
+    errors = [k for k, line in enumerate(lines) if line.startswith("error")]
+    assert (status, len(errors)) in ((0, 0), (1, 1)), lines
+    if status == 0:
+        return None
+    k = errors[0]
+    # one ``error:`` line, or ``error NAME`` over the type error
+    return lines[k].removeprefix("error: ") if lines[k].startswith("error: ") else lines[k + 1]
+
+
+def assert_check_agrees_with_corpus(results, base, flags, capsys):
+    for r in results:
+        if r.status != "skip":
+            found = check_failure(os.path.join(base, r.file), flags, capsys)
+            assert (r.tag, found) == (r.tag, r.detail if r.status == "fail" else None)
+
+
+@pytest.mark.parametrize("case", CHECK_CASES)
+def test_check_fails_an_entry_exactly_where_corpus_does(case, tmp_path, capsys):
+    """``covertt check top.mltt`` passed the sibling case by flattening it."""
+    base = write_corpus(tmp_path, *CHECK_CASES[case])
+    assert_check_agrees_with_corpus(check_corpus(Flags(), base), base, Flags(), capsys)
+
+
+corpus_under = functools.lru_cache(maxsize=None)(check_corpus)
+
+
+@pytest.mark.parametrize("entry", load_manifest(), ids=lambda e: e.tag)
+def test_check_passes_each_shipped_entry_as_corpus_does(entry, capsys):
+    """Under exactly its manifest flags; no shipped module leans on a name
+    that only a sibling import supplies."""
+    results = [r for r in corpus_under(entry.required) if r.tag == entry.tag]
+    assert [r.status for r in results] == ["pass"]
+    assert_check_agrees_with_corpus(results, os.path.dirname(entry.path()), entry.required, capsys)
 
 
 def test_each_reachable_file_is_parsed_and_each_declaration_checked_once(monkeypatch):

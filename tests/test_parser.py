@@ -122,6 +122,13 @@ def test_corpus_roundtrips():
             assert reparsed.body == d.body, (fn, d.name)
 
 
+def test_a_postulate_prints_as_one_and_round_trips():
+    [d], _ = parse_file("postulate f : (A : U0) -> A -> A\n")
+    printed = surface.pretty_declaration(d)
+    assert printed == "postulate f : (x0 : U0) -> x0 -> x0"
+    assert parse_file(printed)[0] == [d]
+
+
 def test_pretty_is_deterministic():
     for src in ("fun x => fun y => x", "(x : N1) -> N1 * N1", "sup star (fun b => b)"):
         t = parse_term(src)
