@@ -11,7 +11,7 @@ A file is checked one way, by ``check``, ``norm`` and ``conv --file`` as by
 of its own imports only.  A command's failure propagates to ``main``, whose
 one handler prints it as one ``error:`` line; running out of memory is
 ``error: out of memory``.  A declaration whose check stops is named there
-(``typecheck.check_named``); ``check`` also names one that fails.
+(``encodings.check_modules``); ``check`` also names one that fails.
 ``--context`` is read by ``surface.parse_context`` and checked within a
 step budget of its own.
 

@@ -145,15 +145,22 @@ def check_modules(modules, checker, builtin: dict, checked: dict):
 
 def _check_module(module, checker, builtin: dict, checked: dict) -> _Checked:
     """Check ``module`` against the globals of its imports, which have all
-    passed their checks."""
+    passed their checks.  A declaration whose check stops (``typecheck.STOPS``)
+    fails as a ``CheckStopped`` that names it."""
     env = dict(builtin)
     for imp in module.imports:
         env.update(checked[os.path.abspath(imp)].globals)
     checker.use_globals(env)
     for i, d in enumerate(module.decls):
         try:
-            typecheck.check_named(d, checker)
-        except (typecheck.TypeCheckError, typecheck.CheckStopped) as e:
-            # kept as long as ``checked``, so without the frames it unwound
-            return _Checked(env, i, e.with_traceback(None))
+            typecheck.check_declarations([d], checker.flags, checker)
+            continue
+        except (typecheck.TypeCheckError, *typecheck.STOPS) as e:
+            error = e
+        # kept as long as ``checked``: built outside the handler and without
+        # a traceback, so that it holds none of the frames it unwound
+        if not isinstance(error, typecheck.TypeCheckError):
+            text = typecheck.stop_message(error)
+            error = typecheck.CheckStopped(f"{d.location}: {d.name}: {text}")
+        return _Checked(env, i, error.with_traceback(None))
     return _Checked(env, len(module.decls), None)

@@ -13,11 +13,12 @@ definitions ``let x : A := v in t``, which bind as far right as a lambda.
 Eliminators take the motive as their first argument.
 
 The lexer is one regular expression.  The parser works on the tokens'
-kinds and texts; positions are only computed, by ``tokenize``, to report an
-error.  The right side of a non-dependent ``->`` or ``*`` is parsed under an
-anonymous scope entry that no name resolves to, so its de Bruijn indices
-already count the binder the arrow introduces; shifting it afterwards would
-rebuild every right side once per arrow that encloses it.
+kinds, texts and lines; a column is only computed, by lexing the token's
+line again, to report an error.  The right side of a non-dependent ``->``
+or ``*`` is parsed under an anonymous scope entry that no name resolves
+to, so its de Bruijn indices already count the binder the arrow
+introduces; shifting it afterwards would rebuild every right side once per
+arrow that encloses it.
 
 The parser shares equal subterms (hash-consing): it builds every node
 through ``Parser.node``, which returns the node it built before for the
@@ -44,6 +45,8 @@ gets a second pair of parentheses, since ``( x : T ) -> B`` is a binder.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import os
 import re
 from typing import Optional
@@ -108,22 +111,6 @@ RESERVED = (
 )
 
 
-class Token:
-    """One lexeme with its position: ``kind`` is ident, keyword, punct,
-    string or eof; ``line`` and ``col`` count from 1, in characters."""
-
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind!r}, {self.text!r}, {self.line}, {self.col})"
-
-
 # One lexeme after optional blanks.  The alternatives are tried in order: a
 # newline, a comment, a string (an unterminated one falls through to the
 # last alternative as a lone quote), punctuation, a word, any other
@@ -149,39 +136,11 @@ def _kind(lexeme: str) -> Optional[str]:
     return None
 
 
-def tokenize(src: str) -> list[Token]:
-    """The tokens of ``src`` with their positions, ending with an eof token."""
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    eof_col = None
-    for m in _LEXEME.finditer(src):
-        text = m.group(1)
-        kind = _FIXED_KINDS.get(text) or _kind(text)
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            eof_col = None
-            continue
-        col = m.start(1) - line_start + 1
-        if kind == "comment":
-            # a comment that ends the input leaves the end position at its start
-            eof_col = col
-        elif kind is None:
-            if text == '"':
-                raise ParseError("unterminated string", line, col)
-            raise ParseError(f"stray character {text[0]!r}", line, col)
-        else:
-            toks.append(Token(kind, text[1:-1] if kind == "string" else text, line, col))
-    if eof_col is None:
-        eof_col = len(src) - line_start + 1
-    toks.append(Token("eof", "", line, eof_col))
-    return toks
-
-
-def _lex(src: str):
-    """The tokens of ``tokenize(src)`` as parallel lists of kinds, texts and
-    line numbers, without the eof token.  Columns are left out: the parser
-    asks ``tokenize`` for them only to report an error."""
+def _lex(src: str, filename: Optional[str] = None):
+    """The tokens of ``src`` as parallel lists of kinds, texts and line
+    numbers.  Columns are left out: ``_locate`` finds one only to report an
+    error.  A lexeme that is no token is a ``ParseError`` naming
+    ``filename``."""
     kinds: list[str] = []
     texts: list[str] = []
     lines: list[int] = []
@@ -193,13 +152,31 @@ def _lex(src: str):
         elif kind == "comment":
             pass
         elif kind is None:
-            tokenize(src)  # raises the error at its position
-            raise AssertionError(f"tokenize accepted {text!r}")
+            # located as the token it would have been
+            lines.append(line)
+            line, col = _locate(src, lines, len(lines) - 1)
+            message = "unterminated string" if text == '"' else f"stray character {text[0]!r}"
+            raise ParseError(message, line, col, filename=filename)
         else:
             kinds.append(kind)
             texts.append(text[1:-1] if kind == "string" else text)
             lines.append(line)
     return kinds, texts, lines
+
+
+def _locate(src: str, lines: list[int], k: int) -> tuple[int, int]:
+    """Line and column of token ``k`` of ``_lex(src)``'s ``lines``, or of the
+    end of the input when ``k`` is past the last token.  Only the token's
+    line is lexed again: no lexeme spans lines, and a comment, which is no
+    token, ends its line.  So the end of the input is the start of a
+    comment that ends it, or else the column after its last line."""
+    rows = src.split("\n")
+    line = lines[k] if k < len(lines) else len(rows)
+    # the lexemes of the line before token k are its tokens there
+    before = min(k, len(lines)) - bisect.bisect_left(lines, line)
+    row = rows[line - 1]
+    m = next(itertools.islice(_LEXEME.finditer(row), before, None), None)
+    return line, len(row) + 1 if m is None else m.start(1) + 1
 
 
 # keywords that start an atom
@@ -209,10 +186,7 @@ _ATOM_START = set(KEYWORD_FORMS) | set(ATOM_KEYWORDS) | BINDER_KEYWORDS
 class Parser:
     def __init__(self, src: str, filename: Optional[str] = None, nodes: Optional[dict] = None):
         self.src = src
-        try:
-            kinds, texts, lines = _lex(src)
-        except ParseError as e:
-            raise ParseError(e.message, e.line, e.col, filename=filename) from None
+        kinds, texts, lines = _lex(src, filename)
         self.closer = _matching_parens(kinds, texts)
         # lookahead reads at most two tokens past the end
         self.kinds = kinds + ["eof"] * 3
@@ -223,7 +197,6 @@ class Parser:
         # binder names, innermost last; None stands for the anonymous binder
         # of a non-dependent ``->`` or ``*``, which no name refers to
         self.scope: list[Optional[str]] = []
-        self._tokens: Optional[list[Token]] = None
         # the key of each node built so far -> the node; shared by the files
         # of one load
         self.nodes: dict = {} if nodes is None else nodes
@@ -246,15 +219,9 @@ class Parser:
 
     # -- token plumbing
 
-    def token(self, k: int) -> Token:
-        """Token ``k`` with its position (the eof token past the end)."""
-        if self._tokens is None:
-            self._tokens = tokenize(self.src)
-        return self._tokens[min(k, len(self._tokens) - 1)]
-
     def error(self, message: str, expected=()):
-        t = self.token(self.pos)
-        raise ParseError(message, t.line, t.col, expected, self.filename)
+        line, col = _locate(self.src, self.lines, self.pos)
+        raise ParseError(message, line, col, expected, self.filename)
 
     def parse(self, rule):
         """``rule()``, with the recursion limit reported as a ``ParseError``
@@ -525,9 +492,10 @@ class Module(Node):
     def import_error(self, k: int, message: str) -> ParseError:
         """``message`` at the ``import`` item that names ``imports[k]``."""
         # ``import`` is reserved, so its tokens are the import items
-        items = [t for t in tokenize(self.src) if t.kind == "keyword" and t.text == "import"]
-        name = os.path.basename(self.path)
-        return ParseError(message, items[k].line, items[k].col, filename=name)
+        kinds, texts, lines = _lex(self.src)
+        items = [j for j, text in enumerate(texts) if text == "import" and kinds[j] == "keyword"]
+        line, col = _locate(self.src, lines, items[k])
+        return ParseError(message, line, col, filename=os.path.basename(self.path))
 
 
 # a byte that is not UTF-8, as the surrogateescape error handler reads it

@@ -29,8 +29,8 @@ Every entry point begins with ``Checker.begin``, which names the location
 of what it checks and gives it the evaluator's whole step budget: each
 declaration (``check_declarations``), each ``normalize``, ``convertible``
 or ``infer_type`` call (at ``<expr>``), and a CLI ``--context`` (at
-``<context>``).  A type error is located there.  ``check_named`` also names
-the declaration whose check stops short of a verdict.
+``<context>``).  A type error is located there.  ``encodings.check_modules``
+also names the declaration whose check stops short of a verdict.
 
 ``let x : A := v in b`` has one rule, used by ``infer`` and ``check``
 alike: ``A`` is a type, ``v`` checks against it, and ``b`` is checked or
@@ -195,11 +195,11 @@ class _Values(dict):
 
 
 class Checker:
-    def __init__(self, flags: Flags = Flags(), globals_env=None):
+    def __init__(self, flags: Flags = Flags()):
         self.flags = flags
-        self.globals = {} if globals_env is None else globals_env
+        self.globals = {}
         self.ev = Evaluator(self.globals, flags)
-        if flags.funext and FUNEXT_NAME not in self.globals:
+        if flags.funext:
             tyv = self.ev.eval((), funext_type())
             self.globals[FUNEXT_NAME] = GlobalEntry(tyv, VNeutral(S.HConst(FUNEXT_NAME, tyv), ()))
         self.location = "?"
@@ -408,16 +408,19 @@ class Checker:
         try:
             self.check(ctx, m, m_ty)
         except TypeCheckError as e:
-            if e.kind in ("mismatch", "not-a-function", "not-a-universe"):
-                raise TypeCheckError(
-                    "motive-shape",
-                    f"ill-shaped eliminator motive or case: {e.message}",
-                    e.expected,
-                    e.found,
-                    e.location,
-                )
-            raise
-        return self.eval_in(ctx, m)
+            if e.kind not in ("mismatch", "not-a-function", "not-a-universe"):
+                raise
+            shape = e
+        else:
+            return self.eval_in(ctx, m)
+        # raised outside the handler, so it keeps no frames of ``shape``
+        raise TypeCheckError(
+            "motive-shape",
+            f"ill-shaped eliminator motive or case: {shape.message}",
+            shape.expected,
+            shape.found,
+            shape.location,
+        )
 
     # -- checking -----------------------------------------------------------------
 
@@ -536,14 +539,6 @@ def stop_message(e: BaseException) -> str:
 class CheckStopped(Exception):
     """A declaration's check stopped (``STOPS``): the text is ``FILE:LINE:
     NAME: TEXT``, where ``TEXT`` is ``stop_message``'s."""
-
-
-def check_named(d: Declaration, checker: Checker) -> None:
-    """Check ``d`` with ``checker``, naming ``d`` if its check stops."""
-    try:
-        check_declarations([d], checker.flags, checker)
-    except STOPS as e:
-        raise CheckStopped(f"{d.location}: {d.name}: {stop_message(e)}") from e
 
 
 def check_new_name(d: Declaration, names) -> None:

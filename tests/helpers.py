@@ -932,9 +932,11 @@ ORACLE_PUNCT = (":=", "=>", "->", "(", ")", ":", "*", ",")
 
 
 def tokenize_oracle(src: str) -> list[tuple[str, str, int, int]]:
-    """The tokenizer the parser used to run, kept as the oracle of
-    ``surface.tokenize``: one character at a time, giving (kind, text, line,
-    col) per token and raising the same ``ParseError`` positions."""
+    """The tokenizer the parser used to run, kept as the oracle of the
+    parser's lexer (``surface._lex``) and of the positions ``surface._locate``
+    gives its tokens: one character at a time, giving (kind, text, line,
+    col) per token and an eof token, or raising a ``ParseError`` at the
+    lexeme that is no token."""
     toks = []
     i, line, col = 0, 1, 1
     n = len(src)

@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from covertt import cover, typecheck
+from covertt import cover, surface, typecheck
 from covertt.cli import main
 from covertt.semantics import KernelBug
 from covertt.surface import parse_file
@@ -71,6 +71,18 @@ def test_conv_eta_dependence(capsys):
     code, out = run(capsys, *args)
     assert code == 1 and out == "not convertible\n"
     code, out = run(capsys, *args, "--eta-pi")
+    assert code == 0 and out == "convertible\n"
+
+
+def test_conv_tells_the_funext_constant_from_a_variable(capsys):
+    """A neutral headed by the funext constant equals only one headed by
+    that constant."""
+    ft = surface.pretty(typecheck.funext_type())
+    code, out = run(
+        capsys, "conv", "funext", "g", "--type", ft, "--context", f"g : {ft}", "--funext"
+    )
+    assert code == 1 and out == "not convertible\n"
+    code, out = run(capsys, "conv", "funext", "funext", "--type", ft, "--funext")
     assert code == 0 and out == "convertible\n"
 
 

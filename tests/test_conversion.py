@@ -258,6 +258,7 @@ UNEQUAL_WITHOUT_FLAGS = [
     ("N1 -> N1", "f", "fun z => f z"),
     ("N1 * N1", "s", "( fst s , snd s )"),
     ("Id N1 x y", "q", "sym N1 y x (sym N1 x y q)"),
+    ("U0", "N1 -> N1", "N0 -> N1"),
 ]
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from covertt import surface, typecheck
 from covertt.cli import main
-from covertt.encodings import check_corpus, load_manifest
+from covertt.encodings import check_corpus, check_modules, load_manifest
 from covertt.terms import Flags
 from covertt.typecheck import Context, TypeCheckError
 
@@ -162,6 +162,44 @@ def test_budget_exhausted_in_a_shared_base_names_it_in_every_entry(tmp_path, sma
     assert results == check_corpus_flat(Flags(), base)
     detail = "base.mltt:2: deep: evaluation exceeded 100 eliminator steps"
     assert report(results, base) == [("a", "fail", detail), ("b", "fail", detail)]
+
+
+def _tracebacks(e):
+    """The tracebacks of ``e`` and of every exception on its cause and
+    context chains."""
+    found, todo = [], [e]
+    while todo:
+        e = todo.pop()
+        if e is not None:
+            found.append(e.__traceback__)
+            todo += [e.__cause__, e.__context__]
+    return found
+
+
+def test_a_failure_kept_for_later_entries_holds_no_frames(tmp_path, small_budget):
+    """A module's failure lives as long as the walk's cache.  A stopped check
+    kept the budget error it was raised from, with the thousands of frames
+    that error unwound; a motive-shape error, raised while the mismatch it
+    rewords was handled, kept that mismatch and its frames."""
+    cases = {
+        "deep.mltt": (
+            f"def deep : N1 := {nested_identity(3000)}\n",
+            "deep.mltt:1: deep: evaluation exceeded 100 eliminator steps",
+        ),
+        "motive.mltt": (
+            "def m : N0 -> N1 := fun z => absurd (fun q => star) z\n",
+            "motive-shape",
+        ),
+    }
+    for name, (text, expected) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        checker, checked = typecheck.Checker(), {}
+        modules = surface.load_modules(str(path))
+        [(_d, error)] = check_modules(modules, checker, dict(checker.globals), checked)
+        assert error is checked[str(path)].error
+        assert getattr(error, "kind", str(error)) == expected
+        assert _tracebacks(error) == [None], name
 
 
 def test_a_name_supplied_only_by_a_sibling_import_is_rejected(tmp_path):

@@ -238,7 +238,7 @@ def test_a_subterm_written_in_two_files_of_one_load_is_one_object(tmp_path):
     assert r2 == r and r2 is not r
 
 
-# --- the regex tokenizer and the printer against the code they replaced -----
+# --- the regex lexer and the printer against the code they replaced -------
 
 # sha256 of the printed criterion-6 certificates (seed 98765, joined by
 # newlines), which bind their instance and each derived atom in lets (the
@@ -273,20 +273,16 @@ def _tokens(tokenize, src):
         return ("error", e.message, e.line, e.col)
 
 
-def _tokenize(src):
-    return [(t.kind, t.text, t.line, t.col) for t in surface.tokenize(src)]
+def _lexed(src):
+    """The parser's token lists, each token with the position ``_locate``
+    gives it, and the end of the input as an eof token."""
+    kinds, texts, lines = surface._lex(src)
+    tokens = [*zip(kinds, texts), ("eof", "")]
+    return [(kind, text, *surface._locate(src, lines, k)) for k, (kind, text) in enumerate(tokens)]
 
 
 def _assert_lexes_like_oracle(src):
-    expected = _tokens(tokenize_oracle, src)
-    assert _tokens(_tokenize, src) == expected
-    # the parser's position-free token lists line up with tokenize's tokens
-    try:
-        kinds, texts, lines = surface._lex(src)
-    except ParseError as e:
-        assert expected == ("error", e.message, e.line, e.col)
-        return
-    assert list(zip(kinds, texts, lines)) == [(k, x, ln) for k, x, ln, _col in expected[:-1]]
+    assert _tokens(_lexed, src) == _tokens(tokenize_oracle, src)
 
 
 def test_tokenizer_agrees_with_oracle_on_corpus():
@@ -322,6 +318,9 @@ def test_parse_error_positions_follow_the_tokens():
         ("def x : N1 := (fun y => y : N1 -> N1) star )", 1, 44),
         # a comment that ends the input leaves the end position at its start
         ("postulate f : N1 -> -- c", 1, 21),
+        ("def x : N1 := def", 1, 15),
+        # no ``)`` closes the binder
+        ("def x : N1 := (y : N1", 1, 22),
     ]
     for src, line, col in cases:
         with pytest.raises(ParseError) as e:

@@ -836,7 +836,7 @@ def test_a_checker_forgets_the_lets_of_the_declarations_before():
         "\n".join(f"def d{k} : N1 -> N1 := fun y => let x : N1 := y in x" for k in range(50))
     )
     for d in decls:
-        typecheck.check_named(d, chk)
+        typecheck.check_declarations([d], checker=chk)
     assert len(chk.lets) <= 1
 
 
