@@ -15,6 +15,10 @@ one handler prints it as one ``error:`` line; running out of memory is
 ``--context`` is read by ``surface.parse_context`` and checked within a
 step budget of its own.
 
+Before Python 3.11 every Python call also takes C stack, and the main
+thread's would overflow before the recursion limit that ``main`` sets, so
+there ``main`` runs the command on one thread with a stack large enough.
+
 The module imports only ``argparse``, ``os``, ``sys`` and ``terms``; each
 command imports what it runs, so a process compiles no module its command
 does not need: ``norm`` and ``conv`` load ``surface`` and ``typecheck``
@@ -193,8 +197,41 @@ def _failures() -> tuple:
             typecheck.CheckStopped, *typecheck.STOPS)
 
 
+def _on_large_stack(fn, *args):
+    """``fn(*args)`` on one daemon thread whose stack holds the recursion
+    limit's frames: what it returns, or, raised again here, what it raised,
+    ``SystemExit`` included."""
+    import threading
+
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((fn(*args), None))
+        except BaseException as e:  # handed to the caller, which raises it
+            outcome.append((None, e))
+
+    previous = threading.stack_size(256 << 20)
+    try:
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+    finally:
+        threading.stack_size(previous)
+    thread.join()
+    result, error = outcome[0]
+    if error is not None:
+        raise error
+    return result
+
+
 def main(argv=None) -> int:
     sys.setrecursionlimit(100_000)
+    if sys.version_info < (3, 11):
+        return _on_large_stack(_main, argv)
+    return _main(argv)
+
+
+def _main(argv) -> int:
     ns = build_parser().parse_args(argv)
     try:
         try:

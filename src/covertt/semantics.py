@@ -306,8 +306,6 @@ class Evaluator:
             return self.eval(env, t.term)
         if cls is T.Univ:
             return V_U0
-        if cls is T.TypeSort:
-            return V_TYPE
         raise KernelBug(f"eval: unhandled term {cls.__name__}")
 
     # -- the typing rules --------------------------------------------------------
@@ -703,19 +701,12 @@ class Evaluator:
         return all(map(self._same, _fields(x), _fields(y)))
 
     def reads(self, body: Term) -> set:
-        """The variables a closure's ``body`` reads, found once per body
-        object: 0 for its own, k for its environment's entry ``env[-k]``."""
+        """The variables a closure's ``body`` reads (``terms.reads``), found
+        once per body object: 0 for its own, k for its environment's entry
+        ``env[-k]``."""
         entry = self.read_positions.get(id(body))
         if entry is None:
-            found, stack = set(), [(body, 0)]  # subterms, with the binders around them
-            while stack:
-                t, bound = stack.pop()
-                if type(t) is not T.Var:
-                    for name, n in T.CHILDREN[type(t)]:
-                        stack.append((getattr(t, name), bound + n))
-                elif t.index >= bound:
-                    found.add(t.index - bound)
-            entry = self.read_positions[id(body)] = (body, found)
+            entry = self.read_positions[id(body)] = (body, T.reads(body))
         return entry[1]
 
 

@@ -13,12 +13,12 @@ definitions ``let x : A := v in t``, which bind as far right as a lambda.
 Eliminators take the motive as their first argument.
 
 The lexer is one regular expression.  The parser works on the tokens'
-kinds, texts and lines; a column is only computed, by lexing the token's
-line again, to report an error.  The right side of a non-dependent ``->``
-or ``*`` is parsed under an anonymous scope entry that no name resolves
-to, so its de Bruijn indices already count the binder the arrow
-introduces; shifting it afterwards would rebuild every right side once per
-arrow that encloses it.
+kinds, a punctuation mark or keyword being a kind of its own, texts and
+lines; a column is only computed, by lexing the token's line again, to
+report an error.  The right side of a non-dependent ``->`` or ``*`` is
+parsed under an anonymous scope entry that no name resolves to, so its de
+Bruijn indices already count the binder the arrow introduces; shifting it
+afterwards would rebuild every right side once per arrow that encloses it.
 
 The parser shares equal subterms (hash-consing): it builds every node
 through ``Parser.node``, which returns the node it built before for the
@@ -119,13 +119,17 @@ RESERVED = (
 # (``str.isalpha``) or ``_``, which ``_kind`` checks.
 _LEXEME = re.compile(r"[ \t\r]*(\n|--[^\n]*|\"[^\"\n]*\"|:=|=>|->|[():*,]|\w[\w']*|[^ \t\r])")
 
-_FIXED_KINDS = {"\n": "newline"}
-_FIXED_KINDS.update((p, "punct") for p in (":=", "=>", "->", "(", ")", ":", "*", ","))
-_FIXED_KINDS.update((w, "keyword") for w in RESERVED)
+# a punctuation mark or keyword -> its class, which only an error message
+# names: the token's kind is the lexeme itself
+_CLASS = dict.fromkeys((":=", "=>", "->", "(", ")", ":", "*", ","), "punct")
+_CLASS.update(dict.fromkeys(RESERVED, "keyword"))
 
 
 def _kind(lexeme: str) -> Optional[str]:
-    """Kind of a lexeme outside ``_FIXED_KINDS``; None if it is no token."""
+    """Kind of a lexeme but a newline: the lexeme itself if ``_CLASS`` names
+    it, else ``ident``, ``string`` or ``comment``; None if it is no token."""
+    if lexeme in _CLASS:
+        return lexeme
     c = lexeme[0]
     if c.isalpha() or c == "_":
         return "ident"
@@ -138,29 +142,30 @@ def _kind(lexeme: str) -> Optional[str]:
 
 def _lex(src: str, filename: Optional[str] = None):
     """The tokens of ``src`` as parallel lists of kinds, texts and line
-    numbers.  Columns are left out: ``_locate`` finds one only to report an
-    error.  A lexeme that is no token is a ``ParseError`` naming
-    ``filename``."""
+    numbers.  A punctuation mark or keyword is its own kind; the others are
+    ``ident`` and ``string``.  Columns are left out: ``_locate`` finds one
+    only to report an error.  A lexeme that is no token is a ``ParseError``
+    naming ``filename``."""
     kinds: list[str] = []
     texts: list[str] = []
     lines: list[int] = []
     line = 1
     for text in _LEXEME.findall(src):
-        kind = _FIXED_KINDS.get(text) or _kind(text)
-        if kind == "newline":
+        if text == "\n":
             line += 1
-        elif kind == "comment":
-            pass
-        elif kind is None:
+            continue
+        kind = _kind(text)
+        if kind == "comment":
+            continue
+        if kind is None:
             # located as the token it would have been
             lines.append(line)
             line, col = _locate(src, lines, len(lines) - 1)
             message = "unterminated string" if text == '"' else f"stray character {text[0]!r}"
             raise ParseError(message, line, col, filename=filename)
-        else:
-            kinds.append(kind)
-            texts.append(text[1:-1] if kind == "string" else text)
-            lines.append(line)
+        kinds.append(kind)
+        texts.append(text[1:-1] if kind == "string" else text)
+        lines.append(line)
     return kinds, texts, lines
 
 
@@ -179,15 +184,17 @@ def _locate(src: str, lines: list[int], k: int) -> tuple[int, int]:
     return line, len(row) + 1 if m is None else m.start(1) + 1
 
 
-# keywords that start an atom
-_ATOM_START = set(KEYWORD_FORMS) | set(ATOM_KEYWORDS) | BINDER_KEYWORDS
+# the kinds of the tokens that start an atom
+_ATOM_START = {"ident", "(", *KEYWORD_FORMS, *ATOM_KEYWORDS, *BINDER_KEYWORDS}
 
 
 class Parser:
+    """Recursive descent over the tokens of ``_lex``, told apart by kind."""
+
     def __init__(self, src: str, filename: Optional[str] = None, nodes: Optional[dict] = None):
         self.src = src
         kinds, texts, lines = _lex(src, filename)
-        self.closer = _matching_parens(kinds, texts)
+        self.closer = _matching_parens(kinds)
         # lookahead reads at most two tokens past the end
         self.kinds = kinds + ["eof"] * 3
         self.texts = texts + [""] * 3
@@ -232,22 +239,20 @@ class Parser:
             pass
         self.error("input nested too deeply")
 
-    def expect(self, kind: str, text: Optional[str] = None) -> str:
+    def unexpected(self, expected: str):
+        """Reject the current token, named by its class and text."""
+        kind = self.kinds[self.pos]
+        self.error(f"unexpected {_CLASS.get(kind, kind)} {self.texts[self.pos]!r}", [expected])
+
+    def expect(self, kind: str) -> str:
         k = self.pos
-        if self.kinds[k] != kind or (text is not None and self.texts[k] != text):
-            self.error(
-                f"unexpected {self.kinds[k]} {self.texts[k]!r}", expected=[text or kind]
-            )
+        if self.kinds[k] != kind:
+            self.unexpected(kind)
         self.pos = k + 1
         return self.texts[k]
 
-    def at_punct(self, text: str) -> bool:
-        k = self.pos
-        return self.kinds[k] == "punct" and self.texts[k] == text
-
-    def at_keyword(self, text: str) -> bool:
-        k = self.pos
-        return self.kinds[k] == "keyword" and self.texts[k] == text
+    def at(self, kind: str) -> bool:
+        return self.kinds[self.pos] == kind
 
     # -- files
 
@@ -256,21 +261,21 @@ class Parser:
         imports: list[str] = []
         while self.kinds[self.pos] != "eof":
             location = f"{self.filename}:{self.lines[self.pos]}"
-            if self.at_keyword("import"):
+            if self.at("import"):
                 self.pos += 1
                 imports.append(self.expect("string"))
-            elif self.at_keyword("def"):
+            elif self.at("def"):
                 self.pos += 1
                 name = self.expect("ident")
-                self.expect("punct", ":")
+                self.expect(":")
                 ty = self.parse_term()
-                self.expect("punct", ":=")
+                self.expect(":=")
                 body = self.parse_term()
                 decls.append(Declaration(name, ty, body, location))
-            elif self.at_keyword("postulate"):
+            elif self.at("postulate"):
                 self.pos += 1
                 name = self.expect("ident")
-                self.expect("punct", ":")
+                self.expect(":")
                 ty = self.parse_term()
                 decls.append(Declaration(name, ty, None, location))
             else:
@@ -281,9 +286,9 @@ class Parser:
         items: list[tuple[str, Term]] = []
         while self.kinds[self.pos] != "eof":
             if items:
-                self.expect("punct", ",")
+                self.expect(",")
             name = self.expect("ident")
-            self.expect("punct", ":")
+            self.expect(":")
             items.append((name, self.parse_term()))
             self.scope.append(name)
         return items
@@ -291,19 +296,19 @@ class Parser:
     # -- terms
 
     def parse_term(self) -> Term:
-        if self.at_keyword("fun"):
+        if self.at("fun"):
             self.pos += 1
             name = self.expect("ident")
-            self.expect("punct", "=>")
+            self.expect("=>")
             return self.node(T.Lam, self._bound(name, self.parse_term))
-        if self.at_keyword("let"):
+        if self.at("let"):
             self.pos += 1
             name = self.expect("ident")
-            self.expect("punct", ":")
+            self.expect(":")
             ty = self.parse_term()
-            self.expect("punct", ":=")
+            self.expect(":=")
             value = self.parse_term()
-            self.expect("keyword", "in")
+            self.expect("in")
             return self.node(T.Let, ty, value, self._bound(name, self.parse_term))
         return self.parse_arrow()
 
@@ -312,7 +317,7 @@ class Parser:
             left = self._parse_binder()
         else:
             left = self.parse_star_level()
-        if self.at_punct("->"):
+        if self.at("->"):
             self.pos += 1
             return self.node(T.Pi, left, self._bound(None, self.parse_arrow))
         return left
@@ -330,10 +335,10 @@ class Parser:
     def _parse_binder(self) -> Term:
         name = self.texts[self.pos + 1]  # after "(", checked by _is_binder
         self.pos += 2
-        self.expect("punct", ":")
+        self.expect(":")
         dom = self.parse_term()
-        self.expect("punct", ")")
-        op = self.texts[self.pos]  # -> or *
+        self.expect(")")
+        op = self.kinds[self.pos]  # -> or *
         self.pos += 1
         if op == "->":
             return self.node(T.Pi, dom, self._bound(name, self.parse_arrow))
@@ -347,19 +352,15 @@ class Parser:
 
     def _is_binder(self) -> bool:
         # lookahead: "(" ident ":" ... ")" followed by -> or *
-        k = self.pos
-        if not (self.at_punct("(") and self.kinds[k + 1] == "ident"):
-            return False
-        if not (self.kinds[k + 2] == "punct" and self.texts[k + 2] == ":"):
+        k, kinds = self.pos, self.kinds
+        if kinds[k] != "(" or kinds[k + 1] != "ident" or kinds[k + 2] != ":":
             return False
         close = self.closer.get(k)
-        if close is None:
-            return False
-        return self.kinds[close + 1] == "punct" and self.texts[close + 1] in ("->", "*")
+        return close is not None and kinds[close + 1] in ("->", "*")
 
     def parse_star_level(self) -> Term:
         left = self.parse_app()
-        if self.at_punct("*"):
+        if self.at("*"):
             self.pos += 1
             return self.node(T.Sigma, left, self._bound(None, self.parse_sigma_rhs))
         return left
@@ -372,13 +373,7 @@ class Parser:
         return head
 
     def _atom_starts(self) -> bool:
-        k = self.pos
-        kind = self.kinds[k]
-        if kind == "ident":
-            return True
-        if kind == "keyword":
-            return self.texts[k] in _ATOM_START
-        return kind == "punct" and self.texts[k] == "("
+        return self.kinds[self.pos] in _ATOM_START
 
     def parse_atom(self) -> Term:
         k = self.pos
@@ -389,61 +384,58 @@ class Parser:
                 if bound == text:
                     return self.node(T.Var, i)
             return self.node(T.Const, text)
-        if kind == "keyword":
-            if text in ATOM_KEYWORDS:
-                self.pos = k + 1
-                return self.node(ATOM_KEYWORDS[text])
-            if text in KEYWORD_FORMS:
-                self.pos = k + 1
-                ctor = KEYWORD_FORMS[text]
-                arity = len(T.CHILDREN[ctor])
-                args = []
-                for j in range(arity):
-                    if not self._atom_starts():
-                        self.error(
-                            f"{text} expects {arity} arguments, got {j}",
-                            expected=["term"],
-                        )
-                    args.append(self.parse_atom())
-                return self.node(ctor, *args)
-            if text in BINDER_KEYWORDS:
-                self.pos = k + 1
-                dom = self.parse_atom()
-                fam = self.parse_atom()
-                if isinstance(fam, T.Lam):
-                    body = fam.body
-                else:
-                    body = self.node(T.App, self._share(T.weaken(fam)), self.node(T.Var, 0))
-                return self.node(T.Pi if text == "Pi" else T.Sigma, dom, body)
-            if text == "fun" or text == "let":
-                return self.parse_term()
-            self.error(f"keyword {text!r} cannot start an atom")
-        if self.at_punct("("):
+        if kind in ATOM_KEYWORDS:
+            self.pos = k + 1
+            return self.node(ATOM_KEYWORDS[kind])
+        if kind in KEYWORD_FORMS:
+            self.pos = k + 1
+            ctor = KEYWORD_FORMS[kind]
+            arity = len(T.CHILDREN[ctor])
+            args = []
+            for j in range(arity):
+                if not self._atom_starts():
+                    self.error(f"{kind} expects {arity} arguments, got {j}", expected=["term"])
+                args.append(self.parse_atom())
+            return self.node(ctor, *args)
+        if kind in BINDER_KEYWORDS:
+            self.pos = k + 1
+            dom = self.parse_atom()
+            fam = self.parse_atom()
+            if isinstance(fam, T.Lam):
+                body = fam.body
+            else:
+                body = self.node(T.App, self._share(T.weaken(fam)), self.node(T.Var, 0))
+            return self.node(T.Pi if kind == "Pi" else T.Sigma, dom, body)
+        if kind == "fun" or kind == "let":
+            return self.parse_term()
+        if kind == "(":
             self.pos = k + 1
             inner = self.parse_term()
-            if self.at_punct(","):
+            if self.at(","):
                 self.pos += 1
                 second = self.parse_term()
-                self.expect("punct", ")")
+                self.expect(")")
                 return self.node(T.Pair, inner, second)
-            if self.at_punct(":"):
+            if self.at(":"):
                 self.pos += 1
                 ty = self.parse_term()
-                self.expect("punct", ")")
+                self.expect(")")
                 return self.node(T.Ann, inner, ty)
-            self.expect("punct", ")")
+            self.expect(")")
             return inner
-        self.error(f"unexpected {kind} {text!r}", expected=["term"])
+        if _CLASS.get(kind) == "keyword":
+            self.error(f"keyword {kind!r} cannot start an atom")
+        self.unexpected("term")
 
 
-def _matching_parens(kinds: list[str], texts: list[str]) -> dict[int, int]:
+def _matching_parens(kinds: list[str]) -> dict[int, int]:
     """Position of each ``(`` token -> position of the ``)`` that closes it."""
     closer: dict[int, int] = {}
     opens: list[int] = []
-    for k, text in enumerate(texts):
-        if text == "(" and kinds[k] == "punct":
+    for k, kind in enumerate(kinds):
+        if kind == "(":
             opens.append(k)
-        elif text == ")" and kinds[k] == "punct" and opens:
+        elif kind == ")" and opens:
             closer[opens.pop()] = k
     return closer
 
@@ -486,14 +478,11 @@ class Module(Node):
     __slots__ = ("path", "decls", "imports", "src")
     __match_args__ = ("path", "decls", "imports")
 
-    def __init__(self, path: str, decls: list[Declaration], imports: list[str], src: str):
-        self._fill(path, decls, imports, src)
-
     def import_error(self, k: int, message: str) -> ParseError:
         """``message`` at the ``import`` item that names ``imports[k]``."""
         # ``import`` is reserved, so its tokens are the import items
-        kinds, texts, lines = _lex(self.src)
-        items = [j for j, text in enumerate(texts) if text == "import" and kinds[j] == "keyword"]
+        kinds, _, lines = _lex(self.src)
+        items = [j for j, kind in enumerate(kinds) if kind == "import"]
         line, col = _locate(self.src, lines, items[k])
         return ParseError(message, line, col, filename=os.path.basename(self.path))
 

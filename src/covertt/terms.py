@@ -415,15 +415,23 @@ def subst(t: Term, j: int, s: Term) -> Term:
     return map_subterms(t, lambda c, d: subst(c, j + d, s))
 
 
+def reads(t: Term) -> set:
+    """The variables that occur free in ``t``, as indices from outside it.
+    The walk keeps its own stack, so a term of any depth is answered."""
+    found, stack = set(), [(t, 0)]  # subterms, with the binders around them
+    while stack:
+        u, bound = stack.pop()
+        if type(u) is not Var:
+            for name, n in CHILDREN[type(u)]:
+                stack.append((getattr(u, name), bound + n))
+        elif u.index >= bound:
+            found.add(u.index - bound)
+    return found
+
+
 def free_in(t: Term, index: int) -> bool:
-    """Whether variable ``index`` occurs free in ``t``."""
-    cls = type(t)
-    if cls is Var:
-        return t.index == index
-    for name, binds in CHILDREN[cls]:
-        if free_in(getattr(t, name), index + binds):
-            return True
-    return False
+    """Whether variable ``index`` occurs free in ``t`` (``reads``)."""
+    return index in reads(t)
 
 
 def strengthen(t: Term, index: int = 0) -> Term:
@@ -481,6 +489,3 @@ class Flags(Node):
 
     def includes(self, other: "Flags") -> bool:
         return all(getattr(self, n) or not getattr(other, n) for n in self.FLAG_NAMES)
-
-    def union(self, other: "Flags") -> "Flags":
-        return Flags(**{n: getattr(self, n) or getattr(other, n) for n in self.FLAG_NAMES})

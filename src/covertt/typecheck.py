@@ -44,7 +44,7 @@ import functools
 from typing import Optional
 
 from . import terms as T
-from .terms import Declaration, Flags, Node, Term
+from .terms import Declaration, Flags, Term
 from . import semantics as S
 from .semantics import (
     Evaluator,
@@ -116,23 +116,17 @@ NOT_INFERABLE = {
 CHECKED_SCRUTINEE = {T.UnitElim: T.Unit, T.EmptyElim: T.Empty, T.J: T.Id}
 
 
-class TypeCheckError(Node, Exception):
-    """A rejection: one kind, one location.
-
-    Kinds: mismatch, unbound, not-a-function, not-a-universe, motive-shape,
-    flag-required.
-    """
-
-    __slots__ = ("kind", "message", "expected", "found", "location")
-    __setattr__ = Exception.__setattr__
-    __delattr__ = Exception.__delattr__
-    __hash__ = None  # mutable
+class TypeCheckError(Exception):
+    """A rejection: one kind, one location, and the expected and found
+    terms where it has them.  Kinds: mismatch, unbound, not-a-function,
+    not-a-universe, motive-shape, flag-required."""
 
     def __init__(
         self, kind: str, message: str, expected: Optional[Term] = None,
         found: Optional[Term] = None, location: str = "?",
     ):
-        self._fill(kind, message, expected, found, location)
+        self.kind, self.message, self.location = kind, message, location
+        self.expected, self.found = expected, found
 
     def __str__(self) -> str:
         parts = [f"{self.location}: {self.kind}: {self.message}"]
@@ -398,7 +392,7 @@ class Checker:
         # read back with the arguments in scope: they are the innermost
         # ``arity`` variables, which the codomain must not mention
         probe = self.ev.readback_type(cod, depth + arity)
-        if any(T.free_in(probe, k) for k in range(arity)):
+        if not T.reads(probe).isdisjoint(range(arity)):
             return None
         for _ in range(arity):
             probe = T.strengthen(probe)

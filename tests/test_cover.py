@@ -488,6 +488,8 @@ def test_a_certificate_binds_each_derived_atom_once():
     assert lets == 5 + 5 and tm == T.Var(0)
     # an rf derivation mentions nothing of the instance
     assert extract_proof_term(ax, v, derivation(ax, v, 6)) == T.Rf(cover.fin_elem(6, 7), T.Star())
+    with pytest.raises(ValueError, match="element out of range"):
+        cover.fin_elem(7, 7)
 
 
 def _contains_ann(t) -> bool:

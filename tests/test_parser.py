@@ -275,9 +275,10 @@ def _tokens(tokenize, src):
 
 def _lexed(src):
     """The parser's token lists, each token with the position ``_locate``
-    gives it, and the end of the input as an eof token."""
+    gives it, and the end of the input as an eof token.  A punctuation mark
+    or keyword, its own kind in the parser, is named by its class."""
     kinds, texts, lines = surface._lex(src)
-    tokens = [*zip(kinds, texts), ("eof", "")]
+    tokens = [*zip([surface._CLASS.get(kind, kind) for kind in kinds], texts), ("eof", "")]
     return [(kind, text, *surface._locate(src, lines, k)) for k, (kind, text) in enumerate(tokens)]
 
 

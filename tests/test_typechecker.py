@@ -208,6 +208,9 @@ REJECTIONS = [
      "motive-shape", "ill-shaped eliminator motive or case: expected a type", None, "N1"),
     ("unitElim-case", GEN_CTX, "unitElim (fun q => A) star u", None,
      "mismatch", "type mismatch", "?7", "N1"),
+    # a motive's unbound name is reported as it is, not as an ill shape
+    ("unitElim-unbound", GEN_CTX, "unitElim (fun u => nope) star star", None,
+     "unbound", "unknown name 'nope'", None, None),
     ("absurd-scrutinee", GEN_CTX, "absurd (fun q => A) u", None,
      "mismatch", "type mismatch", "N0", "N1"),
     ("absurd-motive", GEN_CTX, "absurd (fun q => star) z", None,
@@ -769,6 +772,7 @@ def test_a_let_definition_is_transparent():
     # the body's type is x, which is N1 itself
     assert surface.pretty(typecheck.infer_type(chk, t)) == "N1"
     assert surface.pretty(typecheck.normalize(chk, t)) == "star"
+    assert typecheck.convertible(chk, surface.parse_term("N1"), t, surface.parse_term("star"))
     # an opaque variable of type U0 would not do
     with pytest.raises(TypeCheckError):
         chk.infer(Context(), surface.parse_term("(fun x => (star : x) : U0 -> N1)"))
