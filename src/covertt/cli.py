@@ -17,7 +17,7 @@ step budget of its own.
 
 Before Python 3.11 every Python call also takes C stack, and the main
 thread's would overflow before the recursion limit that ``main`` sets, so
-there ``main`` runs the command on one thread with a stack large enough.
+``main`` runs the command on one thread with a stack large enough.
 
 The module imports only ``argparse``, ``os``, ``sys`` and ``terms``; each
 command imports what it runs, so a process compiles no module its command
@@ -200,7 +200,8 @@ def _failures() -> tuple:
 def _on_large_stack(fn, *args):
     """``fn(*args)`` on one daemon thread whose stack holds the recursion
     limit's frames: what it returns, or, raised again here, what it raised,
-    ``SystemExit`` included."""
+    ``SystemExit`` included.  Where no such thread can start (an
+    address-space limit too tight for its stack), ``fn`` runs here."""
     import threading
 
     outcome = []
@@ -211,13 +212,19 @@ def _on_large_stack(fn, *args):
         except BaseException as e:  # handed to the caller, which raises it
             outcome.append((None, e))
 
-    previous = threading.stack_size(256 << 20)
+    # under 3.10, 64 MiB held 100,000 frames of the parser and of readback
+    previous = threading.stack_size(64 << 20)
+    thread = threading.Thread(target=run, daemon=True)
     try:
-        thread = threading.Thread(target=run, daemon=True)
         thread.start()
+    except RuntimeError:  # "can't start new thread": run on this one
+        thread = None
     finally:
         threading.stack_size(previous)
-    thread.join()
+    if thread is None:
+        run()
+    else:
+        thread.join()
     result, error = outcome[0]
     if error is not None:
         raise error
@@ -226,9 +233,7 @@ def _on_large_stack(fn, *args):
 
 def main(argv=None) -> int:
     sys.setrecursionlimit(100_000)
-    if sys.version_info < (3, 11):
-        return _on_large_stack(_main, argv)
-    return _main(argv)
+    return _on_large_stack(_main, argv)
 
 
 def _main(argv) -> int:

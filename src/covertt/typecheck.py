@@ -125,6 +125,7 @@ class TypeCheckError(Exception):
         self, kind: str, message: str, expected: Optional[Term] = None,
         found: Optional[Term] = None, location: str = "?",
     ):
+        super().__init__(kind, message, expected, found, location)
         self.kind, self.message, self.location = kind, message, location
         self.expected, self.found = expected, found
 

@@ -381,20 +381,24 @@ def test_corpus_fails_only_the_entry_nested_too_deeply_to_parse(tmp_path):
     assert re.fullmatch(f"FAIL deep deep.mltt: {TOO_DEEP_ERROR}", failed), failed[:200]
 
 
-def test_a_command_on_a_large_stack_returns_or_raises_what_it_would(capsys, tmp_path):
-    """Before Python 3.11 ``main`` runs the command on a thread of its own:
-    the status comes back, and what the command raises, argparse's exit
-    included, is raised again in the caller."""
+def test_a_command_on_a_large_stack_returns_or_raises_what_it_would(capsys, tmp_path, monkeypatch):
+    """``main`` runs the command on a thread of its own, or on the caller's
+    where none can start: either way the status comes back, and what the
+    command raises, argparse's exit included, is raised again in the caller."""
     f = tmp_path / "ok.mltt"
     f.write_text("def x : N1 := star\n")
     previous = threading.stack_size()
-    assert (_on_large_stack(main, ["check", str(f)]), capsys.readouterr().out) == (0, "ok x\n")
-    with pytest.raises(SystemExit) as e:
-        _on_large_stack(main, ["nonsense"])
-    assert e.value.code == 2
-    with pytest.raises(ValueError, match="raised"):
-        _on_large_stack(raiser(ValueError("raised")))
-    assert threading.stack_size() == previous
+    for started in (True, False):
+        if not started:
+            monkeypatch.setattr(threading.Thread, "start", raiser(RuntimeError("can't start new thread")))
+        assert (_on_large_stack(threading.current_thread) is threading.current_thread()) is not started
+        assert (main(["check", str(f)]), capsys.readouterr().out) == (0, "ok x\n")
+        with pytest.raises(SystemExit) as e:
+            main(["nonsense"])
+        assert e.value.code == 2
+        with pytest.raises(ValueError, match="raised"):
+            _on_large_stack(raiser(ValueError("raised")))
+        assert threading.stack_size() == previous
 
 
 def test_norm_of_a_3000_deep_nesting_ends_within_the_budget():

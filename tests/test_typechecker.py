@@ -2,6 +2,9 @@
 elimination rule of the four tree-like constructors, one negative per
 eliminator, and judgmental computation checks under every flag setting."""
 
+import copy
+import pickle
+
 import pytest
 
 from covertt import surface, typecheck
@@ -388,6 +391,14 @@ def test_rejections(items, src, target, kind, message, expected, found):
             check_in(chk, ctx, scope, src, target)
     printed = [t if t is None else surface.pretty(t) for t in (e.value.expected, e.value.found)]
     assert (e.value.kind, e.value.message, *printed) == (kind, message, expected, found)
+
+
+def test_a_rejection_built_from_keywords_survives_a_copy_and_a_pickle():
+    """``args`` holds all five fields, however they were passed, so a copy
+    or an unpickled rejection prints the same report."""
+    e = TypeCheckError(kind="unbound", message="unknown name 'x'", found=T.Var(0), location="f:1")
+    assert e.args == ("unbound", "unknown name 'x'", None, T.Var(0), "f:1")
+    assert {str(copy.copy(e)), str(pickle.loads(pickle.dumps(e)))} == {str(e)}
 
 
 @pytest.mark.parametrize("flags", [Flags(), Flags(eta_pi=True)], ids=["base", "eta_pi"])
