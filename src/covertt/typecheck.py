@@ -20,10 +20,13 @@ rejection messages, the index checks, and the order in which an
 eliminator's fields are checked: the scrutinee and its indices (J's
 endpoints before its proof, ``CHECKED_SCRUTINEE``), the motive, the cases.
 
-A type instantiated at a checked subterm (an application's codomain, the
-type of ``snd``'s second component, an eliminator's motive after the
-indices) gets a fresh variable for it when its closure never reads that
-variable (``Checker.argument``), so nested terms check in linear steps.
+A binder's variable is made once, by ``Context.extend``, and the rules
+entering a binder use it (the lambda rule instantiates the codomain at
+it), so conversion meets one object, not two equal ones.  A type
+instantiated at a checked subterm (an application's codomain, the type of
+``snd``'s second component, an eliminator's motive after the indices) gets
+a fresh variable for it when its closure never reads that variable
+(``Checker.argument``), so nested terms check in linear steps.
 
 Every entry point begins with ``Checker.begin``, which names the location
 of what it checks and gives it the evaluator's whole step budget: each
@@ -161,6 +164,8 @@ class Context:
         self.env: tuple = ()
 
     def extend(self, ty: Value, value: Optional[Value] = None) -> "Context":
+        """The context with one more entry of type ``ty``: ``value``, or the
+        binder's variable, made here once for the rules entering it."""
         child = Context()
         child.types = self.types + [ty]
         child.env = self.env + (fresh(len(self.env), ty) if value is None else value,)
@@ -244,11 +249,7 @@ class Checker:
         sort = self.infer(ctx, t)
         if isinstance(sort, VSort):
             return sort
-        self.fail(
-            "not-a-universe",
-            "expected a type",
-            found=self.norm_type(ctx, sort),
-        )
+        self.fail("not-a-universe", "expected a type", found=self.norm_type(ctx, sort))
 
     # -- inference -------------------------------------------------------------
 
@@ -384,15 +385,14 @@ class Checker:
         argument.  Any other rejection of ``f`` is the tree's."""
         if type(f) in NOT_INFERABLE:
             return None
-        depth = ctx.depth
         cod = self.infer(ctx, f)
-        for k in range(arity):
+        for level in range(ctx.depth, ctx.depth + arity):
             if not isinstance(cod, VPi):
                 return None
-            cod = self.ev.apply_clo(cod.cod, fresh(depth + k, cod.dom))
+            cod = self.ev.apply_clo(cod.cod, fresh(level, cod.dom))
         # read back with the arguments in scope: they are the innermost
         # ``arity`` variables, which the codomain must not mention
-        probe = self.ev.readback_type(cod, depth + arity)
+        probe = self.ev.readback_type(cod, ctx.depth + arity)
         if not T.reads(probe).isdisjoint(range(arity)):
             return None
         for _ in range(arity):
@@ -431,8 +431,8 @@ class Checker:
                 )
             return
         if cls is T.Lam and type(ty) is VPi:
-            var = fresh(ctx.depth, ty.dom)
-            self.check(ctx.extend(ty.dom), t.body, self.ev.apply_clo(ty.cod, var))
+            inner = ctx.extend(ty.dom)
+            self.check(inner, t.body, self.ev.apply_clo(ty.cod, inner.env[-1]))
             return
         if cls is T.Star and S.type_former(ty) is T.Unit:
             return

@@ -27,6 +27,7 @@ from covertt.semantics import (
     VNeutral,
     VPi,
     VSigma,
+    fresh,
 )
 from covertt.terms import Flags
 from covertt.typecheck import Checker, Context
@@ -268,6 +269,21 @@ class EagerArgumentChecker(Checker):
 
     def argument(self, ctx, clo, dom, t):
         return self.eval_in(ctx, t)
+
+
+class SecondVariableChecker(Checker):
+    """The checker before a lambda's body was checked against the codomain
+    at the variable its context gives the binder, kept as the oracle of the
+    lambda rule of ``Checker.check``: the codomain is instantiated at a
+    second fresh variable, equal to the context's but a distinct object, so
+    conversion meets two objects where it could meet one."""
+
+    def check(self, ctx, t, ty):
+        if type(t) is T.Lam and type(ty) is VPi:
+            var = fresh(ctx.depth, ty.dom)
+            self.check(ctx.extend(ty.dom), t.body, self.ev.apply_clo(ty.cod, var))
+            return
+        super().check(ctx, t, ty)
 
 
 class HandWrittenEvaluator(Evaluator):

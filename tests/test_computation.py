@@ -2,7 +2,8 @@
 per eliminator that it replaced (``helpers.HandWrittenEvaluator``), and the
 step counts and normal forms it keeps.  The checker's steps against the
 checker that evaluated every checked argument
-(``helpers.EagerArgumentChecker``)."""
+(``helpers.EagerArgumentChecker``) and against the one that checked a
+lambda's body at a second variable (``helpers.SecondVariableChecker``)."""
 
 import ast
 import functools
@@ -14,15 +15,18 @@ import pytest
 from covertt import semantics as S
 from covertt import surface, typecheck
 from covertt import terms as T
+from covertt.cover import cover_type, extract_proof_term
 from covertt.encodings import check_corpus
 from covertt.semantics import Evaluator
 from covertt.terms import Flags
-from covertt.typecheck import Checker
+from covertt.typecheck import Checker, Context, TypeCheckError
 
 from helpers import (
     EagerArgumentChecker,
     HandWrittenEvaluator,
+    SecondVariableChecker,
     corpus_normal_forms,
+    criterion6_derivations,
     nested_identity,
 )
 
@@ -35,9 +39,11 @@ FLAG_SETS = {
 
 # Measured with the hand-written rules: the steps of one ``check_corpus``
 # call, and the sha256 of the normal forms ``corpus_normal_forms`` lists.
-CORPUS_STEPS = {"none": 637, "funext": 2_627, "eta3": 6_138, "all": 13_455}
+CORPUS_STEPS = {"none": 637, "funext": 2_627, "eta3": 5_975, "all": 13_171}
 # the same calls' steps with ``EagerArgumentChecker``
-EAGER_CORPUS_STEPS = {"none": 655, "funext": 2_824, "eta3": 6_321, "all": 14_114}
+EAGER_CORPUS_STEPS = {"none": 655, "funext": 2_824, "eta3": 6_158, "all": 13_830}
+# the same calls' steps with ``SecondVariableChecker``
+SECOND_VARIABLE_CORPUS_STEPS = {"none": 637, "funext": 2_627, "eta3": 6_138, "all": 13_455}
 NORMAL_FORMS_SHA256 = {
     "none": "e5ab308e42b45b9b34701753232df7778c07db7ce6211ea8b3de52eec4d9b4e9",
     "funext": "8bbd163000a381f5fb241df6254a7c555858600355c174ab345bd99ae0c1acd2",
@@ -88,6 +94,42 @@ def test_corpus_agrees_with_the_eager_argument_rule(flag_set):
     eager = normal_forms(flag_set, Evaluator, EagerArgumentChecker)
     assert (verdicts, forms) == (eager[0], eager[2])
     assert steps <= eager[1] == EAGER_CORPUS_STEPS[flag_set]
+
+
+@pytest.mark.parametrize("flag_set", FLAG_SETS)
+def test_corpus_agrees_with_the_second_variable_rule(flag_set):
+    """The same verdicts and the same normal form of every definition as
+    the checker that instantiated a lambda's codomain at a second variable,
+    in no more steps: the one variable only lets identity answer sooner."""
+    verdicts, steps, forms = normal_forms(flag_set, Evaluator)
+    second = normal_forms(flag_set, Evaluator, SecondVariableChecker)
+    assert (verdicts, forms) == (second[0], second[2])
+    assert steps <= second[1] == SECOND_VARIABLE_CORPUS_STEPS[flag_set]
+
+
+def _verdict(checker_class, ty, tm):
+    """The rejection of ``tm`` at ``ty``, or None, and the steps taken."""
+    chk, ctx = checker_class(), Context()
+    chk.ensure_type(ctx, ty)
+    try:
+        chk.check(ctx, tm, chk.eval_in(ctx, ty))
+    except TypeCheckError as e:
+        return (e.kind, e.message), chk.ev.steps
+    return None, chk.ev.steps
+
+
+def test_certificates_agree_with_the_second_variable_rule():
+    """Each criterion-6 certificate gets the same verdict from both lambda
+    rules, in no more steps: it checks at its own atom's cover type and is
+    rejected at the next atom's."""
+    for ax, v, atom, d in criterion6_derivations():
+        tm = extract_proof_term(ax, v, d)
+        for target in (atom, (atom + 1) % ax.size):
+            ty = cover_type(ax, v, target)
+            verdict, steps = _verdict(Checker, ty, tm)
+            second, second_steps = _verdict(SecondVariableChecker, ty, tm)
+            assert verdict == second and steps <= second_steps
+            assert (verdict is None) == (target == atom)
 
 
 @pytest.mark.parametrize(

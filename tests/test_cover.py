@@ -314,10 +314,11 @@ def test_derivation_completeness_random():
                 assert len(d.children) == len(cov.members)
 
 
-def _check_certificate(flags, ty, tm):
+def _check_certificate(flags, ty, tm) -> Checker:
     chk, ctx = Checker(flags), Context()
     chk.ensure_type(ctx, ty)
     chk.check(ctx, tm, chk.eval_in(ctx, ty))
+    return chk
 
 
 def _check_proof(ax, v, atom):
@@ -537,16 +538,27 @@ sys.path.insert(0, {tests!r})
 import test_cover
 from covertt import cover, surface
 ax, v = getattr(test_cover, {shape!r})({n})
+ty = cover.cover_type(ax, v, 0)
 tm = cover.extract_proof_term(ax, v, cover.derivation(ax, v, 0))
-test_cover._check_certificate(test_cover.Flags(), cover.cover_type(ax, v, 0), tm)
-print(len(surface.pretty(tm)))
+chk = test_cover._check_certificate(test_cover.Flags(), ty, tm)
+print(chk.ev.steps, len(surface.pretty(tm)), len(surface.pretty(ty)))
 """
 
+# (shape, atoms) -> the eval steps of the flag-free check of the certificate
+# of atom 0, and the printed sizes of the certificate and of its type
+CERT_STEPS = {
+    ("_chain", 10): (9_285, 26_652, 6_569),
+    ("_chain", 20): (73_365, 155_452, 24_589),
+    ("_chain", 30): (246_245, 458_252, 54_009),
+    ("_ladder", 17): (42_442, 96_704, 17_986),
+}
 
-@pytest.mark.parametrize("shape, n", [("_ladder", 17), ("_chain", 30)])
+
+@pytest.mark.parametrize("shape, n", CERT_STEPS)
 def test_large_certificates_check_in_a_subprocess(shape, n):
     """Each derived atom is bound once, so a ladder's certificate does not
-    unfold its shared nodes; run in a subprocess, so that a crash fails."""
+    unfold its shared nodes; run in a subprocess, so that a crash fails.
+    The steps and sizes are pinned: a change to either is deliberate."""
     tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(tests, "..", "src"), tests]))
     code = _SCALE_CHECK.format(tests=tests, shape=shape, n=n)
@@ -554,7 +566,7 @@ def test_large_certificates_check_in_a_subprocess(shape, n):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert int(proc.stdout) < 500_000
+    assert tuple(map(int, proc.stdout.split())) == CERT_STEPS[shape, n]
 
 
 def test_ten_atom_chain_certificate_checks_and_stays_small():

@@ -65,6 +65,53 @@ def test_corpus_passes_under_all_flags():
     ]
 
 
+# --- the flags each entry needs ----------------------------------------------------
+
+# entry -> manifest flag -> the first declaration that fails without it
+FIRST_FAILURES = {
+    "P4.1ii": {"eta_pi": "elimDWp", "eta_sigma": "elimDWp"},
+    "P5.1ii": {"eta_pi": "elimC", "eta_sigma": "elimC"},
+    "P5.2ii": {"eta_pi": "elimWPq", "eta_sigma": "elimWPq"},
+    "P5.2iv": {"eta_pi": "elimWq", "eta_unit": "elimWq"},
+    "P4.1i": {"eta_pi": "dwL", "eta_sigma": "dwL", "funext": "dwRt1"},
+    "P5.1i": {"eta_pi": "coverL", "eta_sigma": "coverRt2", "funext": "coverRt1"},
+    "P5.2i": {"funext": "wpqRt1"},
+    "P5.2iii": {"funext": "wRt1"},
+    "T6.1": {"eta_pi": "elimDWp", "eta_sigma": "elimDWp", "eta_unit": "elimWq"},
+}
+
+
+def _first_failures(flags: Flags, parsed: dict) -> dict:
+    """Each manifest entry's first failing declaration under ``flags``, or
+    None where it passes, with every entry checked whatever it needs."""
+    checker = typecheck.Checker(flags)
+    builtin, checked = dict(checker.globals), {}
+    failures = {}
+    for entry in load_manifest():
+        walk = check_modules(surface.load_modules(entry.path(), parsed), checker, builtin, checked)
+        failures[entry.tag] = next((d.name for d, error in walk if error is not None), None)
+    return failures
+
+
+def test_each_entry_needs_exactly_its_manifest_flags():
+    """Under all 16 flag sets, with the files parsed once: an entry's
+    manifest set is the least set it passes under, every larger set
+    passes, and under a set that lacks some of its flags the entry stops
+    at the declaration pinned for the missing flags, whatever else is on.
+    Dropping one manifest flag gives the largest failing subsets."""
+    parsed: dict = {}
+    lattice = {flags: _first_failures(flags, parsed) for flags in ALL_FLAG_SETS}
+    for entry in load_manifest():
+        need, by_missing = entry.required.names(), {}
+        for flags, failures in lattice.items():
+            assert (failures[entry.tag] is None) == flags.includes(entry.required), (entry.tag, flags)
+            missing = tuple(n for n in need if not getattr(flags, n))
+            by_missing.setdefault(missing, set()).add(failures[entry.tag])
+        assert all(len(names) == 1 for names in by_missing.values()), (entry.tag, by_missing)
+        dropped = {n: by_missing[(n,)].pop() for n in need}
+        assert dropped == FIRST_FAILURES.get(entry.tag, {}), entry.tag
+
+
 # --- each module checked once ------------------------------------------------------
 
 ALL_FLAGS = Flags(eta_pi=True, eta_sigma=True, eta_unit=True, funext=True)
