@@ -58,7 +58,7 @@ top-level call, the whole ``step_limit``.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Optional, Union
+from typing import Optional
 
 from . import terms as T
 from .terms import Flags, Node, Term
@@ -78,7 +78,20 @@ class EvalBudgetExceeded(Exception):
 # --- values -------------------------------------------------------------------
 
 
-class Value(Node):
+class Record(Node):
+    """A ``Node`` of the evaluator: compared, hashed, printed and pickled as
+    a node is, but with ``object``'s attribute assignment, so that a
+    constructor's ``self.field = value`` is CPython's own slot store rather
+    than a call through the slot descriptor.  Nothing assigns a field
+    outside its class's ``__init__``; a test walks the package for that.
+    Terms, ``Flags`` and the other nodes keep refusing assignment."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+
+class Value(Record):
     __slots__ = ()
 
 
@@ -93,15 +106,18 @@ V_U0 = VSort("u0")
 V_TYPE = VSort("type")
 
 
-class Closure(Node):
+class Closure(Record):
     __slots__ = ("env", "body")  # a tuple of values, a term under one binder
 
+    def __init__(self, env, body):
+        self.env, self.body = env, body
 
-class PyClosure(Node):
+
+class PyClosure(Record):
     __slots__ = ("fn",)  # a Python function from values to values
 
-
-Clo = Union[Closure, PyClosure]
+    def __init__(self, fn):
+        self.fn = fn
 
 
 def constant_family(v: Value) -> PyClosure:
@@ -111,9 +127,15 @@ def constant_family(v: Value) -> PyClosure:
 class VPi(Value):
     __slots__ = ("dom", "cod")  # cod: a closure
 
+    def __init__(self, dom, cod):
+        self.dom, self.cod = dom, cod
+
 
 class VLam(Value):
     __slots__ = ("clo",)  # a closure
+
+    def __init__(self, clo):
+        self.clo = clo
 
 
 class VSigma(Value):
@@ -130,6 +152,9 @@ class VIntro(Value):
 
     __slots__ = ("form", "args")
 
+    def __init__(self, form, args):
+        self.form, self.args = form, args
+
 
 class VApplied(Value):
     """A family former applied to an index: ``fam`` is the family's
@@ -141,15 +166,18 @@ class VApplied(Value):
 # --- neutrals ----------------------------------------------------------------------
 
 
-class HVar(Node):
+class HVar(Record):
     __slots__ = ("level", "type")  # a de Bruijn level and its type
 
+    def __init__(self, level, ty):
+        self.level, self.type = level, ty
 
-class HConst(Node):
+
+class HConst(Record):
     __slots__ = ("name", "type")
 
 
-class Frame(Node):
+class Frame(Record):
     """One elimination on a neutral's spine.  ``form`` is the term class
     that reads it back (``App``, ``Proj1``, ``Proj2`` or an eliminator) and
     ``args`` the values of that term's fields other than the neutral, in
@@ -158,9 +186,15 @@ class Frame(Node):
 
     __slots__ = ("form", "args")
 
+    def __init__(self, form, args):
+        self.form, self.args = form, args
+
 
 class VNeutral(Value):
     __slots__ = ("head", "frames")  # an HVar or HConst, a tuple of Frames
+
+    def __init__(self, head, frames):
+        self.head, self.frames = head, frames
 
 
 def fresh(level: int, ty: Value) -> VNeutral:
@@ -170,7 +204,7 @@ def fresh(level: int, ty: Value) -> VNeutral:
 # --- the evaluator -------------------------------------------------------------------
 
 
-class GlobalEntry(Node):
+class GlobalEntry(Record):
     """A checked global: its type and its value."""
 
     __slots__ = ("type_value", "value")
@@ -179,9 +213,10 @@ class GlobalEntry(Node):
 class Evaluator:
     """Shared machinery for evaluation, readback and conversion.
 
-    Values are immutable, but ``steps`` is a mutable counter of eliminator
-    steps checked against the budget, so an evaluator must not be shared
-    across threads.
+    Values are never changed once built (``Record``), but ``steps`` is a
+    mutable counter of eliminator steps checked against the budget, and
+    ``read_positions`` a cache that grows, so an evaluator must not be
+    shared across threads.
     """
 
     def __init__(self, globals_env=None, flags: Flags = Flags(), step_limit: int = 2_000_000):
@@ -206,7 +241,7 @@ class Evaluator:
 
     # -- closures
 
-    def apply_clo(self, clo: Clo, arg: Value) -> Value:
+    def apply_clo(self, clo: Closure | PyClosure, arg: Value) -> Value:
         if isinstance(clo, PyClosure):
             return clo.fn(arg)
         return self.eval(clo.env + (arg,), clo.body)
@@ -214,12 +249,13 @@ class Evaluator:
     # -- application and projections
 
     def apply(self, f: Value, arg: Value) -> Value:
-        if isinstance(f, VLam):
+        cls = type(f)
+        if cls is VLam:
             self._tick()
             return self.apply_clo(f.clo, arg)
-        if isinstance(f, VNeutral):
+        if cls is VNeutral:
             return VNeutral(f.head, f.frames + (Frame(T.App, (arg,)),))
-        if type(f) is VIntro and f.form in FAMILIES:
+        if cls is VIntro and f.form in FAMILIES:
             return VApplied(f, arg)
         raise KernelBug(f"application of non-function value {_describe(f)}")
 
@@ -231,9 +267,10 @@ class Evaluator:
     def proj(self, form, v: Value) -> Value:
         """``fst v`` when ``form`` is ``Proj1``, ``snd v`` when it is ``Proj2``."""
         first = form is T.Proj1
-        if type(v) is VIntro and v.form is T.Pair:
+        cls = type(v)
+        if cls is VIntro and v.form is T.Pair:
             return v.args[0 if first else 1]
-        if isinstance(v, VNeutral):
+        if cls is VNeutral:
             return VNeutral(v.head, v.frames + (Frame(form, ()),))
         raise KernelBug(f"{'fst' if first else 'snd'} of non-pair")
 

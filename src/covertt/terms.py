@@ -10,9 +10,10 @@ motives of eliminators, is an ordinary sub-term of function type.
 Type-family formers (``DW``, ``WP``, ``Cover``) are terms of large function
 type and are applied to their index with plain ``App``.
 
-Terms, like the kernel's values, are immutable slotted records (``Node``):
-built positionally, compared and hashed by class and fields, printed as
-``App(fn=Var(index=0), arg=Star())``.
+Terms are immutable slotted records (``Node``): built positionally,
+compared and hashed by class and fields, printed as
+``App(fn=Var(index=0), arg=Star())``.  The kernel's values are nodes too,
+but ``semantics.Record`` lets their constructors assign fields directly.
 """
 
 from __future__ import annotations

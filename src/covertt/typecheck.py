@@ -157,23 +157,20 @@ def funext_type() -> Term:
 class Context:
     """Typed telescope: type values and the matching evaluation
     environment: a fresh neutral per variable, or the value of a let-bound
-    one."""
+    one, and their number.  It compares and hashes by identity, which
+    ``Checker.lets`` keys on."""
 
-    def __init__(self):
-        self.types: list[Value] = []
-        self.env: tuple = ()
+    __slots__ = ("types", "env", "depth")
+
+    def __init__(self, types: tuple = (), env: tuple = (), depth: int = 0):
+        self.types, self.env, self.depth = types, env, depth
 
     def extend(self, ty: Value, value: Optional[Value] = None) -> "Context":
         """The context with one more entry of type ``ty``: ``value``, or the
         binder's variable, made here once for the rules entering it."""
-        child = Context()
-        child.types = self.types + [ty]
-        child.env = self.env + (fresh(len(self.env), ty) if value is None else value,)
-        return child
-
-    @property
-    def depth(self) -> int:
-        return len(self.env)
+        depth = self.depth
+        entry = fresh(depth, ty) if value is None else value
+        return Context(self.types + (ty,), self.env + (entry,), depth + 1)
 
 
 def _term_fields(t: Term) -> list:

@@ -569,14 +569,6 @@ def test_large_certificates_check_in_a_subprocess(shape, n):
     assert tuple(map(int, proc.stdout.split())) == CERT_STEPS[shape, n]
 
 
-def test_ten_atom_chain_certificate_checks_and_stays_small():
-    ax, v = _chain(10)
-    d = derivation(ax, v, 0)
-    tm = extract_proof_term(ax, v, d)
-    _check_certificate(Flags(), cover_type(ax, v, 0), tm)
-    assert len(surface.pretty(tm)) < 2_000_000
-
-
 def test_query_rendering_deterministic():
     text = "carrier a b\naxiom a i : b\nsubset V : b\nquery a V\nquery b V\n"
     cf = load_axiom_set(text)

@@ -172,10 +172,83 @@ def test_nodes_refuse_assignment_and_deletion():
     with pytest.raises(AttributeError):
         app.extra = 1
     with pytest.raises(AttributeError):
-        S.VPi(S.V_U0, None).dom = S.V_TYPE
-    with pytest.raises(AttributeError):
         Flags().eta_pi = True
     assert app == T.App(T.Var(0), T.Star())
+
+
+def _record_fields() -> set:
+    """The field names of every ``semantics.Record`` class."""
+    todo, fields = [S.Record], set()
+    while todo:
+        cls = todo.pop()
+        fields.update(cls.__slots__)
+        todo.extend(cls.__subclasses__())
+    return fields
+
+
+def _field_stores(source: str, fields: set) -> list:
+    """The lines of ``source`` that store or delete an attribute named like
+    one of ``fields``, other than ``self.<field>`` in an ``__init__``."""
+    found = []
+
+    def visit(node, in_init):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", None) == "__init__")
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.ctx, (ast.Store, ast.Del))
+                and child.attr in fields
+                and not (in_init and isinstance(child.value, ast.Name) and child.value.id == "self")
+            ):
+                found.append(child.lineno)
+            visit(child, in_init)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_kernel_records_are_assigned_only_by_their_constructors():
+    """Values accept assignment, for a fast constructor, so no module may
+    assign a field of one after it is built."""
+    fields = _record_fields()
+    assert {"dom", "cod", "env", "frames", "type_value"} <= fields
+    for path in sorted(pathlib.Path(T.__file__).parent.glob("*.py")):
+        assert _field_stores(path.read_text(encoding="utf-8"), fields) == [], path.name
+    assert _field_stores("def f(v):\n    v.cod = None\n", fields) == [2]
+    planted = "class C:\n    def set(self, x):\n        self.dom = x\n    def __init__(self):\n        del v.dom\n"
+    assert _field_stores(planted, fields) == [3, 5]
+
+
+_X = S.fresh(0, S.V_U0)
+_CLO = S.Closure((_X,), T.Var(1))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        _CLO,
+        S.VLam(_CLO),
+        S.VPi(S.V_U0, _CLO),
+        S.VNeutral(_X.head, (S.Frame(T.App, (_X,)),)),
+        S.Frame(T.Proj1, ()),
+        _X.head,
+        S.PyClosure(S.fresh),
+        S.VIntro(T.Pair, (_X, S.VLam(_CLO))),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_hot_kernel_records_store_their_fields_directly(value):
+    """The records the evaluator builds most have a constructor of their own
+    that stores through ``object``'s slot store, not ``Node``'s guarded
+    one, and they still compare, hash and pickle as nodes."""
+    cls = type(value)
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__setattr__ is object.__setattr__ and cls.__delattr__ is object.__delattr__
+    assert cls(*[getattr(value, name) for name in cls.__match_args__]) == value
+    for back in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert back == value and hash(back) == hash(value)
 
 
 def test_equal_fields_in_different_classes_differ():

@@ -612,17 +612,6 @@ def test_empty_declaration_sequence():
     assert chk.globals == {}
 
 
-def test_flag_monotonicity_of_typability():
-    # the eta-requiring eliminator checks under any superset of its flags
-    from helpers import load_corpus_file
-
-    decls = load_corpus_file("p41ii.mltt")
-    base = Flags(eta_pi=True, eta_sigma=True)
-    for flags in ALL_FLAG_SETS:
-        if flags.includes(base):
-            typecheck.check_declarations(decls, flags)
-
-
 def test_subject_reduction_on_prelude():
     from helpers import load_corpus_file
 
