@@ -26,7 +26,6 @@ _HOMES = {
     "infer_type": "typecheck",
     "normalize": "typecheck",
     "ParseError": "surface",
-    "load_file": "surface",
     "load_modules": "surface",
     "parse_file": "surface",
     "parse_term": "surface",
@@ -38,7 +37,6 @@ _HOMES = {
     "FiniteAxiomSet": "cover",
     "FormatError": "cover",
     "Subset": "cover",
-    "brute_force_min_cover": "cover",
     "derivation": "cover",
     "extract_proof_term": "cover",
     "least_cover": "cover",

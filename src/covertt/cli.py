@@ -10,8 +10,10 @@ A file is checked one way, by ``check``, ``norm`` and ``conv --file`` as by
 ``corpus`` (``encodings.check_modules``): each module against the globals
 of its own imports only.  A command's failure propagates to ``main``, whose
 one handler prints it as one ``error:`` line; running out of memory is
-``error: out of memory``.  A declaration whose check stops is named there
-(``encodings.check_modules``); ``check`` also names one that fails.
+``error: out of memory``, and any other exception, a fault of the program,
+``error: internal error (TYPE: MESSAGE)``.  A declaration whose check stops
+is named there (``encodings.check_modules``); ``check`` also names one that
+fails.
 ``--context`` is read by ``surface.parse_context`` and checked within a
 step budget of its own.
 
@@ -252,6 +254,9 @@ def _main(argv) -> int:
             from .typecheck import stop_message
 
             print(f"error: {stop_message(e)}")
+            status = 1
+        except Exception as e:  # a fault of the program, still one line
+            print(f"error: internal error ({type(e).__name__}: {e})")
             status = 1
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
     except BrokenPipeError:

@@ -9,8 +9,7 @@ each axiom counts its premises not yet covered, each atom watches the
 axioms it is a premise of, and layer k holds the atoms that enter at round
 k of the iteration from V.  Whether an atom is covered depends only on the
 atoms it reaches through axiom premises, so the chaining indexes only the
-axioms of the atoms its goals reach: the atoms queried against V.  A
-brute-force oracle intersects all rule-closed supersets of V instead.
+axioms of the atoms its goals reach: the atoms queried against V.
 Derivations are read off the entry rounds, and can be turned into kernel
 proof terms over an encoding of the carrier as a right-nested sum of unit
 types.  A Subset is the ascending tuple of its atoms' indices, and an
@@ -19,8 +18,8 @@ and with repeats, so loading a file sorts nothing and builds no Subset
 per axiom: the chaining counts each premise occurrence, a derivation
 sorts only the axioms it uses, and a certificate builds a Subset only for
 each axiom it encodes.  Bit masks appear only at the edge: a Subset built
-from one, its mask when read, and the brute-force oracle.  The queries of
-one subset share its entry rounds and its derivation nodes.
+from one, and its mask when read.  The queries of one subset share its
+entry rounds and its derivation nodes.
 
 A certificate is one closed term that states its instance once, as five
 ``let``s (the carrier, the label family, the axiom family, V and the
@@ -100,10 +99,9 @@ class FiniteAxiomSet(Node):
     a premise as any iterable of indices, a Subset among them.  ``covers``,
     the Subsets C(a, i), is built from the premises when read and stands in
     for them in equality and ``repr``, so premises listed in another order
-    give an equal set.  ``positions`` maps an atom to its index; it takes
-    no part in either."""
+    give an equal set."""
 
-    __slots__ = ("carrier", "labels", "premises", "positions")
+    __slots__ = ("carrier", "labels", "premises")
     __match_args__ = ("carrier", "labels", "covers")
 
     def __init__(self, carrier: tuple, labels: tuple, premises):
@@ -115,13 +113,12 @@ class FiniteAxiomSet(Node):
             raise ValueError("an atom's labels and axiom subsets must align")
         if any(p and (min(p) < 0 or max(p) >= n) for per_atom in premises for p in per_atom):
             raise ValueError("axiom subset over the wrong carrier")
-        positions = {a: i for i, a in enumerate(carrier)}
-        if len(positions) != n:
+        if len(set(carrier)) != n:
             raise ValueError("duplicate atom in carrier")
         for atom, ls in zip(carrier, labels):
             if len(set(ls)) != len(ls):
                 raise ValueError(f"duplicate label for atom {atom!r}")
-        self._fill(tuple(carrier), tuple(map(tuple, labels)), premises, positions)
+        self._fill(tuple(carrier), tuple(map(tuple, labels)), premises)
 
     @property
     def covers(self) -> tuple:
@@ -131,12 +128,6 @@ class FiniteAxiomSet(Node):
     def axiom(self, atom: int, label: int) -> Subset:
         """C(atom, label), the Subset one axiom covers."""
         return Subset.of(self.premises[atom][label], len(self.carrier))
-
-    def atom_index(self, atom: str) -> int:
-        try:
-            return self.positions[atom]
-        except KeyError:
-            raise ValueError(f"{atom!r} is not in the carrier") from None
 
     @property
     def size(self) -> int:
@@ -150,9 +141,6 @@ class RfNode(Node):
 class TrNode(Node):
     # children: one derivation per element of C(atom, label), in order
     __slots__ = ("atom", "label", "children")
-
-
-Derivation = object  # RfNode | TrNode
 
 
 def _entry_rounds(ax: FiniteAxiomSet, v: Subset, goals) -> list[Optional[int]]:
@@ -233,35 +221,7 @@ def least_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
     return Subset.of((a for a, r in enumerate(rounds) if r is not None), ax.size)
 
 
-def brute_force_min_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
-    """Intersection of all rule-closed supersets of V.  Oracle for
-    ``least_cover``; exponential, bounded to small carriers."""
-    _same_carrier(ax, v)
-    n = ax.size
-    if n > 12:
-        raise ValueError("brute-force oracle bounded to carriers of size <= 12")
-    v_mask = v.mask
-    cover_masks = [[sum(1 << b for b in set(p)) for p in per_atom] for per_atom in ax.premises]
-    acc = (1 << n) - 1
-    for x in range(1 << n):
-        if v_mask & ~x:
-            continue
-        closed = True
-        for a in range(n):
-            if x >> a & 1:
-                continue
-            for mask in cover_masks[a]:
-                if mask & ~x == 0:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            acc &= x
-    return Subset(acc, n)
-
-
-def derivation(ax: FiniteAxiomSet, v: Subset, atom: int) -> Optional[Derivation]:
+def derivation(ax: FiniteAxiomSet, v: Subset, atom: int) -> Optional[RfNode | TrNode]:
     """Some derivation iff the atom is in the least cover of V."""
     _same_carrier(ax, v)
     if not 0 <= atom < ax.size:
@@ -269,7 +229,7 @@ def derivation(ax: FiniteAxiomSet, v: Subset, atom: int) -> Optional[Derivation]
     return _derivation(ax, _entry_rounds(ax, v, (atom,)), atom, {})
 
 
-def _derivation(ax: FiniteAxiomSet, rounds: list, atom: int, nodes: dict) -> Optional[Derivation]:
+def _derivation(ax: FiniteAxiomSet, rounds: list, atom: int, nodes: dict) -> Optional[RfNode | TrNode]:
     """The derivation read off the entry rounds of V's least cover.
 
     An atom of round 0 is an ``rf`` leaf.  An atom of round k > 0 uses its
@@ -430,7 +390,7 @@ def cover_type(ax: FiniteAxiomSet, v: Subset, atom: int) -> Term:
     return _lets(_instance(ax, v), T.App(_ref(_COV, 5), fin_elem(atom, ax.size)))
 
 
-def extract_proof_term(ax: FiniteAxiomSet, v: Subset, d: Derivation) -> Term:
+def extract_proof_term(ax: FiniteAxiomSet, v: Subset, d: RfNode | TrNode) -> Term:
     """Kernel proof term for a derivation; checks flag-free at the cover type.
 
     An ``rf`` derivation is ``rf a star``.  Otherwise the instance's lets
@@ -572,20 +532,15 @@ def load_axiom_set(text: str) -> CoverFile:
     if carrier is None:
         raise FormatError("missing carrier line", 1)
     # the families are aligned and sized and each atom's labels distinct by
-    # construction, and positions is the carrier's index map, so the
-    # constructor's checks are skipped
+    # construction, so the constructor's checks are skipped
     ax = FiniteAxiomSet.__new__(FiniteAxiomSet)
-    ax._fill(carrier, tuple(map(tuple, labels)), tuple(map(tuple, premises)), positions)
+    ax._fill(carrier, tuple(map(tuple, labels)), tuple(map(tuple, premises)))
     return CoverFile(ax, subsets, queries)
 
 
-def render_derivation(ax: FiniteAxiomSet, d: Derivation) -> list[str]:
+def render_derivation(ax: FiniteAxiomSet, d: RfNode | TrNode):
     """One line per node in pre-order, two spaces of indent per level, the
-    root's included."""
-    return list(_derivation_lines(ax, d))
-
-
-def _derivation_lines(ax: FiniteAxiomSet, d: Derivation):
+    root's included, made as they are consumed."""
     stack = [(d, 1)]
     while stack:
         node, depth = stack.pop()
@@ -615,7 +570,7 @@ def iter_queries(cf: CoverFile, with_derivations: bool = False):
         word = "covered" if covered else "uncovered"
         yield f"{ax.carrier[atom]} {name} {word}"
         if with_derivations and covered:
-            yield from _derivation_lines(ax, _derivation(ax, rounds, atom, nodes))
+            yield from render_derivation(ax, _derivation(ax, rounds, atom, nodes))
 
 
 def run_queries(cf: CoverFile, with_derivations: bool = False) -> list[str]:

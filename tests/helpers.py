@@ -112,8 +112,15 @@ def funext_type_reference() -> T.Term:
     )
 
 
+def load_file(path: str) -> list[T.Declaration]:
+    """The declarations of ``path`` and of every file it imports, each file
+    once, in the order of ``surface.load_modules``, as one flat sequence.
+    The commands check a file module by module (``encodings.check_modules``)."""
+    return [d for module in surface.load_modules(path) for d in module.decls]
+
+
 def load_corpus_file(name: str):
-    return surface.load_file(os.path.join(CORPUS, name))
+    return load_file(os.path.join(CORPUS, name))
 
 
 def term_key(t):
@@ -146,7 +153,7 @@ def write_corpus(tmp_path, manifest: str, files: dict) -> str:
 
 def check_corpus_flat(flags: Flags, base: str | None = None) -> list[CorpusResult]:
     """The corpus check that ``check_corpus`` replaced, kept as its oracle:
-    each entry is flattened with its imports by ``surface.load_file`` and
+    each entry is flattened with its imports by ``load_file`` and
     checked from scratch by a fresh checker, one declaration at a time."""
     base = base or corpus_dir()
     results = []
@@ -161,7 +168,7 @@ def check_corpus_flat(flags: Flags, base: str | None = None) -> list[CorpusResul
             )
             continue
         try:
-            decls = surface.load_file(entry.path(base))
+            decls = load_file(entry.path(base))
             checker = Checker(flags)
             for d in decls:
                 typecheck.check_declarations([d], checker=checker)
@@ -524,6 +531,34 @@ def kleene_least_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
         if nxt == x:
             return Subset(x, ax.size)
         x = nxt
+
+
+def brute_force_min_cover(ax: FiniteAxiomSet, v: Subset) -> Subset:
+    """Intersection of all rule-closed supersets of V.  Oracle for
+    ``least_cover``; exponential, bounded to small carriers."""
+    cover._same_carrier(ax, v)
+    n = ax.size
+    if n > 12:
+        raise ValueError("brute-force oracle bounded to carriers of size <= 12")
+    v_mask = v.mask
+    cover_masks = [[sum(1 << b for b in set(p)) for p in per_atom] for per_atom in ax.premises]
+    acc = (1 << n) - 1
+    for x in range(1 << n):
+        if v_mask & ~x:
+            continue
+        closed = True
+        for a in range(n):
+            if x >> a & 1:
+                continue
+            for mask in cover_masks[a]:
+                if mask & ~x == 0:
+                    closed = False
+                    break
+            if not closed:
+                break
+        if closed:
+            acc &= x
+    return Subset(acc, n)
 
 
 def replay_derivation(ax: FiniteAxiomSet, v: Subset, atom: int):

@@ -19,7 +19,6 @@ from covertt import surface, typecheck
 from covertt.cover import (
     FiniteAxiomSet,
     Subset,
-    brute_force_min_cover,
     cover_type,
     derivation,
     extract_proof_term,
@@ -30,7 +29,13 @@ from covertt.terms import Flags
 from covertt.typecheck import Checker, Context
 
 import builders
-from helpers import CORPUS, conv, random_instance as _random_instance
+from helpers import (
+    CORPUS,
+    brute_force_min_cover,
+    conv,
+    load_file,
+    random_instance as _random_instance,
+)
 from test_encodings import DW_INSTANCES, W_INSTANCES, _check_fragment
 from test_typechecker import (
     BAD_MOTIVES,
@@ -142,7 +147,7 @@ def test_criterion_3_no_flags_bookkeeping(capsys):
     # computation checks: drive each derived eliminator without its flags
     for fn in ("p41ii.mltt", "p51ii.mltt", "p52ii.mltt", "p52iv.mltt"):
         try:
-            decls = surface.load_file(f"{CORPUS}/{fn}")
+            decls = load_file(f"{CORPUS}/{fn}")
             typecheck.check_declarations(decls, Flags())
             outcome = "checks"
         except typecheck.TypeCheckError as e:

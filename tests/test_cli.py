@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from covertt import cover, surface, typecheck
+from covertt import cli, cover, surface, typecheck
 from covertt.cli import _on_large_stack, main
 from covertt.semantics import KernelBug
 from covertt.surface import parse_file
@@ -477,6 +477,16 @@ def test_running_out_of_memory_is_one_error_line(capsys, tmp_path, monkeypatch):
     g.write_text("def x : N1 := star\n")
     for argv in (["cover", str(f)], ["check", str(g)], ["norm", str(g), "--expr", "x"]):
         assert run(capsys, *argv) == (1, "error: out of memory\n"), argv
+
+
+def test_any_other_exception_is_one_internal_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_norm", raiser(SystemError("x")))
+    assert main(["norm", "--expr", "star"]) == 1
+    assert capsys.readouterr() == ("error: internal error (SystemError: x)\n", "")
+    # an interrupt is not a fault of the program: it reaches the caller
+    monkeypatch.setattr(cli, "cmd_norm", raiser(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main(["norm", "--expr", "star"])
 
 
 @pytest.mark.parametrize("exc, what", INTERNAL)

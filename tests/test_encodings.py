@@ -24,6 +24,7 @@ from helpers import (
     check_corpus_flat,
     context_of,
     conv,
+    load_file,
     nested_identity,
     write_corpus,
 )
@@ -43,7 +44,7 @@ def test_manifest_tags_and_files():
 
 @pytest.mark.parametrize("entry", load_manifest(), ids=lambda e: e.tag)
 def test_each_entry_passes_under_exactly_its_manifest_flags(entry):
-    decls = surface.load_file(entry.path())
+    decls = load_file(entry.path())
     typecheck.check_declarations(decls, entry.required)
 
 
@@ -429,7 +430,7 @@ def _check_fragment(imports, decls, flags):
     parsed, import_names = surface.parse_file(src, "<builder>")
     all_decls = []
     for name in import_names:
-        all_decls.extend(surface.load_file(name))
+        all_decls.extend(load_file(name))
     all_decls.extend(parsed)
     typecheck.check_declarations(all_decls, flags)
 
@@ -513,7 +514,7 @@ def test_interpreted_introduction_infers_its_family():
     decls = []
     parsed, import_names = surface.parse_file(src, "<infer>")
     for nm in import_names:
-        decls.extend(surface.load_file(nm))
+        decls.extend(load_file(nm))
     chk = typecheck.check_declarations(decls, Flags(eta_pi=True, eta_sigma=True))
     items = [
         ("I", "U0"),
@@ -578,7 +579,7 @@ def witness : oneWP := ind star star (fun j => fun r => absurd (fun z => WP N1 o
     parsed, import_names = surface.parse_file(src, "<repr>")
     decls = []
     for nm in import_names:
-        decls.extend(surface.load_file(nm))
+        decls.extend(load_file(nm))
     decls.extend(parsed)
     for flags in (Flags(eta_pi=True, eta_sigma=True), Flags()):
         chk = typecheck.check_declarations(decls, flags)

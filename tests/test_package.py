@@ -18,10 +18,10 @@ API = {
         "Checker", "Context", "TypeCheckError", "check_declarations", "convertible",
         "infer_type", "normalize",
     ],
-    "surface": ["ParseError", "load_file", "load_modules", "parse_file", "parse_term", "pretty"],
+    "surface": ["ParseError", "load_modules", "parse_file", "parse_term", "pretty"],
     "encodings": ["CorpusEntry", "check_corpus", "corpus_dir", "load_manifest"],
     "cover": [
-        "FiniteAxiomSet", "FormatError", "Subset", "brute_force_min_cover", "derivation",
+        "FiniteAxiomSet", "FormatError", "Subset", "derivation",
         "extract_proof_term", "least_cover", "load_axiom_set",
     ],
 }

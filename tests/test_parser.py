@@ -17,6 +17,7 @@ from helpers import (
     CORPUS,
     criterion6_derivations,
     extract_proof_term_inlined,
+    load_file,
     pretty_oracle,
     term_key,
     tokenize_oracle,
@@ -140,13 +141,13 @@ def test_import_resolution_and_cycles(tmp_path):
     b = tmp_path / "b.mltt"
     a.write_text('import "b.mltt"\ndef two : N1 * N1 := ( one , one )\n')
     b.write_text("def one : N1 := star\n")
-    decls = surface.load_file(str(a))
+    decls = load_file(str(a))
     assert [d.name for d in decls] == ["one", "two"]
 
     a.write_text('import "b.mltt"\ndef x : N1 := star\n')
     b.write_text('import "a.mltt"\ndef y : N1 := star\n')
     with pytest.raises(ParseError) as e:
-        surface.load_file(str(a))
+        load_file(str(a))
     assert str(e.value) == f"b.mltt:1:1: import cycle through {tmp_path}/a.mltt"
 
 
@@ -161,7 +162,7 @@ def test_parse_errors_name_the_file(tmp_path):
     ]:
         f.write_text(text)
         with pytest.raises(ParseError) as e:
-            surface.load_file(str(f))
+            load_file(str(f))
         assert str(e.value) == expected
     with pytest.raises(ParseError) as e:
         parse_term("fun x =>")
@@ -206,7 +207,7 @@ def test_import_deduplication(tmp_path):
     base.write_text("def one : N1 := star\n")
     mid.write_text('import "base.mltt"\ndef two : N1 := one\n')
     top.write_text('import "base.mltt"\nimport "mid.mltt"\ndef three : N1 := two\n')
-    decls = surface.load_file(str(top))
+    decls = load_file(str(top))
     assert [d.name for d in decls] == ["one", "two", "three"]
     modules = surface.load_modules(str(top))
     assert [os.path.basename(m.path) for m in modules] == ["base.mltt", "mid.mltt", "top.mltt"]

@@ -286,8 +286,7 @@ def test_records_keep_keywords_defaults_and_validation():
     with pytest.raises(ValueError):
         Subset(8, 3)
     ax = FiniteAxiomSet(carrier=("a", "b"), labels=((), ()), premises=((), ()))
-    assert ax.positions == {"a": 0, "b": 1}
-    assert "positions" not in repr(ax) and ax == FiniteAxiomSet(("a", "b"), ((), ()), ((), ()))
+    assert ax.carrier == ("a", "b") and ax == FiniteAxiomSet(("a", "b"), ((), ()), ((), ()))
     with pytest.raises(ValueError):
         FiniteAxiomSet(("a",), (), ())
 
@@ -298,7 +297,7 @@ def test_nodes_survive_copy_and_pickle():
     for node in (t, Flags(eta_unit=True), ax):
         for back in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
             assert back == node and hash(back) == hash(node)
-    assert pickle.loads(pickle.dumps(ax)).positions == {"a": 0}
+    assert pickle.loads(pickle.dumps(ax)).carrier == ("a",)
 
 
 def test_declaration_is_one_syntax_record():
