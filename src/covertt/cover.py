@@ -25,13 +25,16 @@ A certificate is one closed term that states its instance once, as five
 ``let``s (the carrier, the label family, the axiom family, V and the
 ``Cover`` family), and binds each ``tr`` node of the derivation once, in a
 ``let`` of its own, so it grows with the derivation's distinct nodes, not
-with its unfolded tree.  The families and each ``tr``
-node's premise function are case splits over the carrier.  Each level of
-a split states its motive reduced, as a term over the carrier's tail at
-that level, rather than substituting the level's element into the whole
-motive; so no annotation is needed, a family's cases are closed, and only
-a premise's proof needs a unit elimination to bridge ``star`` to the
-split's variable.
+with its unfolded tree.  The label family and V are case splits over the
+carrier.  The axiom family states each axiom as the fibre of its premise
+list: ``A a i b`` is ``Sum (Id C b p1) (... (Id C b pm))`` over the
+premises of C(a, i), and ``N0`` when it has none.  So a ``tr`` node's
+premise function splits its witness over the axiom's m premises only, not
+over the carrier, and moves each premise's proof from ``Cov p`` to
+``Cov b`` with one ``J``.  Each level of a split states its motive reduced,
+as a term over the tail at that level, so no annotation is needed.
+Elements are unary, so a chain of n atoms has a certificate of about n²
+characters: n nodes, each naming elements of size up to n.
 """
 
 from __future__ import annotations
@@ -288,13 +291,19 @@ def _ref(level: int, depth: int) -> Term:
     return T.Var(depth - 1 - level)
 
 
+def _sum(types: list) -> Term:
+    """The right-nested sum of ``types``, ``N0`` when there are none."""
+    if not types:
+        return T.Empty()
+    t = types[-1]
+    for ty in reversed(types[:-1]):
+        t = T.Sum(ty, t)
+    return t
+
+
 def fin_type(k: int) -> Term:
     """Right-nested sum of unit types with k alternatives (empty when k = 0)."""
-    if k == 0:
-        return T.Empty()
-    if k == 1:
-        return T.Unit()
-    return T.Sum(T.Unit(), fin_type(k - 1))
+    return _sum([T.Unit()] * k)
 
 
 def fin_elem(i: int, k: int) -> Term:
@@ -304,7 +313,8 @@ def fin_elem(i: int, k: int) -> Term:
 
 
 def _embed(i: int, k: int, payload: Term) -> Term:
-    """Element i of ``fin_type(k)`` with ``payload`` as its unit."""
+    """The injection of ``payload`` as alternative i of a right-nested sum
+    of k alternatives: element i of ``fin_type(k)`` when it is ``star``."""
     t = payload if i == k - 1 else T.Inl(payload)
     for _ in range(i):
         t = T.Inr(t)
@@ -315,12 +325,13 @@ def _case_tree(k: int, leaf, motive, depth: int, j: int = 0) -> Term:
     """Dependent case split of variable 0 over the elements j..k-1 of
     ``fin_type(k)``, under ``depth`` binders (variable 0's included).
 
-    ``motive(j, d)`` is the motive's body over that tail, variable 0 of type
-    ``fin_type(k - j)``; ``leaf(i, d)`` is the case for element i, variable 0
-    its unit payload; ``d`` counts the binders around each.  Every level
-    states its own motive, so nothing is substituted: the kernel reduces a
-    level's motive at ``inl x`` to its leaf's type and at ``inr y`` to the
-    next level's motive.
+    The split is over any right-nested sum of k alternatives, the same
+    shape.  ``motive(j, d)`` is the motive's body over that tail, variable 0
+    of type its alternatives j..k-1; ``leaf(i, d)`` is the case for
+    alternative i, variable 0 its payload; ``d`` counts the binders around
+    each.  Every level states its own motive, so nothing is substituted:
+    the kernel reduces a level's motive at ``inl x`` to its leaf's type and
+    at ``inr y`` to the next level's motive.
     """
     if j == k:
         return T.EmptyElim(T.Lam(motive(j, depth + 1)), T.Var(0))
@@ -361,14 +372,18 @@ def _instance(ax: FiniteAxiomSet, v: Subset) -> list:
     """The instance's lets: ``let C : U0 := Fin k in let L : C -> U0 := ...
     in let A : (a : C) -> L a -> C -> U0 := ... in let V : C -> U0 := ... in
     let Cov : C -> U0 := Cover C L A V``."""
+    k = ax.size
     label_codes = [fin_type(len(ls)) for ls in ax.labels]
 
     def axioms_for(a: int, depth: int) -> Term:
-        # fun i => C(a, i), by case split on the label
-        def axiom(li: int, _depth: int) -> Term:
-            return T.Lam(_family_body(_subset_codes(ax.axiom(a, li))))
+        # fun i => the fibre of C(a, i), by case split on the label
+        def fibre(li: int, depth: int) -> Term:
+            # fun b => Sum (Id C b p1) (... (Id C b pm)), b variable 0
+            premises = ax.axiom(a, li).members
+            c = _ref(_C, depth + 1)
+            return T.Lam(_sum([T.Id(c, T.Var(0), fin_elem(p, k)) for p in premises]))
 
-        return T.Lam(_case_tree(len(ax.labels[a]), axiom, lambda _j, d: _predicates(d), depth + 1))
+        return T.Lam(_case_tree(len(ax.labels[a]), fibre, lambda _j, d: _predicates(d), depth + 1))
 
     def axioms_motive(j: int, depth: int) -> Term:
         # L (inr^j y) -> C -> U0, y the tail's element
@@ -376,9 +391,9 @@ def _instance(ax: FiniteAxiomSet, v: Subset) -> list:
 
     axioms_type = T.Pi(_ref(_C, 2), T.Pi(T.App(_ref(_L, 3), T.Var(0)), _predicates(4)))
     return [
-        (T.Univ(), fin_type(ax.size)),
+        (T.Univ(), fin_type(k)),
         (_predicates(1), T.Lam(_family_body(label_codes))),
-        (axioms_type, T.Lam(_case_tree(ax.size, axioms_for, axioms_motive, 3))),
+        (axioms_type, T.Lam(_case_tree(k, axioms_for, axioms_motive, 3))),
         (_predicates(3), T.Lam(_family_body(_subset_codes(v)))),
         (_predicates(4), T.Cover(*[_ref(level, 4) for level in (_C, _L, _A, _V)])),
     ]
@@ -396,11 +411,14 @@ def extract_proof_term(ax: FiniteAxiomSet, v: Subset, d: RfNode | TrNode) -> Ter
     An ``rf`` derivation is ``rf a star``.  Otherwise the instance's lets
     are followed by ``let p : Cov a := tr a i f`` for each distinct ``tr``
     node, children first, and the term is the root's variable.  The premise
-    function f splits the carrier: at element b its case has type
-    ``A a i b -> Cov b`` with b's unit payload x in place of ``star``.  A
-    premise's proof, its node's variable or an inline ``rf``, is bridged
-    from ``star`` to x by one unit elimination; any other b is refuted by
-    its empty domain.
+    function is ``fun b => fun w => ...``, its witness w in the fibre
+    ``A a i b``, a sum over the axiom's premises; it splits w over those
+    premises alone.  At premise p, w is some ``e : Id C b p``, and the
+    premise's proof, its node's variable or an inline ``rf``, is moved from
+    ``Cov p`` to ``Cov b`` by ``J (fun u v q => Cov v -> Cov u) (fun u h =>
+    h) b p e``.  An axiom without premises has the empty fibre, refuted.
+    Each node names its premises once, so a chain of n atoms has a
+    certificate of about n² characters.
     """
     _same_carrier(ax, v)
     k = ax.size
@@ -412,32 +430,28 @@ def extract_proof_term(ax: FiniteAxiomSet, v: Subset, d: RfNode | TrNode) -> Ter
     def binding(node: TrNode) -> tuple:
         # Cov a and tr a i f, under the lets before the node's own
         depth = level[id(node)]
-        cov = ax.axiom(node.atom, node.label)
-        children = dict(zip(cov.members, node.children))
+        b = depth  # the level of f's b; its witness w is bound at depth + 1
+        premises = ax.axiom(node.atom, node.label).members
         a = fin_elem(node.atom, k)
         i = fin_elem(node.label, len(ax.labels[node.atom]))
 
-        def motive(j: int, depth: int) -> Term:
-            # A a i (inr^j y) -> Cov (inr^j y), y the tail's element
-            premise = T.App(T.App(T.App(_ref(_A, depth), a), i), _embed(j, j + 1, T.Var(0)))
-            return T.Pi(premise, T.App(_ref(_COV, depth + 1), _embed(j, j + 1, T.Var(1))))
+        def motive(_j: int, depth: int) -> Term:
+            return T.App(_ref(_COV, depth), _ref(b, depth))
 
-        def leaf(b: int, depth: int) -> Term:
-            # fun c => ..., the cover at b with the unit payload x for star
-            if not cov.contains(b):
-                x = T.Var(2)  # under c and the motive's binder
-                refuted = T.Lam(T.App(_ref(_COV, depth + 2), _embed(b, k, x)))
-                return T.Lam(T.EmptyElim(refuted, T.Var(0)))
-            child = children[b]
+        def leaf(j: int, depth: int) -> Term:
+            # the proof at premise p moved along variable 0, e : Id C b p
+            p, child = fin_elem(premises[j], k), node.children[j]
             if isinstance(child, RfNode):
-                proof = T.Rf(fin_elem(b, k), T.Star())
+                proof = T.Rf(p, T.Star())
             else:
-                proof = _ref(level[id(child)], depth + 1)
-            bridge = T.Lam(T.App(_ref(_COV, depth + 2), _embed(b, k, T.Var(0))))
-            return T.Lam(T.UnitElim(bridge, proof, T.Var(1)))
+                proof = _ref(level[id(child)], depth)
+            # J (fun u v q => Cov v -> Cov u) (fun u h => h) b p e
+            moved = T.Pi(T.App(_ref(_COV, depth + 3), T.Var(1)), T.App(_ref(_COV, depth + 4), T.Var(3)))
+            motive_j, refl_case = T.Lam(T.Lam(T.Lam(moved))), T.Lam(T.Lam(T.Var(0)))
+            return T.App(T.J(motive_j, refl_case, _ref(b, depth), p, T.Var(0)), proof)
 
-        proof = T.Tr(a, i, T.Lam(_case_tree(k, leaf, motive, depth + 1)))
-        return T.App(_ref(_COV, depth), a), proof
+        f = T.Lam(T.Lam(_case_tree(len(premises), leaf, motive, depth + 2)))
+        return T.App(_ref(_COV, depth), a), T.Tr(a, i, f)
 
     # the body is the root's variable, bound last
     return _lets(_instance(ax, v) + [binding(node) for node in nodes], T.Var(0))

@@ -799,6 +799,88 @@ def layered_horn_cover_text(rng: random.Random, width: int, depth: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# --- the certificate encoding over unary axiom families -------------------------
+#
+# Kept as an oracle of cover.cover_type and cover.extract_proof_term.  The
+# instance's lets (``instance_lets_unary``) are the engine's, but for the
+# axiom family: ``A a i`` is C(a, i) as a closed predicate, a case split
+# over the carrier with ``N1`` at each premise and ``N0`` elsewhere.  A
+# ``tr`` node's premise function then splits the carrier too, and bridges a
+# premise's proof from ``star`` to the premise's unit payload by a unit
+# elimination.
+
+
+def instance_lets_unary(ax: FiniteAxiomSet, v: Subset) -> list:
+    k = ax.size
+
+    def axioms_for(a: int, depth: int):
+        # fun i => C(a, i), by case split on the label
+        def axiom(li: int, _depth: int):
+            return T.Lam(cover._family_body(cover._subset_codes(ax.axiom(a, li))))
+
+        predicates = lambda _j, d: cover._predicates(d)
+        return T.Lam(cover._case_tree(len(ax.labels[a]), axiom, predicates, depth + 1))
+
+    def axioms_motive(j: int, depth: int):
+        # L (inr^j y) -> C -> U0, y the tail's element
+        label = T.App(cover._ref(cover._L, depth), cover._embed(j, j + 1, T.Var(0)))
+        return T.Pi(label, cover._predicates(depth + 1))
+
+    lets = cover._instance(ax, v)
+    axioms_type = lets[cover._A][0]
+    lets[cover._A] = axioms_type, T.Lam(cover._case_tree(k, axioms_for, axioms_motive, 3))
+    return lets
+
+
+def cover_type_unary(ax: FiniteAxiomSet, v: Subset, atom: int):
+    cover._same_carrier(ax, v)
+    cov = cover._ref(cover._COV, 5)
+    return cover._lets(instance_lets_unary(ax, v), T.App(cov, cover.fin_elem(atom, ax.size)))
+
+
+def extract_proof_term_unary(ax: FiniteAxiomSet, v: Subset, d):
+    cover._same_carrier(ax, v)
+    k = ax.size
+    ref, embed, fin_elem, COV = cover._ref, cover._embed, cover.fin_elem, cover._COV
+    if isinstance(d, RfNode):
+        return T.Rf(fin_elem(d.atom, k), T.Star())
+    nodes = cover._tr_nodes(d)
+    level = {id(node): COV + 1 + n for n, node in enumerate(nodes)}
+
+    def binding(node: TrNode):
+        # Cov a and tr a i f, under the lets before the node's own
+        depth = level[id(node)]
+        cov = ax.axiom(node.atom, node.label)
+        children = dict(zip(cov.members, node.children))
+        a = fin_elem(node.atom, k)
+        i = fin_elem(node.label, len(ax.labels[node.atom]))
+
+        def motive(j: int, depth: int):
+            # A a i (inr^j y) -> Cov (inr^j y), y the tail's element
+            premise = T.App(T.App(T.App(ref(cover._A, depth), a), i), embed(j, j + 1, T.Var(0)))
+            return T.Pi(premise, T.App(ref(COV, depth + 1), embed(j, j + 1, T.Var(1))))
+
+        def leaf(b: int, depth: int):
+            # fun c => ..., the cover at b with the unit payload x for star
+            if not cov.contains(b):
+                x = T.Var(2)  # under c and the motive's binder
+                refuted = T.Lam(T.App(ref(COV, depth + 2), embed(b, k, x)))
+                return T.Lam(T.EmptyElim(refuted, T.Var(0)))
+            child = children[b]
+            if isinstance(child, RfNode):
+                proof = T.Rf(fin_elem(b, k), T.Star())
+            else:
+                proof = ref(level[id(child)], depth + 1)
+            bridge = T.Lam(T.App(ref(COV, depth + 2), embed(b, k, T.Var(0))))
+            return T.Lam(T.UnitElim(bridge, proof, T.Var(1)))
+
+        proof = T.Tr(a, i, T.Lam(cover._case_tree(k, leaf, motive, depth + 1)))
+        return T.App(ref(COV, depth), a), proof
+
+    # the body is the root's variable, bound last
+    return cover._lets(instance_lets_unary(ax, v) + [binding(node) for node in nodes], T.Var(0))
+
+
 # --- the certificate encoding the cover engine used to build ---------------------
 #
 # Kept as an oracle of cover.cover_type and cover.extract_proof_term.  Each

@@ -30,7 +30,7 @@ from covertt.cover import (
 )
 from covertt.semantics import Closure, Evaluator
 from covertt.terms import Flags
-from covertt.typecheck import Checker, Context, TypeCheckError
+from covertt.typecheck import Checker, Context, TypeCheckError, convertible
 
 from helpers import (
     UnsharedLetChecker,
@@ -38,9 +38,12 @@ from helpers import (
     chain_cover_text,
     cover_type_inlined,
     cover_type_substituted,
+    cover_type_unary,
     criterion6_derivations,
     extract_proof_term_inlined,
     extract_proof_term_substituted,
+    extract_proof_term_unary,
+    instance_lets_unary,
     kleene_least_cover,
     layered_horn_cover_text,
     load_axiom_set_reference,
@@ -344,9 +347,9 @@ def _certified_instances():
 
 
 def test_reduced_motives_agree_with_the_substituting_encoding():
-    """The certificates with reduced motives against the encoding that
-    substituted into its motives.  A new certificate checks flag-free at its
-    own type.  The two types differ flag-free, by unit eliminations on a
+    """The unary encoding's certificates, with reduced motives, against the
+    encoding that substituted into its motives.  A reduced certificate
+    checks flag-free at its own type.  The two types differ flag-free, by unit eliminations on a
     variable that the substituting encoding wrapped around its leaves; under
     eta_unit alone they are convertible, and the new proof checks at the old
     type.  One checker per instance and flag set, so that the instance's
@@ -355,7 +358,7 @@ def test_reduced_motives_agree_with_the_substituting_encoding():
     for ax, v, derivations in _certified_instances():
         plain, eta_unit, ctx = Checker(Flags()), Checker(Flags(eta_unit=True)), Context()
         for atom, d in derivations:
-            ty, tm = cover_type(ax, v, atom), extract_proof_term(ax, v, d)
+            ty, tm = cover_type_unary(ax, v, atom), extract_proof_term_unary(ax, v, d)
             plain.ensure_type(ctx, ty)
             plain.check(ctx, tm, plain.eval_in(ctx, ty))
             old_ty = cover_type_substituted(ax, v, atom)
@@ -368,22 +371,90 @@ def test_reduced_motives_agree_with_the_substituting_encoding():
 
 
 def test_let_bound_certificates_agree_with_the_inlined_encoding():
-    """The certificates that bind their instance and their derived atoms in
-    ``let``s against the encoding that inlines them.  With every flag off,
+    """The unary encoding's certificates, which bind their instance and
+    their derived atoms in ``let``s, against the encoding that inlines them.  With every flag off,
     the two types are convertible, the new proof checks at the inlined type
     and the inlined proof at the new type."""
     count = 0
     for ax, v, derivations in _certified_instances():
         chk, ctx = Checker(Flags()), Context()
         for atom, d in derivations:
-            ty, old_ty = cover_type(ax, v, atom), cover_type_inlined(ax, v, atom)
+            ty, old_ty = cover_type_unary(ax, v, atom), cover_type_inlined(ax, v, atom)
             chk.ensure_type(ctx, ty)
             chk.ensure_type(ctx, old_ty)
             new, old = chk.eval_in(ctx, ty), chk.eval_in(ctx, old_ty)
             assert chk.ev.conv_type(new, old, 0)
-            chk.check(ctx, extract_proof_term(ax, v, d), old)
+            chk.check(ctx, extract_proof_term_unary(ax, v, d), old)
             chk.check(ctx, extract_proof_term_inlined(ax, v, d), new)
             count += 1
+    assert count == 205 + 1728
+
+
+def test_fibre_certificates_agree_with_the_unary_encoding():
+    """The certificates whose axiom family is each axiom's fibre against the
+    unary encoding, whose family is each axiom's predicate on the carrier,
+    all flag-free.  Each encoding's certificates check at their own atom's
+    statement and are rejected at every other atom's.  The two instances'
+    label families and subsets convert.  At every closed (a, i, b), the
+    fibre ``A a i b`` normalizes to the sum of ``Id C b p`` over the
+    premises p of C(a, i), and the injection of ``refl b`` checks at it
+    exactly where the unary family is ``N1``, at b's own place."""
+    count, families_seen = 0, set()
+    for ax, v, derivations in _certified_instances():
+        k = ax.size
+        derived = {(a, a) for a, _ in derivations}
+        for statement, certificate in [
+            (cover_type, extract_proof_term),
+            (cover_type_unary, extract_proof_term_unary),
+        ]:
+            types = [statement(ax, v, a) for a in range(k)]
+            proofs = [(a, certificate(ax, v, d)) for a, d in derivations]
+            verdicts, _ = _verdicts(Checker, [(types, proofs)])
+            assert {(atom, target) for atom, target, verdict in verdicts if verdict == "ok"} == derived
+        count += len(derivations)
+
+        fibres, unary = cover._instance(ax, v), instance_lets_unary(ax, v)
+        chk, ctx = Checker(Flags()), Context()
+        predicates = T.Pi(cover.fin_type(k), T.Univ())
+        for level in (cover._L, cover._V):
+            assert convertible(chk, predicates, fibres[level][1], unary[level][1])
+
+        def family(lets):
+            # the value of A, the instance's axiom family
+            body = cover._lets(lets, cover._ref(cover._A, 5))
+            chk.infer(ctx, body)
+            return chk.eval_in(ctx, body)
+
+        def family_at(fam, a, li, b):
+            # A a i b, and its normal form
+            labels = len(ax.labels[a])
+            tyv = fam
+            for arg in (cover.fin_elem(a, k), cover.fin_elem(li, labels), cover.fin_elem(b, k)):
+                tyv = chk.ev.apply(tyv, chk.eval_in(ctx, arg))
+            return tyv, chk.norm_type(ctx, tyv)
+
+        if ax in families_seen:  # the axiom family does not read V
+            continue
+        families_seen.add(ax)
+        fibres, unary = family(fibres), family(unary)
+        for a in range(k):
+            for li in range(len(ax.labels[a])):
+                premises = ax.axiom(a, li).members
+                for b in range(k):
+                    fibre, normal = family_at(fibres, a, li, b)
+                    carrier, elem = cover.fin_type(k), cover.fin_elem(b, k)
+                    ids = [T.Id(carrier, elem, cover.fin_elem(p, k)) for p in premises]
+                    assert normal == cover._sum(ids)
+                    checks = []
+                    for j in range(len(premises)):
+                        try:
+                            chk.check(ctx, cover._embed(j, len(premises), T.Refl(elem)), fibre)
+                            checks.append(j)
+                        except TypeCheckError:
+                            pass
+                    assert checks == [j for j, p in enumerate(premises) if p == b]
+                    unit = family_at(unary, a, li, b)[1]
+                    assert unit == (T.Unit() if checks else T.Empty())
     assert count == 205 + 1728
 
 
@@ -537,10 +608,12 @@ print(chk.ev.steps, len(surface.pretty(tm)), len(surface.pretty(ty)))
 # (shape, atoms) -> the eval steps of the flag-free check of the certificate
 # of atom 0, and the printed sizes of the certificate and of its type
 CERT_STEPS = {
-    ("_chain", 10): (9_285, 26_652, 6_569),
-    ("_chain", 20): (73_365, 155_452, 24_589),
-    ("_chain", 30): (246_245, 458_252, 54_009),
-    ("_ladder", 17): (42_442, 96_704, 17_986),
+    ("_chain", 10): (735, 4_968, 2_661),
+    ("_chain", 20): (2_685, 13_248, 6_611),
+    ("_chain", 30): (5_835, 24_528, 11_761),
+    ("_chain", 40): (10_185, 38_808, 18_111),
+    ("_chain", 100): (61_485, 187_605, 81_448),
+    ("_ladder", 17): (2_078, 14_118, 6_415),
 }
 
 

@@ -17,6 +17,7 @@ from helpers import (
     CORPUS,
     criterion6_derivations,
     extract_proof_term_inlined,
+    extract_proof_term_unary,
     load_file,
     pretty_oracle,
     term_key,
@@ -242,13 +243,15 @@ def test_a_subterm_written_in_two_files_of_one_load_is_one_object(tmp_path):
 # --- the regex lexer and the printer against the code they replaced -------
 
 # sha256 of the printed criterion-6 certificates (seed 98765, joined by
-# newlines), which bind their instance and each derived atom in lets (the
-# inlined encoding in helpers vouches for them in test_cover); of the same
-# certificates in that inlined encoding, as the engine printed them before
-# it had lets; and of every corpus declaration printed by
-# pretty_declaration, as the bottom-up printer that strengthened every
-# non-dependent body printed it
-CERTIFICATES_SHA256 = "2850577e6dc56bd4e750dcefa9f7e10ff1e3ceeced481d9eb81f3f361e9ba9a2"
+# newlines), which bind their instance and each derived atom in lets and
+# state each axiom as the fibre of its premises (the unary encoding in
+# helpers vouches for them in test_cover); of the same certificates in that
+# unary encoding, as the engine printed them before it had fibres; in the
+# inlined encoding, as the engine printed them before it had lets; and of
+# every corpus declaration printed by pretty_declaration, as the bottom-up
+# printer that strengthened every non-dependent body printed it
+CERTIFICATES_SHA256 = "67eac8241f7485084be90de166ef1f2b63f870b52017e23f9e75a12efb923e6f"
+UNARY_CERTIFICATES_SHA256 = "2850577e6dc56bd4e750dcefa9f7e10ff1e3ceeced481d9eb81f3f361e9ba9a2"
 INLINED_CERTIFICATES_SHA256 = "9fd5f1a22ddcf60ba3c1f064fd023a39be071c1c0a16ddb97f2cd8da7df2ae2c"
 CORPUS_PRINTED_SHA256 = "5739e76c4ac5772d7f248d51c60f4dc03e9a85200adc1ad7217db4bbc7808ef6"
 
@@ -345,11 +348,19 @@ def test_the_inlined_oracle_prints_the_certificates_as_before():
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == INLINED_CERTIFICATES_SHA256
 
 
+def test_the_unary_oracle_prints_the_certificates_as_before():
+    texts = [
+        pretty(extract_proof_term_unary(ax, v, d)) for ax, v, _atom, d in criterion6_derivations()
+    ]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == UNARY_CERTIFICATES_SHA256
+
+
 def test_certificates_print_within_their_size_bound(certificates):
     # the encoding that substituted into its case splits' motives printed
-    # 1,789,976 characters, stating them reduced 788,513, and binding the
-    # instance and each derived atom once in lets 118,748
-    assert sum(map(len, certificates[1])) <= 150_000
+    # 1,789,976 characters, stating them reduced 788,513, binding the
+    # instance and each derived atom once in lets 118,748, and stating each
+    # axiom as the fibre of its premises 78,191
+    assert sum(map(len, certificates[1])) <= 90_000
 
 
 # --- sharing -------------------------------------------------------------------
