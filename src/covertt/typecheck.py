@@ -13,12 +13,14 @@ formation, introduction and elimination come from the rules of
 ``semantics.Evaluator``, which readback and conversion read too.  A
 formation or introduction checks its fields in order, each against the
 type the rule computes from the fields before it, and evaluates a field
-only when a later field's type reads it.  ``infer`` finds a type former, an
-eliminator or a tree in the evaluator's tables, and a term that never
-infers in ``NOT_INFERABLE``.  What only the checker needs stays here: the
-rejection messages, the index checks, and the order in which an
-eliminator's fields are checked: the scrutinee and its indices (J's
-endpoints before its proof, ``CHECKED_SCRUTINEE``), the motive, the cases.
+only when a later field's type reads it.  ``infer`` finds a type former or
+an eliminator in the evaluator's tables.  Every introduction but ``star``
+only checks (``CHECK_ONLY``), so a tree whose type is inferred, such as an
+eliminator's scrutinee, is annotated: ``(sup a f : W A B)``.  What only
+the checker needs stays here: the rejection messages, the index checks,
+and the order in which an eliminator's fields are checked: the scrutinee
+and its indices (J's endpoints before its proof, ``CHECKED_SCRUTINEE``),
+the motive, the cases.
 
 A binder's variable is made once, by ``Context.extend``, and the rules
 entering a binder use it (the lambda rule instantiates the codomain at
@@ -54,7 +56,6 @@ from .semantics import (
     GlobalEntry,
     V_TYPE,
     V_U0,
-    VApplied,
     VIntro,
     VLam,
     VNeutral,
@@ -66,8 +67,8 @@ from .semantics import (
 )
 from .surface import parse_term, pretty
 
-# term class -> the rejection of an elimination's scrutinee type, of an
-# introduction's target type, and of either's index
+# term class -> the rejection of an elimination's scrutinee type, and of an
+# elimination's or an introduction's index
 WRONG_SCRUTINEE = {
     T.Proj1: "fst applied to a non-pair type",
     T.Proj2: "snd applied to a non-pair type",
@@ -77,18 +78,6 @@ WRONG_SCRUTINEE = {
     T.DWElim: "elimDW scrutinee is not a dependent tree",
     T.WPElim: "elimWP scrutinee is not a derivation",
     T.CoverElim: "elimCover scrutinee is not a cover proof",
-}
-WRONG_TARGET = {
-    T.Lam: "lambda checked against a non-function type",
-    T.Pair: "pair checked against a non-pair type",
-    T.Inl: "injection checked against a non-sum type",
-    T.Inr: "injection checked against a non-sum type",
-    T.Refl: "refl checked against a non-identity type",
-    T.Sup: "sup checked against a non-W type",
-    T.DSup: "dsup checked against a non-DW type",
-    T.Ind: "ind checked against a non-WP type",
-    T.Rf: "rf checked against a non-cover type",
-    T.Tr: "tr checked against a non-cover type",
 }
 WRONG_INDEX = {
     T.DWElim: "elimDW index does not match the scrutinee's index",
@@ -101,17 +90,19 @@ WRONG_INDEX = {
     T.Tr: "tr element differs from the cover's element",
 }
 
-# term class -> the rejection of inferring its type, for every term that
-# never infers (sup, dsup and ind infer where their subtrees say their type)
-NOT_INFERABLE = {
-    T.TypeSort: ("not-a-universe", "the large sort is not a term"),
-    T.Lam: ("mismatch", "an unannotated lambda is not inferable"),
-    T.Pair: ("mismatch", "a bare pair is not inferable"),
-    T.Inl: ("mismatch", "an injection is not inferable"),
-    T.Inr: ("mismatch", "an injection is not inferable"),
-    T.Refl: ("mismatch", "refl is not inferable"),
-    T.Rf: ("mismatch", "cover introductions are not inferable"),
-    T.Tr: ("mismatch", "cover introductions are not inferable"),
+# introduction -> the rejection of its target type, and of inferring its
+# type: introductions check, and star, the one that also infers, is not here
+CHECK_ONLY = {
+    T.Lam: ("lambda checked against a non-function type", "an unannotated lambda is not inferable"),
+    T.Pair: ("pair checked against a non-pair type", "a bare pair is not inferable"),
+    T.Inl: ("injection checked against a non-sum type", "an injection is not inferable"),
+    T.Inr: ("injection checked against a non-sum type", "an injection is not inferable"),
+    T.Refl: ("refl checked against a non-identity type", "refl is not inferable"),
+    T.Sup: ("sup checked against a non-W type", "sup is not inferable here; add an annotation"),
+    T.DSup: ("dsup checked against a non-DW type", "dsup is not inferable here; add an annotation"),
+    T.Ind: ("ind checked against a non-WP type", "ind is not inferable here; add an annotation"),
+    T.Rf: ("rf checked against a non-cover type", "cover introductions are not inferable"),
+    T.Tr: ("tr checked against a non-cover type", "cover introductions are not inferable"),
 }
 # eliminator -> its scrutinee's type former, where the scrutinee is checked
 # against the type its indices form: N1 and N0 have none, and J's endpoints
@@ -300,10 +291,10 @@ class Checker:
             return V_TYPE
         if cls is T.Star:
             return VIntro(T.Unit, ())
-        if cls in NOT_INFERABLE:
-            self.fail(*NOT_INFERABLE[cls])
-        if cls in S.TREES:
-            return self.infer_tree(ctx, t)
+        if cls in CHECK_ONLY:
+            self.fail("mismatch", CHECK_ONLY[cls][1])
+        if cls is T.TypeSort:
+            self.fail("not-a-universe", "the large sort is not a term")
         raise S.KernelBug(f"infer: unhandled term {cls.__name__}")
 
     def infer_formation(self, ctx: Context, t: Term) -> Value:
@@ -348,20 +339,6 @@ class Checker:
         clo = motive.clo if type(motive) is VLam else None
         return self.ev.apply(motive, self.argument(ctx, clo, sty, s))
 
-    def infer_tree(self, ctx: Context, t: Term) -> Value:
-        """Best-effort inference of a tree: its type is the codomain of its
-        subtree function, provided that does not depend on the position."""
-        intro, fields = type(t), _term_fields(t)
-        target = next(ty for ty, intros in S.INTROS.items() if intro in intros)
-        cod = self._nondependent_codomain(ctx, fields[-1], S.TREES[intro])
-        if S.type_former(cod) is not target:
-            name = intro.__name__.lower()
-            self.fail("mismatch", f"{name} is not inferable here; add an annotation")
-        # an indexed tree's index is its first field
-        ty = cod if target is T.W else VApplied(cod.fam, self.eval_in(ctx, fields[0]))
-        self.check(ctx, t, ty)
-        return ty
-
     def check_index(self, ctx: Context, iv: Value, form, ty: Value):
         """Check that the value ``iv`` is each of ``ty``'s indices (the index
         of an applied family, both endpoints of an identity type)."""
@@ -374,27 +351,6 @@ class Checker:
                 expected=self.norm(ctx, want, ity),
                 found=self.norm(ctx, iv, ity),
             )
-
-    def _nondependent_codomain(self, ctx: Context, f: Term, arity: int):
-        """Codomain of ``f``'s type after ``arity`` arguments, provided it does
-        not depend on them; None when ``f`` is a term that never infers, its
-        type has fewer than ``arity`` arrows, or the codomain mentions an
-        argument.  Any other rejection of ``f`` is the tree's."""
-        if type(f) in NOT_INFERABLE:
-            return None
-        cod = self.infer(ctx, f)
-        for level in range(ctx.depth, ctx.depth + arity):
-            if not isinstance(cod, VPi):
-                return None
-            cod = self.ev.apply_clo(cod.cod, fresh(level, cod.dom))
-        # read back with the arguments in scope: they are the innermost
-        # ``arity`` variables, which the codomain must not mention
-        probe = self.ev.readback_type(cod, ctx.depth + arity)
-        if not T.reads(probe).isdisjoint(range(arity)):
-            return None
-        for _ in range(arity):
-            probe = T.strengthen(probe)
-        return self.eval_in(ctx, probe)
 
     def check_motive(self, ctx: Context, m: Term, m_ty: Value) -> Value:
         try:
@@ -436,7 +392,7 @@ class Checker:
         if cls is T.Let:
             self.check_let(ctx, t, ty)
             return
-        if cls in WRONG_TARGET:
+        if cls in CHECK_ONLY:
             self.check_intro(ctx, t, ty)
             return
         # fall through: infer and convert (sort-codomains subsume cumulatively)
@@ -477,7 +433,7 @@ class Checker:
         first field must be the target's index, if it has one."""
         intro = type(t)
         if not S.inhabits(intro, ty):
-            self.fail("mismatch", WRONG_TARGET[intro], expected=self.norm_type(ctx, ty))
+            self.fail("mismatch", CHECK_ONLY[intro][0], expected=self.norm_type(ctx, ty))
         vals = _Values(self, ctx, t)
         for k, field in enumerate(vals.terms):
             self.check(ctx, field, self.ev.value_field(intro, ty, vals, k))

@@ -596,6 +596,19 @@ def test_expression_errors_are_located_at_the_expression(capsys, tmp_path):
     assert code == 1 and out == "error: <context>: unbound: unknown name 'B'\n"
 
 
+def test_a_tree_is_normalized_only_when_annotated(capsys, tmp_path):
+    f = tmp_path / "tree.mltt"
+    f.write_text(
+        "def B : N1 -> U0 := fun x => N0\n"
+        "def T : U0 := W N1 B\n"
+        "def f : N0 -> T := fun z => absurd (fun w => T) z\n"
+    )
+    code, out = run(capsys, "norm", str(f), "--expr", "sup star f")
+    assert (code, out) == (1, "error: <expr>: mismatch: sup is not inferable here; add an annotation\n")
+    code, out = run(capsys, "norm", str(f), "--expr", "(sup star f : T)")
+    assert (code, out) == (0, "sup star (fun x0 => absurd (fun x1 => W N1 (fun x2 => N0)) x0)\n")
+
+
 def test_trailing_input_after_an_expression_is_located(capsys):
     code, out = run(capsys, "norm", "--expr", "star )")
     assert (code, out) == (1, "error: 1:6: trailing input after term\n")

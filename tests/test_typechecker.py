@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from covertt import surface, typecheck
+from covertt import semantics as S
 from covertt import terms as T
 from covertt.cover import TrNode, cover_type, extract_proof_term
 from covertt.terms import Flags
@@ -116,15 +117,6 @@ def test_introduction_rules():
     chk, ctx, scope = _ctx(COVER_CTX)
     check_in(chk, ctx, scope, "rf a rv", "Cover A If Cf V a")
     check_in(chk, ctx, scope, "tr a i r", "Cover A If Cf V a")
-
-
-def test_sup_infers_through_its_branch_function():
-    chk, ctx, scope = _ctx(W_CTX)
-    t = surface.parse_term("sup a f", scope=scope)
-    ty = chk.infer(ctx, t)
-    assert surface.pretty(chk.norm_type(ctx, ty)) == surface.pretty(
-        chk.norm_type(ctx, chk.eval_in(ctx, surface.parse_term("W A B", scope=scope)))
-    )
 
 
 # --- elimination ------------------------------------------------------------------
@@ -490,6 +482,20 @@ def test_inference_of_every_term_class(name, result):
     assert (e.value.kind, e.value.message, *printed) == result
 
 
+def test_every_introduction_but_star_only_checks():
+    """The one table of introductions names each of them but star, which
+    infers, and ``infer`` rejects each with the table's message.  Pi has a
+    class of its own, so its introduction, lambda, is not in ``INTROS``."""
+    intros = {T.Lam}.union(*S.INTROS.values())
+    assert set(typecheck.CHECK_ONLY) == intros - {T.Star}
+    chk = Checker()
+    ctx = Context().extend(chk.eval_in(Context(), T.Unit()))
+    for intro, (_, message) in typecheck.CHECK_ONLY.items():
+        with pytest.raises(TypeCheckError) as e:
+            chk.infer(ctx, intro(*[T.Var(0)] * len(intro.__match_args__)))
+        assert (e.value.kind, e.value.message) == ("mismatch", message)
+
+
 # --- computation, under every flag setting --------------------------------------
 
 
@@ -623,31 +629,9 @@ def test_subject_reduction_on_prelude():
         chk.check(ctx, nf, entry.type_value)
 
 
-# --- sup, dsup and ind infer only through a non-dependent codomain -------------
+# --- trees only check ------------------------------------------------------------
 
-
-@pytest.mark.parametrize(
-    "items, src, former",
-    [
-        (W_CTX[:3] + [("F", "A -> U0"), ("g", "(b : A) -> F b")], "sup a g", "sup"),
-        (DW_CTX[:6] + [("G", "Br i n -> U0"), ("g", "(b : Br i n) -> G b")], "dsup i n g", "dsup"),
-        (
-            WP_CTX[:5] + [("G", "(j : I) -> R i n j -> U0"), ("g", "(j : I) -> (r : R i n j) -> G j r")],
-            "ind i n g",
-            "ind",
-        ),
-        (WP_CTX[:5] + [("G", "I -> U0"), ("g", "(j : I) -> R i n j -> G j")], "ind i n g", "ind"),
-    ],
-)
-def test_introduction_with_a_dependent_codomain_is_not_inferable(items, src, former):
-    chk, ctx, scope = _ctx(items)
-    with pytest.raises(TypeCheckError) as e:
-        chk.infer(ctx, surface.parse_term(src, scope=scope))
-    assert e.value.message == f"{former} is not inferable here; add an annotation"
-
-
-# over N1 under eta_unit an index reads back as star, so no codomain depends on
-# a subtree's position
+# trees over N1, checked under eta_unit, where every index is star
 UNIT_DW_CTX = [
     ("N", "N1 -> U0"),
     ("Br", "(i : N1) -> N i -> U0"),
@@ -671,34 +655,52 @@ UNIT_COVER_CTX = [
 
 
 @pytest.mark.parametrize(
-    "items, src, expected",
+    "items, flags, src, annotation",
     [
-        (UNIT_DW_CTX, "dsup star n f", "DW N1 N Br ar star"),
-        (UNIT_WP_CTX, "ind star n f", "WP N1 N R star"),
-        (UNIT_COVER_CTX, "tr star i r", None),
+        (W_CTX, Flags(), "sup a f", "W A B"),
+        (W_CTX[:3] + [("F", "A -> U0"), ("g", "(b : A) -> F b")], Flags(), "sup a g", None),
+        (
+            DW_CTX[:6] + [("G", "Br i n -> U0"), ("g", "(b : Br i n) -> G b")],
+            Flags(),
+            "dsup i n g",
+            None,
+        ),
+        (
+            WP_CTX[:5] + [("G", "(j : I) -> R i n j -> U0"), ("g", "(j : I) -> (r : R i n j) -> G j r")],
+            Flags(),
+            "ind i n g",
+            None,
+        ),
+        (WP_CTX[:5] + [("G", "I -> U0"), ("g", "(j : I) -> R i n j -> G j")], Flags(), "ind i n g", None),
+        (UNIT_DW_CTX, Flags(eta_unit=True), "dsup star n f", "DW N1 N Br ar star"),
+        (UNIT_WP_CTX, Flags(eta_unit=True), "ind star n f", "WP N1 N R star"),
+        (UNIT_COVER_CTX, Flags(eta_unit=True), "tr star i r", None),
     ],
 )
-def test_indexed_trees_infer_through_a_non_dependent_codomain(items, src, expected):
-    chk, ctx, scope = _ctx(items, Flags(eta_unit=True))
+def test_a_tree_infers_only_through_an_annotation(items, flags, src, annotation):
+    """A bare tree is rejected with its introduction's message, whatever its
+    subtree function's type says; annotated, it infers the annotation."""
+    chk, ctx, scope = _ctx(items, flags)
     t = surface.parse_term(src, scope=scope)
-    if expected is None:
-        # a cover proof is never inferred
-        with pytest.raises(TypeCheckError) as e:
-            chk.infer(ctx, t)
-        assert e.value.message == "cover introductions are not inferable"
+    with pytest.raises(TypeCheckError) as e:
+        chk.infer(ctx, t)
+    assert (e.value.kind, e.value.message) == ("mismatch", typecheck.CHECK_ONLY[type(t)][1])
+    if annotation is None:
         return
-    want = chk.eval_in(ctx, surface.parse_term(expected, scope=scope))
-    assert chk.norm_type(ctx, chk.infer(ctx, t)) == chk.norm_type(ctx, want)
+    ann = surface.parse_term(f"({src} : {annotation})", scope=scope)
+    want = chk.eval_in(ctx, surface.parse_term(annotation, scope=scope))
+    assert chk.norm_type(ctx, chk.infer(ctx, ann)) == chk.norm_type(ctx, want)
 
 
 ELIM_W = "elimW (fun w => N1) (fun a => fun f => fun g => star) ({})"
+W_EMPTY = "W N1 (fun u => N0)"
 
 
 @pytest.mark.parametrize(
     "src, kind, message, expected, found",
     [
-        (ELIM_W.format("sup star (h star)"), "mismatch", "type mismatch", "N0", "N1"),
-        ("sup star nope", "unbound", "unknown name 'nope'", None, None),
+        (ELIM_W.format(f"sup star (h star) : {W_EMPTY}"), "mismatch", "type mismatch", "N0", "N1"),
+        (f"(sup star nope : {W_EMPTY})", "unbound", "unknown name 'nope'", None, None),
         (
             "sup star (fun x => x)",
             "mismatch",
@@ -709,9 +711,9 @@ ELIM_W = "elimW (fun w => N1) (fun a => fun f => fun g => star) ({})"
     ],
 )
 def test_a_subtree_function_is_rejected_for_its_own_error(src, kind, message, expected, found):
-    """Only a subtree function that never infers makes a tree "not
-    inferable"; any other rejection of it is reported as it is."""
-    chk, ctx, scope = _ctx([("h", "N0 -> W N1 (fun u => N0)")])
+    """An annotated tree's subtree function is rejected for its own error;
+    a bare tree is not inferable, whatever its subtree function."""
+    chk, ctx, scope = _ctx([("h", f"N0 -> {W_EMPTY}")])
     with pytest.raises(TypeCheckError) as e:
         chk.infer(ctx, surface.parse_term(src, scope=scope))
     printed = [t if t is None else surface.pretty(t) for t in (e.value.expected, e.value.found)]
