@@ -881,184 +881,16 @@ def extract_proof_term_unary(ax: FiniteAxiomSet, v: Subset, d):
     return cover._lets(instance_lets_unary(ax, v) + [binding(node) for node in nodes], T.Var(0))
 
 
-# --- the certificate encoding the cover engine used to build ---------------------
+# --- a certificate's lets, zeta-expanded ---------------------------------------
 #
-# Kept as an oracle of cover.cover_type and cover.extract_proof_term.  Each
-# level of a case split gets its motive by substituting an annotated
-# ``inl x``/``inr x`` into the whole motive, and a leaf is bridged to ``star``
-# by a unit elimination whenever that motive mentions the scrutinee.
+# Each ``let`` zeta-expanded, its variable replaced by its value annotated
+# with its type: an unannotated lambda in function position would not infer.
 
 
-def _substituted_case_tree(k: int, leaf, scrut, motive_body):
-    dep = T.free_in(motive_body, 0)
-
-    def motive_at(repl):
-        return T.subst(motive_body, 0, T.Ann(repl, cover.fin_type(k)))
-
-    if k == 0:
-        return T.EmptyElim(T.Lam(motive_body), scrut)
-    if k == 1:
-        if dep:
-            return T.UnitElim(T.Lam(motive_body), leaf(0), scrut)
-        return leaf(0)
-    if dep:
-        case_left = T.Lam(T.UnitElim(T.Lam(motive_at(T.Inl(T.Var(0)))), leaf(0), T.Var(0)))
-    else:
-        case_left = T.Lam(leaf(0))
-    inner = _substituted_case_tree(
-        k - 1, lambda i: leaf(i + 1), T.Var(0), motive_at(T.Inr(T.Var(0)))
-    )
-    return T.SumElim(T.Lam(motive_body), case_left, T.Lam(inner), scrut)
-
-
-def _substituted_subset_pred(s: Subset):
-    return T.Lam(
-        _substituted_case_tree(
-            s.size, lambda i: T.Unit() if s.contains(i) else T.Empty(), T.Var(0), T.Univ()
-        )
-    )
-
-
-def _substituted_labels_body(ax: FiniteAxiomSet):
-    return _substituted_case_tree(
-        ax.size, lambda a: cover.fin_type(len(ax.labels[a])), T.Var(0), T.Univ()
-    )
-
-
-def instance_terms_substituted(ax: FiniteAxiomSet, v: Subset):
-    """(carrier, labels family, axioms family, subset), as the substituting
-    encoding built them."""
-    carrier = cover.fin_type(ax.size)
-    covers = ax.covers
-
-    def axioms_for(a: int):
-        return T.Lam(
-            _substituted_case_tree(
-                len(ax.labels[a]),
-                lambda li: _substituted_subset_pred(covers[a][li]),
-                T.Var(0),
-                T.Pi(carrier, T.Univ()),
-            )
-        )
-
-    axioms_motive = T.Pi(_substituted_labels_body(ax), T.Pi(carrier, T.Univ()))
-    axioms = T.Lam(_substituted_case_tree(ax.size, axioms_for, T.Var(0), axioms_motive))
-    return carrier, T.Lam(_substituted_labels_body(ax)), axioms, _substituted_subset_pred(v)
-
-
-def cover_type_substituted(ax: FiniteAxiomSet, v: Subset, atom: int):
-    return T.App(T.Cover(*instance_terms_substituted(ax, v)), cover.fin_elem(atom, ax.size))
-
-
-def extract_proof_term_substituted(ax: FiniteAxiomSet, v: Subset, d):
-    k = ax.size
-    cover_fam = T.Cover(*instance_terms_substituted(ax, v))
-    covers = ax.covers
-
-    def build(node):
-        if isinstance(node, RfNode):
-            return T.Rf(cover.fin_elem(node.atom, k), T.Star())
-        cov = covers[node.atom][node.label]
-        children = dict(zip(cov.members, node.children))
-
-        def leaf(b: int):
-            if cov.contains(b):
-                return T.Lam(build(children[b]))
-            return T.Lam(T.EmptyElim(T.Lam(T.App(cover_fam, cover.fin_elem(b, k))), T.Var(0)))
-
-        premise_motive = T.Pi(_substituted_subset_pred(cov).body, T.App(cover_fam, T.Var(1)))
-        body = _substituted_case_tree(k, leaf, T.Var(0), premise_motive)
-        return T.Tr(
-            cover.fin_elem(node.atom, k),
-            cover.fin_elem(node.label, len(ax.labels[node.atom])),
-            T.Lam(body),
-        )
-
-    return build(d)
-
-
-# --- the certificate encoding with its instance inlined -------------------------
-#
-# Kept as an oracle of cover.cover_type and cover.extract_proof_term.  The
-# instance's families are closed terms, repeated in every motive and leaf,
-# and a derivation node's proof is rebuilt wherever the node recurs.  Each
-# level of a case split states its motive reduced, over the carrier's tail.
-
-
-def _reduced_case_tree(k: int, leaf, motive, j: int = 0):
-    if j == k:
-        return T.EmptyElim(T.Lam(motive(j)), T.Var(0))
-    if j == k - 1:
-        return leaf(j)
-    return T.SumElim(
-        T.Lam(motive(j)),
-        T.Lam(leaf(j)),
-        T.Lam(_reduced_case_tree(k, leaf, motive, j + 1)),
-        T.Var(0),
-    )
-
-
-def _inlined_family_body(codes: list, j: int = 0):
-    return _reduced_case_tree(len(codes), codes.__getitem__, lambda _j: T.Univ(), j)
-
-
-def instance_terms_inlined(ax: FiniteAxiomSet, v: Subset):
-    """(carrier, labels family, axioms family, subset), each a closed term."""
-    k = ax.size
-    carrier = cover.fin_type(k)
-    label_codes = [cover.fin_type(len(ls)) for ls in ax.labels]
-    pred_type = T.Pi(carrier, T.Univ())
-    covers = ax.covers
-
-    def axioms_for(a: int):
-        def pred(li: int):
-            return T.Lam(_inlined_family_body(cover._subset_codes(covers[a][li])))
-
-        return T.Lam(_reduced_case_tree(len(covers[a]), pred, lambda _j: pred_type))
-
-    axioms = T.Lam(
-        _reduced_case_tree(
-            k, axioms_for, lambda j: T.Pi(_inlined_family_body(label_codes, j), pred_type)
-        )
-    )
-    labels = T.Lam(_inlined_family_body(label_codes))
-    return carrier, labels, axioms, T.Lam(_inlined_family_body(cover._subset_codes(v)))
-
-
-def cover_type_inlined(ax: FiniteAxiomSet, v: Subset, atom: int):
-    return T.App(T.Cover(*instance_terms_inlined(ax, v)), cover.fin_elem(atom, ax.size))
-
-
-def extract_proof_term_inlined(ax: FiniteAxiomSet, v: Subset, d):
-    k = ax.size
-    cover_fam = T.Cover(*instance_terms_inlined(ax, v))
-    covers = ax.covers
-
-    def build(node):
-        if isinstance(node, RfNode):
-            return T.Rf(cover.fin_elem(node.atom, k), T.Star())
-        cov = covers[node.atom][node.label]
-        children = dict(zip(cov.members, node.children))
-        codes = cover._subset_codes(cov)
-
-        # the cover at b, with the variable ``index`` as b's unit payload
-        def cover_at(b: int, index: int):
-            return T.App(cover_fam, cover._embed(b, k, T.Var(index)))
-
-        def leaf(b: int):
-            if cov.contains(b):
-                return T.Lam(T.UnitElim(T.Lam(cover_at(b, 0)), build(children[b]), T.Var(1)))
-            return T.Lam(T.EmptyElim(T.Lam(cover_at(b, 2)), T.Var(0)))
-
-        def motive(j: int):
-            at_y = T.App(cover_fam, cover._embed(j, j + 1, T.Var(1)))
-            return T.Pi(_inlined_family_body(codes, j), at_y)
-
-        elem_a = cover.fin_elem(node.atom, k)
-        elem_i = cover.fin_elem(node.label, len(ax.labels[node.atom]))
-        return T.Tr(elem_a, elem_i, T.Lam(_reduced_case_tree(k, leaf, motive)))
-
-    return build(d)
+def inline_lets(t: T.Term) -> T.Term:
+    if type(t) is T.Let:
+        return T.subst(inline_lets(t.body), 0, T.Ann(inline_lets(t.value), inline_lets(t.type)))
+    return T.map_subterms(t, lambda s, _d: inline_lets(s))
 
 
 ORACLE_PUNCT = (":=", "=>", "->", "(", ")", ":", "*", ",")

@@ -36,13 +36,10 @@ from helpers import (
     UnsharedLetChecker,
     brute_force_min_cover,
     chain_cover_text,
-    cover_type_inlined,
-    cover_type_substituted,
     cover_type_unary,
     criterion6_derivations,
-    extract_proof_term_inlined,
-    extract_proof_term_substituted,
     extract_proof_term_unary,
+    inline_lets,
     instance_lets_unary,
     kleene_least_cover,
     layered_horn_cover_text,
@@ -346,51 +343,105 @@ def _certified_instances():
             yield ax, v, [(a, d) for a in range(2) if (d := derivation(ax, v, a)) is not None]
 
 
-def test_reduced_motives_agree_with_the_substituting_encoding():
-    """The unary encoding's certificates, with reduced motives, against the
-    encoding that substituted into its motives.  A reduced certificate
-    checks flag-free at its own type.  The two types differ flag-free, by unit eliminations on a
-    variable that the substituting encoding wrapped around its leaves; under
-    eta_unit alone they are convertible, and the new proof checks at the old
-    type.  One checker per instance and flag set, so that the instance's
-    formation is inferred once."""
-    count = 0
-    for ax, v, derivations in _certified_instances():
-        plain, eta_unit, ctx = Checker(Flags()), Checker(Flags(eta_unit=True)), Context()
-        for atom, d in derivations:
-            ty, tm = cover_type_unary(ax, v, atom), extract_proof_term_unary(ax, v, d)
-            plain.ensure_type(ctx, ty)
-            plain.check(ctx, tm, plain.eval_in(ctx, ty))
-            old_ty = cover_type_substituted(ax, v, atom)
-            eta_unit.ensure_type(ctx, old_ty)
-            old = eta_unit.eval_in(ctx, old_ty)
-            assert eta_unit.ev.conv_type(eta_unit.eval_in(ctx, ty), old, 0)
-            eta_unit.check(ctx, tm, old)
-            count += 1
-    assert count == 205 + 1728
+@pytest.fixture(scope="module")
+def live_certificates():
+    """(axiom set, V, derivations by atom, every atom's statement, proofs by
+    atom) for each of ``_certified_instances``, in the engine's encoding."""
+    return [
+        (
+            ax,
+            v,
+            derivations,
+            [cover_type(ax, v, a) for a in range(ax.size)],
+            [(a, extract_proof_term(ax, v, d)) for a, d in derivations],
+        )
+        for ax, v, derivations in _certified_instances()
+    ]
 
 
-def test_let_bound_certificates_agree_with_the_inlined_encoding():
-    """The unary encoding's certificates, which bind their instance and
-    their derived atoms in ``let``s, against the encoding that inlines them.  With every flag off,
-    the two types are convertible, the new proof checks at the inlined type
-    and the inlined proof at the new type."""
-    count = 0
-    for ax, v, derivations in _certified_instances():
-        chk, ctx = Checker(Flags()), Context()
-        for atom, d in derivations:
-            ty, old_ty = cover_type_unary(ax, v, atom), cover_type_inlined(ax, v, atom)
+def _verdicts(checker_class, instances):
+    """Every proof of an instance checked flag-free at every atom's type, in
+    one checker and context per instance: the (atom, target, verdict)
+    triples of each instance, and the steps the checkers' evaluators took."""
+    verdicts, steps = [], 0
+    for types, proofs in instances:
+        chk, ctx, triples = checker_class(Flags()), Context(), []
+        for target, ty in enumerate(types):
             chk.ensure_type(ctx, ty)
-            chk.ensure_type(ctx, old_ty)
-            new, old = chk.eval_in(ctx, ty), chk.eval_in(ctx, old_ty)
-            assert chk.ev.conv_type(new, old, 0)
-            chk.check(ctx, extract_proof_term_unary(ax, v, d), old)
-            chk.check(ctx, extract_proof_term_inlined(ax, v, d), new)
+            tyv = chk.eval_in(ctx, ty)
+            for atom, proof in proofs:
+                try:
+                    chk.check(ctx, proof, tyv)
+                    triples.append((atom, target, "ok"))
+                except TypeCheckError as e:
+                    triples.append((atom, target, e.kind))
+        verdicts.append(triples)
+        steps += chk.ev.steps
+    return verdicts, steps
+
+
+@pytest.fixture(scope="module")
+def live_verdicts(live_certificates):
+    """``_verdicts`` of the engine's certificates under ``Checker``."""
+    return _verdicts(Checker, [(types, proofs) for *_, types, proofs in live_certificates])
+
+
+def _family(chk, ctx, lets, level):
+    """The value of the instance family bound at ``level`` by ``lets``."""
+    body = cover._lets(lets, cover._ref(level, 5))
+    chk.infer(ctx, body)
+    return chk.eval_in(ctx, body)
+
+
+def test_let_bound_certificates_agree_with_their_inlining(live_certificates):
+    """The engine's certificates, which bind their instance and their
+    derived atoms in ``let``s, against the same terms with every ``let``
+    expanded (``inline_lets``), all flag-free: the two statements convert,
+    the let-bound proof checks at the expanded statement and the expanded
+    proof at the let-bound one.  One checker per instance."""
+    count = 0
+    for *_, types, proofs in live_certificates:
+        chk, ctx = Checker(Flags()), Context()
+        for atom, proof in proofs:
+            expanded = inline_lets(types[atom])
+            chk.ensure_type(ctx, types[atom])
+            chk.ensure_type(ctx, expanded)
+            bound, flat = chk.eval_in(ctx, types[atom]), chk.eval_in(ctx, expanded)
+            assert chk.ev.conv_type(bound, flat, 0)
+            chk.check(ctx, proof, flat)
+            chk.check(ctx, inline_lets(proof), bound)
             count += 1
     assert count == 205 + 1728
 
 
-def test_fibre_certificates_agree_with_the_unary_encoding():
+def test_instance_families_at_every_closed_point(live_certificates):
+    """Flag-free, at every closed atom a the label family ``L a``
+    normalizes to the finite type of a's labels, and at every closed atom b
+    the subset ``V b`` normalizes to ``N1`` when b is in V and to ``N0``
+    otherwise.  The expected forms come from label counts and ``Subset``
+    membership, not from the engine's case splits.  L does not read V, so it
+    is checked once per axiom set."""
+    points, labels_seen = 0, set()
+    for ax, v, *_ in live_certificates:
+        k, lets = ax.size, cover._instance(ax, v)
+        chk, ctx = Checker(Flags()), Context()
+
+        def normal_forms(level):
+            fam = _family(chk, ctx, lets, level)
+            atoms = [chk.eval_in(ctx, cover.fin_elem(b, k)) for b in range(k)]
+            return [chk.norm_type(ctx, chk.ev.apply(fam, b)) for b in atoms]
+
+        if ax not in labels_seen:
+            labels_seen.add(ax)
+            assert normal_forms(cover._L) == [cover.fin_type(len(ls)) for ls in ax.labels]
+            points += k
+        assert normal_forms(cover._V) == [T.Unit() if v.contains(b) else T.Empty() for b in range(k)]
+        points += k
+    # 792 points of L over 340 axiom sets, 2,330 of V over 1,109 instances
+    assert points == 792 + 2330
+
+
+def test_fibre_certificates_agree_with_the_unary_encoding(live_certificates, live_verdicts):
     """The certificates whose axiom family is each axiom's fibre against the
     unary encoding, whose family is each axiom's predicate on the carrier,
     all flag-free.  Each encoding's certificates check at their own atom's
@@ -400,16 +451,14 @@ def test_fibre_certificates_agree_with_the_unary_encoding():
     premises p of C(a, i), and the injection of ``refl b`` checks at it
     exactly where the unary family is ``N1``, at b's own place."""
     count, families_seen = 0, set()
-    for ax, v, derivations in _certified_instances():
+    live, _steps = live_verdicts
+    for (ax, v, derivations, *_), own in zip(live_certificates, live):
         k = ax.size
         derived = {(a, a) for a, _ in derivations}
-        for statement, certificate in [
-            (cover_type, extract_proof_term),
-            (cover_type_unary, extract_proof_term_unary),
-        ]:
-            types = [statement(ax, v, a) for a in range(k)]
-            proofs = [(a, certificate(ax, v, d)) for a, d in derivations]
-            verdicts, _ = _verdicts(Checker, [(types, proofs)])
+        types = [cover_type_unary(ax, v, a) for a in range(k)]
+        proofs = [(a, extract_proof_term_unary(ax, v, d)) for a, d in derivations]
+        (oracle,), _ = _verdicts(Checker, [(types, proofs)])
+        for verdicts in (own, oracle):
             assert {(atom, target) for atom, target, verdict in verdicts if verdict == "ok"} == derived
         count += len(derivations)
 
@@ -418,12 +467,6 @@ def test_fibre_certificates_agree_with_the_unary_encoding():
         predicates = T.Pi(cover.fin_type(k), T.Univ())
         for level in (cover._L, cover._V):
             assert convertible(chk, predicates, fibres[level][1], unary[level][1])
-
-        def family(lets):
-            # the value of A, the instance's axiom family
-            body = cover._lets(lets, cover._ref(cover._A, 5))
-            chk.infer(ctx, body)
-            return chk.eval_in(ctx, body)
 
         def family_at(fam, a, li, b):
             # A a i b, and its normal form
@@ -436,7 +479,7 @@ def test_fibre_certificates_agree_with_the_unary_encoding():
         if ax in families_seen:  # the axiom family does not read V
             continue
         families_seen.add(ax)
-        fibres, unary = family(fibres), family(unary)
+        fibres, unary = _family(chk, ctx, fibres, cover._A), _family(chk, ctx, unary, cover._A)
         for a in range(k):
             for li in range(len(ax.labels[a])):
                 premises = ax.axiom(a, li).members
@@ -458,41 +501,15 @@ def test_fibre_certificates_agree_with_the_unary_encoding():
     assert count == 205 + 1728
 
 
-def _verdicts(checker_class, instances):
-    """Every proof of an instance checked flag-free at every atom's type, in
-    one checker and context per instance: (atom, target, verdict) triples,
-    and the steps the checkers' evaluators took."""
-    verdicts, steps = [], 0
-    for types, proofs in instances:
-        chk, ctx = checker_class(Flags()), Context()
-        for target, ty in enumerate(types):
-            chk.ensure_type(ctx, ty)
-            tyv = chk.eval_in(ctx, ty)
-            for atom, proof in proofs:
-                try:
-                    chk.check(ctx, proof, tyv)
-                    verdicts.append((atom, target, "ok"))
-                except TypeCheckError as e:
-                    verdicts.append((atom, target, e.kind))
-        steps += chk.ev.steps
-    return verdicts, steps
-
-
-def test_checking_each_let_once_agrees_with_the_unshared_checker():
+def test_checking_each_let_once_agrees_with_the_unshared_checker(live_certificates, live_verdicts):
     """The checker that checks a ``let`` once per context against the one
     that checks it every time: the same verdicts on every certificate at
     every atom's type, and fewer steps."""
-    instances = [
-        (
-            [cover_type(ax, v, a) for a in range(len(ax.carrier))],
-            [(a, extract_proof_term(ax, v, d)) for a, d in derivations],
-        )
-        for ax, v, derivations in _certified_instances()
-    ]
-    shared, shared_steps = _verdicts(Checker, instances)
+    shared, shared_steps = live_verdicts
+    instances = [(types, proofs) for *_, types, proofs in live_certificates]
     unshared, unshared_steps = _verdicts(UnsharedLetChecker, instances)
     assert shared == unshared
-    accepted = [(atom, target) for atom, target, verdict in shared if verdict == "ok"]
+    accepted = [(atom, target) for triples in shared for atom, target, verdict in triples if verdict == "ok"]
     assert len(accepted) == 205 + 1728 and all(atom == target for atom, target in accepted)
     assert shared_steps < unshared_steps
 

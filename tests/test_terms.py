@@ -12,10 +12,10 @@ import covertt
 from covertt import semantics as S
 from covertt import surface, typecheck
 from covertt import terms as T
-from covertt.cover import FiniteAxiomSet, Subset
+from covertt.cover import FiniteAxiomSet, Subset, cover_type, extract_proof_term
 from covertt.terms import Flags, subst, weaken
 
-from helpers import load_corpus_file, term_key
+from helpers import criterion6_derivations, inline_lets, load_corpus_file, term_key
 
 
 def test_weaken_free_variable():
@@ -103,6 +103,29 @@ def test_free_variables_are_found_at_any_depth_and_strengthen_refuses_one():
     assert T.strengthen(T.Pi(T.Var(1), T.Var(0))) == T.Pi(T.Var(0), T.Var(0))
     with pytest.raises(ValueError, match="variable occurs"):
         T.strengthen(T.Var(0))
+
+
+def test_inlining_a_let_annotates_its_value_with_its_type():
+    t = surface.parse_term("fun x => let y : N1 := x in y")
+    assert inline_lets(t) == surface.parse_term("fun x => (x : N1)")
+
+
+def _node_classes(t) -> set:
+    """The classes of the nodes of ``t``, each shared node visited once."""
+    classes, stack, seen = set(), [t], set()
+    while stack:
+        u = stack.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            classes.add(type(u))
+            stack.extend(getattr(u, name) for name, _ in T.CHILDREN[type(u)])
+    return classes
+
+
+def test_inlining_leaves_no_let_in_a_certificate():
+    for ax, v, atom, d in criterion6_derivations():
+        for t in (cover_type(ax, v, atom), extract_proof_term(ax, v, d)):
+            assert T.Let not in _node_classes(inline_lets(t))
 
 
 def test_flags_from_names_and_inclusion():
